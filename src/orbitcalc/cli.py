@@ -39,6 +39,12 @@ def _kind(token: str) -> Kind:
     raise CliError(f"unknown kind {token!r}; use sp or o")
 
 
+def _nonnegative(option: str, value: int) -> int:
+    if value < 0:
+        raise CliError(f"{option} must be nonnegative, got {value}")
+    return value
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -56,8 +62,10 @@ def _load_diagram(path: str) -> dc.SignedDiagram:
 def _load_partition(path: str) -> Partition:
     try:
         data = json.loads(_read(path))
+        if not isinstance(data, list) or any(type(r) is not int for r in data):
+            raise ValueError("expected a list of integer row lengths")
         return Partition(tuple(data))
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise CliError(f"{path}: not a partition: {exc}") from None
 
 
@@ -246,12 +254,12 @@ def cmd_enumerate(args) -> int:
     kind = _kind(args.kind)
     if args.signature is not None:
         try:
-            p, q = (int(x) for x in args.signature.split(","))
+            p, q = (_nonnegative("signature", int(x)) for x in args.signature.split(","))
         except ValueError:
             raise CliError("signature must be p,q") from None
         diagrams = list(signed_diagrams(kind, sig=Signature(p, q)))
     elif args.size is not None:
-        diagrams = list(signed_diagrams(kind, size=args.size))
+        diagrams = list(signed_diagrams(kind, size=_nonnegative("--size", args.size)))
     else:
         raise CliError("need --size or --signature")
     if args.count:
@@ -277,7 +285,7 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         raise CliError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
-    rep = run_suite(args.suite, args.max)
+    rep = run_suite(args.suite, _nonnegative("--max", args.max))
     if args.json:
         print(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True))
     else:
@@ -292,7 +300,7 @@ def cmd_verify(args) -> int:
 
 def cmd_wf_ialpha(args) -> int:
     try:
-        diagrams = wf_ialpha(args.n, args.alpha)
+        diagrams = wf_ialpha(_nonnegative("--n", args.n), args.alpha)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     data = {

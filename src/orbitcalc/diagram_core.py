@@ -316,14 +316,7 @@ def negate(d: SignedDiagram) -> SignedDiagram:
     diagrams this is tau; for orthogonal ones it fixes every class (the
     flipped constrained classes stay balanced and fold back to convention
     order)."""
-    require_valid(d)
-    spec: list[tuple[int, Sign | None]] = []
-    for length, lead in d.rows:
-        if d.kind.constrained(length):
-            spec.append((length, None))
-        else:
-            spec.append((length, lead.flipped if length % 2 == 0 else lead))
-    return from_row_spec(d.kind, spec)
+    return tau(d) if d.kind is Kind.SYMPLECTIC else canonicalize(d)
 
 
 @dataclass(frozen=True)
@@ -338,10 +331,6 @@ class GroupLabel:
         if self.family == "Mp":
             return f"Mp({self.p})"
         return f"O({self.p},{self.q})"
-
-    @property
-    def rank_params(self) -> tuple[int, int]:
-        return (self.p, self.q)
 
 
 def group_of(d: SignedDiagram) -> GroupLabel:
@@ -410,13 +399,17 @@ def from_json_dict(data: dict, validated: bool = True) -> SignedDiagram:
         kind = Kind(data["kind"])
     except ValueError:
         raise ValueError(f"unknown kind {data['kind']!r}") from None
+    if not isinstance(data["rows"], list):
+        raise ValueError("diagram 'rows' must be a list")
     rows: list[SignedRow] = []
     for i, entry in enumerate(data["rows"], start=1):
         if not isinstance(entry, dict) or "len" not in entry or "sign" not in entry:
             raise ValueError(f"row {i}: needs 'len' and 'sign' fields")
+        if type(entry["len"]) is not int:  # bool, float and str are not lengths
+            raise ValueError(f"row {i}: len must be an integer")
         if entry["sign"] not in ("+", "-"):
             raise ValueError(f"row {i}: sign must be '+' or '-'")
-        rows.append(SignedRow(int(entry["len"]), Sign(entry["sign"])))
+        rows.append(SignedRow(entry["len"], Sign(entry["sign"])))
     try:
         d = SignedDiagram(kind, tuple(rows))
     except ValueError as exc:

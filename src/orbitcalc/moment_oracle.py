@@ -184,7 +184,7 @@ class RationalMatrix:
 
     @classmethod
     def from_json(cls, data) -> "RationalMatrix":
-        if not isinstance(data, list):
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ValueError("matrix JSON must be a list of rows")
         return cls.from_rows(
             [[parse_rational(str(x)) for x in row] for row in data]
@@ -397,29 +397,55 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
 # witness construction
 
 
-def _block_entries(
-    entries: dict[tuple[int, int], Fraction], row: int, col: int, value: int
-) -> None:
-    entries[(row, col)] = Fraction(value)
-
-
 def _emit_even_block(entries, p, q, a0: int, w: int, lead: Sign) -> None:
     """Jordan block of size 2w on block coordinates a0..a0+w-1 whose form
     sign equals ``lead``: chain q_1 -> -q_2 -> ... -> c p_w -> ... -> p_1."""
     for t in range(w - 1):
-        _block_entries(entries, p(a0 + t), p(a0 + t + 1), 1)
-        _block_entries(entries, q(a0 + t + 1), q(a0 + t), -1)
+        entries[(p(a0 + t), p(a0 + t + 1))] = 1
+        entries[(q(a0 + t + 1), q(a0 + t))] = -1
     sign_value = 1 if lead is Sign.PLUS else -1
-    c = sign_value * (-1) ** (w - 1)
-    _block_entries(entries, p(a0 + w - 1), q(a0 + w - 1), c)
+    entries[(p(a0 + w - 1), q(a0 + w - 1))] = sign_value * (-1) ** (w - 1)
 
 
 def _emit_odd_pair(entries, p, q, a0: int, length: int) -> None:
     """Dual isotropic Jordan chains of odd size on coordinates a0..a0+length-1:
     one down the positions, one down the momenta."""
     for t in range(length - 1):
-        _block_entries(entries, p(a0 + t), p(a0 + t + 1), 1)
-        _block_entries(entries, q(a0 + t + 1), q(a0 + t), -1)
+        entries[(p(a0 + t), p(a0 + t + 1))] = 1
+        entries[(q(a0 + t + 1), q(a0 + t))] = -1
+
+
+def _emit_blocks(entries, d: SignedDiagram, p, q) -> list[tuple[int, int]]:
+    """Standard Jordan blocks of a valid symplectic diagram on block
+    coordinates 1..size/2: an even row of length 2w takes w coordinates, a
+    pair of equal odd rows (adjacent, by validity) takes its length.
+    Returns (first coordinate, row length) per block, top down."""
+    blocks = []
+    a0 = 1
+    idx = 0
+    while idx < len(d.rows):
+        length, lead = d.rows[idx]
+        blocks.append((a0, length))
+        if length % 2 == 0:
+            _emit_even_block(entries, p, q, a0, length // 2, lead)
+            a0 += length // 2
+            idx += 1
+        else:
+            _emit_odd_pair(entries, p, q, a0, length)
+            a0 += length
+            idx += 2
+    return blocks
+
+
+def _assemble(entries: dict[tuple[int, int], int], dim: int, what: str) -> RationalMatrix:
+    """Dense dim x dim matrix from its nonzero entries; it must lie in sp(dim)."""
+    matrix = [[0] * dim for _ in range(dim)]
+    for (row, col), value in entries.items():
+        matrix[row][col] = value
+    out = RationalMatrix.from_rows(matrix)
+    if not FormSpec.symplectic(dim).contains(out):
+        raise ValueError(f"{what} is not in sp({dim})")
+    return out
 
 
 def representative(d: SignedDiagram) -> RationalMatrix:
@@ -428,35 +454,9 @@ def representative(d: SignedDiagram) -> RationalMatrix:
         raise ValueError("representatives are built for symplectic diagrams")
     require_valid(d)
     m = d.size // 2
-    entries: dict[tuple[int, int], Fraction] = {}
-
-    def p(a: int) -> int:
-        return a - 1
-
-    def q(a: int) -> int:
-        return m + a - 1
-
-    rows = list(d.rows)
-    next_a = 1
-    idx = 0
-    while idx < len(rows):
-        length, lead = rows[idx]
-        if length % 2 == 0:
-            _emit_even_block(entries, p, q, next_a, length // 2, lead)
-            next_a += length // 2
-            idx += 1
-        else:
-            assert idx + 1 < len(rows) and rows[idx + 1].length == length
-            _emit_odd_pair(entries, p, q, next_a, length)
-            next_a += length
-            idx += 2
-    assert next_a == m + 1
-    matrix = [[Fraction(0)] * (2 * m) for _ in range(2 * m)]
-    for (row, col), value in entries.items():
-        matrix[row][col] = value
-    out = RationalMatrix.from_rows(matrix)
-    assert FormSpec.symplectic(2 * m).contains(out)
-    return out
+    entries: dict[tuple[int, int], int] = {}
+    _emit_blocks(entries, d, lambda a: a - 1, lambda a: m + a - 1)
+    return _assemble(entries, 2 * m, "representative")
 
 
 def build_witness(s: SignedDiagram, n: int, j: int) -> RationalMatrix:
@@ -485,8 +485,7 @@ def build_witness(s: SignedDiagram, n: int, j: int) -> RationalMatrix:
     if not 0 <= j <= k0 - r:
         raise ValueError(f"orbit index {j} outside [0, {k0 - r}]")
 
-    entries: dict[tuple[int, int], Fraction] = {}
-    dim = 2 * n
+    entries: dict[tuple[int, int], int] = {}
 
     def e(i: int) -> int:  # V0 accessory, 0-based global index
         return i - 1
@@ -494,59 +493,35 @@ def build_witness(s: SignedDiagram, n: int, j: int) -> RationalMatrix:
     def f(i: int) -> int:  # V0' accessory
         return n + i - 1
 
-    next_a = 1  # next free block coordinate inside the 2m-block
-
     def p(a: int) -> int:  # block position coordinate
         return k0 + a - 1
 
     def q(a: int) -> int:  # block momentum coordinate
         return n + k0 + a - 1
 
-    rows = list(s.rows)
     accessory = 0
-    idx = 0
-    while idx < len(rows):
-        length, lead = rows[idx]
+    for a0, length in _emit_blocks(entries, s, p, q):
         if length % 2 == 0:
             accessory += 1
-            a0 = next_a
-            next_a += length // 2
-            _emit_even_block(entries, p, q, a0, length // 2, lead)
             # extensions: p_1 -> e_i at the tail, f_i -> -q_1 at the head
-            _block_entries(entries, e(accessory), p(a0), 1)
-            _block_entries(entries, q(a0), f(accessory), -1)
-            idx += 1
+            entries[(e(accessory), p(a0))] = 1
+            entries[(q(a0), f(accessory))] = -1
         else:
-            # odd lengths pair up; each pair uses two accessory indices
-            assert idx + 1 < len(rows) and rows[idx + 1].length == length
-            i1 = accessory + 1
-            i2 = accessory + 2
+            # an odd pair uses two accessory indices
+            i1, i2 = accessory + 1, accessory + 2
             accessory += 2
-            a0 = next_a
-            next_a += length
-            _emit_odd_pair(entries, p, q, a0, length)
             # chain 1: e_(i2) -> p_last -> ... -> p_1 -> e_(i1)
-            _block_entries(entries, e(i1), p(a0), 1)
-            _block_entries(entries, p(a0 + length - 1), e(i2), 1)
+            entries[(e(i1), p(a0))] = 1
+            entries[(p(a0 + length - 1), e(i2))] = 1
             # chain 2: f_(i1) -> -q_1 -> ... -> -f_(i2)
-            _block_entries(entries, q(a0), f(i1), -1)
-            _block_entries(entries, f(i2), q(a0 + length - 1), -1)
-            idx += 2
-    assert next_a == m + 1, "blocks must fill the 2m part exactly"
-    assert accessory == r
+            entries[(q(a0), f(i1))] = -1
+            entries[(f(i2), q(a0 + length - 1))] = -1
 
     # leftover accessory pairs: rank-one 2-chains f_i -> +/- e_i
     for t in range(k0 - r):
         i = r + 1 + t
-        value = -1 if t < j else 1
-        _block_entries(entries, e(i), f(i), value)
-
-    matrix = [[Fraction(0)] * dim for _ in range(dim)]
-    for (row, col), value in entries.items():
-        matrix[row][col] = value
-    out = RationalMatrix.from_rows(matrix)
-    assert FormSpec.symplectic(dim).contains(out), "witness must be symplectic"
-    return out
+        entries[(e(i), f(i))] = -1 if t < j else 1
+    return _assemble(entries, 2 * n, "witness")
 
 
 def witness_block_part(x: RationalMatrix, m: int) -> RationalMatrix:

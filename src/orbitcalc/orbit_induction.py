@@ -129,15 +129,9 @@ def wf_theta_trivial(p: int, q: int) -> tuple[SignedDiagram, ...]:
 def wf_ialpha(n: int, alpha: int) -> tuple[SignedDiagram, ...]:
     """Union of wf_theta_trivial(p, q) over p + q = n + 1 with p - q = alpha
     mod 4.  Admissible alpha has the parity of n + 1."""
-    if (alpha - (n + 1)) % 2 != 0:
-        raise ValueError(f"alpha = {alpha} must have the parity of n + 1 = {n + 1}")
-    seen: dict[int, SignedDiagram] = {}
-    for p in range(n + 2):
-        q = n + 1 - p
-        if (p - q - alpha) % 4 != 0:
-            continue
-        for d in wf_theta_trivial(p, q):
-            seen[plus_rows(d)] = d
+    seen = {
+        plus_rows(d): d for part in wf_ialpha_parts(n, alpha).values() for d in part
+    }
     return tuple(seen[i] for i in sorted(seen, reverse=True))
 
 

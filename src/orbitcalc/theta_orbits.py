@@ -45,7 +45,7 @@ def theta_lift_real(d: SignedDiagram, target: Signature) -> SignedDiagram:
     Rows of length >= 2 in the lift are forced: each row of d gains a box on
     the left, flipping its leading sign.  Only the new 1-rows have any
     freedom (for an orthogonal lift), and the target signature fixes their
-    split; no solution or several is an error.
+    split, so there is at most one candidate; an invalid one is an error.
     """
     require_valid(d)
     target = Signature(*target)
@@ -56,33 +56,22 @@ def theta_lift_real(d: SignedDiagram, target: Signature) -> SignedDiagram:
     kind = d.kind.opposite
     forced = [SignedRow(length + 1, lead.flipped) for length, lead in d.rows]
     ones = new_col - len(d.rows)
-
-    candidates: list[SignedDiagram] = []
     if kind is Kind.SYMPLECTIC:
-        # 1-rows are convention-bound pairs; a single split is possible.
-        if ones % 2 == 0:
-            rows = forced + [SignedRow(1, s) for s in _alternating(ones)]
-            candidates.append(SignedDiagram(kind, tuple(rows)))
+        # 1-rows are convention-bound pairs; their signs are fixed.
+        signs = _alternating(ones)
     else:
-        base = signature(SignedDiagram(kind, tuple(forced)))
-        a = target.plus - base.plus  # number of (1, +) rows
-        if 0 <= a <= ones:
-            rows = forced + [SignedRow(1, Sign.PLUS)] * a + [SignedRow(1, Sign.MINUS)] * (
-                ones - a
-            )
-            candidates.append(SignedDiagram(kind, tuple(rows)))
-
-    good = []
-    for c in candidates:
-        if is_valid(c) and signature(c) == target and equivalent(delete_column_signed(c), d):
-            good.append(canonicalize(c))
-    if not good:
+        a = target.plus - signature(SignedDiagram(kind, tuple(forced))).plus
+        signs = [Sign.PLUS] * a + [Sign.MINUS] * (ones - a)  # a rows (1, +)
+    # an odd count of symplectic 1-rows, or a split outside [0, ones],
+    # fails the validity or the signature check
+    lift = SignedDiagram(kind, tuple(forced + [SignedRow(1, s) for s in signs]))
+    if not (
+        is_valid(lift)
+        and signature(lift) == target
+        and equivalent(delete_column_signed(lift), d)
+    ):
         raise ValueError(f"no valid lift of signature {tuple(target)}")
-    if len(good) > 1:
-        raise ValueError(
-            "ambiguous lift: " + ", ".join(str(c.shape()) for c in good)
-        )
-    return good[0]
+    return canonicalize(lift)
 
 
 def _alternating(count: int) -> list[Sign]:

@@ -30,7 +30,7 @@ from .diagram_core import (
 from .enumeration import diagrams_for_shape
 from .infchar import infchar_segments
 from .orbit_induction import induce_real_tau
-from .theta_orbits import chain, in_moment_image
+from .theta_orbits import chain, deletion_inertia, in_moment_image
 from .vector_order import HalfIntVector, vector_to_json
 
 
@@ -133,55 +133,79 @@ def class_u(d: SignedDiagram) -> ClassUReport:
 
 
 # ---------------------------------------------------------------------------
-# tower checks; step k carries the diagram with k columns
+# towers; step k carries the diagram with k columns
 
 
-def _tower(d: SignedDiagram) -> list[SignedDiagram]:
-    """[D(1), ..., D(d1)]: D(k) keeps the last k columns of d."""
-    th = chain(d)
-    return [entry for entry, _ in reversed(th.entries)]
+@dataclass(frozen=True)
+class Tower:
+    """The column-deletion tower of an admissible diagram, built once.
+
+    ``steps[k - 1]`` is D(k), the diagram keeping the last k columns, and
+    ``groups[k - 1]`` its group; ``sig`` and ``size`` are zero-padded so that
+    ``sig[k]`` and ``size[k]`` belong to step k.  ``metaplectic`` lists the
+    interior steps 2 <= k <= d1 - 1 that carry a symplectic diagram.
+    """
+
+    steps: tuple[SignedDiagram, ...]
+    groups: tuple[GroupLabel, ...]
+    sig: tuple[Signature, ...]
+    size: tuple[int, ...]
+    report: ClassUReport
+    metaplectic: tuple[int, ...]
+
+    @property
+    def d1(self) -> int:
+        return len(self.steps)
 
 
-def check_lemma_pm(d: SignedDiagram) -> list[dict]:
-    """Five signature clauses at every interior step of the tower."""
+def tower(d: SignedDiagram) -> Tower:
+    """[D(1), ..., D(d1)] with their groups, signatures and sizes; raises for
+    non-admissible input."""
     report = class_u(d)
     if not report.member:
-        raise ValueError("column lemma applies to admissible diagrams only")
-    steps = _tower(d)
-    d1 = len(steps)
-    sig = [Signature(0, 0)] + [signature(s) for s in steps]
-    size = [0] + [s.size for s in steps]
+        raise ValueError("not an admissible diagram: " + "; ".join(report.reasons))
+    entries = chain(d).entries[::-1]
+    steps = tuple(entry for entry, _ in entries)
+    return Tower(
+        steps=steps,
+        groups=tuple(g for _, g in entries),
+        sig=(Signature(0, 0),) + tuple(signature(s) for s in steps),
+        size=(0,) + tuple(s.size for s in steps),
+        report=report,
+        metaplectic=tuple(
+            k for k in range(2, len(steps)) if steps[k - 1].kind is Kind.SYMPLECTIC
+        ),
+    )
+
+
+def check_lemma_pm(t: Tower) -> list[dict]:
+    """Five signature clauses at every interior step of the tower."""
+    sig, size = t.sig, t.size
     out = []
-    for k in range(1, d1):
+    for k in range(1, t.d1):
         clauses = {
             "plus_gain": sig[k + 1].plus - sig[k].plus >= sig[k].minus - sig[k - 1].minus,
             "minus_gain": sig[k + 1].minus - sig[k].minus >= sig[k].plus - sig[k - 1].plus,
             "plus_covers": sig[k + 1].plus >= sig[k].minus,
             "minus_covers": sig[k + 1].minus >= sig[k].plus,
         }
-        if steps[k - 1].kind is Kind.SYMPLECTIC:
+        if t.steps[k - 1].kind is Kind.SYMPLECTIC:
             clauses["convexity"] = size[k + 1] + size[k - 1] >= 2 * size[k] + 2
         else:
             clauses["convexity"] = size[k + 1] + size[k - 1] >= 2 * size[k]
-        if k + 2 <= d1:
+        if k + 2 <= t.d1:
             clauses["size_parity"] = (size[k + 2] - size[k]) % 2 == 0
         out.append({"k": k, "clauses": clauses, "ok": all(clauses.values())})
     return out
 
 
-def check_range(d: SignedDiagram) -> list[dict]:
+def check_range(t: Tower) -> list[dict]:
     """Per-step range conditions of the two lift theorems, plus the base-step
     inequalities at k = 1."""
-    report = class_u(d)
-    if not report.member:
-        raise ValueError("range check applies to admissible diagrams only")
-    steps = _tower(d)
-    d1 = len(steps)
-    sig = [Signature(0, 0)] + [signature(s) for s in steps]
-    size = [0] + [s.size for s in steps]
+    sig, size = t.sig, t.size
     out = []
-    if d1 >= 2:
-        if steps[0].kind is Kind.SYMPLECTIC:
+    if t.d1 >= 2:
+        if t.steps[0].kind is Kind.SYMPLECTIC:
             checks = {
                 "balanced": sig[1].plus == sig[1].minus,
                 "plus_doubles": sig[2].plus >= 2 * sig[1].minus,
@@ -194,8 +218,8 @@ def check_range(d: SignedDiagram) -> list[dict]:
                 "size_covers": sig[2].plus >= sig[1].plus + sig[1].minus,
             }
         out.append({"k": 1, "step": "base", "checks": checks, "ok": all(checks.values())})
-    for k in range(2, d1):
-        if steps[k - 1].kind is Kind.SYMPLECTIC:
+    for k in range(2, t.d1):
+        if t.steps[k - 1].kind is Kind.SYMPLECTIC:
             p, q = sig[k - 1]
             two_n = size[k]
             pp, qq = sig[k + 1]
@@ -223,9 +247,9 @@ def check_range(d: SignedDiagram) -> list[dict]:
     return out
 
 
-def check_non3(d: SignedDiagram, k: int) -> dict:
+def check_non3(t: Tower, k: int) -> dict:
     """Uniqueness record for the orthogonal-metaplectic-orthogonal triple at
-    steps (k-1, k, k+1) of the tower of d.
+    steps (k-1, k, k+1) of the tower t.
 
     Writes (p0, q0) for the step-(k-1) signature, 2n1 for the step-k size,
     (p, q) for the step-(k+1) signature and (m1, m2) for the leading column
@@ -242,18 +266,14 @@ def check_non3(d: SignedDiagram, k: int) -> dict:
     the window is nonempty in range, that the moment-image hits are exactly
     its in-range part, and the per-class uniqueness.
     """
-    report = class_u(d)
-    if not report.member:
-        raise ValueError("uniqueness check applies to admissible diagrams only")
-    steps = _tower(d)
-    d1 = len(steps)
-    if not 2 <= k <= d1 - 1:
+    if not 2 <= k <= t.d1 - 1:
         raise ValueError(f"step {k} has no neighbors on both sides")
+    steps = t.steps
     if steps[k - 1].kind is not Kind.SYMPLECTIC:
         raise ValueError(f"step {k} is not metaplectic")
-    p0, q0 = signature(steps[k - 2])
-    n1 = steps[k - 1].size // 2
-    p, q = signature(steps[k])
+    p0, q0 = t.sig[k - 1]
+    n1 = t.size[k] // 2
+    p, q = t.sig[k + 1]
     m1 = steps[k].shape().transpose().rows[0]
     m2 = len(steps[k - 1].rows)
     n2 = p + q - n1 - 1
@@ -261,8 +281,6 @@ def check_non3(d: SignedDiagram, k: int) -> dict:
     # companion search: valid sign assignments on the step-k shape whose
     # pairing inertia is exactly (q0, p0); the search is the constructive
     # substitute for the wave-front existence argument.
-    from .theta_orbits import deletion_inertia
-
     companions = [
         cand
         for cand in diagrams_for_shape(steps[k - 1].shape(), Kind.SYMPLECTIC)
@@ -386,38 +404,27 @@ class TowerCertificate:
 def certificate(d: SignedDiagram) -> TowerCertificate:
     """Aggregate the tower, every feasibility check, the infinitesimal
     character, and the associated variety; raises for non-admissible input."""
-    report = class_u(d)
-    if not report.member:
-        raise ValueError(
-            "not an admissible diagram: " + "; ".join(report.reasons)
+    t = tower(d)
+    pm = {rec["k"]: rec for rec in check_lemma_pm(t)}
+    rng = {rec["k"]: rec for rec in check_range(t)}
+    non3 = {k: check_non3(t, k) for k in t.metaplectic}
+    steps = tuple(
+        TowerStep(
+            k=k,
+            diagram=t.steps[k - 1],
+            group=t.groups[k - 1],
+            sig=t.sig[k],
+            lemma_pm=pm.get(k),
+            range_checks=rng.get(k),
+            non3=non3.get(k),
         )
-    steps = _tower(d)
-    d1 = len(steps)
-    pm = {rec["k"]: rec for rec in check_lemma_pm(d)}
-    rng = {rec["k"]: rec for rec in check_range(d)}
-    tower_steps = []
-    for k in range(1, d1 + 1):
-        diag = steps[k - 1]
-        non3 = None
-        if 2 <= k <= d1 - 1 and diag.kind is Kind.SYMPLECTIC:
-            non3 = check_non3(d, k)
-        tower_steps.append(
-            TowerStep(
-                k=k,
-                diagram=diag,
-                group=group_of(diag),
-                sig=signature(diag),
-                lemma_pm=pm.get(k),
-                range_checks=rng.get(k),
-                non3=non3,
-            )
-        )
-    valid = all(s.ok for s in tower_steps)
+        for k in range(1, t.d1 + 1)
+    )
     return TowerCertificate(
         diagram=d,
-        steps=tuple(tower_steps),
+        steps=steps,
         infchar=infchar_segments(d.shape(), d.kind),
         associated_variety=d.shape(),
-        class_report=report,
-        valid=valid,
+        class_report=t.report,
+        valid=all(s.ok for s in steps),
     )

@@ -31,7 +31,7 @@ from .diagram_core import (
 from .enumeration import partitions, signed_diagrams
 from .infchar import check_bound, infchar_domino, infchar_segments, segment, SegmentKind
 from .orbit_induction import induce_real, plus_rows, wf_ialpha_parts
-from .tower import check_lemma_pm, check_non3, check_range, class_u
+from .tower import check_lemma_pm, check_non3, check_range, class_u, tower
 from .vector_order import bar_sort, scale, seq_preceq
 
 
@@ -45,7 +45,7 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return not self.counterexamples
+        return self.checked > 0 and not self.counterexamples
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,7 +109,7 @@ def suite_lemma_pm(bound: int) -> SuiteReport:
     rep = SuiteReport("lemma-pm", bound)
     for d in _admissible(bound):
         rep.checked += 1
-        for rec in check_lemma_pm(d):
+        for rec in check_lemma_pm(tower(d)):
             if not rec["ok"]:
                 rep.counterexamples.append(f"{d}: step {rec['k']}: {rec['clauses']}")
     return rep
@@ -312,19 +312,15 @@ def suite_conjugation(samples: int) -> SuiteReport:
 def suite_non3(bound: int) -> SuiteReport:
     """Full tower ledger over admissible diagrams: range conditions and the
     uniqueness record at every interior metaplectic step."""
-    from .theta_orbits import chain
-
     rep = SuiteReport("non3", bound)
     for d in _admissible(bound):
         rep.checked += 1
-        for rec in check_range(d):
+        t = tower(d)
+        for rec in check_range(t):
             if not rec["ok"]:
                 rep.counterexamples.append(f"{d}: range at step {rec['k']}: {rec['checks']}")
-        tower = [e for e, _ in reversed(chain(d).entries)]
-        for k in range(2, len(tower)):
-            if tower[k - 1].kind is not Kind.SYMPLECTIC:
-                continue
-            rec = check_non3(d, k)
+        for k in t.metaplectic:
+            rec = check_non3(t, k)
             if not rec["ok"]:
                 rep.counterexamples.append(f"{d}: uniqueness at step {k}: {rec['checks']}")
     return rep

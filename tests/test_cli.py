@@ -219,6 +219,59 @@ class TestVerify:
         assert code == 2
 
 
+def _diagram_with_len(length):
+    return {"kind": "orthogonal", "rows": [{"len": length, "sign": "+"}]}
+
+
+class TestMalformedInput:
+    """Malformed input exits 2 with nothing on stdout; it is never coerced."""
+
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            (["infchar", "--kind", "sp"], [2.7, 1]),
+            (["infchar", "--kind", "sp"], [True, True]),
+            (["validate"], _diagram_with_len("2")),
+            (["validate"], _diagram_with_len(1.9)),
+            (["validate"], _diagram_with_len(True)),
+            (["validate"], {"kind": "orthogonal", "rows": 5}),
+            (["oracle", "classify", "--form", "sp:2"], [1, 2]),
+        ],
+        ids=[
+            "float-partition",
+            "bool-partition",
+            "string-len",
+            "float-len",
+            "bool-len",
+            "rows-not-list",
+            "flat-matrix",
+        ],
+    )
+    def test_malformed_file(self, capsys, tmp_path, argv, content):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "lemma-pm", "--max", "-3"],
+            ["enumerate", "--kind", "sp", "--size", "-2", "--count"],
+            ["enumerate", "--kind", "o", "--signature=-1,2"],
+            ["wf-ialpha", "--n", "-3", "--alpha", "0"],
+        ],
+        ids=["verify-max", "enumerate-size", "enumerate-signature", "wf-ialpha-n"],
+    )
+    def test_negative_parameter(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be nonnegative" in err
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, intro_path):
         import shutil

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from orbitcalc.diagram_core import (
@@ -20,6 +23,7 @@ from orbitcalc.tower import (
     class_u,
     pre_rigid,
     special,
+    tower,
 )
 from orbitcalc.vector_order import vector_to_json
 
@@ -130,28 +134,28 @@ class TestClassU:
 
 class TestLemmaPm:
     def test_intro_all_clauses(self, intro_diagram):
-        records = check_lemma_pm(intro_diagram)
+        records = check_lemma_pm(tower(intro_diagram))
         assert len(records) == 5
         assert all(rec["ok"] for rec in records)
 
     def test_single_box_vacuous(self):
         d = SignedDiagram(Kind.ORTHOGONAL, (SignedRow(1, P),))
-        assert check_lemma_pm(d) == []
+        assert check_lemma_pm(tower(d)) == []
 
     def test_intro_convexity_numbers(self, intro_diagram):
         # sizes 1, 4, 9, 14, 21, 30: symplectic steps meet equality + 2
-        records = {rec["k"]: rec for rec in check_lemma_pm(intro_diagram)}
+        records = {rec["k"]: rec for rec in check_lemma_pm(tower(intro_diagram))}
         assert records[2]["clauses"]["convexity"]  # 9 + 1 >= 2*4 + 2
         assert records[4]["clauses"]["convexity"]  # 21 + 9 >= 2*14 + 2
 
     def test_exhaustive_small(self):
         for d in admissible(12):
-            assert all(rec["ok"] for rec in check_lemma_pm(d)), d
+            assert all(rec["ok"] for rec in check_lemma_pm(tower(d))), d
 
 
 class TestRange:
     def test_intro_steps(self, intro_diagram):
-        records = {rec["k"]: rec for rec in check_range(intro_diagram)}
+        records = {rec["k"]: rec for rec in check_range(tower(intro_diagram))}
         assert records[1]["step"] == "base"
         mp_step = records[4]
         assert mp_step["step"] == "mp_middle"
@@ -163,15 +167,50 @@ class TestRange:
 
     def test_exhaustive_no_min_equality(self):
         for d in admissible(12):
-            for rec in check_range(d):
+            for rec in check_range(tower(d)):
                 assert rec["ok"], (d, rec)
                 if "min_ne_n" in rec["checks"]:
                     assert rec["checks"]["min_ne_n"]
 
 
+class TestTowerValue:
+    def test_intro(self, intro_diagram):
+        t = tower(intro_diagram)
+        assert t.d1 == 6
+        assert [str(g) for g in t.groups] == [
+            "O(1,0)", "Mp(4)", "O(5,4)", "Mp(14)", "O(10,11)", "Mp(30)",
+        ]
+        assert t.sig[0] == Signature(0, 0) and t.size[0] == 0
+        assert t.sig[6] == signature(intro_diagram) and t.size[6] == 30
+        assert t.metaplectic == (2, 4)
+        assert t.report.member
+
+    def test_steps_delete_one_column(self):
+        for d in admissible(12):
+            t = tower(d)
+            assert t.steps[-1].shape() == d.shape()
+            for k in range(1, t.d1):
+                assert delete_column_signed(t.steps[k]) == t.steps[k - 1]
+                assert t.size[k] == t.steps[k - 1].size
+
+    def test_inadmissible_rejected(self):
+        d = SignedDiagram(Kind.SYMPLECTIC, (SignedRow(2, P), SignedRow(2, P)))
+        with pytest.raises(ValueError, match="not an admissible diagram: uniform"):
+            tower(d)
+
+    def test_empty_diagram(self):
+        # the empty diagram is admissible and has a tower with no steps
+        for kind, group in ((Kind.SYMPLECTIC, "Mp(0)"), (Kind.ORTHOGONAL, "O(0,0)")):
+            d = SignedDiagram(kind, ())
+            t = tower(d)
+            assert t.d1 == 0 and t.metaplectic == ()
+            data = certificate(d).to_json_dict()
+            assert data["group"] == group and data["steps"] == [] and data["valid"]
+
+
 class TestNon3:
     def test_intro_step(self, intro_diagram):
-        rec = check_non3(intro_diagram, 4)
+        rec = check_non3(tower(intro_diagram), 4)
         assert rec["p0q0"] == (5, 4)
         assert rec["m1"] == 7 and rec["m2"] == 5
         assert rec["n2"] == 13
@@ -180,26 +219,24 @@ class TestNon3:
         assert rec["j_star_signature"] == (10, 10)
 
     def test_signature_sum_identity(self, intro_diagram):
-        rec = check_non3(intro_diagram, 2)
+        rec = check_non3(tower(intro_diagram), 2)
         assert rec["checks"]["signature_sum"]
         assert rec["ok"]
         # (p, q) = (5, 4) here, and the slot comes out as (p, q-1) exactly
         assert rec["j_star_signature"] == (5, 3)
 
     def test_bad_step_rejected(self, intro_diagram):
+        t = tower(intro_diagram)
         with pytest.raises(ValueError, match="neighbors"):
-            check_non3(intro_diagram, 6)
+            check_non3(t, 6)
         with pytest.raises(ValueError, match="metaplectic"):
-            check_non3(intro_diagram, 3)
+            check_non3(t, 3)
 
     def test_exhaustive_small(self):
-        from orbitcalc.theta_orbits import chain
-
         for d in admissible(12):
-            tower = [e for e, _ in reversed(chain(d).entries)]
-            for k in range(2, len(tower)):
-                if tower[k - 1].kind is Kind.SYMPLECTIC:
-                    assert check_non3(d, k)["ok"], (d, k)
+            t = tower(d)
+            for k in t.metaplectic:
+                assert check_non3(t, k)["ok"], (d, k)
 
 
 class TestCertificate:
@@ -235,8 +272,6 @@ class TestCertificate:
             certificate(d)
 
     def test_json_deterministic(self, intro_diagram):
-        import json
-
         a = json.dumps(certificate(intro_diagram).to_json_dict(), sort_keys=True)
         b = json.dumps(certificate(intro_diagram).to_json_dict(), sort_keys=True)
         assert a == b
@@ -244,3 +279,17 @@ class TestCertificate:
     def test_all_members_certify(self):
         for d in admissible(12):
             assert certificate(d).valid, d
+
+    def test_golden_json(self):
+        # sha256 of the certificate JSON of every admissible diagram of size
+        # 1..12; certificates must stay byte-identical under refactoring
+        digest = hashlib.sha256()
+        count = 0
+        for d in admissible(12):
+            text = json.dumps(certificate(d).to_json_dict(), indent=2, sort_keys=True)
+            digest.update((text + "\n").encode())
+            count += 1
+        assert count == 248
+        assert digest.hexdigest() == (
+            "d05e8b41508215f63dbbaac7bfbfd9669fa0622fb73cef41e8b0eadcc1c42910"
+        )

@@ -28,6 +28,12 @@ def test_unknown_suite():
         run_suite("nope", 3)
 
 
+def test_zero_cases_do_not_pass():
+    rep = run_suite("reasonss", 0)
+    assert rep.checked == 0
+    assert not rep.passed
+
+
 def test_parallel_sharding_matches_serial(monkeypatch):
     serial = run_suite("induce-oracle", 6)
     monkeypatch.setenv("ORBITCALC_THREADS", "2")
