@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
 """Run every verification suite at its acceptance bound and print a table.
 
-Set ORBITCALC_THREADS to shard the witness sweep across processes.
 Exits nonzero if any suite reports a counterexample.
 """
 

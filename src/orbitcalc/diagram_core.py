@@ -360,20 +360,14 @@ def parse_ascii(text: str, kind: Kind) -> SignedDiagram:
     for i, line in enumerate(lines, start=1):
         if not line:
             raise ValueError(f"row {i}: empty line")
-        lead: Sign | None = None
+        lead = Sign.PLUS if line[0] == "+" else Sign.MINUS
         for j, ch in enumerate(line, start=1):
             if ch not in "+-":
                 raise ValueError(f"row {i}, column {j}: expected '+' or '-', got {ch!r}")
             sign = Sign.PLUS if ch == "+" else Sign.MINUS
-            if j == 1:
-                lead = sign
-            else:
-                expected = lead if j % 2 == 1 else lead.flipped  # type: ignore[union-attr]
-                if sign is not expected:
-                    raise ValueError(
-                        f"row {i}, column {j}: signs must alternate across the row"
-                    )
-        assert lead is not None
+            expected = lead if j % 2 == 1 else lead.flipped
+            if sign is not expected:
+                raise ValueError(f"row {i}, column {j}: signs must alternate across the row")
         rows.append(SignedRow(len(line), lead))
     try:
         d = SignedDiagram(kind, tuple(rows))

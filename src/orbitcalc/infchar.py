@@ -150,7 +150,8 @@ def domino_cover(d: Partition, kind: Kind) -> DominoCover:
     covered = 2 * sum(1 for t in cover.dominoes if t.orientation != "open") + sum(
         1 for t in cover.dominoes if t.orientation == "open"
     )
-    assert covered == d.size, "domino cover must tile the diagram exactly"
+    if covered != d.size:
+        raise ValueError(f"domino cover of {covered} boxes does not tile {d.rows}")
     return cover
 
 
@@ -208,7 +209,10 @@ def check_bound(d: Partition, kind: Kind) -> BoundReport:
         if denom < 0:  # size 1: both vectors empty, vacuous
             base = ()
             denom = 1
-    assert len(lhs) == len(base), "character and bound vector lengths must agree"
+    if len(lhs) != len(base):
+        raise ValueError(
+            f"character length {len(lhs)} and bound vector length {len(base)} must agree"
+        )
     weak = seq_preceq(lhs, scale(Fraction(m1, denom), base))
     strict = seq_prec(lhs, scale(Fraction(m1 + 2, denom), base))
     return BoundReport(weak, strict)

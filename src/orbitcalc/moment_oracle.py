@@ -1,8 +1,17 @@
 """Exact-arithmetic ground truth for orbit labels.
 
-Everything here runs over fractions.Fraction: moment maps on rectangular
-matrices, nilpotency and Jordan type through rank sequences, and the sign
-classification of a nilpotent element of sp(2n, R) or o(p, q).
+``RationalMatrix`` is the value type at the interface (JSON, moment maps,
+witnesses): a dense tuple of ``fractions.Fraction`` rows.  The arithmetic
+underneath runs on integers.  A matrix enters it once, multiplied by the lcm
+D of its denominators, as sparse integer rows (one dict column -> nonzero
+entry per row), and a product is the product of the integer rows over the
+product of the two denominators.  Scaling by D > 0 changes neither rank nor
+kernel, and it multiplies each Gram matrix of a pairing below by a positive
+constant, so it keeps the inertia too.  Rank, kernel and inverse come from
+Bareiss's fraction-free Gauss-Jordan elimination, whose every division is
+exact; the inertia of a symmetric matrix from congruence on integers; and
+membership in a Lie algebra from comparing entries through the form J,
+which is a signed permutation.  Nothing is rounded.
 
 Sign extraction: for a sign-carrying block size k (even in the symplectic
 case, odd in the orthogonal one) the pairing B(u, v) = Omega(X^(k-1) u, v)
@@ -19,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .diagram_core import (
     Kind,
@@ -31,6 +41,105 @@ from .diagram_core import (
 from .vector_order import format_rational, parse_rational
 
 Row = tuple[Fraction, ...]
+IntRows = list[dict[int, int]]  # sparse integer rows: column -> nonzero entry
+
+_ZERO = Fraction(0)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel
+
+
+def _product(a: IntRows, b: IntRows) -> IntRows:
+    out = []
+    for row in a:
+        acc: dict[int, int] = {}
+        for k, v in row.items():
+            for j, w in b[k].items():
+                acc[j] = acc.get(j, 0) + v * w
+        out.append({j: s for j, s in acc.items() if s})
+    return out
+
+
+def _apply(rows: IntRows, v: dict[int, int]) -> dict[int, int]:
+    out = {}
+    for i, row in enumerate(rows):
+        s = sum(w * v[j] for j, w in row.items() if j in v)
+        if s:
+            out[i] = s
+    return out
+
+
+def _bareiss(rows: IntRows, ncols: int) -> tuple[IntRows, list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
+
+    Returns the nonzero rows of the reduced form, their pivot columns and
+    the last pivot d: row r holds d in column pivots[r] and 0 in every other
+    pivot column, so the reduced form over d is the reduced row echelon
+    form.  Every entry stays a minor of the input, so each division by the
+    previous pivot is exact.
+    """
+    m = [row for row in rows if row]
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(m)) if c in m[i]), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            if i == r:
+                continue
+            a = row.get(c)
+            if a is None:
+                if p != prev:
+                    m[i] = {j: v * p // prev for j, v in row.items()}
+                continue
+            acc = {j: v * p for j, v in row.items()}
+            for j, w in prow.items():
+                acc[j] = acc.get(j, 0) - a * w
+            m[i] = {j: v // prev for j, v in acc.items() if v}
+        pivots.append(c)
+        prev = p
+    return m[: len(pivots)], pivots, prev
+
+
+def _kernel(reduced: IntRows, pivots: list[int], d: int, ncols: int) -> list[dict[int, int]]:
+    """Integer basis of the null space from a ``_bareiss`` result: one vector
+    per free column f, d times the reduced-echelon kernel vector of f."""
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = {f: d}
+        for row, pc in zip(reduced, pivots):
+            if f in row:
+                v[pc] = -row[f]
+        basis.append(v)
+    return basis
+
+
+def _rational(rows: IntRows, ncols: int, den: int) -> "RationalMatrix":
+    """The matrix rows / den."""
+    out = []
+    for row in rows:
+        dense = [_ZERO] * ncols
+        for j, v in row.items():
+            dense[j] = Fraction(v, den)
+        out.append(tuple(dense))
+    return RationalMatrix(tuple(out))
+
+
+def _entry_from_json(x) -> Fraction:
+    if isinstance(x, str):
+        return parse_rational(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise ValueError(f"matrix entry {x!r} is neither an integer nor a rational string")
 
 
 @dataclass(frozen=True)
@@ -38,7 +147,10 @@ class RationalMatrix:
     entries: tuple[Row, ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
+        rows = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+            for row in self.entries
+        )
         object.__setattr__(self, "entries", rows)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged matrix")
@@ -47,20 +159,15 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "RationalMatrix":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
+        return cls(tuple(tuple(row) for row in rows))
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        zero = Fraction(0)
-        return cls(tuple((zero,) * ncols for _ in range(nrows)))
+        return cls(tuple((_ZERO,) * ncols for _ in range(nrows)))
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-            )
-        )
+        return _rational([{i: 1} for i in range(n)], n, 1)
 
     # -- shape and access ----------------------------------------------------
 
@@ -82,10 +189,22 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
+    def _integer_rows(self) -> tuple[IntRows, int]:
+        """(rows, D): the sparse integer rows of D * self, D the lcm of the
+        denominators."""
+        den = lcm(*{x.denominator for row in self.entries for x in row})
+        return [
+            {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
+            for row in self.entries
+        ], den
+
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(
+                f"shape mismatch: {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
+            )
         return RationalMatrix(
             tuple(
                 tuple(a + b for a, b in zip(r1, r2))
@@ -102,22 +221,16 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"dimension mismatch: {self.ncols} vs {other.nrows}")
-        cols = list(zip(*other.entries)) if other.entries else []
-        return RationalMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
-            )
-        )
-
-    def scaled(self, c: Fraction) -> "RationalMatrix":
-        return RationalMatrix(tuple(tuple(c * x for x in row) for row in self.entries))
+        a, da = self._integer_rows()
+        b, db = other._integer_rows()
+        return _rational(_product(a, b), other.ncols, da * db)
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(tuple(zip(*self.entries)) if self.entries else ())
 
     def power(self, k: int) -> "RationalMatrix":
-        assert self.is_square and k >= 0
+        if not self.is_square or k < 0:
+            raise ValueError("powers are taken of square matrices, with exponent >= 0")
         out = RationalMatrix.identity(self.nrows)
         for _ in range(k):
             out = out @ self
@@ -128,54 +241,28 @@ class RationalMatrix:
 
     # -- elimination ----------------------------------------------------------
 
-    def _echelon(self) -> tuple[list[list[Fraction]], list[int]]:
-        m = [list(row) for row in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            sel = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-            if sel is None:
-                continue
-            m[r], m[sel] = m[sel], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return m, pivots
-
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return len(_bareiss(self._integer_rows()[0], self.ncols)[1])
 
     def kernel_basis(self) -> list[Row]:
-        """Basis of the right null space."""
-        m, pivots = self._echelon()
-        free = [c for c in range(self.ncols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [Fraction(0)] * self.ncols
-            v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -m[r][fc]
-            basis.append(tuple(v))
-        return basis
+        """Basis of the right null space: for each free column f, the vector
+        with 1 at f that the reduced row echelon form leaves."""
+        reduced, pivots, d = _bareiss(self._integer_rows()[0], self.ncols)
+        return list(_rational(_kernel(reduced, pivots, d, self.ncols), self.ncols, d).entries)
 
     def inverse(self) -> "RationalMatrix":
-        assert self.is_square
+        if not self.is_square:
+            raise ValueError("only a square matrix has an inverse")
         n = self.nrows
-        aug = RationalMatrix(
-            tuple(
-                tuple(row) + tuple(Fraction(1 if i == j else 0) for j in range(n))
-                for i, row in enumerate(self.entries)
-            )
+        rows, den = self._integer_rows()
+        reduced, pivots, d = _bareiss(
+            [{**row, n + i: 1} for i, row in enumerate(rows)], 2 * n
         )
-        m, pivots = aug._echelon()
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return RationalMatrix(tuple(tuple(row[n:]) for row in m))
+        # (den * self)^-1 is the right half over d, and self^-1 = den (den * self)^-1
+        right = [{j - n: den * v for j, v in row.items() if j >= n} for row in reduced]
+        return _rational(right, n, d)
 
     # -- serialization ----------------------------------------------------------
 
@@ -184,11 +271,11 @@ class RationalMatrix:
 
     @classmethod
     def from_json(cls, data) -> "RationalMatrix":
+        """Rows of integers or rational strings ("-3/4"); a JSON float is an
+        error, not a rational."""
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ValueError("matrix JSON must be a list of rows")
-        return cls.from_rows(
-            [[parse_rational(str(x)) for x in row] for row in data]
-        )
+        return cls(tuple(tuple(_entry_from_json(x) for x in row) for row in data))
 
 
 @dataclass(frozen=True)
@@ -216,33 +303,31 @@ class FormSpec:
     def dim(self) -> int:
         return self.p if self.kind is Kind.SYMPLECTIC else self.p + self.q
 
-    def matrix(self) -> RationalMatrix:
+    def _signed_permutation(self) -> tuple[list[int], list[int]]:
+        """(perm, signs): the nonzero entries of J are J[i][perm[i]] = signs[i]."""
         if self.kind is Kind.SYMPLECTIC:
             n = self.p // 2
-            rows = []
-            for i in range(n):
-                rows.append(
-                    tuple(Fraction(1 if j == n + i else 0) for j in range(2 * n))
-                )
-            for i in range(n):
-                rows.append(
-                    tuple(Fraction(-1 if j == i else 0) for j in range(2 * n))
-                )
-            return RationalMatrix(tuple(rows))
-        diag = [Fraction(1)] * self.p + [Fraction(-1)] * self.q
-        return RationalMatrix(
-            tuple(
-                tuple(diag[i] if i == j else Fraction(0) for j in range(len(diag)))
-                for i in range(len(diag))
-            )
-        )
+            return [n + i for i in range(n)] + list(range(n)), [1] * n + [-1] * n
+        return list(range(self.dim)), [1] * self.p + [-1] * self.q
+
+    def matrix(self) -> RationalMatrix:
+        perm, signs = self._signed_permutation()
+        return _rational([{perm[i]: s} for i, s in enumerate(signs)], self.dim, 1)
 
     def contains(self, x: RationalMatrix) -> bool:
-        """Membership in the Lie algebra: x^t J + J x = 0."""
+        """Membership in the Lie algebra: x^t J + J x = 0.  Its entry
+        (i, perm[l]) is signs[l] x[l][i] + signs[i] x[perm[i]][perm[l]], and
+        (l, i) -> (perm[i], perm[l]) permutes the positions, so it suffices
+        that each nonzero entry x[l][i] finds its partner."""
         if not x.is_square or x.nrows != self.dim:
             return False
-        j = self.matrix()
-        return (x.transpose() @ j + j @ x).is_zero()
+        perm, signs = self._signed_permutation()
+        rows = x._integer_rows()[0]
+        for l, row in enumerate(rows):
+            for i, a in row.items():
+                if rows[perm[i]].get(perm[l]) != (-a if signs[i] == signs[l] else a):
+                    return False
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +343,8 @@ def moment_m1(x: RationalMatrix, p: int, q: int) -> RationalMatrix:
     ipq = FormSpec.orthogonal(p, q).matrix()
     wn = FormSpec.symplectic(x.ncols).matrix()
     out = ipq @ x @ wn @ x.transpose()
-    assert FormSpec.orthogonal(p, q).contains(out)
+    if not FormSpec.orthogonal(p, q).contains(out):
+        raise ValueError(f"moment map m1 left o({p}, {q})")
     return out
 
 
@@ -271,7 +357,8 @@ def moment_m2(x: RationalMatrix, p: int, q: int) -> RationalMatrix:
     ipq = FormSpec.orthogonal(p, q).matrix()
     wn = FormSpec.symplectic(x.ncols).matrix()
     out = wn @ x.transpose() @ ipq @ x
-    assert FormSpec.symplectic(x.ncols).contains(out)
+    if not FormSpec.symplectic(x.ncols).contains(out):
+        raise ValueError(f"moment map m2 left sp({x.ncols})")
     return out
 
 
@@ -279,68 +366,83 @@ def moment_m2(x: RationalMatrix, p: int, q: int) -> RationalMatrix:
 # Jordan data
 
 
-def is_nilpotent(x: RationalMatrix) -> bool:
+def _power_chain(x: RationalMatrix) -> list[IntRows]:
+    """Integer powers (D x)^0, (D x)^1, ... of a square matrix, D the lcm of
+    its denominators, up to the first zero power or (D x)^dim; x is
+    nilpotent exactly when the last one is zero."""
     if not x.is_square:
         raise ValueError("nilpotency applies to square matrices")
-    return x.power(x.nrows).is_zero()
+    n = x.nrows
+    base = x._integer_rows()[0]
+    powers = [[{i: 1} for i in range(n)], base]
+    while len(powers) <= n and any(powers[-1]):
+        powers.append(_product(powers[-1], base))
+    return powers
 
 
-def rank_sequence(x: RationalMatrix) -> list[int]:
-    """Ranks of successive powers, starting at rank(X^0) = dim, until zero."""
-    ranks = [x.nrows]
-    power = x
-    while True:
-        r = power.rank()
-        ranks.append(r)
-        if r == 0:
-            return ranks
-        power = power @ x
-
-
-def jordan_partition(x: RationalMatrix) -> Partition:
-    """Jordan type via ranks: blocks of size >= k number rank X^(k-1) - rank X^k."""
-    if not is_nilpotent(x):
-        raise ValueError("jordan_partition requires a nilpotent matrix")
-    ranks = rank_sequence(x)
+def _jordan_shape(ranks: list[int]) -> Partition:
+    """Jordan type from the ranks of X^0, X^1, ...: blocks of size >= k
+    number rank X^(k-1) - rank X^k."""
     heights = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     heights = [h for h in heights if h > 0]
     # heights is the transpose of the Jordan partition
     return Partition(tuple(heights)).transpose() if heights else Partition()
 
 
+def is_nilpotent(x: RationalMatrix) -> bool:
+    return not any(_power_chain(x)[-1])
+
+
+def rank_sequence(x: RationalMatrix) -> list[int]:
+    """Ranks of successive powers of a nilpotent matrix, starting at
+    rank(X^0) = dim, until zero."""
+    powers = _power_chain(x)
+    if any(powers[-1]):
+        raise ValueError("rank sequence requires a nilpotent matrix")
+    return [len(_bareiss(p, x.ncols)[1]) for p in powers]
+
+
+def jordan_partition(x: RationalMatrix) -> Partition:
+    """Jordan type of a nilpotent matrix."""
+    return _jordan_shape(rank_sequence(x))
+
+
 def symmetric_signature(gram: list[list[Fraction]]) -> tuple[int, int]:
-    """(positive, negative) inertia of a symmetric rational matrix, by
-    congruence elimination; the radical contributes to neither count."""
-    m = [row[:] for row in gram]
-    n = len(m)
+    """(positive, negative) inertia of a symmetric rational matrix; the
+    radical contributes to neither count.
+
+    Congruence on integers: the matrix is scaled by the lcm of its
+    denominators, then a nonzero diagonal pivot p splits off as the sign of
+    p and the rest becomes |p| times its Schur complement, divided by the
+    gcd of its entries.  With a zero diagonal, e_i + e_j for an entry
+    (i, j) != 0 makes a pivot 2 (i, j).
+    """
+    den = lcm(*{x.denominator for row in gram for x in row})
+    m = [[x.numerator * (den // x.denominator) for x in row] for row in gram]
     pos = neg = 0
-    for i in range(n):
-        if m[i][i] == 0:
-            swap = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
-            if swap is not None:
-                m[i], m[swap] = m[swap], m[i]
-                for row in m:
-                    row[i], row[swap] = row[swap], row[i]
-            else:
-                other = next((j for j in range(i + 1, n) if m[i][j] != 0), None)
-                if other is None:
-                    continue  # radical direction
-                for c in range(n):
-                    m[i][c] += m[other][c]
-                for r in range(n):
-                    m[r][i] += m[r][other]
-        pivot = m[i][i]
-        if pivot > 0:
+    while m:
+        n = len(m)
+        i = next((i for i in range(n) if m[i][i]), None)
+        if i is None:
+            pair = next(((a, b) for a in range(n) for b in range(a + 1, n) if m[a][b]), None)
+            if pair is None:
+                break  # the rest is the radical
+            i, j = pair
+            for c in range(n):
+                m[i][c] += m[j][c]
+            for r in range(n):
+                m[r][i] += m[r][j]
+        p = m[i][i]
+        if p > 0:
             pos += 1
         else:
             neg += 1
-        for r in range(i + 1, n):
-            if m[r][i] != 0:
-                f = m[r][i] / pivot
-                for c in range(n):
-                    m[r][c] -= f * m[i][c]
-                for c in range(n):
-                    m[c][r] -= f * m[c][i]
+        s = 1 if p > 0 else -1
+        rest = [r for r in range(n) if r != i]
+        m = [[s * (p * m[r][c] - m[r][i] * m[i][c]) for c in rest] for r in rest]
+        g = gcd(*(x for row in m for x in row))
+        if g > 1:
+            m = [[x // g for x in row] for row in m]
     return pos, neg
 
 
@@ -349,17 +451,15 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
     if not form.contains(x):
         raise ValueError("matrix is not in the Lie algebra of the form")
     dim = form.dim
-    # one shared power chain drives nilpotency, shape, and the pairings
-    powers = [RationalMatrix.identity(dim)]
-    while len(powers) <= dim and not powers[-1].is_zero():
-        powers.append(powers[-1] @ x)
-    if not powers[-1].is_zero():
+    # one shared power chain of D x drives nilpotency, shape, and the
+    # pairings; each pairing's Gram matrix comes out multiplied by a
+    # positive constant, which keeps its inertia
+    powers = _power_chain(x)
+    if any(powers[-1]):
         raise ValueError("classification requires a nilpotent matrix")
-    ranks = [p.rank() for p in powers]
-    heights = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    heights = [h for h in heights if h > 0]
-    shape = Partition(tuple(heights)).transpose() if heights else Partition()
-    j = form.matrix()
+    reduced = [_bareiss(p, dim) for p in powers]
+    shape = _jordan_shape([len(pivots) for _, pivots, _ in reduced])
+    perm, signs = form._signed_permutation()
     sign_parity = 0 if form.kind is Kind.SYMPLECTIC else 1  # of sign-carrying lengths
 
     spec: list[tuple[int, Sign | None]] = []
@@ -367,26 +467,28 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
     for k in lengths:
         count = shape.multiplicity(k)
         if k % 2 != sign_parity:
-            assert count % 2 == 0, "sign-free lengths must pair up"
+            if count % 2 != 0:
+                raise ValueError(f"{count} rows of sign-free length {k} do not pair up")
             spec += [(k, None)] * count
             continue
-        kernel = powers[k].kernel_basis()
-        xk1 = powers[k - 1]
-        images = [xk1.apply(v) for v in kernel]
-        # B(u, v) = (X^(k-1) u)^t J v; J goes on the right argument, and the
-        # pairing must come out symmetric at a sign-carrying k
-        paired = [j.apply(v) for v in kernel]
-        gram = [
-            [sum(a * b for a, b in zip(u, jv)) for jv in paired]
-            for u in images
+        kernel = _kernel(*reduced[k], dim)
+        images = [_apply(powers[k - 1], v) for v in kernel]
+        paired = [
+            {i: signs[i] * v[perm[i]] for i in range(dim) if perm[i] in v} for v in kernel
         ]
-        assert all(
-            gram[a][b] == gram[b][a] for a in range(len(gram)) for b in range(len(gram))
-        )
+        # B(u, v) = (X^(k-1) u)^t J v, which must come out symmetric at a
+        # sign-carrying k
+        gram = [
+            [sum(a * jv[i] for i, a in image.items() if i in jv) for jv in paired]
+            for image in images
+        ]
+        if any(gram[a][b] != gram[b][a] for a in range(len(gram)) for b in range(a)):
+            raise ValueError(f"the length-{k} pairing is not symmetric")
         np_, nm = symmetric_signature(gram)
-        assert np_ + nm == count, (
-            f"inertia {np_}+{nm} of the length-{k} pairing must count its rows {count}"
-        )
+        if np_ + nm != count:
+            raise ValueError(
+                f"inertia {np_}+{nm} of the length-{k} pairing must count its rows {count}"
+            )
         spec += [(k, Sign.PLUS)] * np_ + [(k, Sign.MINUS)] * nm
     out = from_row_spec(form.kind, spec)
     require_valid(out)
@@ -544,24 +646,24 @@ def random_algebra_element(form: FormSpec, rng: random.Random, bound: int = 2) -
     symmetric (symplectic) or I_{p,q} K with K antisymmetric (orthogonal)."""
     d = form.dim
     if form.kind is Kind.SYMPLECTIC:
-        s = [[Fraction(0)] * d for _ in range(d)]
+        s = [[0] * d for _ in range(d)]
         for i in range(d):
             for jj in range(i, d):
-                v = Fraction(rng.randint(-bound, bound))
+                v = rng.randint(-bound, bound)
                 s[i][jj] = v
                 s[jj][i] = v
-        core = RationalMatrix.from_rows(s)
-        w = form.matrix()
-        out = w.inverse() @ core
+        # W is a signed permutation matrix, so W^-1 = W^t
+        out = form.matrix().transpose() @ RationalMatrix.from_rows(s)
     else:
-        kmat = [[Fraction(0)] * d for _ in range(d)]
+        kmat = [[0] * d for _ in range(d)]
         for i in range(d):
             for jj in range(i + 1, d):
-                v = Fraction(rng.randint(-bound, bound))
+                v = rng.randint(-bound, bound)
                 kmat[i][jj] = v
                 kmat[jj][i] = -v
         out = form.matrix() @ RationalMatrix.from_rows(kmat)
-    assert form.contains(out)
+    if not form.contains(out):
+        raise ValueError("random algebra element is not in the Lie algebra")
     return out
 
 
@@ -570,6 +672,7 @@ def random_form_preserving(form: FormSpec, rng: random.Random) -> RationalMatrix
     rational and preserves the form."""
     d = form.dim
     ident = RationalMatrix.identity(d)
+    j = form.matrix()
     while True:
         a = random_algebra_element(form, rng)
         try:
@@ -577,8 +680,8 @@ def random_form_preserving(form: FormSpec, rng: random.Random) -> RationalMatrix
         except ValueError:
             continue
         g = (ident - a) @ inv
-        j = form.matrix()
-        assert (g.transpose() @ j @ g).entries == j.entries
+        if (g.transpose() @ j @ g).entries != j.entries:
+            raise ValueError("Cayley transform does not preserve the form")
         return g
 
 

@@ -55,7 +55,8 @@ class InducedOrbitSet:
     count: int
 
     def __post_init__(self) -> None:
-        assert self.count == len(self.diagrams)
+        if self.count != len(self.diagrams):
+            raise ValueError(f"count {self.count} != {len(self.diagrams)} diagrams")
 
 
 def induce_real(s: SignedDiagram, n: int) -> InducedOrbitSet:
@@ -85,7 +86,8 @@ def induce_real(s: SignedDiagram, n: int) -> InducedOrbitSet:
         diagrams.append(from_row_spec(Kind.SYMPLECTIC, spec))
     result = InducedOrbitSet(tuple(diagrams), k, r, k - r + 1)
     expected_shape = add_two_columns(s.shape(), k)
-    assert all(d.shape() == expected_shape for d in result.diagrams)
+    if any(d.shape() != expected_shape for d in result.diagrams):
+        raise ValueError(f"induction from {s.rows} left the shape {expected_shape}")
     return result
 
 

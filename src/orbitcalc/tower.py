@@ -309,7 +309,10 @@ def check_non3(t: Tower, k: int) -> dict:
         return record
 
     induced = induce_real_tau(d0, n2)
-    assert induced.count == candidate_count
+    if induced.count != candidate_count:
+        raise ValueError(
+            f"induction from {d0.rows} gives {induced.count} orbits, expected {candidate_count}"
+        )
     sigs = [deletion_inertia(s) for s in induced.diagrams]
     checks["signature_formula"] = all(
         sigs[j] == Signature(p0 + m1 - 1 - j, q0 + m2 + j) for j in range(candidate_count)

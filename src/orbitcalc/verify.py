@@ -3,15 +3,12 @@
 Each suite sweeps an enumeration space up to a size bound and checks one
 family of identities; it reports the number of cases checked and every
 counterexample verbatim.  Suites are deterministic given (name, bound);
-the one randomized suite draws from a fixed seed.  ORBITCALC_THREADS
-caps the worker count used to shard the heavier sweeps.
+the one randomized suite draws from a fixed seed.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -56,14 +53,6 @@ class SuiteReport:
             "counterexamples": self.counterexamples,
             "notes": self.notes,
         }
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("ORBITCALC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _all_signed(max_size: int):
@@ -218,10 +207,8 @@ def suite_twocom(bound: int) -> SuiteReport:
     return rep
 
 
-def _induce_oracle_case(args: tuple[int, int, tuple]) -> list[str]:
+def _induce_oracle_case(s: SignedDiagram, n: int) -> list[str]:
     """One (S, n) cell of the witness sweep; returns counterexample texts."""
-    m2, n, rows = args
-    s = SignedDiagram(Kind.SYMPLECTIC, rows)
     bad = []
     induced = induce_real(s, n)
     for j, expected in enumerate(induced.diagrams):
@@ -257,21 +244,12 @@ def suite_induce_oracle(bound: int) -> SuiteReport:
     if minus.rows != ((2, Sign.MINUS),):
         rep.counterexamples.append("sl2 anchor: lowered element is not a minus row")
 
-    cases = []
     for two_m in range(0, 2 * nmax + 1, 2):
         for s in signed_diagrams(Kind.SYMPLECTIC, size=two_m):
             for n in range(two_m // 2, nmax + 1):
                 if n - two_m // 2 >= len(s.rows):
-                    cases.append((two_m, n, s.rows))
-    workers = _thread_cap()
-    if workers > 1 and len(cases) > 16:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_induce_oracle_case, cases, chunksize=8))
-    else:
-        results = [_induce_oracle_case(c) for c in cases]
-    for bad in results:
-        rep.checked += 1
-        rep.counterexamples.extend(bad)
+                    rep.checked += 1
+                    rep.counterexamples.extend(_induce_oracle_case(s, n))
     return rep
 
 

@@ -236,6 +236,8 @@ class TestMalformedInput:
             (["validate"], _diagram_with_len(True)),
             (["validate"], {"kind": "orthogonal", "rows": 5}),
             (["oracle", "classify", "--form", "sp:2"], [1, 2]),
+            (["oracle", "classify", "--form", "sp:2"], [[1.5]]),
+            (["oracle", "classify", "--form", "sp:2"], [[True]]),
         ],
         ids=[
             "float-partition",
@@ -245,6 +247,8 @@ class TestMalformedInput:
             "bool-len",
             "rows-not-list",
             "flat-matrix",
+            "float-matrix-entry",
+            "bool-matrix-entry",
         ],
     )
     def test_malformed_file(self, capsys, tmp_path, argv, content):

@@ -34,15 +34,6 @@ def test_zero_cases_do_not_pass():
     assert not rep.passed
 
 
-def test_parallel_sharding_matches_serial(monkeypatch):
-    serial = run_suite("induce-oracle", 6)
-    monkeypatch.setenv("ORBITCALC_THREADS", "2")
-    parallel = run_suite("induce-oracle", 6)
-    assert parallel.passed == serial.passed
-    assert parallel.checked == serial.checked
-    assert parallel.counterexamples == serial.counterexamples
-
-
 def test_suites_deterministic():
     a = run_suite("conjugation", 10)
     b = run_suite("conjugation", 10)
