@@ -257,25 +257,20 @@ def cmd_enumerate(args) -> int:
             p, q = (_nonnegative("signature", int(x)) for x in args.signature.split(","))
         except ValueError:
             raise CliError("signature must be p,q") from None
-        diagrams = list(signed_diagrams(kind, sig=Signature(p, q)))
+        diagrams = signed_diagrams(kind, sig=Signature(p, q))
     elif args.size is not None:
-        diagrams = list(signed_diagrams(kind, size=_nonnegative("--size", args.size)))
+        diagrams = signed_diagrams(kind, size=_nonnegative("--size", args.size))
     else:
         raise CliError("need --size or --signature")
     if args.count:
-        formula = 0
-        sizes = {d.size for d in diagrams} or (
-            {args.size} if args.size is not None else set()
-        )
-        for size in sizes:
-            formula += sum(class_count(s, kind) for s in shapes(kind, size))
-        data = {"count": len(diagrams)}
+        count = sum(1 for _ in diagrams)
+        data = {"count": count}
         if args.signature is None:
-            data["formula"] = formula
-        _emit(data, args.json, str(len(diagrams)))
+            data["formula"] = sum(class_count(s, kind) for s in shapes(kind, args.size))
+        _emit(data, args.json, str(count))
         return 0
-    payload = [dc.to_json_dict(d) for d in diagrams]
     if args.json:
+        payload = [dc.to_json_dict(d) for d in diagrams]
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print("\n\n".join(dc.render_ascii(d) for d in diagrams))

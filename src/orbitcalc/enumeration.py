@@ -38,7 +38,10 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]
 
 
 def shapes(kind: Kind, size: int) -> Iterator[Partition]:
-    """Valid shapes of the given size for the kind."""
+    """Valid shapes of the given size for the kind; symplectic shapes have
+    odd rows in pairs, so their size is even."""
+    if kind is Kind.SYMPLECTIC and size % 2 != 0:
+        return
     for rows in partitions(size):
         d = Partition(rows)
         if validate_partition_kind(d, kind):
@@ -97,8 +100,6 @@ def signed_diagrams(
             return
     if size is None:
         raise ValueError("need a size or a signature")
-    if kind is Kind.SYMPLECTIC and size % 2 != 0:
-        return
     for shape in shapes(kind, size):
         for d in diagrams_for_shape(shape, kind):
             if sig is None or signature(d) == sig:

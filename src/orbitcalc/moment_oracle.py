@@ -134,6 +134,14 @@ def _rational(rows: IntRows, ncols: int, den: int) -> "RationalMatrix":
     return RationalMatrix(tuple(out))
 
 
+def _exact(x) -> Fraction:
+    """A matrix entry given as anything but a Fraction; floats and bools are
+    refused rather than read as their binary expansion or as 0/1."""
+    if isinstance(x, (bool, float)):
+        raise ValueError(f"matrix entry {x!r} is not an exact rational")
+    return Fraction(x)
+
+
 def _entry_from_json(x) -> Fraction:
     if isinstance(x, str):
         return parse_rational(x)
@@ -148,7 +156,7 @@ class RationalMatrix:
 
     def __post_init__(self) -> None:
         rows = tuple(
-            tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+            tuple(x if type(x) is Fraction else _exact(x) for x in row)
             for row in self.entries
         )
         object.__setattr__(self, "entries", rows)
@@ -226,7 +234,10 @@ class RationalMatrix:
         return _rational(_product(a, b), other.ncols, da * db)
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(zip(*self.entries)) if self.entries else ())
+        if self.entries and not self.entries[0]:
+            # the transpose would have columns but no rows to hold them
+            raise ValueError(f"cannot transpose a {self.nrows}x0 matrix")
+        return RationalMatrix(tuple(zip(*self.entries)))
 
     def power(self, k: int) -> "RationalMatrix":
         if not self.is_square or k < 0:
@@ -340,6 +351,8 @@ def moment_m1(x: RationalMatrix, p: int, q: int) -> RationalMatrix:
         raise ValueError(f"matrix has {x.nrows} rows, need p + q = {p + q}")
     if x.ncols % 2 != 0:
         raise ValueError("column count must be even")
+    if x.ncols == 0:
+        return RationalMatrix.zeros(p + q, p + q)
     ipq = FormSpec.orthogonal(p, q).matrix()
     wn = FormSpec.symplectic(x.ncols).matrix()
     out = ipq @ x @ wn @ x.transpose()
@@ -354,6 +367,8 @@ def moment_m2(x: RationalMatrix, p: int, q: int) -> RationalMatrix:
         raise ValueError(f"matrix has {x.nrows} rows, need p + q = {p + q}")
     if x.ncols % 2 != 0:
         raise ValueError("column count must be even")
+    if x.ncols == 0:
+        return RationalMatrix.zeros(0, 0)
     ipq = FormSpec.orthogonal(p, q).matrix()
     wn = FormSpec.symplectic(x.ncols).matrix()
     out = wn @ x.transpose() @ ipq @ x

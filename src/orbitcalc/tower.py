@@ -14,6 +14,7 @@ the infinitesimal character and the associated variety.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .diagram_core import (
     GroupLabel,
@@ -27,7 +28,7 @@ from .diagram_core import (
     to_json_dict,
     validate_partition_kind,
 )
-from .enumeration import diagrams_for_shape
+from .enumeration import diagrams_for_shape, shapes
 from .infchar import infchar_segments
 from .orbit_induction import induce_real_tau
 from .theta_orbits import chain, deletion_inertia, in_moment_image
@@ -91,9 +92,21 @@ def _interlacing_ok(heights: tuple[int, ...], kind: Kind) -> tuple[bool, list[st
     return (not reasons, reasons)
 
 
-def _excluded_pattern(d: SignedDiagram) -> bool:
+def _shape_clauses(columns: Partition, kind: Kind) -> tuple[bool, bool, list[str]]:
+    """The clauses of class U that see only the column heights ``columns``
+    (the transpose of the shape): (one parity for all heights, interlacing,
+    reasons for the failed ones)."""
+    parity_ok = columns.very_even or columns.very_odd
+    interlace_ok, reasons = _interlacing_ok(columns.rows, kind)
+    if not parity_ok:
+        reasons = reasons + ["column heights must be all even or all odd"]
+    return parity_ok, interlace_ok, reasons
+
+
+def _excluded_pattern(d: SignedDiagram, heights: tuple[int, ...]) -> bool:
     """Last two columns of equal length whose rows all show the same two-box
-    pattern (-+ throughout or +- throughout).
+    pattern (-+ throughout or +- throughout); ``heights`` are the column
+    heights of d.
 
     The uniform strip is excluded at every height including one: a tower
     step consisting of evenly paired, uniformly signed columns is exactly
@@ -102,12 +115,8 @@ def _excluded_pattern(d: SignedDiagram) -> bool:
     Excluding it keeps admissibility hereditary under column deletion and
     makes the collision provably impossible.
     """
-    shape = d.shape()
-    width = shape.width
-    if width < 2:
-        return False
-    heights = shape.transpose().rows
-    if heights[width - 1] != heights[width - 2]:
+    width = len(heights)
+    if width < 2 or heights[-1] != heights[-2]:
         return False
     tail_leads = {lead for length, lead in d.rows if length == width}
     return len(tail_leads) == 1
@@ -115,12 +124,9 @@ def _excluded_pattern(d: SignedDiagram) -> bool:
 
 def class_u(d: SignedDiagram) -> ClassUReport:
     require_valid(d)
-    t = d.shape().transpose()
-    parity_ok = t.very_even or t.very_odd
-    interlace_ok, reasons = _interlacing_ok(t.rows, d.kind)
-    excluded = _excluded_pattern(d)
-    if not parity_ok:
-        reasons = reasons + ["column heights must be all even or all odd"]
+    columns = d.shape().transpose()
+    parity_ok, interlace_ok, reasons = _shape_clauses(columns, d.kind)
+    excluded = _excluded_pattern(d, columns.rows)
     if excluded:
         reasons = reasons + ["uniform sign pattern on the equal last two columns"]
     return ClassUReport(
@@ -130,6 +136,39 @@ def class_u(d: SignedDiagram) -> ClassUReport:
         excluded_pattern=excluded,
         reasons=tuple(reasons),
     )
+
+
+# ---------------------------------------------------------------------------
+# class U generated shape first: the shape clauses pick the shapes, the
+# excluded tail is the only test a sign assignment can fail
+
+
+def admissible_shapes(max_size: int) -> Iterator[tuple[Kind, Partition]]:
+    """(kind, shape) for every nonempty valid shape of size <= max_size that
+    passes the shape clauses of class U; by size, symplectic before
+    orthogonal, then partition order."""
+    for size in range(1, max_size + 1):
+        for kind in (Kind.SYMPLECTIC, Kind.ORTHOGONAL):
+            for shape in shapes(kind, size):
+                parity_ok, interlace_ok, _ = _shape_clauses(shape.transpose(), kind)
+                if parity_ok and interlace_ok:
+                    yield kind, shape
+
+
+def shape_members(shape: Partition, kind: Kind) -> Iterator[SignedDiagram]:
+    """The diagrams on an admissible shape that avoid the excluded tail, in
+    sign order."""
+    heights = shape.transpose().rows
+    for d in diagrams_for_shape(shape, kind):
+        if not _excluded_pattern(d, heights):
+            yield d
+
+
+def admissible_diagrams(max_size: int) -> Iterator[SignedDiagram]:
+    """Every nonempty class-U diagram of size <= max_size, in the order of
+    filtering ``signed_diagrams`` by size and kind with :func:`class_u`."""
+    for kind, shape in admissible_shapes(max_size):
+        yield from shape_members(shape, kind)
 
 
 # ---------------------------------------------------------------------------

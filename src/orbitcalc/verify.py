@@ -23,12 +23,19 @@ from .diagram_core import (
     is_valid,
     negate,
     signature,
-    validate_partition_kind,
 )
-from .enumeration import partitions, signed_diagrams
+from .enumeration import partitions, shapes, signed_diagrams
 from .infchar import check_bound, infchar_domino, infchar_segments, segment, SegmentKind
 from .orbit_induction import induce_real, plus_rows, wf_ialpha_parts
-from .tower import check_lemma_pm, check_non3, check_range, class_u, tower
+from .tower import (
+    admissible_diagrams,
+    admissible_shapes,
+    check_lemma_pm,
+    check_non3,
+    check_range,
+    shape_members,
+    tower,
+)
 from .vector_order import bar_sort, scale, seq_preceq
 
 
@@ -61,12 +68,6 @@ def _all_signed(max_size: int):
             yield from signed_diagrams(kind, size=size)
 
 
-def _admissible(max_size: int):
-    for d in _all_signed(max_size):
-        if d.rows and class_u(d).member:
-            yield d
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -96,7 +97,7 @@ def suite_reasonss(bound: int) -> SuiteReport:
 
 def suite_lemma_pm(bound: int) -> SuiteReport:
     rep = SuiteReport("lemma-pm", bound)
-    for d in _admissible(bound):
+    for d in admissible_diagrams(bound):
         rep.checked += 1
         for rec in check_lemma_pm(tower(d)):
             if not rec["ok"]:
@@ -112,14 +113,10 @@ def suite_reversal(bound: int) -> SuiteReport:
     rep = SuiteReport("reversal", bound)
     for size in range(1, bound + 1):
         for kind in (Kind.SYMPLECTIC, Kind.ORTHOGONAL):
-            shapes = [
-                Partition(rows)
-                for rows in partitions(size)
-                if validate_partition_kind(Partition(rows), kind)
-            ]
+            valid = list(shapes(kind, size))
             groups = {
-                "even": [s for s in shapes if s.transpose().very_even],
-                "odd": [s for s in shapes if s.transpose().very_odd],
+                "even": [s for s in valid if s.transpose().very_even],
+                "odd": [s for s in valid if s.transpose().very_odd],
             }
             for family in groups.values():
                 chars = {
@@ -139,24 +136,22 @@ def suite_reversal(bound: int) -> SuiteReport:
 
 
 def suite_bounds(bound: int) -> SuiteReport:
-    """Weak and strict character bounds over all admissible diagrams; the
-    orthogonal size-2 case has a vanishing denominator and is skipped."""
+    """Weak and strict character bounds over the shapes of all admissible
+    diagrams; the orthogonal size-2 case has a vanishing denominator and is
+    skipped."""
     rep = SuiteReport("bounds", bound)
-    seen: set[tuple[Kind, tuple[int, ...]]] = set()
-    for d in _admissible(bound):
-        key = (d.kind, d.shape().rows)
-        if key in seen:  # the bound only sees the shape
-            continue
-        seen.add(key)
-        if d.kind is Kind.ORTHOGONAL and d.size == 2:
-            rep.notes.append(f"skipped {d.shape()} orthogonal: bound denominator is zero")
+    for kind, shape in admissible_shapes(bound):  # the bound only sees the shape
+        if next(shape_members(shape, kind), None) is None:
+            continue  # every sign assignment has the excluded tail
+        if kind is Kind.ORTHOGONAL and shape.size == 2:
+            rep.notes.append(f"skipped {shape} orthogonal: bound denominator is zero")
             continue
         rep.checked += 1
-        res = check_bound(d.shape(), d.kind)
+        res = check_bound(shape, kind)
         if not res.holds_weak:
-            rep.counterexamples.append(f"{d.kind.value} {d.shape()}: weak bound fails")
+            rep.counterexamples.append(f"{kind.value} {shape}: weak bound fails")
         if not res.holds_strict:
-            rep.counterexamples.append(f"{d.kind.value} {d.shape()}: strict bound fails")
+            rep.counterexamples.append(f"{kind.value} {shape}: strict bound fails")
     return rep
 
 
@@ -291,7 +286,7 @@ def suite_non3(bound: int) -> SuiteReport:
     """Full tower ledger over admissible diagrams: range conditions and the
     uniqueness record at every interior metaplectic step."""
     rep = SuiteReport("non3", bound)
-    for d in _admissible(bound):
+    for d in admissible_diagrams(bound):
         rep.checked += 1
         t = tower(d)
         for rec in check_range(t):

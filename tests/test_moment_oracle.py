@@ -57,6 +57,21 @@ class TestMatrix:
             with pytest.raises(ValueError, match="matrix entry"):
                 RationalMatrix.from_json(bad)
 
+    def test_inexact_entries_rejected(self):
+        for bad in (0.1, 2.0, True, False):
+            with pytest.raises(ValueError, match="not an exact rational"):
+                RationalMatrix.from_rows([[1, bad]])
+            with pytest.raises(ValueError, match="not an exact rational"):
+                RationalMatrix(((bad,),))
+        m = RationalMatrix.from_rows([[1, "1/3"], [Fraction(1, 2), -4]])
+        assert m.entries == ((1, Fraction(1, 3)), (Fraction(1, 2), -4))
+
+    def test_transpose_without_columns(self):
+        # an n x 0 matrix cannot carry the column count of its transpose
+        with pytest.raises(ValueError, match="2x0"):
+            RationalMatrix.zeros(2, 0).transpose()
+        assert RationalMatrix.zeros(0, 0).transpose().entries == ()
+
     def test_json_roundtrip(self):
         m = RationalMatrix.from_rows([[Fraction(1, 2), 0], [-3, Fraction(5, 7)]])
         assert RationalMatrix.from_json(m.to_json()).entries == m.entries
@@ -78,6 +93,13 @@ class TestMomentMaps:
         x = RationalMatrix.zeros(2, 2)
         assert moment_m1(x, 1, 1).is_zero()
         assert moment_m2(x, 1, 1).is_zero()
+
+    def test_no_columns(self):
+        # 2n = 0: m1 is the zero element of o(p, q), m2 the 0 x 0 matrix
+        for p, q in ((0, 0), (1, 0), (2, 1), (0, 3)):
+            x = RationalMatrix.zeros(p + q, 0)
+            assert moment_m1(x, p, q).entries == RationalMatrix.zeros(p + q, p + q).entries
+            assert moment_m2(x, p, q).entries == ()
 
     def test_identity_two_by_two(self):
         x = RationalMatrix.identity(2)
@@ -398,6 +420,10 @@ class TestIntegerKernel:
         for m in _differential_cases():
             other = RationalMatrix.from_rows(_random_matrix(rng, m.ncols, rng.randint(0, 6)))
             assert (m @ other).entries == _product(m.entries, other.entries, other.ncols)
+            if m.nrows and not m.ncols:
+                with pytest.raises(ValueError, match="cannot transpose"):
+                    m.transpose()
+                continue
             t = m.transpose()
             assert (m @ t).entries == _product(m.entries, t.entries, t.ncols)
 

@@ -15,7 +15,9 @@ from orbitcalc.diagram_core import (
     signature,
 )
 from orbitcalc.enumeration import diagrams_for_shape, shapes, signed_diagrams
+from orbitcalc.infchar import check_bound
 from orbitcalc.tower import (
+    admissible_diagrams,
     certificate,
     check_lemma_pm,
     check_non3,
@@ -25,6 +27,7 @@ from orbitcalc.tower import (
     special,
     tower,
 )
+from orbitcalc.verify import suite_bounds
 from orbitcalc.vector_order import vector_to_json
 
 M = Sign.MINUS
@@ -130,6 +133,43 @@ class TestClassU:
             e = delete_column_signed(d)
             if e.rows:
                 assert class_u(e).member, (d, e)
+
+
+class TestGenerator:
+    """The shape-first generator against filtering every diagram with class_u."""
+
+    def test_stream_matches_filter(self):
+        filtered = list(admissible(16))
+        for bound in range(0, 17):
+            want = [d for d in filtered if d.size <= bound]
+            assert list(admissible_diagrams(bound)) == want, bound
+        assert len(filtered) == sum(1 for _ in admissible_diagrams(16)) > 0
+
+    def test_bounds_suite_matches_deduplicated_shapes(self):
+        # the suite walks admissible shapes; the reference dedupes the
+        # shapes of the filtered members in order
+        filtered = list(admissible(16))
+        for bound in range(0, 17):
+            checked, notes, counterexamples = 0, [], []
+            seen = set()
+            for d in filtered:
+                key = (d.kind, d.shape())
+                if d.size > bound or key in seen:
+                    continue
+                seen.add(key)
+                if d.kind is Kind.ORTHOGONAL and d.size == 2:
+                    notes.append(f"skipped {d.shape()} orthogonal: bound denominator is zero")
+                    continue
+                checked += 1
+                res = check_bound(d.shape(), d.kind)
+                if not res.holds_weak:
+                    counterexamples.append(f"{d.kind.value} {d.shape()}: weak bound fails")
+                if not res.holds_strict:
+                    counterexamples.append(f"{d.kind.value} {d.shape()}: strict bound fails")
+            rep = suite_bounds(bound)
+            assert (rep.checked, rep.notes, rep.counterexamples) == (
+                checked, notes, counterexamples,
+            ), bound
 
 
 class TestLemmaPm:
