@@ -19,7 +19,7 @@ from .enumeration import class_count, shapes, signed_diagrams
 from .infchar import infchar_domino, infchar_segments
 from .orbit_induction import induce_real, induce_real_tau, plus_rows, wf_ialpha
 from .theta_orbits import chain
-from .tower import certificate, class_u
+from .tower import NotAdmissible, certificate, class_u
 from .vector_order import bar_sort, vector_to_json
 from .verify import SUITES, run_suite
 
@@ -62,7 +62,7 @@ def _load_diagram(path: str) -> dc.SignedDiagram:
 def _load_partition(path: str) -> Partition:
     try:
         data = json.loads(_read(path))
-        if not isinstance(data, list) or any(type(r) is not int for r in data):
+        if not isinstance(data, list):
             raise ValueError("expected a list of integer row lengths")
         return Partition(tuple(data))
     except ValueError as exc:
@@ -80,13 +80,13 @@ def _emit(data: dict, as_json: bool, pretty: str | None = None) -> None:
 
 
 def cmd_validate(args) -> int:
-    # schema problems are usage errors; convention violations are findings
+    # schema and shape problems are usage errors; convention violations are findings
     try:
-        data = json.loads(_read(args.diagram))
-        d = dc.from_json_dict(data, validated=False)
+        kind, rows = dc.parse_json_rows(json.loads(_read(args.diagram)))
+        Partition(tuple(length for length, _ in rows))
     except ValueError as exc:
         raise CliError(f"{args.diagram}: {exc}") from None
-    ok, violations = dc.validate_signed(d)
+    ok, violations = dc.validate_signed(kind, rows)
     _emit(
         {"valid": ok, "violations": violations},
         args.json,
@@ -118,15 +118,15 @@ def cmd_classify(args) -> int:
 
 def cmd_tower(args) -> int:
     d = _load_diagram(args.diagram)
-    report = class_u(d)
-    if not report.member:
+    try:
+        cert = certificate(d)
+    except NotAdmissible as exc:
         _emit(
-            {"valid": False, "class_u": report.to_json_dict()},
+            {"valid": False, "class_u": exc.report.to_json_dict()},
             args.json,
-            "not admissible: " + "; ".join(report.reasons),
+            "not admissible: " + "; ".join(exc.report.reasons),
         )
         return CHECK_FAILED
-    cert = certificate(d)
     if args.json:
         print(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True))
     else:

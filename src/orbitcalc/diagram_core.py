@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, NamedTuple
 
 
@@ -66,6 +67,18 @@ class SignedRow(NamedTuple):
     leading: Sign
 
 
+def _shape_problem(lengths: tuple) -> str | None:
+    """Why ``lengths`` are not the rows of a Young diagram, or None: each
+    must be a positive int (not a bool, float or str), weakly decreasing."""
+    if any(type(r) is not int for r in lengths):
+        return f"row lengths must be integers: {lengths!r}"
+    if any(r <= 0 for r in lengths):
+        return f"row lengths must be positive: {lengths}"
+    if any(a < b for a, b in zip(lengths, lengths[1:])):
+        return f"row lengths must be weakly decreasing: {lengths}"
+    return None
+
+
 @dataclass(frozen=True)
 class Partition:
     """Young diagram: weakly decreasing positive row lengths."""
@@ -73,12 +86,10 @@ class Partition:
     rows: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        rows = tuple(int(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if any(r <= 0 for r in rows):
-            raise ValueError(f"row lengths must be positive: {rows}")
-        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
-            raise ValueError(f"row lengths must be weakly decreasing: {rows}")
+        object.__setattr__(self, "rows", tuple(self.rows))
+        problem = _shape_problem(self.rows)
+        if problem is not None:
+            raise ValueError(problem)
 
     @property
     def size(self) -> int:
@@ -148,19 +159,25 @@ def convention_signs(kind: Kind, count: int) -> list[Sign]:
 
 @dataclass(frozen=True)
 class SignedDiagram:
-    """Signed Young diagram; structural shape is validated on construction,
-    the sign conventions are checked separately by :func:`validate_signed`."""
+    """Signed Young diagram, valid by construction: a kind that is not a
+    ``Kind``, a lead that is not a ``Sign``, a bad shape or a violation of
+    :func:`validate_signed` raises ``ValueError``."""
 
     kind: Kind
     rows: tuple[SignedRow, ...] = ()
 
     def __post_init__(self) -> None:
-        rows = tuple(SignedRow(int(l), s) for l, s in self.rows)
+        rows = tuple(SignedRow(*row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
-        if any(r.length <= 0 for r in rows):
-            raise ValueError("row lengths must be positive")
-        if any(rows[i].length < rows[i + 1].length for i in range(len(rows) - 1)):
-            raise ValueError("row lengths must be weakly decreasing")
+        if not isinstance(self.kind, Kind):
+            problems = [f"kind must be a Kind, got {self.kind!r}"]
+        elif not all(isinstance(lead, Sign) for _, lead in rows):
+            problems = [f"leading signs must be Sign values: {rows!r}"]
+        else:
+            shape = _shape_problem(tuple(length for length, _ in rows))
+            problems = [shape] if shape else validate_signed(self.kind, rows)[1]
+        if problems:
+            raise ValueError("invalid signed diagram: " + "; ".join(problems))
 
     @property
     def size(self) -> int:
@@ -178,21 +195,10 @@ class SignedDiagram:
         lead = self.rows[row - 1].leading
         return lead if col % 2 == 1 else lead.flipped
 
-    def length_classes(self) -> list[tuple[int, list[Sign]]]:
-        """(length, leading signs top-down) per length class, longest first."""
-        classes: list[tuple[int, list[Sign]]] = []
-        for row in self.rows:
-            if classes and classes[-1][0] == row.length:
-                classes[-1][1].append(row.leading)
-            else:
-                classes.append((row.length, [row.leading]))
-        return classes
 
-
-def signature(d: SignedDiagram) -> Signature:
-    """Counts of + and - boxes under across-row alternation."""
+def _box_counts(rows: tuple[tuple[int, Sign], ...]) -> Signature:
     plus = minus = 0
-    for length, lead in d.rows:
+    for length, lead in rows:
         lead_count = (length + 1) // 2
         other = length // 2
         if lead is Sign.PLUS:
@@ -204,47 +210,46 @@ def signature(d: SignedDiagram) -> Signature:
     return Signature(plus, minus)
 
 
-def validate_signed(d: SignedDiagram) -> tuple[bool, list[str]]:
-    """Check the sign conventions; violations are reported, never raised."""
+def signature(d: SignedDiagram) -> Signature:
+    """Counts of + and - boxes under across-row alternation."""
+    return _box_counts(d.rows)
+
+
+def validate_signed(
+    kind: Kind, rows: tuple[tuple[int, Sign], ...]
+) -> tuple[bool, list[str]]:
+    """Check the sign conventions of raw (length, leading sign) rows of a
+    valid shape; violations are reported, never raised."""
     violations: list[str] = []
-    for length, leads in d.length_classes():
-        if not d.kind.constrained(length):
+    for length, group in groupby(rows, key=lambda row: row[0]):
+        if not kind.constrained(length):
             continue
+        leads = [lead for _, lead in group]
         if len(leads) % 2 != 0:
             violations.append(
                 f"rows of length {length} occur {len(leads)} times; "
-                f"even multiplicity required for {d.kind.value} diagrams"
+                f"even multiplicity required for {kind.value} diagrams"
             )
-        expected = convention_signs(d.kind, len(leads))
+        expected = convention_signs(kind, len(leads))
         for i, (got, want) in enumerate(zip(leads, expected)):
             if got is not want:
                 violations.append(
                     f"row {i + 1} of the length-{length} class leads with "
                     f"'{got.char}', convention requires '{want.char}'"
                 )
-    if d.kind is Kind.SYMPLECTIC and not violations:
-        sig = signature(d)
+    if kind is Kind.SYMPLECTIC and not violations:
+        sig = _box_counts(rows)
         if sig.plus != sig.minus:
             violations.append(f"symplectic signature must be balanced, got {sig}")
     return (not violations, violations)
 
 
-def is_valid(d: SignedDiagram) -> bool:
-    return validate_signed(d)[0]
-
-
-def require_valid(d: SignedDiagram) -> None:
-    ok, violations = validate_signed(d)
-    if not ok:
-        raise ValueError("invalid signed diagram: " + "; ".join(violations))
-
-
 def canonicalize(d: SignedDiagram) -> SignedDiagram:
     """Canonical representative of the equivalence class: constrained classes
     carry the convention pattern, free classes list Plus-leading rows first."""
-    require_valid(d)
     rows: list[SignedRow] = []
-    for length, leads in d.length_classes():
+    for length, group in groupby(d.rows, key=lambda row: row.length):
+        leads = [lead for _, lead in group]
         if d.kind.constrained(length):
             ordered = convention_signs(d.kind, len(leads))
         else:
@@ -282,27 +287,22 @@ def from_row_spec(kind: Kind, spec: Iterable[tuple[int, Sign | None]]) -> Signed
                 key=lambda s: 0 if s is Sign.PLUS else 1,
             )
         rows.extend(SignedRow(length, s) for s in ordered)
-    result = SignedDiagram(kind, tuple(rows))
-    require_valid(result)
-    return result
+    return SignedDiagram(kind, tuple(rows))
 
 
 def delete_column_signed(d: SignedDiagram) -> SignedDiagram:
     """Delete the leftmost column.  Every surviving row keeps its boxes, so
     its leading sign flips; the result lives in the opposite classification."""
-    require_valid(d)
     rows = tuple(
         SignedRow(length - 1, lead.flipped) for length, lead in d.rows if length > 1
     )
-    result = canonicalize(SignedDiagram(d.kind.opposite, rows))
-    return result
+    return canonicalize(SignedDiagram(d.kind.opposite, rows))
 
 
 def tau(d: SignedDiagram) -> SignedDiagram:
     """Sign flip on even-length rows, induced by conjugation by diag(I, -I)."""
     if d.kind is not Kind.SYMPLECTIC:
         raise ValueError("tau defined only on symplectic diagrams")
-    require_valid(d)
     rows = tuple(
         SignedRow(length, lead.flipped if length % 2 == 0 else lead)
         for length, lead in d.rows
@@ -334,7 +334,6 @@ class GroupLabel:
 
 
 def group_of(d: SignedDiagram) -> GroupLabel:
-    require_valid(d)
     sig = signature(d)
     if d.kind is Kind.SYMPLECTIC:
         return GroupLabel("Mp", sig.plus + sig.minus)
@@ -369,12 +368,7 @@ def parse_ascii(text: str, kind: Kind) -> SignedDiagram:
             if sign is not expected:
                 raise ValueError(f"row {i}, column {j}: signs must alternate across the row")
         rows.append(SignedRow(len(line), lead))
-    try:
-        d = SignedDiagram(kind, tuple(rows))
-    except ValueError as exc:
-        raise ValueError(f"bad shape: {exc}") from None
-    require_valid(d)
-    return d
+    return SignedDiagram(kind, tuple(rows))
 
 
 def to_json_dict(d: SignedDiagram) -> dict:
@@ -384,9 +378,9 @@ def to_json_dict(d: SignedDiagram) -> dict:
     }
 
 
-def from_json_dict(data: dict, validated: bool = True) -> SignedDiagram:
-    """Parse the JSON schema; with validated=True (the default) sign
-    convention violations are rejected rather than silently fixed."""
+def parse_json_rows(data: dict) -> tuple[Kind, tuple[SignedRow, ...]]:
+    """The kind and the rows of the JSON schema, as given: the schema is
+    checked here, the shape and the sign conventions are not."""
     if not isinstance(data, dict) or "kind" not in data or "rows" not in data:
         raise ValueError("diagram JSON needs 'kind' and 'rows' fields")
     try:
@@ -399,18 +393,16 @@ def from_json_dict(data: dict, validated: bool = True) -> SignedDiagram:
     for i, entry in enumerate(data["rows"], start=1):
         if not isinstance(entry, dict) or "len" not in entry or "sign" not in entry:
             raise ValueError(f"row {i}: needs 'len' and 'sign' fields")
-        if type(entry["len"]) is not int:  # bool, float and str are not lengths
-            raise ValueError(f"row {i}: len must be an integer")
         if entry["sign"] not in ("+", "-"):
             raise ValueError(f"row {i}: sign must be '+' or '-'")
         rows.append(SignedRow(entry["len"], Sign(entry["sign"])))
-    try:
-        d = SignedDiagram(kind, tuple(rows))
-    except ValueError as exc:
-        raise ValueError(f"bad shape: {exc}") from None
-    if validated:
-        require_valid(d)
-    return d
+    return kind, tuple(rows)
+
+
+def from_json_dict(data: dict) -> SignedDiagram:
+    """Parse the JSON schema; bad shapes and sign convention violations are
+    rejected by the constructor rather than silently fixed."""
+    return SignedDiagram(*parse_json_rows(data))
 
 
 def dumps(d: SignedDiagram) -> str:

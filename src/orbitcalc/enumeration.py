@@ -20,9 +20,9 @@ from .diagram_core import (
     Signature,
     canonicalize,
     from_row_spec,
-    is_valid,
     signature,
     validate_partition_kind,
+    validate_signed,
 )
 
 
@@ -115,9 +115,10 @@ def brute_count(kind: Kind, size: int, sig: Signature | None = None) -> int:
         if not validate_partition_kind(shape, kind):
             continue
         for leads in product((Sign.PLUS, Sign.MINUS), repeat=len(rows)):
-            d = SignedDiagram(kind, tuple(zip(rows, leads)))
-            if not is_valid(d):
+            raw = tuple(zip(rows, leads))
+            if not validate_signed(kind, raw)[0]:
                 continue
+            d = SignedDiagram(kind, raw)
             if sig is not None and signature(d) != Signature(*sig):
                 continue
             seen.add((kind, canonicalize(d).rows))

@@ -36,7 +36,6 @@ from .diagram_core import (
     Sign,
     SignedDiagram,
     from_row_spec,
-    require_valid,
 )
 from .vector_order import format_rational, parse_rational
 
@@ -505,9 +504,7 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
                 f"inertia {np_}+{nm} of the length-{k} pairing must count its rows {count}"
             )
         spec += [(k, Sign.PLUS)] * np_ + [(k, Sign.MINUS)] * nm
-    out = from_row_spec(form.kind, spec)
-    require_valid(out)
-    return out
+    return from_row_spec(form.kind, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +566,6 @@ def representative(d: SignedDiagram) -> RationalMatrix:
     """A nilpotent integer matrix in sp(size, R) classifying back to d."""
     if d.kind is not Kind.SYMPLECTIC:
         raise ValueError("representatives are built for symplectic diagrams")
-    require_valid(d)
     m = d.size // 2
     entries: dict[tuple[int, int], int] = {}
     _emit_blocks(entries, d, lambda a: a - 1, lambda a: m + a - 1)
@@ -593,7 +589,6 @@ def build_witness(s: SignedDiagram, n: int, j: int) -> RationalMatrix:
     """
     if s.kind is not Kind.SYMPLECTIC:
         raise ValueError("witnesses extend symplectic diagrams")
-    require_valid(s)
     m = s.size // 2
     r = len(s.rows)
     k0 = n - m

@@ -21,7 +21,6 @@ from .diagram_core import (
     SignedDiagram,
     SignedRow,
     from_row_spec,
-    require_valid,
     tau,
 )
 
@@ -63,9 +62,6 @@ def induce_real(s: SignedDiagram, n: int) -> InducedOrbitSet:
     """Real orbits induced from the zero GL(n-m) orbit times the orbit of s."""
     if s.kind is not Kind.SYMPLECTIC:
         raise ValueError("real induction starts from a symplectic diagram")
-    require_valid(s)
-    if s.size % 2 != 0:
-        raise ValueError("symplectic diagrams have even size")
     m = s.size // 2
     r = len(s.rows)
     k = n - m

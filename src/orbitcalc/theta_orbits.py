@@ -23,8 +23,6 @@ from .diagram_core import (
     delete_column_signed,
     equivalent,
     group_of,
-    is_valid,
-    require_valid,
     signature,
 )
 
@@ -47,7 +45,6 @@ def theta_lift_real(d: SignedDiagram, target: Signature) -> SignedDiagram:
     freedom (for an orthogonal lift), and the target signature fixes their
     split, so there is at most one candidate; an invalid one is an error.
     """
-    require_valid(d)
     target = Signature(*target)
     target_size = target.plus + target.minus
     new_col = target_size - d.size
@@ -64,11 +61,14 @@ def theta_lift_real(d: SignedDiagram, target: Signature) -> SignedDiagram:
         signs = [Sign.PLUS] * a + [Sign.MINUS] * (ones - a)  # a rows (1, +)
     # an odd count of symplectic 1-rows, or a split outside [0, ones],
     # fails the validity or the signature check
-    lift = SignedDiagram(kind, tuple(forced + [SignedRow(1, s) for s in signs]))
-    if not (
-        is_valid(lift)
-        and signature(lift) == target
-        and equivalent(delete_column_signed(lift), d)
+    try:
+        lift = SignedDiagram(kind, tuple(forced + [SignedRow(1, s) for s in signs]))
+    except ValueError:  # the constructor refused the candidate
+        lift = None
+    if (
+        lift is None
+        or signature(lift) != target
+        or not equivalent(delete_column_signed(lift), d)
     ):
         raise ValueError(f"no valid lift of signature {tuple(target)}")
     return canonicalize(lift)
@@ -94,7 +94,6 @@ def deletion_inertia(d: SignedDiagram) -> Signature:
     """
     if d.kind is not Kind.SYMPLECTIC:
         raise ValueError("the pairing inertia applies to symplectic diagrams")
-    require_valid(d)
     r = s = 0
     for length, lead in d.rows:
         if length % 2 == 0:
@@ -144,7 +143,6 @@ class ThetaChain:
 
 def chain(d: SignedDiagram) -> ThetaChain:
     """The sequence d, d-1, ..., d-(width-1) with group labels."""
-    require_valid(d)
     entries = []
     current = canonicalize(d)
     for _ in range(d.width):

@@ -23,7 +23,6 @@ from .diagram_core import (
     SignedDiagram,
     Signature,
     group_of,
-    require_valid,
     signature,
     to_json_dict,
     validate_partition_kind,
@@ -123,7 +122,6 @@ def _excluded_pattern(d: SignedDiagram, heights: tuple[int, ...]) -> bool:
 
 
 def class_u(d: SignedDiagram) -> ClassUReport:
-    require_valid(d)
     columns = d.shape().transpose()
     parity_ok, interlace_ok, reasons = _shape_clauses(columns, d.kind)
     excluded = _excluded_pattern(d, columns.rows)
@@ -197,12 +195,20 @@ class Tower:
         return len(self.steps)
 
 
+class NotAdmissible(ValueError):
+    """Raised for a diagram outside class U; ``report`` says why."""
+
+    def __init__(self, report: ClassUReport) -> None:
+        super().__init__("not an admissible diagram: " + "; ".join(report.reasons))
+        self.report = report
+
+
 def tower(d: SignedDiagram) -> Tower:
-    """[D(1), ..., D(d1)] with their groups, signatures and sizes; raises for
-    non-admissible input."""
+    """[D(1), ..., D(d1)] with their groups, signatures and sizes; raises
+    :class:`NotAdmissible` for non-admissible input."""
     report = class_u(d)
     if not report.member:
-        raise ValueError("not an admissible diagram: " + "; ".join(report.reasons))
+        raise NotAdmissible(report)
     entries = chain(d).entries[::-1]
     steps = tuple(entry for entry, _ in entries)
     return Tower(

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitcalc import diagram_core as dc
 from orbitcalc.cli import main
 from orbitcalc.diagram_core import Kind, Sign, SignedDiagram, SignedRow
+from orbitcalc.tower import class_u
 
 
 @pytest.fixture
@@ -92,6 +96,26 @@ class TestTower:
         _, out1, _ = run(capsys, "tower", "--json", intro_path)
         _, out2, _ = run(capsys, "tower", "--json", intro_path)
         assert out1 == out2
+
+    @pytest.mark.parametrize("admissible", [True, False])
+    def test_class_u_runs_once(self, capsys, monkeypatch, tmp_path, intro_path, admissible):
+        calls = []
+
+        def counted(d):
+            calls.append(d)
+            return class_u(d)
+
+        monkeypatch.setattr("orbitcalc.tower.class_u", counted)
+        monkeypatch.setattr("orbitcalc.cli.class_u", counted)
+        path = intro_path
+        if not admissible:
+            path = tmp_path / "excluded.json"
+            excluded = SignedDiagram(Kind.SYMPLECTIC, (SignedRow(2, Sign.PLUS),) * 2)
+            path.write_text(dc.dumps(excluded))
+        code, out, _ = run(capsys, "tower", str(path))
+        assert code == (0 if admissible else 1)
+        assert out.startswith("tower of Mp(30):" if admissible else "not admissible: uniform")
+        assert len(calls) == 1
 
 
 class TestClassify:
@@ -274,6 +298,53 @@ class TestMalformedInput:
         assert code == 2
         assert out == ""
         assert "must be nonnegative" in err
+
+
+# arbitrary bounded JSON, plus well-formed diagrams and partitions of small
+# random shape so that some inputs get past parsing
+_strings = st.sampled_from(["symplectic", "orthogonal", "+", "-", "kind", "rows"]) | st.text(
+    max_size=3
+)
+_scalars = st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | _strings
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["kind", "rows", "len", "sign"]) | _strings, inner, max_size=4),
+    max_leaves=12,
+)
+_rows = st.lists(st.tuples(st.integers(1, 6), st.sampled_from("+-")), max_size=5).map(
+    lambda rows: [{"len": n, "sign": sign} for n, sign in sorted(rows, reverse=True)]
+)
+_diagrams = st.fixed_dictionaries({"kind": st.sampled_from(["symplectic", "orthogonal"]), "rows": _rows})
+_partitions = st.lists(st.integers(1, 6), max_size=6).map(lambda rows: sorted(rows, reverse=True))
+_fuzzed_commands = [
+    ["validate"],
+    ["classify"],
+    ["tower"],
+    ["chain"],
+    ["render"],
+    ["induce", "--n", "8"],
+    ["infchar", "--kind", "sp"],
+    ["infchar", "--kind", "o"],
+]
+
+
+class TestFuzzBoundary:
+    """Any JSON file sent to a subcommand exits 0, 1 or 2, never with a
+    traceback, and a usage error prints nothing on stdout."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(content=_json | _diagrams | _partitions, argv=st.sampled_from(_fuzzed_commands))
+    def test_any_json(self, tmp_path_factory, content, argv):
+        path = tmp_path_factory.mktemp("fuzz") / "input.json"
+        path.write_text(json.dumps(content))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, str(path)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert "error" in err.getvalue()
 
 
 class TestConsoleScript:

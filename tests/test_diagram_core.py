@@ -15,7 +15,6 @@ from orbitcalc.diagram_core import (
     from_json_dict,
     from_row_spec,
     group_of,
-    is_valid,
     loads,
     negate,
     parse_ascii,
@@ -94,28 +93,66 @@ class TestPartition:
 
 class TestValidation:
     def test_intro_is_valid(self, intro_diagram):
-        ok, violations = validate_signed(intro_diagram)
+        ok, violations = validate_signed(intro_diagram.kind, intro_diagram.rows)
         assert ok and violations == []
 
     def test_orthogonal_pair_examples(self, yd79_pair):
         for d in yd79_pair:
-            assert is_valid(d)
+            assert validate_signed(d.kind, d.rows)[0]
             assert signature(d) == Signature(7, 9)
 
     def test_bad_odd_pair(self):
-        d = SignedDiagram(Kind.SYMPLECTIC, (SignedRow(1, M), SignedRow(1, M)))
-        ok, violations = validate_signed(d)
+        rows = (SignedRow(1, M), SignedRow(1, M))
+        ok, violations = validate_signed(Kind.SYMPLECTIC, rows)
         assert not ok
         assert any("convention" in v for v in violations)
 
     def test_odd_multiplicity(self):
-        d = SignedDiagram(Kind.SYMPLECTIC, (SignedRow(3, M),))
-        ok, violations = validate_signed(d)
+        ok, violations = validate_signed(Kind.SYMPLECTIC, (SignedRow(3, M),))
         assert not ok
 
     def test_empty_valid_both_kinds(self):
         for kind in Kind:
-            assert is_valid(SignedDiagram(kind, ()))
+            d = SignedDiagram(kind, ())
+            assert validate_signed(d.kind, d.rows)[0]
+
+
+class TestConstructor:
+    """A SignedDiagram is valid by construction; a Partition takes only ints."""
+
+    @pytest.mark.parametrize(
+        "kind, rows",
+        [
+            (Kind.SYMPLECTIC, ((1, M), (1, M))),
+            (Kind.SYMPLECTIC, ((3, M),)),
+            (Kind.SYMPLECTIC, ((3, P), (3, P))),  # signature (4, 2)
+        ],
+        ids=["odd-pair-convention", "odd-multiplicity", "unbalanced"],
+    )
+    def test_rules_rejected(self, kind, rows):
+        assert not validate_signed(kind, rows)[0]
+        with pytest.raises(ValueError, match="invalid signed diagram: "):
+            SignedDiagram(kind, rows)
+
+    def test_lead_must_be_sign(self):
+        with pytest.raises(ValueError, match="invalid signed diagram: "):
+            SignedDiagram(Kind.ORTHOGONAL, ((1, "+"),))
+
+    def test_kind_must_be_kind(self):
+        with pytest.raises(ValueError, match="invalid signed diagram: "):
+            SignedDiagram("orthogonal", ((1, P),))
+
+    @pytest.mark.parametrize("length", [1.0, 1.9, True, "1"], ids=repr)
+    def test_length_must_be_int(self, length):
+        with pytest.raises(ValueError, match="invalid signed diagram: .*integers"):
+            SignedDiagram(Kind.ORTHOGONAL, ((length, P),))
+
+    @pytest.mark.parametrize(
+        "rows", [(2.7, 1), (2.0,), (True, True), ("3",)], ids=repr
+    )
+    def test_partition_length_must_be_int(self, rows):
+        with pytest.raises(ValueError, match="integers"):
+            Partition(rows)
 
 
 class TestSignature:
@@ -153,7 +190,7 @@ class TestDeleteColumn:
     def test_lands_in_opposite_kind(self, d):
         e = delete_column_signed(d)
         assert e.kind is d.kind.opposite
-        assert is_valid(e)
+        assert validate_signed(e.kind, e.rows)[0]
         assert e.shape() == d.shape().delete_columns(1)
 
 

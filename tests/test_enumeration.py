@@ -6,8 +6,8 @@ from orbitcalc.diagram_core import (
     Sign,
     Signature,
     canonicalize,
-    is_valid,
     signature,
+    validate_signed,
 )
 from orbitcalc.enumeration import (
     brute_count,
@@ -50,7 +50,7 @@ class TestSignedEnumeration:
             for kind in Kind:
                 seen = set()
                 for d in signed_diagrams(kind, size=size):
-                    assert is_valid(d)
+                    assert validate_signed(d.kind, d.rows)[0]
                     assert canonicalize(d) == d
                     assert d.rows not in seen
                     seen.add(d.rows)

@@ -2,6 +2,7 @@
 under ``python -O``, which strips every ``assert`` statement."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +14,17 @@ import orbitcalc
 from orbitcalc.verify import run_suite
 
 PACKAGE = Path(orbitcalc.__file__).resolve().parent
+CLI_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "cli"
+
+
+def run_optimized(*argv):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "orbitcalc.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
 
 
 def test_package_has_no_assert():
@@ -27,14 +39,22 @@ def test_package_has_no_assert():
 
 @pytest.mark.parametrize("suite, bound", [("induce-oracle", 6), ("conjugation", 10), ("non3", 8)])
 def test_suite_under_optimize(suite, bound):
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "orbitcalc.cli", "verify", "--suite", suite, "--max", str(bound)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = run_optimized("verify", "--suite", suite, "--max", str(bound))
     checked = run_suite(suite, bound).checked
     assert checked > 0
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{suite} (bound {bound}): pass, {checked} cases\n"
+
+
+def test_constructor_check_under_optimize():
+    """The sign conventions are checked by the SignedDiagram constructor, not
+    by an assert: validate reports the violation and tower refuses the file."""
+    path = str(CLI_INPUTS / "bad_conventions.json")
+    expected = json.loads((CLI_INPUTS / "expected.json").read_text())["validate-conventions"]
+    proc = run_optimized("validate", path)
+    assert (proc.returncode, proc.stdout) == (expected["exit"], expected["stdout"])
+    assert expected["exit"] == 1
+    proc = run_optimized("tower", path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "invalid signed diagram" in proc.stderr

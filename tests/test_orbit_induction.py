@@ -8,9 +8,9 @@ from orbitcalc.diagram_core import (
     SignedRow,
     Signature,
     equivalent,
-    is_valid,
     signature,
     tau,
+    validate_signed,
 )
 from orbitcalc.enumeration import signed_diagrams
 from orbitcalc.orbit_induction import (
@@ -92,7 +92,7 @@ class TestInduceReal:
                     assert result.count == n - m - len(s.rows) + 1
                     want_shape = add_two_columns(s.shape(), n - m)
                     for j, d in enumerate(result.diagrams):
-                        assert is_valid(d)
+                        assert validate_signed(d.kind, d.rows)[0]
                         assert d.shape() == want_shape
                         assert signature(d) == Signature(n, n)
                         minus_twos = sum(
