@@ -173,6 +173,8 @@ def cmd_induce(args) -> int:
 def cmd_infchar(args) -> int:
     d = _load_partition(args.partition)
     kind = _kind(args.kind)
+    if not dc.validate_partition_kind(d, kind):
+        raise CliError(f"{args.partition}: {d} is not a {kind.value} shape")
     segments = infchar_segments(d, kind)
     data: dict = {
         "segments": vector_to_json(segments),
@@ -347,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(func=cmd_induce)
 
-    p = sub.add_parser("infchar", help="infinitesimal character of a partition")
+    p = sub.add_parser("infchar", help="infinitesimal character of a shape of the given kind")
     p.add_argument("partition")
     p.add_argument("--kind", required=True, help="sp or o")
     add_json(p)

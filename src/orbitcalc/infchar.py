@@ -9,6 +9,11 @@ very odd and must reproduce the segment multiset.  Since the two
 computations share nothing beyond the diagram, they serve as mutual
 oracles.
 
+Every vector here holds doubled ints (see ``vector_order``): a segment is
+a ``range`` stepping by -2, and the domino labels, rho and the bound
+vectors are doubled alike.  The scale factors of ``check_bound`` enter only
+through ``scaled_preceq``; no ``Fraction``, no floats.
+
 Segment step note: both segments descend in steps of 1.  The symplectic
 segment of an even m must equal the half-sum of positive roots of
 sp(m, C) = (m/2, m/2 - 1, ..., 1), which pins the step.
@@ -18,7 +23,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .diagram_core import GroupLabel, Kind, Partition
 from .vector_order import (
@@ -26,8 +30,7 @@ from .vector_order import (
     OrderResult,
     bar_sort,
     dominance_leq,
-    scale,
-    seq_prec,
+    scaled_preceq,
     seq_preceq,
 )
 
@@ -37,40 +40,32 @@ class SegmentKind(enum.Enum):
     SYMPLECTIC_MINUS = "-"
 
 
-def segment(kind: SegmentKind, m: int) -> HalfIntVector:
+def segment(kind: SegmentKind, m: int) -> range:
     """The plus segment has floor(m/2) entries from m/2 - 1 down; the minus
-    segment has floor((m+1)/2) entries from m/2 down; both step by 1."""
+    segment has floor((m+1)/2) entries from m/2 down; both step by 1, so the
+    doubled entries step by 2 and stop above -1 resp. 0."""
     if m < 0:
         raise ValueError("segment length must be nonnegative")
     if kind is SegmentKind.SYMPLECTIC_MINUS:
-        count = (m + 1) // 2
-        start = Fraction(m, 2)
-    else:
-        count = m // 2
-        start = Fraction(m, 2) - 1
-    return tuple(start - i for i in range(count))
+        return range(m, 0, -2)
+    return range(m - 2, -1, -2)
 
 
-def segment_list(d: Partition, kind: Kind) -> list[HalfIntVector]:
-    """Alternating segments over the transpose, first segment matching kind."""
-    first = (
-        SegmentKind.SYMPLECTIC_MINUS if kind is Kind.SYMPLECTIC else SegmentKind.ORTHOGONAL_PLUS
-    )
-    other = (
-        SegmentKind.ORTHOGONAL_PLUS if kind is Kind.SYMPLECTIC else SegmentKind.SYMPLECTIC_MINUS
-    )
-    out = []
-    for j, m in enumerate(d.transpose().rows):
-        out.append(segment(first if j % 2 == 0 else other, m))
-    return out
+def segments_of_transpose(heights: tuple[int, ...], kind: Kind) -> HalfIntVector:
+    """Concatenation of the alternating segments over the column heights,
+    the first segment matching kind (empty for the empty shape)."""
+    first, other = SegmentKind.SYMPLECTIC_MINUS, SegmentKind.ORTHOGONAL_PLUS
+    if kind is Kind.ORTHOGONAL:
+        first, other = other, first
+    flat: list[int] = []
+    for j, m in enumerate(heights):
+        flat.extend(segment(first if j % 2 == 0 else other, m))
+    return tuple(flat)
 
 
 def infchar_segments(d: Partition, kind: Kind) -> HalfIntVector:
-    """Concatenation of the alternating segments (empty for the empty shape)."""
-    flat: list[Fraction] = []
-    for seg in segment_list(d, kind):
-        flat.extend(seg)
-    return tuple(flat)
+    """The segment route: alternating segments over the transpose of d."""
+    return segments_of_transpose(d.transpose().rows, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +81,7 @@ class Domino:
     orientation: str  # "vertical" | "horizontal" | "open"
     column: int
     top_row: int | None = None
-    label: Fraction | None = None
+    label: int | None = None  # doubled, as in HalfIntVector
 
 
 @dataclass(frozen=True)
@@ -109,7 +104,8 @@ def domino_cover(d: Partition, kind: Kind) -> DominoCover:
     symplectic, even k for orthogonal) and n(DO) otherwise, where n(DO)
     counts dominoes above it in its own column: each vertical one as 1, a
     covering horizontal or open domino as 1/2.  Labeled horizontal dominoes
-    carry 1/2.
+    carry 1/2.  Doubled, the i-th vertical domino of a column carries
+    2i + row1_cover + bump, and a horizontal one carries 1.
     """
     heights = d.transpose().rows
     if not heights:
@@ -124,35 +120,26 @@ def domino_cover(d: Partition, kind: Kind) -> DominoCover:
         raise ValueError("symplectic domino labels require an even-size diagram")
 
     dominoes: list[Domino] = []
-    row1_cover = Fraction(1, 2) if very_odd else Fraction(0)
+    row1_cover = 1 if very_odd else 0
+    bump_parity = 1 if kind is Kind.SYMPLECTIC else 0
     for k, h in enumerate(heights, start=1):
-        vertical_count = h // 2
         first_top = 1 if h % 2 == 0 else 2
-        for i in range(vertical_count):
-            above = Fraction(i) + row1_cover
-            if kind is Kind.SYMPLECTIC:
-                bump = 1 if k % 2 == 1 else 0
-            else:
-                bump = 1 if k % 2 == 0 else 0
-            dominoes.append(
-                Domino("vertical", k, first_top + 2 * i, above + bump)
-            )
+        bump = 2 if k % 2 == bump_parity else 0
+        for i in range(h // 2):
+            dominoes.append(Domino("vertical", k, first_top + 2 * i, 2 * i + row1_cover + bump))
     if very_odd:
         width = d.width
         col = width - 1
         while col >= 1:
-            dominoes.append(Domino("horizontal", col, 1, Fraction(1, 2)))
+            dominoes.append(Domino("horizontal", col, 1, 1))
             col -= 2
         if width % 2 == 1:
             dominoes.append(Domino("open", 1, 1, None))
 
-    cover = DominoCover(d, tuple(dominoes))
-    covered = 2 * sum(1 for t in cover.dominoes if t.orientation != "open") + sum(
-        1 for t in cover.dominoes if t.orientation == "open"
-    )
+    covered = sum(1 if t.orientation == "open" else 2 for t in dominoes)
     if covered != d.size:
         raise ValueError(f"domino cover of {covered} boxes does not tile {d.rows}")
-    return cover
+    return DominoCover(d, tuple(dominoes))
 
 
 def infchar_domino(d: Partition, kind: Kind) -> HalfIntVector:
@@ -170,10 +157,9 @@ def rho(g: GroupLabel) -> HalfIntVector:
     if g.family == "Mp":
         if g.p % 2 != 0:
             raise ValueError("Mp parameter must be even")
-        n = g.p // 2
-        return tuple(Fraction(n - i) for i in range(n))
+        return tuple(range(g.p, 0, -2))
     p, q = g.p, g.q
-    return tuple(Fraction(p + q - 2, 2) - i for i in range(min(p, q)))
+    return tuple(p + q - 2 - 2 * i for i in range(min(p, q)))
 
 
 @dataclass(frozen=True)
@@ -189,33 +175,39 @@ def check_bound(d: Partition, kind: Kind) -> BoundReport:
     the (m1+2)/2n multiple.  Orthogonal: same with the comparison vector
     ((N/2)-1, ..., (N/2)-floor(N/2)) of length floor(N/2) and denominator
     N-2, N the size.  Undefined for orthogonal size 2 (zero denominator).
+    The comparison vectors are the minus resp. plus segment of the size; a
+    character of another length raises the length-mismatch ValueError.
     """
     if d.size == 0:
         return BoundReport(True, True)
-    m1 = d.transpose().rows[0]
-    lhs = bar_sort(infchar_segments(d, kind))
+    t = d.transpose().rows
+    lhs = bar_sort(segments_of_transpose(t, kind))
     if kind is Kind.SYMPLECTIC:
         if d.size % 2 != 0:
             raise ValueError("symplectic shapes have even size")
-        n = d.size // 2
-        base = tuple(Fraction(n - i) for i in range(n))
+        base = segment(SegmentKind.SYMPLECTIC_MINUS, d.size)
         denom = d.size
     else:
-        N = d.size
-        base = tuple(Fraction(N, 2) - 1 - i for i in range(N // 2))
-        denom = N - 2
+        base = segment(SegmentKind.ORTHOGONAL_PLUS, d.size)
+        denom = d.size - 2
         if denom == 0:
             raise ValueError("bound undefined for orthogonal size 2: denominator p+q-2 = 0")
         if denom < 0:  # size 1: both vectors empty, vacuous
-            base = ()
             denom = 1
-    if len(lhs) != len(base):
-        raise ValueError(
-            f"character length {len(lhs)} and bound vector length {len(base)} must agree"
-        )
-    weak = seq_preceq(lhs, scale(Fraction(m1, denom), base))
-    strict = seq_prec(lhs, scale(Fraction(m1 + 2, denom), base))
+    weak = scaled_preceq(lhs, base, t[0], denom)
+    strict = scaled_preceq(lhs, base, t[0] + 2, denom, strict=True)
     return BoundReport(weak, strict)
+
+
+def characters_reverse(
+    rel: OrderResult, b1: HalfIntVector, b2: HalfIntVector
+) -> bool | None:
+    """The pair test of order reversal.  Given the closure order ``rel`` of
+    d1 against d2 and their sorted characters b1 and b2: when d1 lies below
+    d2, whether b1 dominates b2; None when d1 does not lie below d2."""
+    if rel is not OrderResult.EQUAL and rel is not OrderResult.LESS_EQ:
+        return None
+    return seq_preceq(b2, b1)
 
 
 def reversal_check(d1: Partition, d2: Partition, kind: Kind) -> bool:
@@ -228,9 +220,6 @@ def reversal_check(d1: Partition, d2: Partition, kind: Kind) -> bool:
     same_parity = (t1.very_even and t2.very_even) or (t1.very_odd and t2.very_odd)
     if not same_parity:
         raise ValueError("reversal check requires transposes of matching parity")
-    rel = dominance_leq(d1, d2)
-    if rel not in (OrderResult.EQUAL, OrderResult.LESS_EQ):
-        return True
-    b1 = bar_sort(infchar_segments(d1, kind))
-    b2 = bar_sort(infchar_segments(d2, kind))
-    return seq_preceq(b2, b1)
+    b1 = bar_sort(segments_of_transpose(t1.rows, kind))
+    b2 = bar_sort(segments_of_transpose(t2.rows, kind))
+    return characters_reverse(dominance_leq(d1, d2), b1, b2) is not False

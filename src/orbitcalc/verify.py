@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import moment_oracle as mo
 from .diagram_core import (
@@ -24,7 +23,15 @@ from .diagram_core import (
     signature,
 )
 from .enumeration import partitions, shapes, signed_diagrams
-from .infchar import check_bound, infchar_domino, infchar_segments, segment, SegmentKind
+from .infchar import (
+    SegmentKind,
+    characters_reverse,
+    check_bound,
+    infchar_domino,
+    infchar_segments,
+    segment,
+    segments_of_transpose,
+)
 from .orbit_induction import induce_real, plus_rows, wf_ialpha_parts
 from .tower import (
     admissible_diagrams,
@@ -35,7 +42,7 @@ from .tower import (
     shape_members,
     tower,
 )
-from .vector_order import bar_sort, scale, seq_preceq
+from .vector_order import bar_sort, closure_order, scaled_preceq, vector_to_json
 
 
 @dataclass
@@ -109,28 +116,26 @@ def suite_lemma_pm(bound: int) -> SuiteReport:
 
 def suite_reversal(bound: int) -> SuiteReport:
     """Order reversal between closure order and sorted characters, over all
-    same-size valid pairs with transposes of one parity."""
-    from .vector_order import OrderResult, dominance_leq
-
+    same-size valid pairs with transposes of one parity; one transpose and
+    one sorted character per shape, shared by all its pairs."""
     rep = SuiteReport("reversal", bound)
     for size in range(1, bound + 1):
         for kind in (Kind.SYMPLECTIC, Kind.ORTHOGONAL):
-            valid = list(shapes(kind, size))
-            groups = {
-                "even": [s for s in valid if s.transpose().very_even],
-                "odd": [s for s in valid if s.transpose().very_odd],
-            }
-            for family in groups.values():
-                chars = {
-                    s: bar_sort(infchar_segments(s, kind)) for s in family
-                }
-                for d1 in family:
-                    for d2 in family:
-                        rel = dominance_leq(d1, d2)
-                        if rel not in (OrderResult.EQUAL, OrderResult.LESS_EQ):
+            # (shape, transpose, sorted character), split by transpose parity
+            even, odd = [], []
+            for s in shapes(kind, size):
+                t = s.transpose()
+                if t.very_even or t.very_odd:
+                    char = bar_sort(segments_of_transpose(t.rows, kind))
+                    (odd if t.very_odd else even).append((s, t.rows, char))
+            for family in (even, odd):
+                for d1, t1, b1 in family:
+                    for d2, t2, b2 in family:
+                        ok = characters_reverse(closure_order(t1, t2), b1, b2)
+                        if ok is None:
                             continue
                         rep.checked += 1
-                        if not seq_preceq(chars[d2], chars[d1]):
+                        if not ok:
                             rep.counterexamples.append(
                                 f"{kind.value}: {d1} below {d2} but characters do not reverse"
                             )
@@ -175,7 +180,8 @@ def suite_domino_oracle(bound: int) -> SuiteReport:
                 want = bar_sort(infchar_segments(d, kind))
                 if got != want:
                     rep.counterexamples.append(
-                        f"{kind.value} {d}: domino {got} vs segments {want}"
+                        f"{kind.value} {d}: domino {vector_to_json(got)} "
+                        f"vs segments {vector_to_json(want)}"
                     )
     return rep
 
@@ -303,13 +309,15 @@ def suite_non3(bound: int) -> SuiteReport:
 
 def suite_appendix(bound: int) -> SuiteReport:
     """Exact segment-sum identities and the two appendix inequalities on
-    scaled segments, over their stated parameter grids."""
+    scaled segments, over their stated parameter grids.  Segments are
+    doubled, so a sum (m+1)^2/8 reads (m+1)^2/4, and each scaled bound is
+    one cross-multiplied comparison."""
     rep = SuiteReport("appendix", bound)
     for m in range(1, 100, 2):
         rep.checked += 1
-        if sum(segment(SegmentKind.SYMPLECTIC_MINUS, m)) != Fraction((m + 1) ** 2, 8):
+        if 4 * sum(segment(SegmentKind.SYMPLECTIC_MINUS, m)) != (m + 1) ** 2:
             rep.counterexamples.append(f"minus-segment sum fails at m={m}")
-        if sum(segment(SegmentKind.ORTHOGONAL_PLUS, m)) != Fraction((m - 1) ** 2, 8):
+        if 4 * sum(segment(SegmentKind.ORTHOGONAL_PLUS, m)) != (m - 1) ** 2:
             rep.counterexamples.append(f"plus-segment sum fails at m={m}")
     # merged pair of segments against the scaled full segment
     for m in range(0, bound + 1):
@@ -318,11 +326,13 @@ def suite_appendix(bound: int) -> SuiteReport:
                 continue
             rep.checked += 1
             lhs = bar_sort(
-                segment(SegmentKind.SYMPLECTIC_MINUS, m)
-                + segment(SegmentKind.ORTHOGONAL_PLUS, r)
+                [
+                    *segment(SegmentKind.SYMPLECTIC_MINUS, m),
+                    *segment(SegmentKind.ORTHOGONAL_PLUS, r),
+                ]
             )
-            rhs = scale(Fraction(m, m + r), segment(SegmentKind.SYMPLECTIC_MINUS, m + r))
-            if not seq_preceq(lhs, rhs):
+            rhs = segment(SegmentKind.SYMPLECTIC_MINUS, m + r)
+            if not scaled_preceq(lhs, rhs, m, m + r):
                 rep.counterexamples.append(f"segment-pair bound fails at (m={m}, r={r})")
     # staircase family against the scaled full segment
     two_n_cap = (3 * bound) // 2
@@ -342,13 +352,11 @@ def suite_appendix(bound: int) -> SuiteReport:
                     if not heights:
                         continue
                     rep.checked += 1
-                    shape = Partition(heights).transpose()
-                    lhs = bar_sort(infchar_segments(shape, Kind.SYMPLECTIC))
-                    rhs = scale(
-                        Fraction(m, two_n),
-                        segment(SegmentKind.SYMPLECTIC_MINUS, two_n),
-                    )
-                    if not seq_preceq(lhs, rhs):
+                    # the staircase shape is the transpose of these heights
+                    columns = Partition(heights).rows
+                    lhs = bar_sort(segments_of_transpose(columns, Kind.SYMPLECTIC))
+                    rhs = segment(SegmentKind.SYMPLECTIC_MINUS, two_n)
+                    if not scaled_preceq(lhs, rhs, m, two_n):
                         rep.counterexamples.append(
                             f"staircase bound fails at (m={m}, j={j}, m0={m0}, r={r})"
                         )

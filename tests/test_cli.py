@@ -158,8 +158,9 @@ class TestInfchar:
         assert data["agree"] is True
 
     def test_mixed_parity_reports_domino_error(self, capsys, tmp_path):
+        # (3, 1) is orthogonal; its transpose (2, 1, 1) mixes parities
         path = tmp_path / "d.json"
-        path.write_text("[2, 1]")
+        path.write_text("[3, 1]")
         code, out, _ = run(capsys, "infchar", "--kind", "o", "--json", str(path))
         assert code == 0
         data = json.loads(out)
@@ -255,6 +256,9 @@ class TestMalformedInput:
         [
             (["infchar", "--kind", "sp"], [2.7, 1]),
             (["infchar", "--kind", "sp"], [True, True]),
+            (["infchar", "--kind", "sp"], [1]),
+            (["infchar", "--kind", "sp"], [3, 1]),
+            (["infchar", "--kind", "o"], [2]),
             (["validate"], _diagram_with_len("2")),
             (["validate"], _diagram_with_len(1.9)),
             (["validate"], _diagram_with_len(True)),
@@ -266,6 +270,9 @@ class TestMalformedInput:
         ids=[
             "float-partition",
             "bool-partition",
+            "not-symplectic-1",
+            "not-symplectic-3-1",
+            "not-orthogonal-2",
             "string-len",
             "float-len",
             "bool-len",

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,7 +27,7 @@ from orbitcalc.diagram_core import (
     validate_partition_kind,
     validate_signed,
 )
-from orbitcalc.enumeration import signed_diagrams
+from orbitcalc.enumeration import partitions, signed_diagrams
 
 M = Sign.MINUS
 P = Sign.PLUS
@@ -133,6 +135,24 @@ class TestConstructor:
         assert not validate_signed(kind, rows)[0]
         with pytest.raises(ValueError, match="invalid signed diagram: "):
             SignedDiagram(kind, rows)
+
+    def test_unbalanced_symplectic_refused_exhaustive(self):
+        # validate_signed has no signature clause: the conventions alone must
+        # refuse every raw symplectic row set of size <= 10 whose + and - box
+        # counts differ
+        refused = 0
+        for size in range(1, 11):
+            for shape in partitions(size):
+                for leads in product((P, M), repeat=len(shape)):
+                    rows = tuple(zip(shape, leads))
+                    plus = sum((n + 1) // 2 if s is P else n // 2 for n, s in rows)
+                    if 2 * plus == size:
+                        continue
+                    refused += 1
+                    assert not validate_signed(Kind.SYMPLECTIC, rows)[0], rows
+                    with pytest.raises(ValueError, match="invalid signed diagram: "):
+                        SignedDiagram(Kind.SYMPLECTIC, rows)
+        assert refused > 1000
 
     def test_lead_must_be_sign(self):
         with pytest.raises(ValueError, match="invalid signed diagram: "):

@@ -14,32 +14,33 @@ from orbitcalc.infchar import (
     rho,
     segment,
 )
-from orbitcalc.vector_order import bar_sort, scale, seq_preceq, vec
+from orbitcalc.vector_order import bar_sort, scaled_preceq, seq_preceq, vector_to_json
 
 
 class TestSegment:
     def test_even_minus_is_rho(self):
-        assert segment(SegmentKind.SYMPLECTIC_MINUS, 6) == vec(3, 2, 1)
+        assert vector_to_json(segment(SegmentKind.SYMPLECTIC_MINUS, 6)) == ["3", "2", "1"]
 
     def test_plus_one_empty(self):
-        assert segment(SegmentKind.ORTHOGONAL_PLUS, 1) == ()
+        assert tuple(segment(SegmentKind.ORTHOGONAL_PLUS, 1)) == ()
 
     def test_odd_minus(self):
-        assert segment(SegmentKind.SYMPLECTIC_MINUS, 3) == vec("3/2", "1/2")
+        assert vector_to_json(segment(SegmentKind.SYMPLECTIC_MINUS, 3)) == ["3/2", "1/2"]
 
     def test_endings(self):
         # odd m: minus segment ends in 1/2; even m >= 2: plus segment ends in 0
+        # (entries are doubled)
         for m in range(1, 100, 2):
-            assert segment(SegmentKind.SYMPLECTIC_MINUS, m)[-1] == Fraction(1, 2)
+            assert segment(SegmentKind.SYMPLECTIC_MINUS, m)[-1] == 1
         for m in range(2, 100, 2):
             assert segment(SegmentKind.ORTHOGONAL_PLUS, m)[-1] == 0
 
     def test_sum_identities(self):
         for m in range(1, 100, 2):
-            assert sum(segment(SegmentKind.SYMPLECTIC_MINUS, m)) == Fraction(
+            assert Fraction(sum(segment(SegmentKind.SYMPLECTIC_MINUS, m)), 2) == Fraction(
                 (m + 1) ** 2, 8
             )
-            assert sum(segment(SegmentKind.ORTHOGONAL_PLUS, m)) == Fraction(
+            assert Fraction(sum(segment(SegmentKind.ORTHOGONAL_PLUS, m)), 2) == Fraction(
                 (m - 1) ** 2, 8
             )
 
@@ -49,26 +50,26 @@ class TestSegments:
         for n in (1, 2, 3, 5):
             d = Partition((1,) * (2 * n))
             got = infchar_segments(d, Kind.SYMPLECTIC)
-            assert got == tuple(Fraction(n - i) for i in range(n))
+            assert got == tuple(2 * (n - i) for i in range(n))  # doubled (n, ..., 1)
 
     def test_intro_shape(self):
         d = Partition((6, 5, 5, 4, 4, 2, 2, 1, 1))
         assert d.transpose() == Partition((9, 7, 5, 5, 3, 1))
         got = infchar_segments(d, Kind.SYMPLECTIC)
-        want = vec(
+        want = [
             "9/2", "7/2", "5/2", "3/2", "1/2",
             "5/2", "3/2", "1/2",
             "5/2", "3/2", "1/2",
             "3/2", "1/2",
             "3/2", "1/2",
-        )
-        assert got == want
+        ]
+        assert vector_to_json(got) == want
 
     def test_alternating_rho_segments_for_even_heights(self):
         # transpose (4, 2): the segments are the half sums for sp4 and o2
         d = Partition((4, 2)).transpose()
         got = infchar_segments(d, Kind.SYMPLECTIC)
-        assert got == vec(2, 1, 0)
+        assert vector_to_json(got) == ["2", "1", "0"]
 
     def test_empty(self):
         assert infchar_segments(Partition(), Kind.SYMPLECTIC) == ()
@@ -76,14 +77,15 @@ class TestSegments:
 
 class TestDomino:
     def test_two_two(self):
-        assert infchar_domino(Partition((2, 2)), Kind.SYMPLECTIC) == vec(1, 0)
+        assert vector_to_json(infchar_domino(Partition((2, 2)), Kind.SYMPLECTIC)) == ["1", "0"]
 
     def test_two_one_one(self):
-        assert infchar_domino(Partition((2, 1, 1)), Kind.SYMPLECTIC) == vec("3/2", "1/2")
+        got = infchar_domino(Partition((2, 1, 1)), Kind.SYMPLECTIC)
+        assert vector_to_json(got) == ["3/2", "1/2"]
 
     def test_open_domino_case(self):
         d = Partition((3, 1, 1))
-        assert infchar_domino(d, Kind.ORTHOGONAL) == vec("1/2", "1/2")
+        assert vector_to_json(infchar_domino(d, Kind.ORTHOGONAL)) == ["1/2", "1/2"]
         cover = domino_cover(d, Kind.ORTHOGONAL)
         opens = [t for t in cover.dominoes if t.orientation == "open"]
         assert len(opens) == 1 and opens[0].label is None and opens[0].column == 1
@@ -113,9 +115,9 @@ class TestDomino:
 
 class TestRho:
     def test_examples(self):
-        assert rho(GroupLabel("Mp", 8)) == vec(4, 3, 2, 1)
-        assert rho(GroupLabel("O", 3, 5)) == vec(3, 2, 1)
-        assert rho(GroupLabel("O", 1, 1)) == vec(0)
+        assert vector_to_json(rho(GroupLabel("Mp", 8))) == ["4", "3", "2", "1"]
+        assert vector_to_json(rho(GroupLabel("O", 3, 5))) == ["3", "2", "1"]
+        assert vector_to_json(rho(GroupLabel("O", 1, 1))) == ["0"]
         assert rho(GroupLabel("Mp", 0)) == ()
         assert rho(GroupLabel("O", 4, 0)) == ()
 
@@ -127,8 +129,11 @@ class TestBound:
             res = check_bound(d, Kind.SYMPLECTIC)
             assert res.holds_weak and res.holds_strict
             lhs = bar_sort(infchar_segments(d, Kind.SYMPLECTIC))
-            bound = scale(Fraction(2 * n, 2 * n), rho(GroupLabel("Mp", 2 * n)))
-            assert lhs == bound  # equality at the boundary case
+            bound = rho(GroupLabel("Mp", 2 * n))
+            # equality at the boundary case: the scale m1/2n is 2n/2n = 1
+            assert lhs == bound
+            assert scaled_preceq(lhs, bound, 2 * n, 2 * n)
+            assert not scaled_preceq(lhs, bound, 2 * n, 2 * n, strict=True)
 
     def test_intro_shape(self):
         d = Partition((6, 5, 5, 4, 4, 2, 2, 1, 1))
@@ -147,8 +152,8 @@ class TestBound:
         # transpose (5, 5, 3, 1): within the staircase family's constraints
         d = Partition((5, 5, 3, 1)).transpose()
         lhs = bar_sort(infchar_segments(d, Kind.SYMPLECTIC))
-        rhs = scale(Fraction(5, 14), segment(SegmentKind.SYMPLECTIC_MINUS, 14))
-        assert seq_preceq(lhs, rhs)
+        rhs = segment(SegmentKind.SYMPLECTIC_MINUS, 14)
+        assert scaled_preceq(lhs, rhs, 5, 14)
 
 
 class TestReversal:
