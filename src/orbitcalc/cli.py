@@ -8,6 +8,7 @@ render, enumerate, verify, wf-ialpha.  Exit codes: 0 ok, 1 check failed,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -199,16 +200,10 @@ def cmd_infchar(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    d = _load_diagram(args.diagram)
-    th = chain(d)
-    data = [
-        {"diagram": dc.to_json_dict(entry), "group": str(g)} for entry, g in th.entries
-    ]
-    _emit(
-        {"chain": data},
-        args.json,
-        " -> ".join(str(g) for _, g in th.entries),
-    )
+    steps = chain(_load_diagram(args.diagram))
+    groups = [str(dc.group_of(step)) for step in steps]
+    data = [{"diagram": dc.to_json_dict(step), "group": g} for step, g in zip(steps, groups)]
+    _emit({"chain": data}, args.json, " -> ".join(groups))
     return 0
 
 
@@ -254,20 +249,25 @@ def cmd_render(args) -> int:
 
 def cmd_enumerate(args) -> int:
     kind = _kind(args.kind)
+    sig = None
     if args.signature is not None:
         try:
             p, q = (_nonnegative("signature", int(x)) for x in args.signature.split(","))
         except ValueError:
             raise CliError("signature must be p,q") from None
-        diagrams = signed_diagrams(kind, sig=Signature(p, q))
-    elif args.size is not None:
-        diagrams = signed_diagrams(kind, size=_nonnegative("--size", args.size))
-    else:
-        raise CliError("need --size or --signature")
+        sig = Signature(p, q)
+    if args.size is not None:
+        _nonnegative("--size", args.size)
+    diagrams = signed_diagrams(kind, size=args.size, sig=sig)
+    try:
+        first = next(diagrams, None)  # the generator checks its arguments here
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    diagrams = itertools.chain(() if first is None else (first,), diagrams)
     if args.count:
         count = sum(1 for _ in diagrams)
         data = {"count": count}
-        if args.signature is None:
+        if sig is None:
             data["formula"] = sum(class_count(s, kind) for s in shapes(kind, args.size))
         _emit(data, args.json, str(count))
         return 0

@@ -122,8 +122,9 @@ class Partition:
             raise ValueError("column count must be nonnegative")
         return Partition(tuple(r - i for r in self.rows if r > i))
 
-    def multiplicity(self, length: int) -> int:
-        return sum(1 for r in self.rows if r == length)
+    def classes(self) -> list[tuple[int, int]]:
+        """(length, multiplicity) of each distinct row length, longest first."""
+        return [(length, sum(1 for _ in group)) for length, group in groupby(self.rows)]
 
     @property
     def very_even(self) -> bool:
@@ -147,11 +148,7 @@ class Partition:
 def validate_partition_kind(d: Partition, kind: Kind) -> bool:
     """Multiplicity parity rule: symplectic diagrams need odd rows in even
     multiplicity, orthogonal diagrams need even rows in even multiplicity."""
-    bad_parity = 1 if kind is Kind.SYMPLECTIC else 0
-    counts: dict[int, int] = {}
-    for r in d.rows:
-        counts[r] = counts.get(r, 0) + 1
-    return all(m % 2 == 0 for length, m in counts.items() if length % 2 == bad_parity)
+    return all(m % 2 == 0 for length, m in d.classes() if kind.constrained(length))
 
 
 def convention_signs(kind: Kind, count: int) -> list[Sign]:
@@ -248,28 +245,21 @@ def validate_signed(
 def canonicalize(d: SignedDiagram) -> SignedDiagram:
     """Canonical representative of the equivalence class: constrained classes
     carry the convention pattern, free classes list Plus-leading rows first."""
-    rows: list[SignedRow] = []
-    for length, group in groupby(d.rows, key=lambda row: row.length):
-        leads = [lead for _, lead in group]
-        if d.kind.constrained(length):
-            ordered = convention_signs(d.kind, len(leads))
-        else:
-            ordered = sorted(leads, key=lambda s: 0 if s is Sign.PLUS else 1)
-        rows.extend(SignedRow(length, s) for s in ordered)
-    return SignedDiagram(d.kind, tuple(rows))
+    return from_row_spec(
+        d.kind,
+        ((length, None if d.kind.constrained(length) else lead) for length, lead in d.rows),
+    )
 
 
 def equivalent(d1: SignedDiagram, d2: SignedDiagram) -> bool:
-    if d1.kind is not d2.kind:
-        return False
-    if d1.shape() != d2.shape():
-        return False
-    return canonicalize(d1).rows == canonicalize(d2).rows
+    return d1.kind is d2.kind and canonicalize(d1).rows == canonicalize(d2).rows
 
 
 def from_row_spec(kind: Kind, spec: Iterable[tuple[int, Sign | None]]) -> SignedDiagram:
     """Assemble a canonical diagram from (length, sign) pairs.  Constrained
-    rows take sign None and receive the convention pattern of their class."""
+    rows take sign None and receive the convention pattern of their class;
+    free rows of one length list Plus-leading rows first.  Every canonical
+    diagram is built here."""
     by_length: dict[int, list[Sign | None]] = {}
     for length, sign in spec:
         by_length.setdefault(length, []).append(sign)
@@ -281,12 +271,9 @@ def from_row_spec(kind: Kind, spec: Iterable[tuple[int, Sign | None]]) -> Signed
                 raise ValueError(f"length-{length} rows are sign-constrained for {kind.value}")
             ordered = convention_signs(kind, len(signs))
         else:
-            if any(s is None for s in signs):
+            if None in signs:
                 raise ValueError(f"length-{length} rows need explicit signs for {kind.value}")
-            ordered = sorted(
-                (s for s in signs if s is not None),
-                key=lambda s: 0 if s is Sign.PLUS else 1,
-            )
+            ordered = sorted(signs, key=lambda s: s is not Sign.PLUS)
         rows.extend(SignedRow(length, s) for s in ordered)
     return SignedDiagram(kind, tuple(rows))
 
@@ -304,11 +291,10 @@ def tau(d: SignedDiagram) -> SignedDiagram:
     """Sign flip on even-length rows, induced by conjugation by diag(I, -I)."""
     if d.kind is not Kind.SYMPLECTIC:
         raise ValueError("tau defined only on symplectic diagrams")
-    rows = tuple(
-        SignedRow(length, lead.flipped if length % 2 == 0 else lead)
-        for length, lead in d.rows
+    return from_row_spec(
+        d.kind,
+        ((length, None if d.kind.constrained(length) else lead.flipped) for length, lead in d.rows),
     )
-    return canonicalize(SignedDiagram(d.kind, rows))
 
 
 def negate(d: SignedDiagram) -> SignedDiagram:

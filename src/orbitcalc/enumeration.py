@@ -26,15 +26,28 @@ from .diagram_core import (
 )
 
 
-def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of n, largest part first, in descending lex order."""
-    if n == 0:
-        yield ()
+def partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """All partitions of n, largest part first, in descending lex order.
+
+    The successor of a partition removes its trailing 1s and its last part
+    p > 1 and refills those boxes with parts p - 1, then the remainder.  A
+    negative n has none."""
+    if n < 0:
         return
-    cap = n if max_part is None else min(max_part, n)
-    for first in range(cap, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
+    parts = [n] if n else []
+    while True:
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        k = parts.pop() - 1
+        count, rest = divmod(ones + k + 1, k)
+        parts += [k] * count
+        if rest:
+            parts.append(rest)
 
 
 def shapes(kind: Kind, size: int) -> Iterator[Partition]:
@@ -50,11 +63,7 @@ def shapes(kind: Kind, size: int) -> Iterator[Partition]:
 
 def free_classes(shape: Partition, kind: Kind) -> list[tuple[int, int]]:
     """(length, multiplicity) of the sign-free length classes."""
-    out = []
-    for length in sorted(set(shape.rows), reverse=True):
-        if not kind.constrained(length):
-            out.append((length, shape.multiplicity(length)))
-    return out
+    return [(length, mult) for length, mult in shape.classes() if not kind.constrained(length)]
 
 
 def class_count(shape: Partition, kind: Kind) -> int:
@@ -69,18 +78,13 @@ def diagrams_for_shape(shape: Partition, kind: Kind) -> Iterator[SignedDiagram]:
     if not validate_partition_kind(shape, kind):
         raise ValueError(f"{shape} is not a valid {kind.value} shape")
     free = free_classes(shape, kind)
-    constrained = [
-        (length, shape.multiplicity(length))
-        for length in sorted(set(shape.rows), reverse=True)
-        if kind.constrained(length)
+    constrained: list[tuple[int, Sign | None]] = [
+        (length, None) for length in shape.rows if kind.constrained(length)
     ]
-    choice_ranges = [range(mult + 1) for _, mult in free]
-    for plus_counts in product(*choice_ranges):
-        spec: list[tuple[int, Sign | None]] = []
+    for plus_counts in product(*(range(mult + 1) for _, mult in free)):
+        spec = list(constrained)
         for (length, mult), k in zip(free, plus_counts):
             spec += [(length, Sign.PLUS)] * k + [(length, Sign.MINUS)] * (mult - k)
-        for length, mult in constrained:
-            spec += [(length, None)] * mult
         yield from_row_spec(kind, spec)
 
 

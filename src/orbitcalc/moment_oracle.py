@@ -474,13 +474,10 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
     reduced = [_bareiss(p, dim) for p in powers]
     shape = _jordan_shape([len(pivots) for _, pivots, _ in reduced])
     perm, signs = form._signed_permutation()
-    sign_parity = 0 if form.kind is Kind.SYMPLECTIC else 1  # of sign-carrying lengths
 
     spec: list[tuple[int, Sign | None]] = []
-    lengths = sorted(set(shape.rows), reverse=True)
-    for k in lengths:
-        count = shape.multiplicity(k)
-        if k % 2 != sign_parity:
+    for k, count in shape.classes():
+        if form.kind.constrained(k):
             if count % 2 != 0:
                 raise ValueError(f"{count} rows of sign-free length {k} do not pair up")
             spec += [(k, None)] * count
@@ -511,22 +508,21 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
 # witness construction
 
 
-def _emit_even_block(entries, p, q, a0: int, w: int, lead: Sign) -> None:
-    """Jordan block of size 2w on block coordinates a0..a0+w-1 whose form
-    sign equals ``lead``: chain q_1 -> -q_2 -> ... -> c p_w -> ... -> p_1."""
-    for t in range(w - 1):
-        entries[(p(a0 + t), p(a0 + t + 1))] = 1
-        entries[(q(a0 + t + 1), q(a0 + t))] = -1
-    sign_value = 1 if lead is Sign.PLUS else -1
-    entries[(p(a0 + w - 1), q(a0 + w - 1))] = sign_value * (-1) ** (w - 1)
-
-
-def _emit_odd_pair(entries, p, q, a0: int, length: int) -> None:
-    """Dual isotropic Jordan chains of odd size on coordinates a0..a0+length-1:
-    one down the positions, one down the momenta."""
+def _emit_chains(entries, p, q, a0: int, length: int) -> None:
+    """Dual isotropic Jordan chains of size ``length`` on coordinates
+    a0..a0+length-1: one down the positions, one down the momenta."""
     for t in range(length - 1):
         entries[(p(a0 + t), p(a0 + t + 1))] = 1
         entries[(q(a0 + t + 1), q(a0 + t))] = -1
+
+
+def _emit_even_block(entries, p, q, a0: int, w: int, lead: Sign) -> None:
+    """Jordan block of size 2w on block coordinates a0..a0+w-1 whose form
+    sign equals ``lead``: chain q_1 -> -q_2 -> ... -> c p_w -> ... -> p_1,
+    the two chains of size w joined by the middle entry c."""
+    _emit_chains(entries, p, q, a0, w)
+    sign_value = 1 if lead is Sign.PLUS else -1
+    entries[(p(a0 + w - 1), q(a0 + w - 1))] = sign_value * (-1) ** (w - 1)
 
 
 def _emit_blocks(entries, d: SignedDiagram, p, q) -> list[tuple[int, int]]:
@@ -545,7 +541,7 @@ def _emit_blocks(entries, d: SignedDiagram, p, q) -> list[tuple[int, int]]:
             a0 += length // 2
             idx += 1
         else:
-            _emit_odd_pair(entries, p, q, a0, length)
+            _emit_chains(entries, p, q, a0, length)
             a0 += length
             idx += 2
     return blocks

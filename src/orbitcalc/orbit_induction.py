@@ -68,19 +68,18 @@ def induce_real(s: SignedDiagram, n: int) -> InducedOrbitSet:
     if k < r:
         raise ValueError(f"row count {r} exceeds new column length {k}")
 
-    extended_free = [
-        (length + 2, lead.flipped) for length, lead in s.rows if length % 2 == 0
+    # a row keeps its parity as it grows by 2, so it stays free or constrained
+    extended: list[tuple[int, Sign | None]] = [
+        (length + 2, None if s.kind.constrained(length) else lead.flipped)
+        for length, lead in s.rows
     ]
-    extended_constrained = [length + 2 for length, lead in s.rows if length % 2 == 1]
-
-    diagrams = []
-    for j in range(k - r + 1):
-        spec: list[tuple[int, Sign | None]] = [(l, sgn) for l, sgn in extended_free]
-        spec += [(l, None) for l in extended_constrained]
-        spec += [(2, Sign.MINUS)] * j
-        spec += [(2, Sign.PLUS)] * (k - r - j)
-        diagrams.append(from_row_spec(Kind.SYMPLECTIC, spec))
-    result = InducedOrbitSet(tuple(diagrams), k, r, k - r + 1)
+    diagrams = tuple(
+        from_row_spec(
+            Kind.SYMPLECTIC, extended + [(2, Sign.MINUS)] * j + [(2, Sign.PLUS)] * (k - r - j)
+        )
+        for j in range(k - r + 1)
+    )
+    result = InducedOrbitSet(diagrams, k, r, k - r + 1)
     expected_shape = add_two_columns(s.shape(), k)
     if any(d.shape() != expected_shape for d in result.diagrams):
         raise ValueError(f"induction from {s.rows} left the shape {expected_shape}")

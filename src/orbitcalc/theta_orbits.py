@@ -9,10 +9,7 @@ unique; ambiguity is an error, never a guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram_core import (
-    GroupLabel,
     Kind,
     Partition,
     Sign,
@@ -20,9 +17,9 @@ from .diagram_core import (
     SignedRow,
     Signature,
     canonicalize,
+    convention_signs,
     delete_column_signed,
     equivalent,
-    group_of,
     signature,
 )
 
@@ -55,7 +52,7 @@ def theta_lift_real(d: SignedDiagram, target: Signature) -> SignedDiagram:
     ones = new_col - len(d.rows)
     if kind is Kind.SYMPLECTIC:
         # 1-rows are convention-bound pairs; their signs are fixed.
-        signs = _alternating(ones)
+        signs = convention_signs(kind, ones)
     else:
         a = target.plus - signature(SignedDiagram(kind, tuple(forced))).plus
         signs = [Sign.PLUS] * a + [Sign.MINUS] * (ones - a)  # a rows (1, +)
@@ -72,10 +69,6 @@ def theta_lift_real(d: SignedDiagram, target: Signature) -> SignedDiagram:
     ):
         raise ValueError(f"no valid lift of signature {tuple(target)}")
     return canonicalize(lift)
-
-
-def _alternating(count: int) -> list[Sign]:
-    return [Sign.MINUS if i % 2 == 0 else Sign.PLUS for i in range(count)]
 
 
 def deletion_inertia(d: SignedDiagram) -> Signature:
@@ -125,27 +118,12 @@ def in_moment_image(d: SignedDiagram, p: int, q: int) -> bool:
     return r <= p and s <= q
 
 
-@dataclass(frozen=True)
-class ThetaChain:
-    """Alternating chain from the full diagram down to its last column."""
-
-    entries: tuple[tuple[SignedDiagram, GroupLabel], ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def groups(self) -> list[GroupLabel]:
-        return [g for _, g in self.entries]
-
-    def signatures(self) -> list[Signature]:
-        return [signature(d) for d, _ in self.entries]
-
-
-def chain(d: SignedDiagram) -> ThetaChain:
-    """The sequence d, d-1, ..., d-(width-1) with group labels."""
-    entries = []
-    current = canonicalize(d)
-    for _ in range(d.width):
-        entries.append((current, group_of(current)))
-        current = delete_column_signed(current)
-    return ThetaChain(tuple(entries))
+def chain(d: SignedDiagram) -> tuple[SignedDiagram, ...]:
+    """The canonical diagrams d, d-1, ..., d-(width-1), each the column
+    deletion of the one before; () for the empty diagram."""
+    if not d.rows:
+        return ()
+    steps = [canonicalize(d)]
+    while steps[-1].width > 1:
+        steps.append(delete_column_signed(steps[-1]))
+    return tuple(steps)

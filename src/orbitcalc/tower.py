@@ -43,10 +43,7 @@ def special(d: Partition, kind: Kind) -> bool:
     """Type C/D speciality: odd column heights occur with even multiplicity."""
     if not validate_partition_kind(d, kind):
         raise ValueError(f"{d} is not a valid {kind.value} shape")
-    t = d.transpose()
-    return all(
-        t.multiplicity(h) % 2 == 0 for h in set(t.rows) if h % 2 == 1
-    )
+    return all(m % 2 == 0 for h, m in d.transpose().classes() if h % 2 == 1)
 
 
 @dataclass(frozen=True)
@@ -209,11 +206,10 @@ def tower(d: SignedDiagram) -> Tower:
     report = class_u(d)
     if not report.member:
         raise NotAdmissible(report)
-    entries = chain(d).entries[::-1]
-    steps = tuple(entry for entry, _ in entries)
+    steps = chain(d)[::-1]
     return Tower(
         steps=steps,
-        groups=tuple(g for _, g in entries),
+        groups=tuple(group_of(s) for s in steps),
         sig=(Signature(0, 0),) + tuple(signature(s) for s in steps),
         size=(0,) + tuple(s.size for s in steps),
         report=report,

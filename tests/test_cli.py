@@ -9,6 +9,7 @@ from orbitcalc import diagram_core as dc
 from orbitcalc.cli import main
 from orbitcalc.diagram_core import Kind, Sign, SignedDiagram, SignedRow
 from orbitcalc.tower import class_u
+from orbitcalc.verify import SUITES
 
 
 @pytest.fixture
@@ -306,6 +307,15 @@ class TestMalformedInput:
         assert out == ""
         assert "must be nonnegative" in err
 
+    @pytest.mark.parametrize("count", [["--count"], []], ids=["count", "listing"])
+    def test_size_and_signature_disagree(self, capsys, count):
+        code, out, err = run(
+            capsys, "enumerate", "--kind", "sp", "--size", "4", "--signature", "3,3", *count
+        )
+        assert code == 2
+        assert out == ""
+        assert "size and signature disagree" in err
+
 
 # arbitrary bounded JSON, plus well-formed diagrams and partitions of small
 # random shape so that some inputs get past parsing
@@ -334,24 +344,96 @@ _fuzzed_commands = [
     ["infchar", "--kind", "sp"],
     ["infchar", "--kind", "o"],
 ]
+_entries = st.integers(-2, 2) | st.sampled_from(["1/2", "-3/4", "0", "1/0", "x"])
+_matrices = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+_forms = st.sampled_from(["sp:2", "sp:4", "o:2,1", "o:1,1", "sp:3", "o:1", "o:-1,2"]) | st.text(
+    max_size=4
+)
+
+# option values: small integers, so that the runs stay short, and text
+# without digits, which int() could read as a large number ("9_9", "९९")
+_text = st.text(st.characters(blacklist_categories=("Nd",)), max_size=3)
+_ints = st.integers(-3, 6).map(str) | _text
+_signatures = st.tuples(st.integers(-1, 5), st.integers(-1, 5)).map("{0[0]},{0[1]}".format) | _text
+
+
+def _option(name, values):
+    return values.map(lambda v: [f"{name}={v}"])
+
+
+def _maybe(name, values):
+    return st.just([]) | _option(name, values)
+
+
+def _switch(name):
+    return st.sampled_from([[], [name]])
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda lists: sum(lists, []))
+
+
+_option_commands = (
+    _argv(
+        st.just(["enumerate"]),
+        _option("--kind", st.sampled_from(["sp", "o", "symplectic", "x"])),
+        _maybe("--size", _ints),
+        _maybe("--signature", _signatures),
+        _switch("--count"),
+        _switch("--json"),
+    )
+    | _argv(
+        st.just(["verify"]),
+        _option("--suite", st.sampled_from(sorted(SUITES) + ["nope"])),
+        _option("--max", _ints),
+        _switch("--json"),
+    )
+    | _argv(
+        st.just(["wf-ialpha"]),
+        _option("--n", _ints),
+        _option("--alpha", st.integers(-5, 5).map(str) | _text),
+        _switch("--json"),
+    )
+)
 
 
 class TestFuzzBoundary:
-    """Any JSON file sent to a subcommand exits 0, 1 or 2, never with a
-    traceback, and a usage error prints nothing on stdout."""
+    """Any JSON file sent to a subcommand, and any option values, exit 0, 1
+    or 2, never with a traceback, and a usage error prints nothing on
+    stdout."""
+
+    def check(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert "error" in err.getvalue()
 
     @settings(max_examples=100, deadline=None)
     @given(content=_json | _diagrams | _partitions, argv=st.sampled_from(_fuzzed_commands))
     def test_any_json(self, tmp_path_factory, content, argv):
         path = tmp_path_factory.mktemp("fuzz") / "input.json"
         path.write_text(json.dumps(content))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, str(path)])
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert out.getvalue() == ""
-            assert "error" in err.getvalue()
+        self.check([*argv, str(path)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(content=_json | _matrices, form=_option("--form", _forms), as_json=_switch("--json"))
+    def test_oracle_matrix_file(self, tmp_path_factory, content, form, as_json):
+        path = tmp_path_factory.mktemp("fuzz") / "matrix.json"
+        path.write_text(json.dumps(content))
+        self.check(["oracle", "classify", str(path), *form, *as_json])
+
+    @settings(max_examples=100, deadline=None)
+    @given(argv=_option_commands)
+    def test_options(self, argv):
+        self.check(argv)
 
 
 class TestConsoleScript:

@@ -32,6 +32,23 @@ class TestPartitions:
             for rows in seen:
                 assert all(rows[i] >= rows[i + 1] for i in range(len(rows) - 1))
 
+    def test_descending_lex_order(self):
+        # brute force: the set of partitions of n is every part k prepended to
+        # every partition of n - k, sorted into a row; tuples compare
+        # lexicographically, so a reverse sort gives the expected order
+        table = [{()}]
+        for n in range(1, 21):
+            table.append(
+                {
+                    tuple(sorted((k,) + rest, reverse=True))
+                    for k in range(1, n + 1)
+                    for rest in table[n - k]
+                }
+            )
+        for n, members in enumerate(table):
+            assert list(partitions(n)) == sorted(members, reverse=True)
+        assert list(partitions(-1)) == []
+
 
 class TestSignedEnumeration:
     def test_symplectic_size_two(self):

@@ -9,6 +9,7 @@ from orbitcalc.diagram_core import (
     Signature,
     delete_column_signed,
     equivalent,
+    group_of,
     signature,
 )
 from orbitcalc.enumeration import signed_diagrams
@@ -37,7 +38,7 @@ class TestLiftComplex:
         )
 
     def test_intro_chain_reconstruction(self, intro_diagram):
-        shapes = [entry.shape() for entry, _ in chain(intro_diagram).entries]
+        shapes = [entry.shape() for entry in chain(intro_diagram)]
         shapes.reverse()  # smallest first
         sizes = [s.size for s in shapes]
         assert sizes == [1, 4, 9, 14, 21, 30]
@@ -225,7 +226,7 @@ class TestMomentImage:
 class TestChain:
     def test_intro(self, intro_diagram):
         th = chain(intro_diagram)
-        assert [str(g) for g in th.groups()] == [
+        assert [str(group_of(d)) for d in th] == [
             "Mp(30)",
             "O(10,11)",
             "Mp(14)",
@@ -233,7 +234,7 @@ class TestChain:
             "Mp(4)",
             "O(1,0)",
         ]
-        assert [tuple(s) for s in th.signatures()] == [
+        assert [tuple(signature(d)) for d in th] == [
             (15, 15),
             (10, 11),
             (7, 7),
@@ -245,7 +246,7 @@ class TestChain:
     def test_single_box(self):
         th = chain(SignedDiagram(Kind.ORTHOGONAL, (SignedRow(1, M),)))
         assert len(th) == 1
-        assert str(th.groups()[0]) == "O(0,1)"
+        assert str(group_of(th[0])) == "O(0,1)"
 
     def test_length_is_width(self):
         for size in range(0, 9):
@@ -256,6 +257,6 @@ class TestChain:
     def test_alternates_and_deletes(self):
         for d in signed_diagrams(Kind.ORTHOGONAL, size=7):
             th = chain(d)
-            for (a, _), (b, _) in zip(th.entries, th.entries[1:]):
+            for a, b in zip(th, th[1:]):
                 assert b.kind is a.kind.opposite
                 assert equivalent(delete_column_signed(a), b)
