@@ -39,21 +39,16 @@ def main() -> None:
     print(dc.render_ascii(intro))
     print()
     cert = certificate(intro)
-    print("tower:", " -> ".join(str(g) for g in cert.groups()))
-    print(
-        "signatures:",
-        " ".join(f"({s.plus},{s.minus})" for s in cert.signatures()),
-    )
-    for step in cert.steps:
-        checks = []
-        for label, rec in (
-            ("pm", step.lemma_pm),
-            ("range", step.range_checks),
-            ("non3", step.non3),
-        ):
-            if rec is not None:
-                checks.append(f"{label}={'ok' if rec['ok'] else 'FAIL'}")
-        print(f"  step {step.k}: {str(step.group):<9} {' '.join(checks)}")
+    t = cert.tower
+    print("tower:", " -> ".join(str(g) for g in t.groups))
+    print("signatures:", " ".join(f"({s.plus},{s.minus})" for s in t.sig[1:]))
+    for k, records in enumerate(cert.records, start=1):
+        checks = [
+            f"{label}={'ok' if rec['ok'] else 'FAIL'}"
+            for label, rec in zip(("pm", "range", "non3"), records)
+            if rec is not None
+        ]
+        print(f"  step {k}: {str(t.groups[k - 1]):<9} {' '.join(checks)}")
     print("certificate:", "VALID" if cert.valid else "INVALID")
     print()
     shape = intro.shape()

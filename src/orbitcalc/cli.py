@@ -12,9 +12,9 @@ import itertools
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import diagram_core as dc
-from . import moment_oracle as mo
 from .diagram_core import Kind, Partition, Signature
 from .enumeration import class_count, shapes, signed_diagrams
 from .infchar import infchar_domino, infchar_segments
@@ -22,7 +22,9 @@ from .orbit_induction import induce_real, induce_real_tau, plus_rows, wf_ialpha
 from .theta_orbits import chain
 from .tower import NotAdmissible, certificate, class_u
 from .vector_order import bar_sort, vector_to_json
-from .verify import SUITES, run_suite
+
+if TYPE_CHECKING:  # imported where used, so that other commands skip it
+    from .moment_oracle import FormSpec
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -70,7 +72,7 @@ def _load_partition(path: str) -> Partition:
         raise CliError(f"{path}: not a partition: {exc}") from None
 
 
-def _emit(data: dict, as_json: bool, pretty: str | None = None) -> None:
+def _emit(data: dict | list, as_json: bool, pretty: str | None = None) -> None:
     if as_json:
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
@@ -128,31 +130,23 @@ def cmd_tower(args) -> int:
             "not admissible: " + "; ".join(exc.report.reasons),
         )
         return CHECK_FAILED
-    if args.json:
-        print(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True))
-    else:
-        lines = [f"tower of {dc.group_of(d)}:"]
-        lines.append(
-            "  " + " -> ".join(str(g) for g in cert.groups())
-        )
-        lines.append(
-            "  signatures: "
-            + " ".join(f"({s.plus},{s.minus})" for s in cert.signatures())
-        )
-        for step in cert.steps:
-            flags = []
-            for label, rec in (
-                ("pm", step.lemma_pm),
-                ("range", step.range_checks),
-                ("non3", step.non3),
-            ):
-                if rec is not None:
-                    flags.append(f"{label}:{'ok' if rec['ok'] else 'FAIL'}")
-            lines.append(f"  step {step.k}: {step.group} " + " ".join(flags))
-        lines.append("  infchar: " + " ".join(vector_to_json(cert.infchar)))
-        lines.append(f"  associated variety: {cert.associated_variety}")
-        lines.append("  certificate: " + ("VALID" if cert.valid else "INVALID"))
-        print("\n".join(lines))
+    t = cert.tower
+    lines = [
+        f"tower of {dc.group_of(d)}:",
+        "  " + " -> ".join(str(g) for g in t.groups),
+        "  signatures: " + " ".join(f"({s.plus},{s.minus})" for s in t.sig[1:]),
+    ]
+    for k, records in enumerate(cert.records, start=1):
+        flags = [
+            f"{label}:{'ok' if rec['ok'] else 'FAIL'}"
+            for label, rec in zip(("pm", "range", "non3"), records)
+            if rec is not None
+        ]
+        lines.append(f"  step {k}: {t.groups[k - 1]} " + " ".join(flags))
+    lines.append("  infchar: " + " ".join(vector_to_json(cert.infchar)))
+    lines.append(f"  associated variety: {d.shape()}")
+    lines.append("  certificate: " + ("VALID" if cert.valid else "INVALID"))
+    _emit(cert.to_json_dict(), args.json, "\n".join(lines))
     return 0 if cert.valid else CHECK_FAILED
 
 
@@ -208,6 +202,8 @@ def cmd_chain(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import moment_oracle as mo
+
     if args.action != "classify":
         raise CliError("oracle supports the classify action")
     try:
@@ -228,14 +224,16 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _parse_form(token: str) -> mo.FormSpec:
+def _parse_form(token: str) -> FormSpec:
+    from .moment_oracle import FormSpec
+
     try:
         head, params = token.split(":", 1)
         if head == "sp":
-            return mo.FormSpec.symplectic(int(params))
+            return FormSpec.symplectic(int(params))
         if head == "o":
             p, q = params.split(",")
-            return mo.FormSpec.orthogonal(int(p), int(q))
+            return FormSpec.orthogonal(int(p), int(q))
     except ValueError:
         pass
     raise CliError(f"bad form {token!r}; use sp:2n or o:p,q")
@@ -271,27 +269,26 @@ def cmd_enumerate(args) -> int:
             data["formula"] = sum(class_count(s, kind) for s in shapes(kind, args.size))
         _emit(data, args.json, str(count))
         return 0
-    if args.json:
-        payload = [dc.to_json_dict(d) for d in diagrams]
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("\n\n".join(dc.render_ascii(d) for d in diagrams))
+    diagrams = list(diagrams)
+    _emit(
+        [dc.to_json_dict(d) for d in diagrams],
+        args.json,
+        "\n\n".join(dc.render_ascii(d) for d in diagrams),
+    )
     return 0
 
 
 def cmd_verify(args) -> int:
+    from .verify import SUITES, run_suite
+
     if args.suite not in SUITES:
         raise CliError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
     rep = run_suite(args.suite, _nonnegative("--max", args.max))
-    if args.json:
-        print(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True))
-    else:
-        status = "pass" if rep.passed else "FAIL"
-        print(f"{rep.name} (bound {rep.bound}): {status}, {rep.checked} cases")
-        for note in rep.notes:
-            print(f"  note: {note}")
-        for ce in rep.counterexamples:
-            print(f"  counterexample: {ce}")
+    status = "pass" if rep.passed else "FAIL"
+    lines = [f"{rep.name} (bound {rep.bound}): {status}, {rep.checked} cases"]
+    lines += [f"  note: {note}" for note in rep.notes]
+    lines += [f"  counterexample: {ce}" for ce in rep.counterexamples]
+    _emit(rep.to_json_dict(), args.json, "\n".join(lines))
     return 0 if rep.passed else CHECK_FAILED
 
 

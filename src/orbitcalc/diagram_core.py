@@ -72,9 +72,9 @@ def _shape_problem(lengths: tuple) -> str | None:
     must be a positive int (not a bool, float or str), weakly decreasing."""
     if any(type(r) is not int for r in lengths):
         return f"row lengths must be integers: {lengths!r}"
-    if any(r <= 0 for r in lengths):
+    if lengths and min(lengths) <= 0:
         return f"row lengths must be positive: {lengths}"
-    if any(a < b for a, b in zip(lengths, lengths[1:])):
+    if list(lengths) != sorted(lengths, reverse=True):
         return f"row lengths must be weakly decreasing: {lengths}"
     return None
 

@@ -84,16 +84,7 @@ class Domino:
     label: int | None = None  # doubled, as in HalfIntVector
 
 
-@dataclass(frozen=True)
-class DominoCover:
-    shape: Partition
-    dominoes: tuple[Domino, ...]
-
-    def labels(self) -> HalfIntVector:
-        return tuple(d.label for d in self.dominoes if d.label is not None)
-
-
-def domino_cover(d: Partition, kind: Kind) -> DominoCover:
+def domino_cover(d: Partition, kind: Kind) -> tuple[Domino, ...]:
     """Tile ``d`` and label the tiles.
 
     Columns are tiled bottom-up with vertical dominoes.  With a very odd
@@ -109,7 +100,7 @@ def domino_cover(d: Partition, kind: Kind) -> DominoCover:
     """
     heights = d.transpose().rows
     if not heights:
-        return DominoCover(d, ())
+        return ()
     very_even = all(h % 2 == 0 for h in heights)
     very_odd = all(h % 2 == 1 for h in heights)
     if not (very_even or very_odd):
@@ -139,12 +130,12 @@ def domino_cover(d: Partition, kind: Kind) -> DominoCover:
     covered = sum(1 if t.orientation == "open" else 2 for t in dominoes)
     if covered != d.size:
         raise ValueError(f"domino cover of {covered} boxes does not tile {d.rows}")
-    return DominoCover(d, tuple(dominoes))
+    return tuple(dominoes)
 
 
 def infchar_domino(d: Partition, kind: Kind) -> HalfIntVector:
     """Multiset of domino labels, reported weakly decreasing."""
-    return bar_sort(domino_cover(d, kind).labels())
+    return bar_sort(tuple(t.label for t in domino_cover(d, kind) if t.label is not None))
 
 
 # ---------------------------------------------------------------------------

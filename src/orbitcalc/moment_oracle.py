@@ -190,9 +190,6 @@ class RationalMatrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        return self.entries[key[0]][key[1]]
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 

@@ -50,12 +50,10 @@ class InducedOrbitSet:
 
     diagrams: tuple[SignedDiagram, ...]
     new_columns: int  # n - m
-    source_rows: int  # r
-    count: int
 
-    def __post_init__(self) -> None:
-        if self.count != len(self.diagrams):
-            raise ValueError(f"count {self.count} != {len(self.diagrams)} diagrams")
+    @property
+    def count(self) -> int:
+        return len(self.diagrams)
 
 
 def induce_real(s: SignedDiagram, n: int) -> InducedOrbitSet:
@@ -79,11 +77,10 @@ def induce_real(s: SignedDiagram, n: int) -> InducedOrbitSet:
         )
         for j in range(k - r + 1)
     )
-    result = InducedOrbitSet(diagrams, k, r, k - r + 1)
     expected_shape = add_two_columns(s.shape(), k)
-    if any(d.shape() != expected_shape for d in result.diagrams):
+    if any(d.shape() != expected_shape for d in diagrams):
         raise ValueError(f"induction from {s.rows} left the shape {expected_shape}")
-    return result
+    return InducedOrbitSet(diagrams, k)
 
 
 def induce_real_tau(s: SignedDiagram, n: int) -> InducedOrbitSet:

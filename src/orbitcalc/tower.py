@@ -7,8 +7,8 @@ carry the same two-box pattern.  For admissible diagrams the whole
 alternating tower of column deletions satisfies a battery of signature
 inequalities (the five-clause column lemma), the range conditions each
 lift step needs, and a uniqueness property of the orbit that certifies
-the nonvanishing step; a certificate aggregates all of them together with
-the infinitesimal character and the associated variety.
+the nonvanishing step; a certificate is the tower with all of these
+records attached to its steps, together with the infinitesimal character.
 """
 
 from __future__ import annotations
@@ -48,11 +48,14 @@ def special(d: Partition, kind: Kind) -> bool:
 
 @dataclass(frozen=True)
 class ClassUReport:
-    member: bool
     very_even_or_odd: bool
     interlacing_ok: bool
     excluded_pattern: bool
     reasons: tuple[str, ...] = ()
+
+    @property
+    def member(self) -> bool:
+        return self.very_even_or_odd and self.interlacing_ok and not self.excluded_pattern
 
     def to_json_dict(self) -> dict:
         return {
@@ -64,14 +67,14 @@ class ClassUReport:
         }
 
 
-def _interlacing_ok(heights: tuple[int, ...], kind: Kind) -> tuple[bool, list[str]]:
-    """Chained inequalities on the column heights m_1 >= m_2 >= ...: strict
-    descent at every even position for symplectic diagrams, at every odd
-    position (including the first) for orthogonal ones.  Together with one
-    height parity this is exactly what makes every deletion step of a tower
-    gain at least two boxes over the previous gain when it needs to.
-    Comparisons whose left index runs past the diagram are vacuous; heights
-    past the end count as zero."""
+def _interlacing_failures(heights: tuple[int, ...], kind: Kind) -> list[str]:
+    """The failed comparisons among the chained inequalities on the column
+    heights m_1 >= m_2 >= ...: strict descent at every even position for
+    symplectic diagrams, at every odd position (including the first) for
+    orthogonal ones.  Together with one height parity this is exactly what
+    makes every deletion step of a tower gain at least two boxes over the
+    previous gain when it needs to.  Comparisons whose left index runs past
+    the diagram are vacuous; heights past the end count as zero."""
 
     def m(i: int) -> int:
         return heights[i - 1] if i <= len(heights) else 0
@@ -85,18 +88,7 @@ def _interlacing_ok(heights: tuple[int, ...], kind: Kind) -> tuple[bool, list[st
                 reasons.append(f"need m{pos} > m{pos + 1}: {m(pos)} vs {m(pos + 1)}")
         elif not m(pos) >= m(pos + 1):
             reasons.append(f"need m{pos} >= m{pos + 1}: {m(pos)} vs {m(pos + 1)}")
-    return (not reasons, reasons)
-
-
-def _shape_clauses(columns: Partition, kind: Kind) -> tuple[bool, bool, list[str]]:
-    """The clauses of class U that see only the column heights ``columns``
-    (the transpose of the shape): (one parity for all heights, interlacing,
-    reasons for the failed ones)."""
-    parity_ok = columns.very_even or columns.very_odd
-    interlace_ok, reasons = _interlacing_ok(columns.rows, kind)
-    if not parity_ok:
-        reasons = reasons + ["column heights must be all even or all odd"]
-    return parity_ok, interlace_ok, reasons
+    return reasons
 
 
 def _excluded_pattern(d: SignedDiagram, heights: tuple[int, ...]) -> bool:
@@ -120,12 +112,15 @@ def _excluded_pattern(d: SignedDiagram, heights: tuple[int, ...]) -> bool:
 
 def class_u(d: SignedDiagram) -> ClassUReport:
     columns = d.shape().transpose()
-    parity_ok, interlace_ok, reasons = _shape_clauses(columns, d.kind)
+    parity_ok = columns.very_even or columns.very_odd
+    reasons = _interlacing_failures(columns.rows, d.kind)
+    interlace_ok = not reasons
+    if not parity_ok:
+        reasons.append("column heights must be all even or all odd")
     excluded = _excluded_pattern(d, columns.rows)
     if excluded:
-        reasons = reasons + ["uniform sign pattern on the equal last two columns"]
+        reasons.append("uniform sign pattern on the equal last two columns")
     return ClassUReport(
-        member=parity_ok and interlace_ok and not excluded,
         very_even_or_odd=parity_ok,
         interlacing_ok=interlace_ok,
         excluded_pattern=excluded,
@@ -140,13 +135,14 @@ def class_u(d: SignedDiagram) -> ClassUReport:
 
 def admissible_shapes(max_size: int) -> Iterator[tuple[Kind, Partition]]:
     """(kind, shape) for every nonempty valid shape of size <= max_size that
-    passes the shape clauses of class U; by size, symplectic before
+    passes the clauses of class U that see only the column heights; by size, symplectic before
     orthogonal, then partition order."""
     for size in range(1, max_size + 1):
         for kind in (Kind.SYMPLECTIC, Kind.ORTHOGONAL):
             for shape in shapes(kind, size):
-                parity_ok, interlace_ok, _ = _shape_clauses(shape.transpose(), kind)
-                if parity_ok and interlace_ok:
+                columns = shape.transpose()
+                parity_ok = columns.very_even or columns.very_odd
+                if parity_ok and not _interlacing_failures(columns.rows, kind):
                     yield kind, shape
 
 
@@ -385,90 +381,62 @@ def check_non3(t: Tower, k: int) -> dict:
 # certificates
 
 
-@dataclass(frozen=True)
-class TowerStep:
-    k: int
-    diagram: SignedDiagram
-    group: GroupLabel
-    sig: Signature
-    lemma_pm: dict | None
-    range_checks: dict | None
-    non3: dict | None
-
-    @property
-    def ok(self) -> bool:
-        parts = [self.lemma_pm, self.range_checks, self.non3]
-        return all(p is None or p["ok"] for p in parts)
+ANNOTATIONS = (
+    "character twists, the even-row sign flip, and duals act on the "
+    "wave-front bookkeeping only; no further structure is certified",
+)
 
 
 @dataclass(frozen=True)
 class TowerCertificate:
+    """The tower of ``diagram`` with its checks: ``records[k - 1]`` is the
+    (lemma_pm, range, non3) record triple of step k, None where a check does
+    not apply."""
+
     diagram: SignedDiagram
-    steps: tuple[TowerStep, ...]
+    tower: Tower
+    records: tuple[tuple[dict | None, dict | None, dict | None], ...]
     infchar: HalfIntVector
-    associated_variety: Partition
-    class_report: ClassUReport
     valid: bool
-    annotations: tuple[str, ...] = (
-        "character twists, the even-row sign flip, and duals act on the "
-        "wave-front bookkeeping only; no further structure is certified",
-    )
-
-    def groups(self) -> list[GroupLabel]:
-        return [s.group for s in self.steps]
-
-    def signatures(self) -> list[Signature]:
-        return [s.sig for s in self.steps]
 
     def to_json_dict(self) -> dict:
+        t = self.tower
         return {
             "valid": self.valid,
             "diagram": to_json_dict(self.diagram),
             "group": str(group_of(self.diagram)),
-            "class_u": self.class_report.to_json_dict(),
-            "groups": [str(g) for g in self.groups()],
-            "signatures": [list(s) for s in self.signatures()],
+            "class_u": t.report.to_json_dict(),
+            "groups": [str(g) for g in t.groups],
+            "signatures": [list(s) for s in t.sig[1:]],
             "steps": [
                 {
-                    "k": s.k,
-                    "group": str(s.group),
-                    "signature": list(s.sig),
-                    "lemma_pm": s.lemma_pm,
-                    "range": s.range_checks,
-                    "non3": s.non3,
+                    "k": k,
+                    "group": str(t.groups[k - 1]),
+                    "signature": list(t.sig[k]),
+                    "lemma_pm": pm,
+                    "range": rng,
+                    "non3": non3,
                 }
-                for s in self.steps
+                for k, (pm, rng, non3) in enumerate(self.records, start=1)
             ],
             "infchar": vector_to_json(self.infchar),
-            "associated_variety": self.associated_variety.to_json(),
-            "annotations": list(self.annotations),
+            "associated_variety": self.diagram.shape().to_json(),
+            "annotations": list(ANNOTATIONS),
         }
 
 
 def certificate(d: SignedDiagram) -> TowerCertificate:
-    """Aggregate the tower, every feasibility check, the infinitesimal
-    character, and the associated variety; raises for non-admissible input."""
+    """The tower with every feasibility check and the infinitesimal
+    character; raises for non-admissible input."""
     t = tower(d)
     pm = {rec["k"]: rec for rec in check_lemma_pm(t)}
     rng = {rec["k"]: rec for rec in check_range(t)}
     non3 = {k: check_non3(t, k) for k in t.metaplectic}
-    steps = tuple(
-        TowerStep(
-            k=k,
-            diagram=t.steps[k - 1],
-            group=t.groups[k - 1],
-            sig=t.sig[k],
-            lemma_pm=pm.get(k),
-            range_checks=rng.get(k),
-            non3=non3.get(k),
-        )
-        for k in range(1, t.d1 + 1)
-    )
+    records = tuple((pm.get(k), rng.get(k), non3.get(k)) for k in range(1, t.d1 + 1))
     return TowerCertificate(
         diagram=d,
-        steps=steps,
+        tower=t,
+        records=records,
         infchar=infchar_segments(d.shape(), d.kind),
-        associated_variety=d.shape(),
-        class_report=t.report,
-        valid=all(s.ok for s in steps),
+        valid=all(rec is None or rec["ok"] for step in records for rec in step),
     )

@@ -1,15 +1,43 @@
 import contextlib
+import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import orbitcalc
 from orbitcalc import diagram_core as dc
 from orbitcalc.cli import main
 from orbitcalc.diagram_core import Kind, Sign, SignedDiagram, SignedRow
 from orbitcalc.tower import class_u
 from orbitcalc.verify import SUITES
+
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE_PARENT = str(Path(orbitcalc.__file__).resolve().parents[1])
+
+
+def _load_cli_mix():
+    spec = importlib.util.spec_from_file_location("cli_mix", ROOT / "perfbench" / "cli_mix.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+cli_mix = _load_cli_mix()
+
+
+def run_python(argv, cwd=None):
+    env = dict(os.environ, PYTHONPATH=PACKAGE_PARENT)
+    return subprocess.run(
+        [sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True
+    )
 
 
 @pytest.fixture
@@ -434,6 +462,48 @@ class TestFuzzBoundary:
     @given(argv=_option_commands)
     def test_options(self, argv):
         self.check(argv)
+
+
+class TestRecordedOutputs:
+    """Every command of the benchmark's CLI mix, run in-process in the mix's
+    working directory, prints the recorded stdout and exits with the
+    recorded code; malformed input exits 2 with empty stdout."""
+
+    EXPECTED = cli_mix.load_expected()
+
+    @pytest.mark.parametrize("name", sorted(cli_mix.COMMANDS))
+    def test_matches_recording(self, capsys, monkeypatch, name):
+        monkeypatch.chdir(cli_mix.CLI_DIR)
+        code, out, _ = run(capsys, *cli_mix.COMMANDS[name])
+        assert {"exit": code, "stdout": out} == self.EXPECTED[name]
+
+
+class TestLazyImports:
+    def test_tower_and_render_skip_oracle_and_verify(self, intro_path):
+        script = textwrap.dedent(
+            f"""
+            import sys
+            from orbitcalc.cli import main
+            codes = [main(["render", {intro_path!r}]), main(["tower", {intro_path!r}])]
+            heavy = ("orbitcalc.moment_oracle", "orbitcalc.verify")
+            print(codes, [m for m in heavy if m in sys.modules])
+            """
+        )
+        proc = run_python(["-c", script])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+
+
+class TestIntroScript:
+    def test_runs_and_writes_a_valid_diagram(self, capsys, tmp_path):
+        proc = run_python([str(ROOT / "scripts" / "intro_tower.py")], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert "certificate: VALID" in lines
+        assert "agree: True" in lines
+        code, out, _ = run(capsys, "tower", str(tmp_path / "intro.json"))
+        assert code == 0
+        assert out.startswith("tower of Mp(30):")
 
 
 class TestConsoleScript:

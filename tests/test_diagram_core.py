@@ -174,6 +174,33 @@ class TestConstructor:
         with pytest.raises(ValueError, match="integers"):
             Partition(rows)
 
+    @pytest.mark.parametrize(
+        "rows, problem",
+        [
+            (("x",), "row lengths must be integers: ('x',)"),
+            ((0, "x"), "row lengths must be integers: (0, 'x')"),
+            ((3, 1.0), "row lengths must be integers: (3, 1.0)"),
+            ((2, 0), "row lengths must be positive: (2, 0)"),
+            ((2, -1), "row lengths must be positive: (2, -1)"),
+            ((0, 2), "row lengths must be positive: (0, 2)"),
+            ((1, 2), "row lengths must be weakly decreasing: (1, 2)"),
+            ((3, 1, 1, 2), "row lengths must be weakly decreasing: (3, 1, 1, 2)"),
+        ],
+        ids=repr,
+    )
+    def test_shape_messages(self, rows, problem):
+        # one message per input, checked in the order type, positivity, order
+        with pytest.raises(ValueError) as exc:
+            Partition(rows)
+        assert str(exc.value) == problem
+        with pytest.raises(ValueError) as exc:
+            SignedDiagram(Kind.ORTHOGONAL, tuple((length, P) for length in rows))
+        assert str(exc.value) == "invalid signed diagram: " + problem
+
+    @pytest.mark.parametrize("rows", [(), (1,), (3, 3, 1), (5, 4, 4, 4, 1)], ids=repr)
+    def test_shapes_accepted(self, rows):
+        assert Partition(rows).rows == rows
+
 
 class TestSignature:
     def test_intro_signature(self, intro_diagram):

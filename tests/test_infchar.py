@@ -86,8 +86,7 @@ class TestDomino:
     def test_open_domino_case(self):
         d = Partition((3, 1, 1))
         assert vector_to_json(infchar_domino(d, Kind.ORTHOGONAL)) == ["1/2", "1/2"]
-        cover = domino_cover(d, Kind.ORTHOGONAL)
-        opens = [t for t in cover.dominoes if t.orientation == "open"]
+        opens = [t for t in domino_cover(d, Kind.ORTHOGONAL) if t.orientation == "open"]
         assert len(opens) == 1 and opens[0].label is None and opens[0].column == 1
 
     def test_mixed_parity_rejected(self):

@@ -283,7 +283,7 @@ class TestCertificate:
     def test_intro(self, intro_diagram):
         cert = certificate(intro_diagram)
         assert cert.valid
-        assert [str(g) for g in cert.groups()] == [
+        assert [str(g) for g in cert.tower.groups] == [
             "O(1,0)",
             "Mp(4)",
             "O(5,4)",
@@ -298,7 +298,7 @@ class TestCertificate:
             "3/2", "1/2",
             "3/2", "1/2",
         ]
-        assert cert.associated_variety == Partition((6, 5, 5, 4, 4, 2, 2, 1, 1))
+        assert cert.to_json_dict()["associated_variety"] == [6, 5, 5, 4, 4, 2, 2, 1, 1]
 
     def test_column_diagram(self):
         d = from_row_spec(Kind.SYMPLECTIC, [(1, None)] * 6)
