@@ -55,51 +55,49 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from None
 
 
-def _load_diagram(path: str) -> dc.SignedDiagram:
+def _load(path: str, build, what: str = ""):
+    """``build`` applied to the JSON value in the file at ``path``.  Malformed
+    input is a usage error, nesting too deep to decode or to build included."""
+    text = _read(path)
     try:
-        return dc.loads(_read(path))
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from None
+        return build(json.loads(text))
+    except (ValueError, RecursionError) as exc:
+        raise CliError(f"{path}: {what}{exc}") from None
 
 
-def _load_partition(path: str) -> Partition:
-    try:
-        data = json.loads(_read(path))
-        if not isinstance(data, list):
-            raise ValueError("expected a list of integer row lengths")
-        return Partition(tuple(data))
-    except ValueError as exc:
-        raise CliError(f"{path}: not a partition: {exc}") from None
+def _partition(data) -> Partition:
+    if not isinstance(data, list):
+        raise ValueError("expected a list of integer row lengths")
+    return Partition(tuple(data))
 
 
-def _emit(data: dict | list, as_json: bool, pretty: str | None = None) -> None:
-    if as_json:
-        print(json.dumps(data, indent=2, sort_keys=True))
-    else:
-        print(pretty if pretty is not None else json.dumps(data, indent=2, sort_keys=True))
+def _checked_rows(data) -> tuple[Kind, tuple[dc.SignedRow, ...]]:
+    """Schema and shape problems are usage errors; convention violations
+    are findings."""
+    kind, rows = dc.parse_json_rows(data)
+    Partition(tuple(length for length, _ in rows))
+    return kind, rows
+
+
+def _emit(data: dict | list, as_json: bool, pretty: str) -> None:
+    print(json.dumps(data, indent=2, sort_keys=True) if as_json else pretty)
 
 
 # ---------------------------------------------------------------------------
 
 
 def cmd_validate(args) -> int:
-    # schema and shape problems are usage errors; convention violations are findings
-    try:
-        kind, rows = dc.parse_json_rows(json.loads(_read(args.diagram)))
-        Partition(tuple(length for length, _ in rows))
-    except ValueError as exc:
-        raise CliError(f"{args.diagram}: {exc}") from None
-    ok, violations = dc.validate_signed(kind, rows)
+    violations = dc.validate_signed(*_load(args.diagram, _checked_rows))
     _emit(
-        {"valid": ok, "violations": violations},
+        {"valid": not violations, "violations": violations},
         args.json,
-        "valid" if ok else "invalid: " + "; ".join(violations),
+        "invalid: " + "; ".join(violations) if violations else "valid",
     )
-    return 0 if ok else CHECK_FAILED
+    return CHECK_FAILED if violations else 0
 
 
 def cmd_classify(args) -> int:
-    d = _load_diagram(args.diagram)
+    d = _load(args.diagram, dc.from_json_dict)
     report = class_u(d)
     data = {
         "group": str(dc.group_of(d)),
@@ -120,7 +118,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_tower(args) -> int:
-    d = _load_diagram(args.diagram)
+    d = _load(args.diagram, dc.from_json_dict)
     try:
         cert = certificate(d)
     except NotAdmissible as exc:
@@ -151,7 +149,7 @@ def cmd_tower(args) -> int:
 
 
 def cmd_induce(args) -> int:
-    s = _load_diagram(args.diagram)
+    s = _load(args.diagram, dc.from_json_dict)
     try:
         result = (induce_real_tau if args.tau else induce_real)(s, args.n)
     except ValueError as exc:
@@ -166,7 +164,7 @@ def cmd_induce(args) -> int:
 
 
 def cmd_infchar(args) -> int:
-    d = _load_partition(args.partition)
+    d = _load(args.partition, _partition, "not a partition: ")
     kind = _kind(args.kind)
     if not dc.validate_partition_kind(d, kind):
         raise CliError(f"{args.partition}: {d} is not a {kind.value} shape")
@@ -194,7 +192,7 @@ def cmd_infchar(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    steps = chain(_load_diagram(args.diagram))
+    steps = chain(_load(args.diagram, dc.from_json_dict))
     groups = [str(dc.group_of(step)) for step in steps]
     data = [{"diagram": dc.to_json_dict(step), "group": g} for step, g in zip(steps, groups)]
     _emit({"chain": data}, args.json, " -> ".join(groups))
@@ -204,12 +202,7 @@ def cmd_chain(args) -> int:
 def cmd_oracle(args) -> int:
     from . import moment_oracle as mo
 
-    if args.action != "classify":
-        raise CliError("oracle supports the classify action")
-    try:
-        matrix = mo.RationalMatrix.from_json(json.loads(_read(args.matrix)))
-    except ValueError as exc:
-        raise CliError(f"{args.matrix}: {exc}") from None
+    matrix = _load(args.matrix, mo.RationalMatrix.from_json)
     form = _parse_form(args.form)
     try:
         d = mo.classify_signed(matrix, form)
@@ -240,7 +233,7 @@ def _parse_form(token: str) -> FormSpec:
 
 
 def cmd_render(args) -> int:
-    d = _load_diagram(args.diagram)
+    d = _load(args.diagram, dc.from_json_dict)
     print(dc.render_ascii(d))
     return 0
 

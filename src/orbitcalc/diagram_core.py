@@ -178,7 +178,7 @@ class SignedDiagram:
             problems = [f"leading signs must be Sign values: {rows!r}"]
         else:
             shape = _shape_problem(tuple(length for length, _ in rows))
-            problems = [shape] if shape else validate_signed(self.kind, rows)[1]
+            problems = [shape] if shape else validate_signed(self.kind, rows)
         if problems:
             raise ValueError("invalid signed diagram: " + "; ".join(problems))
 
@@ -214,11 +214,9 @@ def signature(d: SignedDiagram) -> Signature:
     return Signature(plus, minus)
 
 
-def validate_signed(
-    kind: Kind, rows: tuple[tuple[int, Sign], ...]
-) -> tuple[bool, list[str]]:
-    """Check the sign conventions of raw (length, leading sign) rows of a
-    valid shape; violations are reported, never raised.  A symplectic
+def validate_signed(kind: Kind, rows: tuple[tuple[int, Sign], ...]) -> list[str]:
+    """The sign-convention violations of raw (length, leading sign) rows of a
+    valid shape, reported, never raised; none means valid.  A symplectic
     signature needs no clause of its own: even rows hold as many + as -
     boxes, and the conventions pair each class of odd rows into (-, +)
     leads, which balance."""
@@ -239,7 +237,7 @@ def validate_signed(
                     f"row {i + 1} of the length-{length} class leads with "
                     f"'{got.char}', convention requires '{want.char}'"
                 )
-    return (not violations, violations)
+    return violations
 
 
 def canonicalize(d: SignedDiagram) -> SignedDiagram:
@@ -280,11 +278,11 @@ def from_row_spec(kind: Kind, spec: Iterable[tuple[int, Sign | None]]) -> Signed
 
 def delete_column_signed(d: SignedDiagram) -> SignedDiagram:
     """Delete the leftmost column.  Every surviving row keeps its boxes, so
-    its leading sign flips; the result lives in the opposite classification."""
-    rows = tuple(
-        SignedRow(length - 1, lead.flipped) for length, lead in d.rows if length > 1
-    )
-    return canonicalize(SignedDiagram(d.kind.opposite, rows))
+    its leading sign flips; the result lives in the opposite classification,
+    where a row is constrained exactly when it was before the deletion."""
+    kind = d.kind.opposite
+    shorter = ((length - 1, lead.flipped) for length, lead in d.rows if length > 1)
+    return from_row_spec(kind, ((n, None if kind.constrained(n) else s) for n, s in shorter))
 
 
 def tau(d: SignedDiagram) -> SignedDiagram:
@@ -310,12 +308,16 @@ def negate(d: SignedDiagram) -> SignedDiagram:
 class GroupLabel:
     """Real group attached to a diagram: Mp(2n) or O(p, q)."""
 
-    family: str  # "Mp" or "O"
+    kind: Kind
     p: int
     q: int = 0
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.kind, Kind):
+            raise ValueError(f"kind must be a Kind, got {self.kind!r}")
+
     def __str__(self) -> str:
-        if self.family == "Mp":
+        if self.kind is Kind.SYMPLECTIC:
             return f"Mp({self.p})"
         return f"O({self.p},{self.q})"
 
@@ -323,8 +325,8 @@ class GroupLabel:
 def group_of(d: SignedDiagram) -> GroupLabel:
     sig = signature(d)
     if d.kind is Kind.SYMPLECTIC:
-        return GroupLabel("Mp", sig.plus + sig.minus)
-    return GroupLabel("O", sig.plus, sig.minus)
+        return GroupLabel(d.kind, sig.plus + sig.minus)
+    return GroupLabel(d.kind, sig.plus, sig.minus)
 
 
 # ---------------------------------------------------------------------------

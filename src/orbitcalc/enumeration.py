@@ -120,7 +120,7 @@ def brute_count(kind: Kind, size: int, sig: Signature | None = None) -> int:
             continue
         for leads in product((Sign.PLUS, Sign.MINUS), repeat=len(rows)):
             raw = tuple(zip(rows, leads))
-            if not validate_signed(kind, raw)[0]:
+            if validate_signed(kind, raw):
                 continue
             d = SignedDiagram(kind, raw)
             if sig is not None and signature(d) != Signature(*sig):

@@ -21,7 +21,6 @@ sp(m, C) = (m/2, m/2 - 1, ..., 1), which pins the step.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .diagram_core import GroupLabel, Kind, Partition
@@ -35,18 +34,13 @@ from .vector_order import (
 )
 
 
-class SegmentKind(enum.Enum):
-    ORTHOGONAL_PLUS = "+"
-    SYMPLECTIC_MINUS = "-"
-
-
-def segment(kind: SegmentKind, m: int) -> range:
-    """The plus segment has floor(m/2) entries from m/2 - 1 down; the minus
-    segment has floor((m+1)/2) entries from m/2 down; both step by 1, so the
-    doubled entries step by 2 and stop above -1 resp. 0."""
+def segment(kind: Kind, m: int) -> range:
+    """The orthogonal segment has floor(m/2) entries from m/2 - 1 down, the
+    symplectic one floor((m+1)/2) entries from m/2 down; both step by 1, so
+    the doubled entries step by 2 and stop above -1 resp. 0."""
     if m < 0:
         raise ValueError("segment length must be nonnegative")
-    if kind is SegmentKind.SYMPLECTIC_MINUS:
+    if kind is Kind.SYMPLECTIC:
         return range(m, 0, -2)
     return range(m - 2, -1, -2)
 
@@ -54,12 +48,10 @@ def segment(kind: SegmentKind, m: int) -> range:
 def segments_of_transpose(heights: tuple[int, ...], kind: Kind) -> HalfIntVector:
     """Concatenation of the alternating segments over the column heights,
     the first segment matching kind (empty for the empty shape)."""
-    first, other = SegmentKind.SYMPLECTIC_MINUS, SegmentKind.ORTHOGONAL_PLUS
-    if kind is Kind.ORTHOGONAL:
-        first, other = other, first
+    kinds = (kind, kind.opposite)
     flat: list[int] = []
     for j, m in enumerate(heights):
-        flat.extend(segment(first if j % 2 == 0 else other, m))
+        flat.extend(segment(kinds[j % 2], m))
     return tuple(flat)
 
 
@@ -145,7 +137,7 @@ def infchar_domino(d: Partition, kind: Kind) -> HalfIntVector:
 def rho(g: GroupLabel) -> HalfIntVector:
     """Half sum of positive restricted roots: (n, ..., 1) for Mp(2n) and
     ((p+q-2)/2, (p+q-4)/2, ..., |q-p|/2) of length min(p, q) for O(p, q)."""
-    if g.family == "Mp":
+    if g.kind is Kind.SYMPLECTIC:
         if g.p % 2 != 0:
             raise ValueError("Mp parameter must be even")
         return tuple(range(g.p, 0, -2))
@@ -166,20 +158,19 @@ def check_bound(d: Partition, kind: Kind) -> BoundReport:
     the (m1+2)/2n multiple.  Orthogonal: same with the comparison vector
     ((N/2)-1, ..., (N/2)-floor(N/2)) of length floor(N/2) and denominator
     N-2, N the size.  Undefined for orthogonal size 2 (zero denominator).
-    The comparison vectors are the minus resp. plus segment of the size; a
+    The comparison vector is the segment of the kind and the size; a
     character of another length raises the length-mismatch ValueError.
     """
     if d.size == 0:
         return BoundReport(True, True)
     t = d.transpose().rows
     lhs = bar_sort(segments_of_transpose(t, kind))
+    base = segment(kind, d.size)
     if kind is Kind.SYMPLECTIC:
         if d.size % 2 != 0:
             raise ValueError("symplectic shapes have even size")
-        base = segment(SegmentKind.SYMPLECTIC_MINUS, d.size)
         denom = d.size
     else:
-        base = segment(SegmentKind.ORTHOGONAL_PLUS, d.size)
         denom = d.size - 2
         if denom == 0:
             raise ValueError("bound undefined for orthogonal size 2: denominator p+q-2 = 0")

@@ -14,12 +14,11 @@ from .diagram_core import (
     Partition,
     Sign,
     SignedDiagram,
-    SignedRow,
     Signature,
     canonicalize,
-    convention_signs,
     delete_column_signed,
     equivalent,
+    from_row_spec,
     signature,
 )
 
@@ -48,18 +47,20 @@ def theta_lift_real(d: SignedDiagram, target: Signature) -> SignedDiagram:
     if new_col < len(d.rows):
         raise ValueError("no column-prepend lift of this size")
     kind = d.kind.opposite
-    forced = [SignedRow(length + 1, lead.flipped) for length, lead in d.rows]
     ones = new_col - len(d.rows)
+    # a forced row is constrained exactly when its row of d is
+    spec = [(n + 1, None if d.kind.constrained(n) else lead.flipped) for n, lead in d.rows]
     if kind is Kind.SYMPLECTIC:
-        # 1-rows are convention-bound pairs; their signs are fixed.
-        signs = convention_signs(kind, ones)
+        spec += [(1, None)] * ones  # convention-bound pairs; from_row_spec signs them
     else:
-        a = target.plus - signature(SignedDiagram(kind, tuple(forced))).plus
-        signs = [Sign.PLUS] * a + [Sign.MINUS] * (ones - a)  # a rows (1, +)
+        # the new box of a forced row is a plus box when its row of d leads with -
+        forced_plus = signature(d).plus + sum(1 for _, lead in d.rows if lead is Sign.MINUS)
+        a = target.plus - forced_plus
+        spec += [(1, Sign.PLUS)] * a + [(1, Sign.MINUS)] * (ones - a)  # a rows (1, +)
     # an odd count of symplectic 1-rows, or a split outside [0, ones],
     # fails the validity or the signature check
     try:
-        lift = SignedDiagram(kind, tuple(forced + [SignedRow(1, s) for s in signs]))
+        lift = from_row_spec(kind, spec)
     except ValueError:  # the constructor refused the candidate
         lift = None
     if (
@@ -68,7 +69,7 @@ def theta_lift_real(d: SignedDiagram, target: Signature) -> SignedDiagram:
         or not equivalent(delete_column_signed(lift), d)
     ):
         raise ValueError(f"no valid lift of signature {tuple(target)}")
-    return canonicalize(lift)
+    return lift
 
 
 def deletion_inertia(d: SignedDiagram) -> Signature:

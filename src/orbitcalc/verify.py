@@ -21,10 +21,10 @@ from .diagram_core import (
     equivalent,
     negate,
     signature,
+    validate_signed,
 )
 from .enumeration import partitions, shapes, signed_diagrams
 from .infchar import (
-    SegmentKind,
     characters_reverse,
     check_bound,
     infchar_domino,
@@ -85,13 +85,13 @@ def suite_reasonss(bound: int) -> SuiteReport:
         if not d.rows:
             continue
         rep.checked += 1
-        try:
-            e = delete_column_signed(d)
-        except ValueError:  # the constructor refused the deleted rows
-            e = None
-        if e is None or e.kind is not d.kind.opposite:
+        # the lemma behind delete_column_signed, checked on its own: the raw
+        # flipped rows already obey the conventions of the opposite kind
+        flipped = tuple((length - 1, lead.flipped) for length, lead in d.rows if length > 1)
+        if validate_signed(d.kind.opposite, flipped):
             rep.counterexamples.append(f"{d} deletes to an invalid diagram")
             continue
+        e = delete_column_signed(d)
         ds, es = signature(d), signature(e)
         if d.kind is Kind.ORTHOGONAL:
             ok = es.plus == es.minus and es.plus <= min(ds.plus, ds.minus)
@@ -315,9 +315,9 @@ def suite_appendix(bound: int) -> SuiteReport:
     rep = SuiteReport("appendix", bound)
     for m in range(1, 100, 2):
         rep.checked += 1
-        if 4 * sum(segment(SegmentKind.SYMPLECTIC_MINUS, m)) != (m + 1) ** 2:
+        if 4 * sum(segment(Kind.SYMPLECTIC, m)) != (m + 1) ** 2:
             rep.counterexamples.append(f"minus-segment sum fails at m={m}")
-        if 4 * sum(segment(SegmentKind.ORTHOGONAL_PLUS, m)) != (m - 1) ** 2:
+        if 4 * sum(segment(Kind.ORTHOGONAL, m)) != (m - 1) ** 2:
             rep.counterexamples.append(f"plus-segment sum fails at m={m}")
     # merged pair of segments against the scaled full segment
     for m in range(0, bound + 1):
@@ -325,13 +325,8 @@ def suite_appendix(bound: int) -> SuiteReport:
             if (m - r) % 2 != 0 or m + r == 0:
                 continue
             rep.checked += 1
-            lhs = bar_sort(
-                [
-                    *segment(SegmentKind.SYMPLECTIC_MINUS, m),
-                    *segment(SegmentKind.ORTHOGONAL_PLUS, r),
-                ]
-            )
-            rhs = segment(SegmentKind.SYMPLECTIC_MINUS, m + r)
+            lhs = bar_sort([*segment(Kind.SYMPLECTIC, m), *segment(Kind.ORTHOGONAL, r)])
+            rhs = segment(Kind.SYMPLECTIC, m + r)
             if not scaled_preceq(lhs, rhs, m, m + r):
                 rep.counterexamples.append(f"segment-pair bound fails at (m={m}, r={r})")
     # staircase family against the scaled full segment
@@ -349,13 +344,11 @@ def suite_appendix(bound: int) -> SuiteReport:
                         h for t in range(j) for h in (m - 2 * t, m - 2 * t)
                     )
                     heights += tuple(h for h in (m0, r) if h > 0)
-                    if not heights:
-                        continue
                     rep.checked += 1
                     # the staircase shape is the transpose of these heights
                     columns = Partition(heights).rows
                     lhs = bar_sort(segments_of_transpose(columns, Kind.SYMPLECTIC))
-                    rhs = segment(SegmentKind.SYMPLECTIC_MINUS, two_n)
+                    rhs = segment(Kind.SYMPLECTIC, two_n)
                     if not scaled_preceq(lhs, rhs, m, two_n):
                         rep.counterexamples.append(
                             f"staircase bound fails at (m={m}, j={j}, m0={m0}, r={r})"

@@ -1,5 +1,6 @@
 import contextlib
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orbitcalc
+from orbitcalc import cli
 from orbitcalc import diagram_core as dc
 from orbitcalc.cli import main
 from orbitcalc.diagram_core import Kind, Sign, SignedDiagram, SignedRow
@@ -23,14 +25,14 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_PARENT = str(Path(orbitcalc.__file__).resolve().parents[1])
 
 
-def _load_cli_mix():
-    spec = importlib.util.spec_from_file_location("cli_mix", ROOT / "perfbench" / "cli_mix.py")
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-cli_mix = _load_cli_mix()
+cli_mix = _load_perfbench("cli_mix")
 
 
 def run_python(argv, cwd=None):
@@ -335,6 +337,33 @@ class TestMalformedInput:
         assert out == ""
         assert "must be nonnegative" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"],
+            ["classify"],
+            ["tower"],
+            ["induce", "--n", "2"],
+            ["infchar", "--kind", "sp"],
+            ["chain"],
+            ["oracle", "classify", "--form", "sp:2"],
+            ["render"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_deeply_nested_json(self, capsys, monkeypatch, tmp_path, argv):
+        # the decoder gives up near the recursion limit, and building a value
+        # (or the repr in its error message) can hit the limit just below
+        # that; the depths 800..1000 cross both points from inside pytest
+        parser = cli.build_parser()  # built once: rebuilding it dominates the run time
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        path = tmp_path / "deep.json"
+        for depth in (100_000, *range(800, 1001)):
+            path.write_text("[" * depth + "]" * depth)
+            code, out, err = run(capsys, *argv, str(path))
+            assert (code, out) == (2, ""), depth
+            assert "error" in err
+
     @pytest.mark.parametrize("count", [["--count"], []], ids=["count", "listing"])
     def test_size_and_signature_disagree(self, capsys, count):
         code, out, err = run(
@@ -476,6 +505,32 @@ class TestRecordedOutputs:
         monkeypatch.chdir(cli_mix.CLI_DIR)
         code, out, _ = run(capsys, *cli_mix.COMMANDS[name])
         assert {"exit": code, "stdout": out} == self.EXPECTED[name]
+
+
+class TestTracerNames:
+    """The benchmark's tracer wraps package functions by name, from outside:
+    every name it lists must resolve, the generator whose yields it counts
+    must still be a generator function, and its undo must restore them all."""
+
+    @staticmethod
+    def resolve(layer, path):
+        owner = importlib.import_module(f"orbitcalc.{layer}")
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        return owner
+
+    def test_install_and_undo(self):
+        tracer = _load_perfbench("tracer")
+        paths = [(layer, path) for layer, entries in tracer.LAYERS.items() for path, _ in entries]
+        before = {p: self.resolve(*p) for p in paths}
+        assert inspect.isgeneratorfunction(before[("enumeration", "signed_diagrams")])
+        undo = tracer.install(tracer.Tracer())
+        try:
+            wrapped = {p: self.resolve(*p) for p in paths}
+        finally:
+            undo()
+        assert all(wrapped[p] is not before[p] for p in paths)
+        assert all(self.resolve(*p) is before[p] for p in paths)
 
 
 class TestLazyImports:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orbitcalc.diagram_core import (
+    GroupLabel,
     Kind,
     Partition,
     Sign,
@@ -31,6 +32,13 @@ from orbitcalc.enumeration import partitions, signed_diagrams
 
 M = Sign.MINUS
 P = Sign.PLUS
+
+
+def two_step_deletion(d):
+    """The reference route for delete_column_signed: the raw flipped rows,
+    checked by the constructor, then canonicalized."""
+    rows = tuple(SignedRow(length - 1, lead.flipped) for length, lead in d.rows if length > 1)
+    return canonicalize(SignedDiagram(d.kind.opposite, rows))
 
 
 def all_diagrams(max_size):
@@ -95,28 +103,26 @@ class TestPartition:
 
 class TestValidation:
     def test_intro_is_valid(self, intro_diagram):
-        ok, violations = validate_signed(intro_diagram.kind, intro_diagram.rows)
-        assert ok and violations == []
+        assert validate_signed(intro_diagram.kind, intro_diagram.rows) == []
 
     def test_orthogonal_pair_examples(self, yd79_pair):
         for d in yd79_pair:
-            assert validate_signed(d.kind, d.rows)[0]
+            assert validate_signed(d.kind, d.rows) == []
             assert signature(d) == Signature(7, 9)
 
     def test_bad_odd_pair(self):
         rows = (SignedRow(1, M), SignedRow(1, M))
-        ok, violations = validate_signed(Kind.SYMPLECTIC, rows)
-        assert not ok
+        violations = validate_signed(Kind.SYMPLECTIC, rows)
+        assert violations
         assert any("convention" in v for v in violations)
 
     def test_odd_multiplicity(self):
-        ok, violations = validate_signed(Kind.SYMPLECTIC, (SignedRow(3, M),))
-        assert not ok
+        assert validate_signed(Kind.SYMPLECTIC, (SignedRow(3, M),))
 
     def test_empty_valid_both_kinds(self):
         for kind in Kind:
             d = SignedDiagram(kind, ())
-            assert validate_signed(d.kind, d.rows)[0]
+            assert validate_signed(d.kind, d.rows) == []
 
 
 class TestConstructor:
@@ -132,7 +138,7 @@ class TestConstructor:
         ids=["odd-pair-convention", "odd-multiplicity", "unbalanced"],
     )
     def test_rules_rejected(self, kind, rows):
-        assert not validate_signed(kind, rows)[0]
+        assert validate_signed(kind, rows)
         with pytest.raises(ValueError, match="invalid signed diagram: "):
             SignedDiagram(kind, rows)
 
@@ -149,7 +155,7 @@ class TestConstructor:
                     if 2 * plus == size:
                         continue
                     refused += 1
-                    assert not validate_signed(Kind.SYMPLECTIC, rows)[0], rows
+                    assert validate_signed(Kind.SYMPLECTIC, rows), rows
                     with pytest.raises(ValueError, match="invalid signed diagram: "):
                         SignedDiagram(Kind.SYMPLECTIC, rows)
         assert refused > 1000
@@ -237,8 +243,16 @@ class TestDeleteColumn:
     def test_lands_in_opposite_kind(self, d):
         e = delete_column_signed(d)
         assert e.kind is d.kind.opposite
-        assert validate_signed(e.kind, e.rows)[0]
+        assert validate_signed(e.kind, e.rows) == []
         assert e.shape() == d.shape().delete_columns(1)
+        assert e == two_step_deletion(d)
+
+    def test_matches_two_step_deletion(self):
+        count = 0
+        for d in all_diagrams(12):
+            assert delete_column_signed(d) == two_step_deletion(d), d
+            count += 1
+        assert count == 1094
 
 
 class TestTau:
@@ -312,6 +326,11 @@ class TestGroupLabel:
     def test_empty_groups(self):
         assert str(group_of(SignedDiagram(Kind.SYMPLECTIC, ()))) == "Mp(0)"
         assert str(group_of(SignedDiagram(Kind.ORTHOGONAL, ()))) == "O(0,0)"
+
+    @pytest.mark.parametrize("kind", ["Mp", "mp", "O", "symplectic"])
+    def test_kind_must_be_a_kind(self, kind):
+        with pytest.raises(ValueError, match="kind must be a Kind"):
+            GroupLabel(kind, 4)
 
 
 class TestSerialization:

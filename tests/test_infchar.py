@@ -5,7 +5,6 @@ import pytest
 from orbitcalc.diagram_core import GroupLabel, Kind, Partition
 from orbitcalc.enumeration import partitions
 from orbitcalc.infchar import (
-    SegmentKind,
     check_bound,
     domino_cover,
     infchar_domino,
@@ -19,28 +18,28 @@ from orbitcalc.vector_order import bar_sort, scaled_preceq, seq_preceq, vector_t
 
 class TestSegment:
     def test_even_minus_is_rho(self):
-        assert vector_to_json(segment(SegmentKind.SYMPLECTIC_MINUS, 6)) == ["3", "2", "1"]
+        assert vector_to_json(segment(Kind.SYMPLECTIC, 6)) == ["3", "2", "1"]
 
     def test_plus_one_empty(self):
-        assert tuple(segment(SegmentKind.ORTHOGONAL_PLUS, 1)) == ()
+        assert tuple(segment(Kind.ORTHOGONAL, 1)) == ()
 
     def test_odd_minus(self):
-        assert vector_to_json(segment(SegmentKind.SYMPLECTIC_MINUS, 3)) == ["3/2", "1/2"]
+        assert vector_to_json(segment(Kind.SYMPLECTIC, 3)) == ["3/2", "1/2"]
 
     def test_endings(self):
         # odd m: minus segment ends in 1/2; even m >= 2: plus segment ends in 0
         # (entries are doubled)
         for m in range(1, 100, 2):
-            assert segment(SegmentKind.SYMPLECTIC_MINUS, m)[-1] == 1
+            assert segment(Kind.SYMPLECTIC, m)[-1] == 1
         for m in range(2, 100, 2):
-            assert segment(SegmentKind.ORTHOGONAL_PLUS, m)[-1] == 0
+            assert segment(Kind.ORTHOGONAL, m)[-1] == 0
 
     def test_sum_identities(self):
         for m in range(1, 100, 2):
-            assert Fraction(sum(segment(SegmentKind.SYMPLECTIC_MINUS, m)), 2) == Fraction(
+            assert Fraction(sum(segment(Kind.SYMPLECTIC, m)), 2) == Fraction(
                 (m + 1) ** 2, 8
             )
-            assert Fraction(sum(segment(SegmentKind.ORTHOGONAL_PLUS, m)), 2) == Fraction(
+            assert Fraction(sum(segment(Kind.ORTHOGONAL, m)), 2) == Fraction(
                 (m - 1) ** 2, 8
             )
 
@@ -114,11 +113,11 @@ class TestDomino:
 
 class TestRho:
     def test_examples(self):
-        assert vector_to_json(rho(GroupLabel("Mp", 8))) == ["4", "3", "2", "1"]
-        assert vector_to_json(rho(GroupLabel("O", 3, 5))) == ["3", "2", "1"]
-        assert vector_to_json(rho(GroupLabel("O", 1, 1))) == ["0"]
-        assert rho(GroupLabel("Mp", 0)) == ()
-        assert rho(GroupLabel("O", 4, 0)) == ()
+        assert vector_to_json(rho(GroupLabel(Kind.SYMPLECTIC, 8))) == ["4", "3", "2", "1"]
+        assert vector_to_json(rho(GroupLabel(Kind.ORTHOGONAL, 3, 5))) == ["3", "2", "1"]
+        assert vector_to_json(rho(GroupLabel(Kind.ORTHOGONAL, 1, 1))) == ["0"]
+        assert rho(GroupLabel(Kind.SYMPLECTIC, 0)) == ()
+        assert rho(GroupLabel(Kind.ORTHOGONAL, 4, 0)) == ()
 
 
 class TestBound:
@@ -128,7 +127,7 @@ class TestBound:
             res = check_bound(d, Kind.SYMPLECTIC)
             assert res.holds_weak and res.holds_strict
             lhs = bar_sort(infchar_segments(d, Kind.SYMPLECTIC))
-            bound = rho(GroupLabel("Mp", 2 * n))
+            bound = rho(GroupLabel(Kind.SYMPLECTIC, 2 * n))
             # equality at the boundary case: the scale m1/2n is 2n/2n = 1
             assert lhs == bound
             assert scaled_preceq(lhs, bound, 2 * n, 2 * n)
@@ -151,7 +150,7 @@ class TestBound:
         # transpose (5, 5, 3, 1): within the staircase family's constraints
         d = Partition((5, 5, 3, 1)).transpose()
         lhs = bar_sort(infchar_segments(d, Kind.SYMPLECTIC))
-        rhs = segment(SegmentKind.SYMPLECTIC_MINUS, 14)
+        rhs = segment(Kind.SYMPLECTIC, 14)
         assert scaled_preceq(lhs, rhs, 5, 14)
 
 

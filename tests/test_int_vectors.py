@@ -18,7 +18,6 @@ from hypothesis import given, strategies as st
 from orbitcalc.diagram_core import GroupLabel, Kind, Partition
 from orbitcalc.enumeration import partitions
 from orbitcalc.infchar import (
-    SegmentKind,
     check_bound,
     domino_cover,
     infchar_domino,
@@ -49,7 +48,7 @@ def halve(a):
 
 
 def ref_segment(kind, m):
-    if kind is SegmentKind.SYMPLECTIC_MINUS:
+    if kind is Kind.SYMPLECTIC:
         count, start = (m + 1) // 2, Fraction(m, 2)
     else:
         count, start = m // 2, Fraction(m, 2) - 1
@@ -62,7 +61,7 @@ def ref_transpose(rows):
 
 
 def ref_segments(rows, kind):
-    first, other = SegmentKind.SYMPLECTIC_MINUS, SegmentKind.ORTHOGONAL_PLUS
+    first, other = Kind.SYMPLECTIC, Kind.ORTHOGONAL
     if kind is Kind.ORTHOGONAL:
         first, other = other, first
     out = ()
@@ -122,7 +121,7 @@ def ref_compare(a, b):
 
 
 def ref_rho(g):
-    if g.family == "Mp":
+    if g.kind is Kind.SYMPLECTIC:
         n = g.p // 2
         return tuple(Fraction(n - i) for i in range(n))
     return tuple(Fraction(g.p + g.q - 2, 2) - i for i in range(min(g.p, g.q)))
@@ -138,7 +137,7 @@ def ref_bound(rows, kind):
     if kind is Kind.SYMPLECTIC:
         if size % 2:
             return None
-        base, denom = ref_rho(GroupLabel("Mp", size)), size
+        base, denom = ref_rho(GroupLabel(Kind.SYMPLECTIC, size)), size
     else:
         base = tuple(Fraction(size, 2) - 1 - i for i in range(size // 2))
         denom = size - 2 if size > 2 else (None if size == 2 else 1)
@@ -165,7 +164,7 @@ vectors = st.lists(doubled, max_size=6).map(tuple)
 
 class TestSegments:
     def test_every_segment_up_to_60(self):
-        for kind in SegmentKind:
+        for kind in Kind:
             for m in range(0, 61):
                 assert halve(segment(kind, m)) == ref_segment(kind, m), (kind, m)
 
@@ -272,11 +271,11 @@ class TestCharacters:
 
     def test_rho(self):
         for n in range(0, 9):
-            g = GroupLabel("Mp", 2 * n)
+            g = GroupLabel(Kind.SYMPLECTIC, 2 * n)
             assert halve(rho(g)) == ref_rho(g)
         for p in range(0, 13):
             for q in range(0, 13 - p):
-                g = GroupLabel("O", p, q)
+                g = GroupLabel(Kind.ORTHOGONAL, p, q)
                 assert halve(rho(g)) == ref_rho(g), (p, q)
 
 

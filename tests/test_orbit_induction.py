@@ -92,7 +92,7 @@ class TestInduceReal:
                     assert result.count == n - m - len(s.rows) + 1
                     want_shape = add_two_columns(s.shape(), n - m)
                     for j, d in enumerate(result.diagrams):
-                        assert validate_signed(d.kind, d.rows)[0]
+                        assert validate_signed(d.kind, d.rows) == []
                         assert d.shape() == want_shape
                         assert signature(d) == Signature(n, n)
                         minus_twos = sum(

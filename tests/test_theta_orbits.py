@@ -81,6 +81,18 @@ class TestLiftReal:
         with pytest.raises(ValueError, match="no valid lift"):
             theta_lift_real(d, Signature(4, 2))
 
+    @pytest.mark.parametrize(
+        "rows, target",
+        [((), (1, 0)), ((), (2, 1)), (((1, P),), (2, 1)), (((1, P), (1, M)), (3, 2))],
+    )
+    def test_odd_symplectic_ones_refused(self, rows, target):
+        # the lift is symplectic and needs an odd count of new 1-rows, which
+        # no symplectic diagram has
+        d = SignedDiagram(Kind.ORTHOGONAL, rows)
+        assert (sum(target) - d.size - len(d.rows)) % 2 == 1
+        with pytest.raises(ValueError, match="no valid lift"):
+            theta_lift_real(d, Signature(*target))
+
     def test_round_trip_small(self):
         for size in range(0, 9):
             for kind in Kind:
@@ -253,6 +265,21 @@ class TestChain:
             for kind in Kind:
                 for d in signed_diagrams(kind, size=size):
                     assert len(chain(d)) == d.shape().width
+
+    def test_builds_one_diagram_per_step(self, monkeypatch):
+        diagrams = [d for size in range(0, 9) for kind in Kind for d in signed_diagrams(kind, size=size)]
+        built = []
+        check = SignedDiagram.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(SignedDiagram, "__post_init__", counted)
+        for d in diagrams:
+            built.clear()
+            steps = chain(d)
+            assert len(built) == len(steps) == d.width, d
 
     def test_alternates_and_deletes(self):
         for d in signed_diagrams(Kind.ORTHOGONAL, size=7):

@@ -14,9 +14,10 @@ from orbitcalc.diagram_core import (
     from_row_spec,
     signature,
 )
-from orbitcalc.enumeration import diagrams_for_shape, shapes, signed_diagrams
+from orbitcalc.enumeration import diagrams_for_shape, partitions, shapes, signed_diagrams
 from orbitcalc.infchar import check_bound
 from orbitcalc.tower import (
+    _interlacing_failures,
     admissible_diagrams,
     certificate,
     check_lemma_pm,
@@ -32,6 +33,24 @@ from orbitcalc.vector_order import vector_to_json
 
 M = Sign.MINUS
 P = Sign.PLUS
+
+
+def two_comparison_interlacing(heights, kind):
+    """Reference: every chained comparison, strict at the kind's positions
+    and weak elsewhere."""
+
+    def m(i):
+        return heights[i - 1] if i <= len(heights) else 0
+
+    strict_parity = 0 if kind is Kind.SYMPLECTIC else 1
+    reasons = []
+    for pos in range(1, len(heights) + 1):
+        if pos % 2 == strict_parity:
+            if not m(pos) > m(pos + 1):
+                reasons.append(f"need m{pos} > m{pos + 1}: {m(pos)} vs {m(pos + 1)}")
+        elif not m(pos) >= m(pos + 1):
+            reasons.append(f"need m{pos} >= m{pos + 1}: {m(pos)} vs {m(pos + 1)}")
+    return reasons
 
 
 def admissible(max_size):
@@ -133,6 +152,24 @@ class TestClassU:
             e = delete_column_signed(d)
             if e.rows:
                 assert class_u(e).member, (d, e)
+
+    def test_deletion_closure_to_20(self):
+        # the premise of growing the admissible class by column-prepend lifts
+        count = 0
+        for d in admissible_diagrams(20):
+            count += 1
+            e = delete_column_signed(d)
+            assert not e.rows or class_u(e).member, (d, e)
+        assert count == 1624
+
+    def test_interlacing_matches_two_comparison_loop(self):
+        for size in range(0, 17):
+            for rows in partitions(size):
+                heights = Partition(rows).transpose().rows
+                for kind in Kind:
+                    assert _interlacing_failures(heights, kind) == two_comparison_interlacing(
+                        heights, kind
+                    ), (heights, kind)
 
 
 class TestGenerator:
