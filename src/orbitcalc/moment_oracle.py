@@ -1,17 +1,19 @@
 """Exact-arithmetic ground truth for orbit labels.
 
-``RationalMatrix`` is the value type at the interface (JSON, moment maps,
-witnesses): a dense tuple of ``fractions.Fraction`` rows.  The arithmetic
-underneath runs on integers.  A matrix enters it once, multiplied by the lcm
-D of its denominators, as sparse integer rows (one dict column -> nonzero
-entry per row), and a product is the product of the integer rows over the
-product of the two denominators.  Scaling by D > 0 changes neither rank nor
-kernel, and it multiplies each Gram matrix of a pairing below by a positive
-constant, so it keeps the inertia too.  Rank, kernel and inverse come from
-Bareiss's fraction-free Gauss-Jordan elimination, whose every division is
-exact; the inertia of a symmetric matrix from congruence on integers; and
-membership in a Lie algebra from comparing entries through the form J,
-which is a signed permutation.  Nothing is rounded.
+``RationalMatrix`` holds a matrix as sparse integer rows over one positive
+denominator: ``rows[i]`` maps each column of a nonzero entry of row i to an
+integer, and ``den`` is the lcm of the entries' denominators, so the value
+rows / den is in lowest terms and equal matrices compare equal.  Every
+operation runs on those integers; ``Fraction`` appears only where entries
+are read in and in the dense ``entries`` view.  A product is the product of
+the integer rows over the product of the two denominators.  Scaling by
+den > 0 changes neither rank nor kernel, and it multiplies each Gram matrix
+of a pairing below by a positive constant, so it keeps the inertia too.
+Rank, kernel and inverse come from Bareiss's fraction-free Gauss-Jordan
+elimination, whose every division is exact; the inertia of a symmetric
+matrix from congruence on integers; and membership in a Lie algebra from
+comparing entries through the form J, which is a signed permutation.
+Nothing is rounded.
 
 Sign extraction: for a sign-carrying block size k (even in the symplectic
 case, odd in the orthogonal one) the pairing B(u, v) = Omega(X^(k-1) u, v)
@@ -26,6 +28,7 @@ classifies as 2 with a plus, its negative as 2 with a minus.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -40,9 +43,7 @@ from .diagram_core import (
 from .vector_order import format_rational, parse_rational
 
 Row = tuple[Fraction, ...]
-IntRows = list[dict[int, int]]  # sparse integer rows: column -> nonzero entry
-
-_ZERO = Fraction(0)
+IntRows = Sequence[dict[int, int]]  # sparse integer rows: column -> nonzero entry
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +77,7 @@ def _bareiss(rows: IntRows, ncols: int) -> tuple[IntRows, list[int], int]:
     the last pivot d: row r holds d in column pivots[r] and 0 in every other
     pivot column, so the reduced form over d is the reduced row echelon
     form.  Every entry stays a minor of the input, so each division by the
-    previous pivot is exact.
+    previous pivot is exact.  The input rows are not modified.
     """
     m = [row for row in rows if row]
     pivots: list[int] = []
@@ -122,85 +123,83 @@ def _kernel(reduced: IntRows, pivots: list[int], d: int, ncols: int) -> list[dic
     return basis
 
 
-def _rational(rows: IntRows, ncols: int, den: int) -> "RationalMatrix":
-    """The matrix rows / den."""
-    out = []
-    for row in rows:
-        dense = [_ZERO] * ncols
-        for j, v in row.items():
-            dense[j] = Fraction(v, den)
-        out.append(tuple(dense))
-    return RationalMatrix(tuple(out))
-
-
-def _exact(x) -> Fraction:
-    """A matrix entry given as anything but a Fraction; floats and bools are
-    refused rather than read as their binary expansion or as 0/1."""
-    if isinstance(x, (bool, float)):
-        raise ValueError(f"matrix entry {x!r} is not an exact rational")
-    return Fraction(x)
-
-
-def _entry_from_json(x) -> Fraction:
+def _exact(x) -> Fraction | int:
+    """A matrix entry: a Fraction, an int or a rational string ("-3/4").
+    Floats, bools and anything else are refused rather than read as their
+    binary expansion or as 0/1."""
+    if isinstance(x, Fraction) or (isinstance(x, int) and not isinstance(x, bool)):
+        return x
     if isinstance(x, str):
         return parse_rational(x)
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise ValueError(f"matrix entry {x!r} is neither an integer nor a rational string")
+    raise ValueError(f"matrix entry {x!r} is not an exact rational")
 
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    entries: tuple[Row, ...]
+    """The matrix rows / den, nrows x ncols.  ``rows`` holds one dict per row
+    from column to nonzero integer; the constructor reduces the value to
+    lowest terms with den > 0, so den is the lcm of the entries'
+    denominators and equality is value equality."""
+
+    rows: tuple[dict[int, int], ...]
+    ncols: int
+    den: int = 1
 
     def __post_init__(self) -> None:
-        rows = tuple(
-            tuple(x if type(x) is Fraction else _exact(x) for x in row)
-            for row in self.entries
-        )
-        object.__setattr__(self, "entries", rows)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged matrix")
+        rows, den = tuple(self.rows), self.den
+        if den != 1:
+            if den == 0:
+                raise ValueError("matrix denominator must be nonzero")
+            g = gcd(den, *(v for row in rows for v in row.values()))
+            g = -g if den < 0 else g
+            if g != 1:
+                rows = tuple({j: v // g for j, v in row.items()} for row in rows)
+                den //= g
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "den", den)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_rows(cls, rows) -> "RationalMatrix":
-        return cls(tuple(tuple(row) for row in rows))
+        """The matrix of a sequence of equal-length rows of exact entries."""
+        dense = [[_exact(x) for x in row] for row in rows]
+        ncols = len(dense[0]) if dense else 0
+        if any(len(row) != ncols for row in dense):
+            raise ValueError("ragged matrix")
+        den = lcm(*(x.denominator for row in dense for x in row))
+        rows = ({j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
+                for row in dense)
+        return cls(tuple(rows), ncols, den)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls(tuple((_ZERO,) * ncols for _ in range(nrows)))
+        return cls(tuple({} for _ in range(nrows)), ncols)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return _rational([{i: 1} for i in range(n)], n, 1)
+        return cls(tuple({i: 1} for i in range(n)), n)
 
     # -- shape and access ----------------------------------------------------
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+    def entries(self) -> tuple[Row, ...]:
+        """Dense view: one tuple of ``Fraction`` entries per row."""
+        return tuple(
+            tuple(Fraction(row.get(j, 0), self.den) for j in range(self.ncols))
+            for row in self.rows
+        )
 
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-    def _integer_rows(self) -> tuple[IntRows, int]:
-        """(rows, D): the sparse integer rows of D * self, D the lcm of the
-        denominators."""
-        den = lcm(*{x.denominator for row in self.entries for x in row})
-        return [
-            {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
-            for row in self.entries
-        ], den
+        return not any(self.rows)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -209,31 +208,34 @@ class RationalMatrix:
             raise ValueError(
                 f"shape mismatch: {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
             )
-        return RationalMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = []
+        for ra, rb in zip(self.rows, other.rows):
+            acc = {j: v * fa for j, v in ra.items()}
+            for j, v in rb.items():
+                acc[j] = acc.get(j, 0) + v * fb
+            out.append({j: v for j, v in acc.items() if v})
+        return RationalMatrix(tuple(out), self.ncols, den)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(tuple(-x for x in row) for row in self.entries))
+        rows = tuple({j: -v for j, v in row.items()} for row in self.rows)
+        return RationalMatrix(rows, self.ncols, self.den)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"dimension mismatch: {self.ncols} vs {other.nrows}")
-        a, da = self._integer_rows()
-        b, db = other._integer_rows()
-        return _rational(_product(a, b), other.ncols, da * db)
+        return RationalMatrix(_product(self.rows, other.rows), other.ncols, self.den * other.den)
 
     def transpose(self) -> "RationalMatrix":
-        if self.entries and not self.entries[0]:
-            # the transpose would have columns but no rows to hold them
-            raise ValueError(f"cannot transpose a {self.nrows}x0 matrix")
-        return RationalMatrix(tuple(zip(*self.entries)))
+        out: list[dict[int, int]] = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                out[j][i] = v
+        return RationalMatrix(tuple(out), self.nrows, self.den)
 
     def power(self, k: int) -> "RationalMatrix":
         if not self.is_square or k < 0:
@@ -244,32 +246,33 @@ class RationalMatrix:
         return out
 
     def apply(self, v: Row) -> Row:
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        """The matrix times the column vector v."""
+        column = RationalMatrix.from_rows([v]).transpose()
+        return tuple(x for (x,) in (self @ column).entries)
 
     # -- elimination ----------------------------------------------------------
 
     def rank(self) -> int:
-        return len(_bareiss(self._integer_rows()[0], self.ncols)[1])
+        return len(_bareiss(self.rows, self.ncols)[1])
 
     def kernel_basis(self) -> list[Row]:
         """Basis of the right null space: for each free column f, the vector
         with 1 at f that the reduced row echelon form leaves."""
-        reduced, pivots, d = _bareiss(self._integer_rows()[0], self.ncols)
-        return list(_rational(_kernel(reduced, pivots, d, self.ncols), self.ncols, d).entries)
+        reduced, pivots, d = _bareiss(self.rows, self.ncols)
+        return list(RationalMatrix(_kernel(reduced, pivots, d, self.ncols), self.ncols, d).entries)
 
     def inverse(self) -> "RationalMatrix":
         if not self.is_square:
             raise ValueError("only a square matrix has an inverse")
         n = self.nrows
-        rows, den = self._integer_rows()
         reduced, pivots, d = _bareiss(
-            [{**row, n + i: 1} for i, row in enumerate(rows)], 2 * n
+            [{**row, n + i: 1} for i, row in enumerate(self.rows)], 2 * n
         )
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
         # (den * self)^-1 is the right half over d, and self^-1 = den (den * self)^-1
-        right = [{j - n: den * v for j, v in row.items() if j >= n} for row in reduced]
-        return _rational(right, n, d)
+        right = [{j - n: self.den * v for j, v in row.items() if j >= n} for row in reduced]
+        return RationalMatrix(right, n, d)
 
     # -- serialization ----------------------------------------------------------
 
@@ -282,7 +285,7 @@ class RationalMatrix:
         error, not a rational."""
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ValueError("matrix JSON must be a list of rows")
-        return cls(tuple(tuple(_entry_from_json(x) for x in row) for row in data))
+        return cls.from_rows(data)
 
 
 @dataclass(frozen=True)
@@ -319,7 +322,7 @@ class FormSpec:
 
     def matrix(self) -> RationalMatrix:
         perm, signs = self._signed_permutation()
-        return _rational([{perm[i]: s} for i, s in enumerate(signs)], self.dim, 1)
+        return RationalMatrix(tuple({perm[i]: s} for i, s in enumerate(signs)), self.dim)
 
     def contains(self, x: RationalMatrix) -> bool:
         """Membership in the Lie algebra: x^t J + J x = 0.  Its entry
@@ -329,7 +332,7 @@ class FormSpec:
         if not x.is_square or x.nrows != self.dim:
             return False
         perm, signs = self._signed_permutation()
-        rows = x._integer_rows()[0]
+        rows = x.rows
         for l, row in enumerate(rows):
             for i, a in row.items():
                 if rows[perm[i]].get(perm[l]) != (-a if signs[i] == signs[l] else a):
@@ -347,8 +350,6 @@ def moment_m1(x: RationalMatrix, p: int, q: int) -> RationalMatrix:
         raise ValueError(f"matrix has {x.nrows} rows, need p + q = {p + q}")
     if x.ncols % 2 != 0:
         raise ValueError("column count must be even")
-    if x.ncols == 0:
-        return RationalMatrix.zeros(p + q, p + q)
     ipq = FormSpec.orthogonal(p, q).matrix()
     wn = FormSpec.symplectic(x.ncols).matrix()
     out = ipq @ x @ wn @ x.transpose()
@@ -363,8 +364,6 @@ def moment_m2(x: RationalMatrix, p: int, q: int) -> RationalMatrix:
         raise ValueError(f"matrix has {x.nrows} rows, need p + q = {p + q}")
     if x.ncols % 2 != 0:
         raise ValueError("column count must be even")
-    if x.ncols == 0:
-        return RationalMatrix.zeros(0, 0)
     ipq = FormSpec.orthogonal(p, q).matrix()
     wn = FormSpec.symplectic(x.ncols).matrix()
     out = wn @ x.transpose() @ ipq @ x
@@ -378,16 +377,15 @@ def moment_m2(x: RationalMatrix, p: int, q: int) -> RationalMatrix:
 
 
 def _power_chain(x: RationalMatrix) -> list[IntRows]:
-    """Integer powers (D x)^0, (D x)^1, ... of a square matrix, D the lcm of
-    its denominators, up to the first zero power or (D x)^dim; x is
-    nilpotent exactly when the last one is zero."""
+    """Integer powers (D x)^0, (D x)^1, ... of a square matrix, D = x.den,
+    up to the first zero power or (D x)^dim; x is nilpotent exactly when
+    the last one is zero."""
     if not x.is_square:
         raise ValueError("nilpotency applies to square matrices")
     n = x.nrows
-    base = x._integer_rows()[0]
-    powers = [[{i: 1} for i in range(n)], base]
+    powers = [[{i: 1} for i in range(n)], x.rows]
     while len(powers) <= n and any(powers[-1]):
-        powers.append(_product(powers[-1], base))
+        powers.append(_product(powers[-1], x.rows))
     return powers
 
 
@@ -545,11 +543,11 @@ def _emit_blocks(entries, d: SignedDiagram, p, q) -> list[tuple[int, int]]:
 
 
 def _assemble(entries: dict[tuple[int, int], int], dim: int, what: str) -> RationalMatrix:
-    """Dense dim x dim matrix from its nonzero entries; it must lie in sp(dim)."""
-    matrix = [[0] * dim for _ in range(dim)]
+    """The dim x dim matrix of these nonzero entries; it must lie in sp(dim)."""
+    rows: list[dict[int, int]] = [{} for _ in range(dim)]
     for (row, col), value in entries.items():
-        matrix[row][col] = value
-    out = RationalMatrix.from_rows(matrix)
+        rows[row][col] = value
+    out = RationalMatrix(tuple(rows), dim)
     if not FormSpec.symplectic(dim).contains(out):
         raise ValueError(f"{what} is not in sp({dim})")
     return out
@@ -636,8 +634,9 @@ def witness_block_part(x: RationalMatrix, m: int) -> RationalMatrix:
     n = x.nrows // 2
     k0 = n - m
     keep = list(range(k0, n)) + list(range(n + k0, 2 * n))
-    rows = tuple(tuple(x.entries[a][b] for b in keep) for a in keep)
-    return RationalMatrix(rows)
+    column = {b: c for c, b in enumerate(keep)}
+    rows = tuple({column[b]: v for b, v in x.rows[a].items() if b in column} for a in keep)
+    return RationalMatrix(rows, len(keep), x.den)
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +682,7 @@ def random_form_preserving(form: FormSpec, rng: random.Random) -> RationalMatrix
         except ValueError:
             continue
         g = (ident - a) @ inv
-        if (g.transpose() @ j @ g).entries != j.entries:
+        if g.transpose() @ j @ g != j:
             raise ValueError("Cayley transform does not preserve the form")
         return g
 

@@ -23,7 +23,7 @@ from .diagram_core import (
 )
 
 
-def theta_lift_complex(d: Partition, kind: Kind, target_size: int) -> Partition:
+def theta_lift_complex(d: Partition, target_size: int) -> Partition:
     """The unique partition of target_size whose first-column deletion gives
     d: every row grows by 1 and the new first column is filled with 1-rows.
     The classification kind flips."""

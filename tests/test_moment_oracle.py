@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -13,6 +14,7 @@ from orbitcalc.diagram_core import (
     negate,
     signature,
 )
+from orbitcalc import moment_oracle
 from orbitcalc.enumeration import signed_diagrams
 from orbitcalc.moment_oracle import (
     FormSpec,
@@ -30,7 +32,7 @@ from orbitcalc.moment_oracle import (
     witness_block_part,
 )
 from orbitcalc.orbit_induction import induce_real
-from orbitcalc.verify import _conjugation_pool
+from orbitcalc.verify import _conjugation_pool, suite_induce_oracle
 
 M = Sign.MINUS
 P = Sign.PLUS
@@ -58,18 +60,20 @@ class TestMatrix:
                 RationalMatrix.from_json(bad)
 
     def test_inexact_entries_rejected(self):
-        for bad in (0.1, 2.0, True, False):
+        for bad in (0.1, 2.0, True, False, None, [1], {}):
             with pytest.raises(ValueError, match="not an exact rational"):
                 RationalMatrix.from_rows([[1, bad]])
-            with pytest.raises(ValueError, match="not an exact rational"):
-                RationalMatrix(((bad,),))
         m = RationalMatrix.from_rows([[1, "1/3"], [Fraction(1, 2), -4]])
         assert m.entries == ((1, Fraction(1, 3)), (Fraction(1, 2), -4))
 
     def test_transpose_without_columns(self):
-        # an n x 0 matrix cannot carry the column count of its transpose
-        with pytest.raises(ValueError, match="2x0"):
-            RationalMatrix.zeros(2, 0).transpose()
+        # the column count is stored, so it survives a zero row count
+        assert RationalMatrix.zeros(0, 4).ncols == 4
+        m = RationalMatrix.zeros(2, 0)
+        t = m.transpose()
+        assert (t.nrows, t.ncols) == (0, 2)
+        assert t == RationalMatrix.zeros(0, 2)
+        assert m @ t == RationalMatrix.zeros(2, 2)
         assert RationalMatrix.zeros(0, 0).transpose().entries == ()
 
     def test_json_roundtrip(self):
@@ -100,6 +104,9 @@ class TestMomentMaps:
             x = RationalMatrix.zeros(p + q, 0)
             assert moment_m1(x, p, q).entries == RationalMatrix.zeros(p + q, p + q).entries
             assert moment_m2(x, p, q).entries == ()
+        # 2n = 4 with p + q = 0: m2 is the zero element of sp(4)
+        assert moment_m2(RationalMatrix.zeros(0, 4), 0, 0) == RationalMatrix.zeros(4, 4)
+        assert moment_m1(RationalMatrix.zeros(0, 4), 0, 0) == RationalMatrix.zeros(0, 0)
 
     def test_identity_two_by_two(self):
         x = RationalMatrix.identity(2)
@@ -323,6 +330,22 @@ class TestConjugation:
             assert equivalent(classify_signed(conjugate(g, x), form), label)
 
 
+class TestFractionFree:
+    def test_witness_grid(self, monkeypatch):
+        # build_witness -> classify_signed runs on integers alone: with every
+        # Fraction construction in the oracle refused, the induce-oracle grid
+        # at bound 8 still classifies every witness to its induced label
+        class Refused(Fraction):
+            def __new__(cls, *args, **kwargs):
+                raise AssertionError("the oracle constructed a Fraction")
+
+        monkeypatch.setattr(moment_oracle, "Fraction", Refused)
+        with pytest.raises(AssertionError, match="constructed a Fraction"):
+            RationalMatrix.identity(1).entries
+        rep = suite_induce_oracle(8)
+        assert rep.passed and rep.checked == 24, rep.counterexamples
+
+
 # ---------------------------------------------------------------------------
 # the integer kernel against plain Fraction arithmetic
 
@@ -420,12 +443,45 @@ class TestIntegerKernel:
         for m in _differential_cases():
             other = RationalMatrix.from_rows(_random_matrix(rng, m.ncols, rng.randint(0, 6)))
             assert (m @ other).entries == _product(m.entries, other.entries, other.ncols)
-            if m.nrows and not m.ncols:
-                with pytest.raises(ValueError, match="cannot transpose"):
-                    m.transpose()
-                continue
             t = m.transpose()
             assert (m @ t).entries == _product(m.entries, t.entries, t.ncols)
+
+    def test_sum_difference_negation_transpose(self):
+        rng = random.Random(17)
+        for m in _differential_cases():
+            a = m.entries
+            if m.nrows:
+                other = RationalMatrix.from_rows(_random_matrix(rng, m.nrows, m.ncols))
+            else:  # dense rows cannot say how many columns a 0-row matrix has
+                other = RationalMatrix.zeros(0, m.ncols)
+            b = other.entries
+            assert (m + other).entries == tuple(
+                tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b)
+            )
+            assert (m - other).entries == tuple(
+                tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b)
+            )
+            assert (-m).entries == tuple(tuple(-x for x in r) for r in a)
+            assert m + (-m) == RationalMatrix.zeros(m.nrows, m.ncols)
+            t = m.transpose()
+            assert (t.nrows, t.ncols) == (m.ncols, m.nrows)
+            assert t.entries == tuple(
+                tuple(a[i][j] for i in range(m.nrows)) for j in range(m.ncols)
+            )
+
+    def test_lowest_terms(self):
+        for m in _differential_cases():
+            if m.nrows:
+                assert RationalMatrix.from_rows(m.entries) == m
+            assert m.den == lcm(*(x.denominator for row in m.entries for x in row))
+        m = RationalMatrix(({0: 2, 1: -4}, {}), 2, -6)
+        assert (m.rows, m.den) == (({0: -1, 1: 2}, {}), 3)
+        assert m == RationalMatrix.from_rows([[Fraction(-1, 3), Fraction(2, 3)], [0, 0]])
+        assert RationalMatrix(({}, {}), 2, -7) == RationalMatrix.zeros(2, 2)
+        half = RationalMatrix.from_rows([["1/2"]])
+        assert (half + half).rows == ({0: 1},) and (half + half).den == 1
+        with pytest.raises(ValueError, match="denominator"):
+            RationalMatrix(({0: 1},), 1, 0)
 
     def test_symmetric_signature_matches_descartes(self):
         # a symmetric matrix has only real eigenvalues, so Descartes' rule of

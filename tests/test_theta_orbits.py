@@ -28,12 +28,12 @@ P = Sign.PLUS
 
 class TestLiftComplex:
     def test_example(self):
-        assert theta_lift_complex(Partition((2, 2, 1)), Kind.ORTHOGONAL, 10) == Partition(
+        assert theta_lift_complex(Partition((2, 2, 1)), 10) == Partition(
             (3, 3, 2, 1, 1)
         )
 
     def test_empty(self):
-        assert theta_lift_complex(Partition(), Kind.SYMPLECTIC, 5) == Partition(
+        assert theta_lift_complex(Partition(), 5) == Partition(
             (1, 1, 1, 1, 1)
         )
 
@@ -42,16 +42,14 @@ class TestLiftComplex:
         shapes.reverse()  # smallest first
         sizes = [s.size for s in shapes]
         assert sizes == [1, 4, 9, 14, 21, 30]
-        kind = Kind.ORTHOGONAL  # the single-column end of this tower
         current = shapes[0]
         for target, want in zip(sizes[1:], shapes[1:]):
-            current = theta_lift_complex(current, kind, target)
+            current = theta_lift_complex(current, target)
             assert current == want
-            kind = kind.opposite
 
     def test_no_lift(self):
         with pytest.raises(ValueError, match="no column-prepend lift"):
-            theta_lift_complex(Partition((2, 2)), Kind.SYMPLECTIC, 5)
+            theta_lift_complex(Partition((2, 2)), 5)
 
     def test_inverts_deletion(self):
         for size in range(1, 9):
@@ -59,7 +57,7 @@ class TestLiftComplex:
                 for d in signed_diagrams(kind, size=size):
                     shape = d.shape()
                     for extra in range(shape.height, shape.height + 3):
-                        lifted = theta_lift_complex(shape, kind, shape.size + extra)
+                        lifted = theta_lift_complex(shape, shape.size + extra)
                         assert lifted.delete_columns(1) == shape
 
 
