@@ -7,9 +7,13 @@ Each run is a fresh interpreter running ``verify_all.py --out`` with
 ``PYTHONPATH`` set to one side's ``src``: the base tree given, or the
 change, which is the ``src`` next to this script.  The runs come in pairs,
 and the side that runs first alternates from pair to pair, so that drift on
-a shared host hits both alike.  The output holds every run of both sides,
-each side's per-suite median of ``elapsed_s``, and the ratio base / change
-of those medians.  Stdlib only.
+a shared host hits both alike.  ``verify_all.py --out`` repeats each suite
+until it has run for 0.5 s and reports the median time of one pass.  The
+output holds every run of both sides, each side's per-suite median and
+quartiles of those times over its runs, and per suite the ratio base /
+change of the medians next to both sides' quartiles, so that a ratio can be
+read against the spread of the runs behind it.  The same comparison is
+printed as a table.  Stdlib only.
 """
 
 import argparse
@@ -36,12 +40,18 @@ def one_run(src: Path) -> dict:
         return json.loads(out.read_text())
 
 
-def medians(runs: list[dict]) -> dict[str, float]:
-    names = runs[0]["suites"]
-    return {
-        name: round(statistics.median(r["suites"][name]["elapsed_s"] for r in runs), 4)
-        for name in names
-    }
+def spread(runs: list[dict]) -> dict[str, dict]:
+    """Per suite the median and the quartiles of ``elapsed_s`` over the runs
+    (all three equal for a single run)."""
+    out = {}
+    for name in runs[0]["suites"]:
+        times = [r["suites"][name]["elapsed_s"] for r in runs]
+        q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
+        out[name] = {
+            "median_s": round(statistics.median(times), 5),
+            "quartiles_s": [round(q1, 5), round(q3, 5)],
+        }
+    return out
 
 
 def main() -> int:
@@ -58,19 +68,30 @@ def main() -> int:
         for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
             runs[side].append(one_run(sides[side]))
             print(f"pair {i + 1}/{args.runs}: {side} done", file=sys.stderr)
-    med = {side: medians(rs) for side, rs in runs.items()}
+    stats = {side: spread(rs) for side, rs in runs.items()}
+    comparison = {}
+    for name, change in stats["change"].items():
+        base = stats["base"][name]
+        ratio = base["median_s"] / change["median_s"] if change["median_s"] > 0 else None
+        comparison[name] = {
+            "speedup_base_over_change": None if ratio is None else round(ratio, 2),
+            "base_quartiles_s": base["quartiles_s"],
+            "change_quartiles_s": change["quartiles_s"],
+        }
+        print(
+            f"{name:<14} base {base['median_s']:8.4f}s [{base['quartiles_s'][0]:.4f}, "
+            f"{base['quartiles_s'][1]:.4f}]  change {change['median_s']:8.4f}s "
+            f"[{change['quartiles_s'][0]:.4f}, {change['quartiles_s'][1]:.4f}]  "
+            f"base/change {'-' if ratio is None else f'{ratio:.2f}'}"
+        )
     record = {
         "runs_per_side": args.runs,
         "order": "pairs; base runs first in odd pairs, change in even ones",
         **{
-            side: {"commit": rs[0]["commit"], "median_elapsed_s": med[side], "runs": rs}
+            side: {"commit": rs[0]["commit"], "elapsed_s": stats[side], "runs": rs}
             for side, rs in runs.items()
         },
-        "speedup_base_over_change": {
-            name: round(med["base"][name] / med["change"][name], 2)
-            for name in med["change"]
-            if med["change"][name] > 0
-        },
+        "comparison": comparison,
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 0

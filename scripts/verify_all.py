@@ -3,17 +3,21 @@
 
     PYTHONPATH=src python3 scripts/verify_all.py [--out BENCH_<label>.json]
 
-Exits nonzero if any suite reports a counterexample.  With ``--out`` the
-run is also written as JSON: per suite its bound, ``checked``, ``passed``
-and ``elapsed_s``, plus the Python version, ``os.cpu_count()`` and the
-commit of the checkout the ``orbitcalc`` package was imported from (null
-when git cannot tell).
+Exits nonzero if any suite reports a counterexample.  The table times one
+pass per suite.  With ``--out`` each suite instead repeats until its passes
+have taken at least 0.5 s, so that a short suite is not timed on a single
+pass, and the run is also written as JSON: per suite its bound,
+``checked``, ``passed``, ``elapsed_s`` (the median time of one pass) and
+``repetitions``, plus the Python version, ``os.cpu_count()`` and the commit
+of the checkout the ``orbitcalc`` package was imported from (marked
+``+dirty`` when the package differs from it, null when git cannot tell).
 """
 
 import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -34,20 +38,37 @@ ACCEPTANCE_BOUNDS = [
     ("non3", 20),
     ("appendix", 40),
 ]
+MIN_TIMED_S = 0.5  # with --out, the least total time each suite is repeated for
 
 
 def package_commit() -> str | None:
-    """``git rev-parse HEAD`` next to the imported package, or None."""
+    """``git rev-parse HEAD`` next to the imported package, with a
+    ``+dirty`` suffix when the package's files differ from that commit, or
+    None when git cannot tell."""
+    cwd = Path(orbitcalc.__file__).resolve().parent
+
+    def git(*argv):
+        return subprocess.run(["git", *argv], cwd=cwd, capture_output=True, text=True)
+
     try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(orbitcalc.__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-        )
+        head = git("rev-parse", "HEAD")
+        if head.returncode != 0:
+            return None
+        dirty = git("diff", "--quiet", "HEAD", "--", ".").returncode != 0
     except OSError:
         return None
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    return head.stdout.strip() + ("+dirty" if dirty else "")
+
+
+def timed(name: str, bound: int, min_total_s: float):
+    """The report of ``run_suite(name, bound)`` and the time of each pass;
+    the suite repeats until the passes add up to ``min_total_s``."""
+    times: list[float] = []
+    while not times or sum(times) < min_total_s:
+        start = time.monotonic()
+        rep = run_suite(name, bound)
+        times.append(time.monotonic() - start)
+    return rep, times
 
 
 def main() -> int:
@@ -57,13 +78,13 @@ def main() -> int:
     failures = 0
     suites = {}
     for name, bound in ACCEPTANCE_BOUNDS:
-        start = time.monotonic()
-        rep = run_suite(name, bound)
-        elapsed = time.monotonic() - start
+        rep, times = timed(name, bound, MIN_TIMED_S if args.out else 0.0)
+        elapsed = statistics.median(times)
         status = "pass" if rep.passed else "FAIL"
+        repeated = f"  (median of {len(times)})" if len(times) > 1 else ""
         print(
             f"{name:<14} bound={bound:<4} {status}  "
-            f"{rep.checked:>6} cases  {elapsed:7.2f}s"
+            f"{rep.checked:>6} cases  {elapsed:7.2f}s{repeated}"
         )
         for note in rep.notes:
             print(f"    note: {note}")
@@ -74,7 +95,8 @@ def main() -> int:
             "bound": bound,
             "checked": rep.checked,
             "passed": rep.passed,
-            "elapsed_s": round(elapsed, 4),
+            "elapsed_s": round(elapsed, 5),
+            "repetitions": len(times),
         }
     if args.out:
         record = {

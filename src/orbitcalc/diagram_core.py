@@ -13,6 +13,14 @@ are fixed: within each such length class the leading signs read
 -,+,-,+,... (symplectic) resp. +,-,+,-,... (orthogonal) from the highest
 row down.  Rows of the opposite parity are free, and two diagrams are
 equivalent when they differ only by reordering rows of equal length.
+
+Input is checked once, where it enters: the public constructors
+``Partition(...)`` and ``SignedDiagram(...)``, and with them ``parse_ascii``
+and ``from_json_dict``, check everything and raise ``ValueError``.  The
+package builds a diagram or partition unchecked, through ``_trusted``, only
+where its own code lays the rows out correctly by construction:
+``from_row_spec`` (which every canonical diagram goes through, and which
+keeps one check per length class), transposes, column deletions and shapes.
 """
 
 from __future__ import annotations
@@ -81,15 +89,28 @@ def _shape_problem(lengths: tuple) -> str | None:
 
 @dataclass(frozen=True)
 class Partition:
-    """Young diagram: weakly decreasing positive row lengths."""
+    """Young diagram: weakly decreasing positive row lengths.  The
+    constructor checks its input and raises ``ValueError``; ``_trusted``
+    skips the check for rows the package computed in that form."""
 
     rows: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
-        problem = _shape_problem(self.rows)
+        try:
+            rows = tuple(self.rows)
+        except TypeError:
+            raise ValueError(f"row lengths must be a sequence: {self.rows!r}") from None
+        object.__setattr__(self, "rows", rows)
+        problem = _shape_problem(rows)
         if problem is not None:
             raise ValueError(problem)
+
+    @classmethod
+    def _trusted(cls, rows: tuple[int, ...]) -> "Partition":
+        """Unchecked: ``rows`` is a tuple of weakly decreasing positive ints."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "rows", rows)
+        return p
 
     @property
     def size(self) -> int:
@@ -114,13 +135,13 @@ class Partition:
             while rows[count - 1] < k:
                 count -= 1
             heights.append(count)
-        return Partition(tuple(heights))
+        return Partition._trusted(tuple(heights))
 
     def delete_columns(self, i: int) -> "Partition":
         """Remove the leftmost i columns (rows shrink by i, empties drop)."""
         if i < 0:
             raise ValueError("column count must be nonnegative")
-        return Partition(tuple(r - i for r in self.rows if r > i))
+        return Partition._trusted(tuple(r - i for r in self.rows if r > i))
 
     def classes(self) -> list[tuple[int, int]]:
         """(length, multiplicity) of each distinct row length, longest first."""
@@ -163,14 +184,21 @@ def convention_signs(kind: Kind, count: int) -> list[Sign]:
 @dataclass(frozen=True)
 class SignedDiagram:
     """Signed Young diagram, valid by construction: a kind that is not a
-    ``Kind``, a lead that is not a ``Sign``, a bad shape or a violation of
-    :func:`validate_signed` raises ``ValueError``."""
+    ``Kind``, a row that is not a (length, sign) pair, a lead that is not a
+    ``Sign``, a bad shape or a violation of :func:`validate_signed` raises
+    ``ValueError``.  ``_trusted`` skips the check; only
+    :func:`from_row_spec` uses it."""
 
     kind: Kind
     rows: tuple[SignedRow, ...] = ()
 
     def __post_init__(self) -> None:
-        rows = tuple(SignedRow(*row) for row in self.rows)
+        try:
+            rows = tuple(SignedRow(*row) for row in self.rows)
+        except TypeError:
+            raise ValueError(
+                f"invalid signed diagram: rows must be (length, sign) pairs: {self.rows!r}"
+            ) from None
         object.__setattr__(self, "rows", rows)
         if not isinstance(self.kind, Kind):
             problems = [f"kind must be a Kind, got {self.kind!r}"]
@@ -182,6 +210,15 @@ class SignedDiagram:
         if problems:
             raise ValueError("invalid signed diagram: " + "; ".join(problems))
 
+    @classmethod
+    def _trusted(cls, kind: Kind, rows: tuple[SignedRow, ...]) -> "SignedDiagram":
+        """Unchecked: ``rows`` is a tuple of ``SignedRow`` that is a valid
+        diagram of ``kind``."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "kind", kind)
+        object.__setattr__(d, "rows", rows)
+        return d
+
     @property
     def size(self) -> int:
         return sum(r.length for r in self.rows)
@@ -191,7 +228,7 @@ class SignedDiagram:
         return self.rows[0].length if self.rows else 0
 
     def shape(self) -> Partition:
-        return Partition(tuple(r.length for r in self.rows))
+        return Partition._trusted(tuple(r.length for r in self.rows))
 
     def box_sign(self, row: int, col: int) -> Sign:
         """Sign of box (row, col), both 1-based; signs alternate across rows."""
@@ -257,23 +294,45 @@ def from_row_spec(kind: Kind, spec: Iterable[tuple[int, Sign | None]]) -> Signed
     """Assemble a canonical diagram from (length, sign) pairs.  Constrained
     rows take sign None and receive the convention pattern of their class;
     free rows of one length list Plus-leading rows first.  Every canonical
-    diagram is built here."""
+    diagram is built here.
+
+    Each length class is checked once, and a bad one raises ``ValueError``:
+    its length is a positive int, a constrained class has no explicit sign
+    and an even count, a free row has a ``Sign``.  Those checks are all a
+    valid diagram needs beyond the layout made here, so the result is built
+    through ``SignedDiagram._trusted``."""
+    if not isinstance(kind, Kind):
+        raise ValueError(f"invalid signed diagram: kind must be a Kind, got {kind!r}")
     by_length: dict[int, list[Sign | None]] = {}
     for length, sign in spec:
         by_length.setdefault(length, []).append(sign)
+    for length in by_length:
+        if type(length) is not int or length <= 0:
+            raise ValueError(
+                f"invalid signed diagram: row lengths must be positive integers: {length!r}"
+            )
     rows: list[SignedRow] = []
     for length in sorted(by_length, reverse=True):
         signs = by_length[length]
+        count = len(signs)
         if kind.constrained(length):
             if any(s is not None for s in signs):
                 raise ValueError(f"length-{length} rows are sign-constrained for {kind.value}")
-            ordered = convention_signs(kind, len(signs))
+            if count % 2 != 0:
+                raise ValueError(
+                    f"invalid signed diagram: rows of length {length} occur {count} times; "
+                    f"even multiplicity required for {kind.value} diagrams"
+                )
+            rows.extend(SignedRow(length, s) for s in convention_signs(kind, count))
         else:
-            if None in signs:
-                raise ValueError(f"length-{length} rows need explicit signs for {kind.value}")
-            ordered = sorted(signs, key=lambda s: s is not Sign.PLUS)
-        rows.extend(SignedRow(length, s) for s in ordered)
-    return SignedDiagram(kind, tuple(rows))
+            plus = signs.count(Sign.PLUS)
+            minus = signs.count(Sign.MINUS)
+            if plus + minus != count:
+                raise ValueError(
+                    f"length-{length} rows need explicit Sign leads for {kind.value}: {signs!r}"
+                )
+            rows += [SignedRow(length, Sign.PLUS)] * plus + [SignedRow(length, Sign.MINUS)] * minus
+    return SignedDiagram._trusted(kind, tuple(rows))
 
 
 def delete_column_signed(d: SignedDiagram) -> SignedDiagram:

@@ -56,7 +56,7 @@ def shapes(kind: Kind, size: int) -> Iterator[Partition]:
     if kind is Kind.SYMPLECTIC and size % 2 != 0:
         return
     for rows in partitions(size):
-        d = Partition(rows)
+        d = Partition._trusted(rows)
         if validate_partition_kind(d, kind):
             yield d
 

@@ -32,7 +32,7 @@ def merge(s: Partition, t: Partition) -> Partition:
         (s.rows[j] if j < s.height else 0) + (t.rows[j] if j < t.height else 0)
         for j in range(n)
     )
-    return Partition(tuple(r for r in rows if r > 0))
+    return Partition._trusted(tuple(r for r in rows if r > 0))
 
 
 def add_two_columns(s: Partition, k: int) -> Partition:
@@ -40,7 +40,7 @@ def add_two_columns(s: Partition, k: int) -> Partition:
     rows of length 2 appear.  Requires the row count of s to be at most k."""
     if s.height > k:
         raise ValueError("row count exceeds column length")
-    return Partition(tuple(r + 2 for r in s.rows) + (2,) * (k - s.height))
+    return Partition._trusted(tuple(r + 2 for r in s.rows) + (2,) * (k - s.height))
 
 
 @dataclass(frozen=True)

@@ -173,6 +173,16 @@ class TestConstructor:
         with pytest.raises(ValueError, match="invalid signed diagram: .*integers"):
             SignedDiagram(Kind.ORTHOGONAL, ((length, P),))
 
+    @pytest.mark.parametrize("rows", [((2,),), (5,), ((2, P, 1),), None], ids=repr)
+    def test_row_must_be_a_pair(self, rows):
+        with pytest.raises(ValueError, match="invalid signed diagram: .*pairs"):
+            SignedDiagram(Kind.SYMPLECTIC, rows)
+
+    @pytest.mark.parametrize("rows", [None, 5], ids=repr)
+    def test_partition_rows_must_be_a_sequence(self, rows):
+        with pytest.raises(ValueError, match="must be a sequence"):
+            Partition(rows)
+
     @pytest.mark.parametrize(
         "rows", [(2.7, 1), (2.0,), (True, True), ("3",)], ids=repr
     )

@@ -58,3 +58,49 @@ def test_constructor_check_under_optimize():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "invalid signed diagram" in proc.stderr
+
+
+ROW_SPEC_REFUSALS = """
+from orbitcalc.diagram_core import Kind, Sign, SignedDiagram, Signature, from_row_spec
+from orbitcalc.theta_orbits import theta_lift_real
+
+P, M, O, S = Sign.PLUS, Sign.MINUS, Kind.ORTHOGONAL, Kind.SYMPLECTIC
+cases = [
+    lambda: from_row_spec(O, [(0, P)]),
+    lambda: from_row_spec(O, [(-1, P)]),
+    lambda: from_row_spec(O, [(2.0, None)]),
+    lambda: from_row_spec(O, [(True, P)]),
+    lambda: from_row_spec(S, [(0, None)]),
+    lambda: from_row_spec(S, [(-1, P)]),
+    lambda: from_row_spec(S, [(2.0, P)]),
+    lambda: from_row_spec(S, [(True, None)]),
+    lambda: from_row_spec(S, [(1, None)]),
+    lambda: from_row_spec(S, [(1, M), (1, P)]),
+    lambda: from_row_spec(O, [(1, "+")]),
+    lambda: from_row_spec("orthogonal", [(1, P)]),
+]
+for rows, target in [((), (1, 0)), ((), (2, 1)), (((1, P),), (2, 1)), (((1, P), (1, M)), (3, 2))]:
+    d = SignedDiagram(O, rows)
+    cases.append(lambda d=d, target=target: theta_lift_real(d, Signature(*target)))
+for case in cases:
+    try:
+        case()
+    except Exception as exc:
+        print(type(exc).__name__)
+    else:
+        print("accepted")
+"""
+
+
+def test_row_spec_checks_under_optimize():
+    """The per-class checks of from_row_spec, which every diagram the package
+    builds goes through, are explicit ValueErrors that -O keeps."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", ROW_SPEC_REFUSALS],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 16

@@ -265,19 +265,28 @@ class TestChain:
                     assert len(chain(d)) == d.shape().width
 
     def test_builds_one_diagram_per_step(self, monkeypatch):
+        # every step is built once, through the trusted builder; none goes
+        # through the checking constructor
         diagrams = [d for size in range(0, 9) for kind in Kind for d in signed_diagrams(kind, size=size)]
-        built = []
+        built, checked = [], []
+        trusted = SignedDiagram._trusted
         check = SignedDiagram.__post_init__
 
-        def counted(self):
-            built.append(self)
+        def counted(kind, rows):
+            built.append(rows)
+            return trusted(kind, rows)
+
+        def counted_check(self):
+            checked.append(self)
             check(self)
 
-        monkeypatch.setattr(SignedDiagram, "__post_init__", counted)
+        monkeypatch.setattr(SignedDiagram, "_trusted", staticmethod(counted))
+        monkeypatch.setattr(SignedDiagram, "__post_init__", counted_check)
         for d in diagrams:
             built.clear()
             steps = chain(d)
             assert len(built) == len(steps) == d.width, d
+        assert checked == []
 
     def test_alternates_and_deletes(self):
         for d in signed_diagrams(Kind.ORTHOGONAL, size=7):

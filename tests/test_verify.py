@@ -1,6 +1,18 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from orbitcalc.verify import SUITES, run_suite
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 SMALL_BOUNDS = {
     "reasonss": 6,
@@ -38,3 +50,20 @@ def test_suites_deterministic():
     a = run_suite("conjugation", 10)
     b = run_suite("conjugation", 10)
     assert a.to_json_dict() == b.to_json_dict()
+
+
+def test_timed_repeats_until_the_minimum():
+    verify_all = _load_script("verify_all")
+    rep, times = verify_all.timed("twocom", 4, 0.0)
+    assert rep.passed and len(times) == 1
+    rep, times = verify_all.timed("twocom", 4, 0.05)
+    assert rep.passed and len(times) > 1 and sum(times) >= 0.05
+    assert sum(times[:-1]) < 0.05
+
+
+def test_spread_reports_median_and_quartiles():
+    bench_compare = _load_script("bench_compare")
+    runs = [{"suites": {"s": {"elapsed_s": t}}} for t in (0.4, 0.1, 0.3, 0.2, 0.5)]
+    assert bench_compare.spread(runs) == {"s": {"median_s": 0.3, "quartiles_s": [0.15, 0.45]}}
+    one = bench_compare.spread(runs[:1])
+    assert one == {"s": {"median_s": 0.4, "quartiles_s": [0.4, 0.4]}}
