@@ -20,7 +20,8 @@ and ``from_json_dict``, check everything and raise ``ValueError``.  The
 package builds a diagram or partition unchecked, through ``_trusted``, only
 where its own code lays the rows out correctly by construction:
 ``from_row_spec`` (which every canonical diagram goes through, and which
-keeps one check per length class), transposes, column deletions and shapes.
+keeps one check per row length and per length class), transposes, column
+deletions and shapes.
 """
 
 from __future__ import annotations
@@ -296,21 +297,21 @@ def from_row_spec(kind: Kind, spec: Iterable[tuple[int, Sign | None]]) -> Signed
     free rows of one length list Plus-leading rows first.  Every canonical
     diagram is built here.
 
-    Each length class is checked once, and a bad one raises ``ValueError``:
-    its length is a positive int, a constrained class has no explicit sign
-    and an even count, a free row has a ``Sign``.  Those checks are all a
-    valid diagram needs beyond the layout made here, so the result is built
-    through ``SignedDiagram._trusted``."""
+    Each row length and each length class is checked once, and a bad one
+    raises ``ValueError``: a length is a positive int, a constrained class
+    has no explicit sign and an even count, a free row has a ``Sign``.
+    Those checks are all a valid diagram needs beyond the layout made here,
+    so the result is built through ``SignedDiagram._trusted``."""
     if not isinstance(kind, Kind):
         raise ValueError(f"invalid signed diagram: kind must be a Kind, got {kind!r}")
     by_length: dict[int, list[Sign | None]] = {}
     for length, sign in spec:
-        by_length.setdefault(length, []).append(sign)
-    for length in by_length:
+        # checked per row: 2.0 or True would join the class of an equal int
         if type(length) is not int or length <= 0:
             raise ValueError(
                 f"invalid signed diagram: row lengths must be positive integers: {length!r}"
             )
+        by_length.setdefault(length, []).append(sign)
     rows: list[SignedRow] = []
     for length in sorted(by_length, reverse=True):
         signs = by_length[length]

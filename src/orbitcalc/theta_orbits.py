@@ -33,34 +33,43 @@ def theta_lift_complex(d: Partition, target_size: int) -> Partition:
     return Partition(tuple(r + 1 for r in d.rows) + (1,) * (new_col - d.height))
 
 
+def prepend_column(d: SignedDiagram, ones: int, plus: int = 0) -> SignedDiagram:
+    """The diagram of the opposite kind whose first-column deletion is d,
+    with ``ones`` new 1-rows; built by one :func:`from_row_spec` call.
+
+    Rows of length >= 2 are forced: each row of d gains a box on the left,
+    flipping its leading sign, and is constrained exactly when its row of d
+    is.  The new 1-rows are convention-bound for a symplectic result (an
+    odd count raises ``ValueError``); for an orthogonal one, ``plus`` of
+    them lead with + and the rest with -.
+    """
+    kind = d.kind.opposite
+    spec = [(n + 1, None if d.kind.constrained(n) else lead.flipped) for n, lead in d.rows]
+    if kind is Kind.SYMPLECTIC:
+        spec += [(1, None)] * ones
+    else:
+        spec += [(1, Sign.PLUS)] * plus + [(1, Sign.MINUS)] * (ones - plus)
+    return from_row_spec(kind, spec)
+
+
 def theta_lift_real(d: SignedDiagram, target: Signature) -> SignedDiagram:
     """The unique valid signed lift with the given signature.
 
-    Rows of length >= 2 in the lift are forced: each row of d gains a box on
-    the left, flipping its leading sign.  Only the new 1-rows have any
-    freedom (for an orthogonal lift), and the target signature fixes their
-    split, so there is at most one candidate; an invalid one is an error.
+    Only the new 1-rows of a column prepend have any freedom (for an
+    orthogonal lift), and the target signature fixes their split, so there
+    is at most one candidate; an invalid one is an error.
     """
     target = Signature(*target)
     target_size = target.plus + target.minus
     new_col = target_size - d.size
     if new_col < len(d.rows):
         raise ValueError("no column-prepend lift of this size")
-    kind = d.kind.opposite
-    ones = new_col - len(d.rows)
-    # a forced row is constrained exactly when its row of d is
-    spec = [(n + 1, None if d.kind.constrained(n) else lead.flipped) for n, lead in d.rows]
-    if kind is Kind.SYMPLECTIC:
-        spec += [(1, None)] * ones  # convention-bound pairs; from_row_spec signs them
-    else:
-        # the new box of a forced row is a plus box when its row of d leads with -
-        forced_plus = signature(d).plus + sum(1 for _, lead in d.rows if lead is Sign.MINUS)
-        a = target.plus - forced_plus
-        spec += [(1, Sign.PLUS)] * a + [(1, Sign.MINUS)] * (ones - a)  # a rows (1, +)
+    # the new box of a forced row is a plus box when its row of d leads with -
+    forced_plus = signature(d).plus + sum(1 for _, lead in d.rows if lead is Sign.MINUS)
     # an odd count of symplectic 1-rows, or a split outside [0, ones],
     # fails the validity or the signature check
     try:
-        lift = from_row_spec(kind, spec)
+        lift = prepend_column(d, new_col - len(d.rows), target.plus - forced_plus)
     except ValueError:  # the constructor refused the candidate
         lift = None
     if (

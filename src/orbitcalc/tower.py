@@ -9,6 +9,11 @@ inequalities (the five-clause column lemma), the range conditions each
 lift step needs, and a uniqueness property of the orbit that certifies
 the nonvanishing step; a certificate is the tower with all of these
 records attached to its steps, together with the infinitesimal character.
+
+Class U is hereditary under deleting the first column, so the suites grow
+it top-down: :func:`admissible_towers` lifts every member by prepending one
+column and extends the member's tower by that step, while :func:`tower`
+builds the tower of a single diagram from its deletion chain.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .diagram_core import (
     GroupLabel,
     Kind,
     Partition,
+    Sign,
     SignedDiagram,
     Signature,
     group_of,
@@ -30,7 +36,7 @@ from .diagram_core import (
 from .enumeration import diagrams_for_shape, shapes
 from .infchar import infchar_segments
 from .orbit_induction import induce_real_tau
-from .theta_orbits import chain, deletion_inertia, in_moment_image
+from .theta_orbits import chain, deletion_inertia, in_moment_image, prepend_column
 from .vector_order import HalfIntVector, vector_to_json
 
 
@@ -126,8 +132,8 @@ def class_u(d: SignedDiagram) -> ClassUReport:
 
 
 # ---------------------------------------------------------------------------
-# class U generated shape first: the shape clauses pick the shapes, the
-# excluded tail is the only test a sign assignment can fail
+# class U by shape: the shape clauses pick the shapes, the excluded tail is
+# the only test a sign assignment can fail
 
 
 def admissible_shapes(max_size: int) -> Iterator[tuple[Kind, Partition]]:
@@ -150,13 +156,6 @@ def shape_members(shape: Partition, kind: Kind) -> Iterator[SignedDiagram]:
     for d in diagrams_for_shape(shape, kind):
         if not _excluded_pattern(d, heights):
             yield d
-
-
-def admissible_diagrams(max_size: int) -> Iterator[SignedDiagram]:
-    """Every nonempty class-U diagram of size <= max_size, in the order of
-    filtering ``signed_diagrams`` by size and kind with :func:`class_u`."""
-    for kind, shape in admissible_shapes(max_size):
-        yield from shape_members(shape, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +209,86 @@ def tower(d: SignedDiagram) -> Tower:
             k for k in range(2, len(steps)) if steps[k - 1].kind is Kind.SYMPLECTIC
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# class U grown as a forest of column-prepend lifts: deleting the first
+# column of an admissible diagram leaves an admissible diagram, so every
+# member is a lift of a member one column narrower, and its tower is that
+# member's tower plus one step
+
+
+def _prepend_heights(d: SignedDiagram, room: int) -> range:
+    """Heights h <= room of the columns worth prepending to d.  A column on
+    the empty diagram is admissible at every height its kind allows.  On a
+    nonempty d, whose first column has m1 boxes, class U needs h of the
+    parity of m1, and h > m1 for an orthogonal result (its first comparison
+    is strict); the other clauses of the lift are those of d, except the
+    excluded tail, which class_u decides."""
+    m1 = len(d.rows)
+    if d.kind is Kind.ORTHOGONAL:  # symplectic result
+        return range(m1 or 2, room + 1, 2)
+    return range(m1 + 2, room + 1, 2) if m1 else range(1, room + 1)
+
+
+def _lift(t: Tower, d: SignedDiagram, max_size: int) -> Iterator[tuple[Tower, SignedDiagram]]:
+    """The admissible one-column lifts of size <= max_size of d, whose tower
+    is t, each with its tower: t extended by one step."""
+    m1, size = len(d.rows), t.size[-1]
+    # the top step of t becomes interior; it counts when it is metaplectic
+    interior = (t.d1,) if t.d1 >= 2 and d.kind is Kind.SYMPLECTIC else ()
+    for h in _prepend_heights(d, max_size - size):
+        ones = h - m1
+        splits = range(ones + 1) if d.kind is Kind.SYMPLECTIC else (0,)
+        for plus in splits:
+            child = prepend_column(d, ones, plus)
+            report = class_u(child)
+            if report.member:
+                lifted = Tower(
+                    steps=t.steps + (child,),
+                    groups=t.groups + (group_of(child),),
+                    sig=t.sig + (signature(child),),
+                    size=t.size + (size + h,),
+                    report=report,
+                    metaplectic=t.metaplectic + interior,
+                )
+                yield lifted, child
+
+
+def _stream_key(t: Tower) -> tuple:
+    """Size, symplectic before orthogonal, shape in descending lex order,
+    then per free length class its plus count: plus-leading rows come first
+    in a canonical class, so comparing leads (+ above -) row by row orders
+    the counts class by class, as :func:`diagrams_for_shape` does."""
+    d = t.steps[-1]
+    return (
+        d.size,
+        d.kind is Kind.ORTHOGONAL,
+        [-length for length, _ in d.rows],
+        [lead is Sign.PLUS for _, lead in d.rows],
+    )
+
+
+def admissible_towers(max_size: int) -> list[Tower]:
+    """The tower of every nonempty class-U diagram of size <= max_size,
+    grown level by level from the two empty diagrams; in the order of
+    filtering ``signed_diagrams`` by size and kind with :func:`class_u`."""
+    level = [  # the towers of the empty diagrams, as tower() builds them
+        (Tower((), (), (Signature(0, 0),), (0,), class_u(d), ()), d)
+        for d in (SignedDiagram(Kind.SYMPLECTIC), SignedDiagram(Kind.ORTHOGONAL))
+    ]
+    towers: list[Tower] = []
+    while level:
+        level = [lifted for t, d in level for lifted in _lift(t, d, max_size)]
+        towers += (t for t, _ in level)
+    towers.sort(key=_stream_key)
+    return towers
+
+
+def admissible_diagrams(max_size: int) -> Iterator[SignedDiagram]:
+    """Every nonempty class-U diagram of size <= max_size, in the order of
+    :func:`admissible_towers`."""
+    return (t.steps[-1] for t in admissible_towers(max_size))
 
 
 def check_lemma_pm(t: Tower) -> list[dict]:

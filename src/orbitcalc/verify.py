@@ -34,13 +34,12 @@ from .infchar import (
 )
 from .orbit_induction import induce_real, plus_rows, wf_ialpha_parts
 from .tower import (
-    admissible_diagrams,
     admissible_shapes,
+    admissible_towers,
     check_lemma_pm,
     check_non3,
     check_range,
     shape_members,
-    tower,
 )
 from .vector_order import bar_sort, closure_order, scaled_preceq, vector_to_json
 
@@ -106,11 +105,11 @@ def suite_reasonss(bound: int) -> SuiteReport:
 
 def suite_lemma_pm(bound: int) -> SuiteReport:
     rep = SuiteReport("lemma-pm", bound)
-    for d in admissible_diagrams(bound):
+    for t in admissible_towers(bound):
         rep.checked += 1
-        for rec in check_lemma_pm(tower(d)):
+        for rec in check_lemma_pm(t):
             if not rec["ok"]:
-                rep.counterexamples.append(f"{d}: step {rec['k']}: {rec['clauses']}")
+                rep.counterexamples.append(f"{t.steps[-1]}: step {rec['k']}: {rec['clauses']}")
     return rep
 
 
@@ -294,9 +293,9 @@ def suite_non3(bound: int) -> SuiteReport:
     """Full tower ledger over admissible diagrams: range conditions and the
     uniqueness record at every interior metaplectic step."""
     rep = SuiteReport("non3", bound)
-    for d in admissible_diagrams(bound):
+    for t in admissible_towers(bound):
         rep.checked += 1
-        t = tower(d)
+        d = t.steps[-1]
         for rec in check_range(t):
             if not rec["ok"]:
                 rep.counterexamples.append(f"{d}: range at step {rec['k']}: {rec['checks']}")

@@ -173,6 +173,24 @@ class TestConstructor:
         with pytest.raises(ValueError, match="invalid signed diagram: .*integers"):
             SignedDiagram(Kind.ORTHOGONAL, ((length, P),))
 
+    @pytest.mark.parametrize(
+        "kind, spec",
+        [
+            (Kind.ORTHOGONAL, [(2, None), (2.0, None)]),
+            (Kind.ORTHOGONAL, [(2.0, None), (2, None)]),
+            (Kind.ORTHOGONAL, [(1, P), (True, M)]),
+            (Kind.ORTHOGONAL, [(True, M), (1, P)]),
+            (Kind.SYMPLECTIC, [(1, None), (True, None)]),
+            (Kind.SYMPLECTIC, [(True, None), (1, None)]),
+        ],
+        ids=repr,
+    )
+    def test_row_spec_length_equal_to_an_int_refused(self, kind, spec):
+        # 2.0 and True hash equal to 2 and 1, so a per-class check would let
+        # them join the class of the int in either order
+        with pytest.raises(ValueError, match="invalid signed diagram: .*integers"):
+            from_row_spec(kind, spec)
+
     @pytest.mark.parametrize("rows", [((2,),), (5,), ((2, P, 1),), None], ids=repr)
     def test_row_must_be_a_pair(self, rows):
         with pytest.raises(ValueError, match="invalid signed diagram: .*pairs"):

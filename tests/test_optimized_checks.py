@@ -78,6 +78,10 @@ cases = [
     lambda: from_row_spec(S, [(1, M), (1, P)]),
     lambda: from_row_spec(O, [(1, "+")]),
     lambda: from_row_spec("orthogonal", [(1, P)]),
+    lambda: from_row_spec(O, [(2, None), (2.0, None)]),
+    lambda: from_row_spec(O, [(2.0, None), (2, None)]),
+    lambda: from_row_spec(O, [(1, P), (True, M)]),
+    lambda: from_row_spec(O, [(True, M), (1, P)]),
 ]
 for rows, target in [((), (1, 0)), ((), (2, 1)), (((1, P),), (2, 1)), (((1, P), (1, M)), (3, 2))]:
     d = SignedDiagram(O, rows)
@@ -103,4 +107,4 @@ def test_row_spec_checks_under_optimize():
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 16
+    assert proc.stdout.split() == ["ValueError"] * 20

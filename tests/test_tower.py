@@ -16,15 +16,19 @@ from orbitcalc.diagram_core import (
 )
 from orbitcalc.enumeration import diagrams_for_shape, partitions, shapes, signed_diagrams
 from orbitcalc.infchar import check_bound
+from orbitcalc.theta_orbits import theta_lift_real
 from orbitcalc.tower import (
     _interlacing_failures,
     admissible_diagrams,
+    admissible_shapes,
+    admissible_towers,
     certificate,
     check_lemma_pm,
     check_non3,
     check_range,
     class_u,
     pre_rigid,
+    shape_members,
     special,
     tower,
 )
@@ -59,6 +63,13 @@ def admissible(max_size):
             for d in signed_diagrams(kind, size=size):
                 if class_u(d).member:
                     yield d
+
+
+def shape_first(max_size):
+    """Class U by shape: the shapes that pass the column-height clauses,
+    then the sign assignments without the excluded tail."""
+    for kind, shape in admissible_shapes(max_size):
+        yield from shape_members(shape, kind)
 
 
 class TestRigiditySpeciality:
@@ -154,9 +165,10 @@ class TestClassU:
                 assert class_u(e).member, (d, e)
 
     def test_deletion_closure_to_20(self):
-        # the premise of growing the admissible class by column-prepend lifts
+        # the premise of growing the admissible class by column-prepend
+        # lifts, checked on the shape-first route, which never lifts
         count = 0
-        for d in admissible_diagrams(20):
+        for d in shape_first(20):
             count += 1
             e = delete_column_signed(d)
             assert not e.rows or class_u(e).member, (d, e)
@@ -173,7 +185,7 @@ class TestClassU:
 
 
 class TestGenerator:
-    """The shape-first generator against filtering every diagram with class_u."""
+    """The forest stream against filtering every diagram with class_u."""
 
     def test_stream_matches_filter(self):
         filtered = list(admissible(16))
@@ -207,6 +219,44 @@ class TestGenerator:
             assert (rep.checked, rep.notes, rep.counterexamples) == (
                 checked, notes, counterexamples,
             ), bound
+
+
+class TestForest:
+    """admissible_towers, which lifts members one column at a time, against
+    the routes that never lift: the class_u filter, the shape-first
+    generator, tower(d) on the deletion chain and theta_lift_real.
+    TestGenerator checks the stream against the class_u filter."""
+
+    def test_stream_matches_shape_first_to_18(self):
+        reference = list(shape_first(18))
+        for bound in range(0, 19):
+            want = [d for d in reference if d.size <= bound]
+            assert [t.steps[-1] for t in admissible_towers(bound)] == want, bound
+
+    def test_towers_match_tower_field_by_field(self):
+        fields = ("steps", "groups", "sig", "size", "report", "metaplectic")
+        for t in admissible_towers(16):
+            want = tower(t.steps[-1])
+            for name in fields:
+                assert getattr(t, name) == getattr(want, name), (t.steps[-1], name)
+
+    def test_steps_are_theta_lifts(self):
+        # D(1) lifts the empty diagram of the other kind, D(k) lifts D(k-1)
+        for t in admissible_towers(14):
+            below = SignedDiagram(t.steps[0].kind.opposite)
+            for k, step in enumerate(t.steps, start=1):
+                assert theta_lift_real(below, t.sig[k]) == step, (t.steps[-1], k)
+                below = step
+
+    def test_count_at_20(self):
+        towers = admissible_towers(20)
+        assert len(towers) == 1624
+        assert all(t.report.member for t in towers)
+
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_empty_bounds(self, bound):
+        assert admissible_towers(bound) == []
+        assert list(admissible_diagrams(bound)) == []
 
 
 class TestLemmaPm:
