@@ -223,9 +223,8 @@ class TestGenerator:
 
 class TestForest:
     """admissible_towers, which lifts members one column at a time, against
-    the routes that never lift: the class_u filter, the shape-first
-    generator, tower(d) on the deletion chain and theta_lift_real.
-    TestGenerator checks the stream against the class_u filter."""
+    the shape-first generator, tower(d) on the deletion chain and
+    theta_lift_real step by step; TestGenerator holds the class_u filter."""
 
     def test_stream_matches_shape_first_to_18(self):
         reference = list(shape_first(18))
