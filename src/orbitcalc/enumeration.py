@@ -50,6 +50,54 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
             parts.append(rest)
 
 
+def _odd_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n > 0 into odd parts, in descending lex order, by
+    the successor rule of :func:`partitions` with steps of 2: the last part
+    p > 1 becomes p - 2, and the boxes after it refill greedily with odd
+    parts of at most p - 2 (an even remainder r as r - 1 and 1)."""
+    parts = [n] if n % 2 else [n - 1, 1]
+    while True:
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        k = parts.pop() - 2
+        count, rest = divmod(ones + k + 2, k)
+        parts += [k] * count
+        if rest:
+            parts += [rest] if rest % 2 else [rest - 1, 1]
+
+
+def parity_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n whose parts are all even or all odd, in
+    descending lex order: the all-even ones are the partitions of n / 2
+    doubled, merged with the all-odd ones.  As column heights, these are the
+    very even and very odd shapes of size n."""
+    if n <= 0:
+        yield from partitions(n)  # the empty partition, or none
+        return
+    odd = _odd_partitions(n)
+    if n % 2:
+        yield from odd
+        return
+    even = (tuple(2 * part for part in half) for half in partitions(n // 2))
+    # n even and positive: both streams are nonempty and disjoint
+    streams = [even, odd]
+    heads = [next(even), next(odd)]
+    while True:
+        i = int(heads[0] < heads[1])  # the stream with the larger head
+        yield heads[i]
+        head = next(streams[i], None)
+        if head is None:
+            yield heads[1 - i]
+            yield from streams[1 - i]
+            return
+        heads[i] = head
+
+
 def shapes(kind: Kind, size: int) -> Iterator[Partition]:
     """Valid shapes of the given size for the kind; symplectic shapes have
     odd rows in pairs, so their size is even."""

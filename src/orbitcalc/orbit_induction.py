@@ -19,7 +19,6 @@ from .diagram_core import (
     Partition,
     Sign,
     SignedDiagram,
-    SignedRow,
     from_row_spec,
     tau,
 )
@@ -97,10 +96,7 @@ def two_n_signed(n: int, i: int) -> SignedDiagram | None:
         raise ValueError(f"index {i} outside [-1, {n + 1}]")
     if i == -1 or i == n + 1:
         return None
-    rows = tuple(
-        [SignedRow(2, Sign.PLUS)] * i + [SignedRow(2, Sign.MINUS)] * (n - i)
-    )
-    return SignedDiagram(Kind.SYMPLECTIC, rows)
+    return from_row_spec(Kind.SYMPLECTIC, [(2, Sign.PLUS)] * i + [(2, Sign.MINUS)] * (n - i))
 
 
 def plus_rows(d: SignedDiagram) -> int:

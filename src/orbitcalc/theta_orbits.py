@@ -81,6 +81,13 @@ def theta_lift_real(d: SignedDiagram, target: Signature) -> SignedDiagram:
     return lift
 
 
+def middle_is_plus(half: int, lead: Sign) -> bool:
+    """Does the middle sign of an even row of length 2 * half leading with
+    ``lead`` count on the positive side of the pairing inertia?  The middle
+    sign is lead * (-1)^(half - 1)."""
+    return (lead is Sign.PLUS) == (half % 2 == 1)
+
+
 def deletion_inertia(d: SignedDiagram) -> Signature:
     """Inertia (r, s) of the symmetric pairing Omega(X., .) attached to any
     X in the orbit of a symplectic diagram.
@@ -99,19 +106,59 @@ def deletion_inertia(d: SignedDiagram) -> Signature:
         raise ValueError("the pairing inertia applies to symplectic diagrams")
     r = s = 0
     for length, lead in d.rows:
+        half = length // 2
+        r += half
+        s += half
         if length % 2 == 0:
-            w = length // 2
-            r += w - 1
-            s += w - 1
-            middle = (1 if lead is Sign.PLUS else -1) * (-1) ** (w - 1)
-            if middle > 0:
-                r += 1
+            if middle_is_plus(half, lead):
+                s -= 1
             else:
-                s += 1
-        else:
-            r += (length - 1) // 2
-            s += (length - 1) // 2
+                r -= 1
     return Signature(r, s)
+
+
+def inertia_companions(shape: Partition, target: Signature) -> tuple[SignedDiagram | None, int]:
+    """The first diagram of ``diagrams_for_shape(shape, Kind.SYMPLECTIC)``
+    whose :func:`deletion_inertia` is ``target``, and the number of such
+    diagrams; (None, 0) when there is none.
+
+    The inertia adds up over the rows: every row gives its half length to
+    both sides, except that an even row keeps its middle sign on one side
+    only.  A free class of multiplicity m with k plus-leading rows puts k or
+    m - k middles on the positive side, so the target fixes how many
+    positive middles the free classes must share: the count is the
+    coefficient of x^need in the product of (1 + x + ... + x^m), and the
+    first diagram, in the order of the plus counts class by class, gives
+    each class (longest first) the least k the later classes can make up.
+    """
+    spec: list[tuple[int, Sign | None]] = []
+    free: list[tuple[int, int]] = []
+    base = 0  # inertia on each side before the middles are placed
+    for length, mult in shape.classes():
+        base += (length - 1) // 2 * mult
+        if Kind.SYMPLECTIC.constrained(length):
+            spec += [(length, None)] * mult
+        else:
+            free.append((length, mult))
+    middles = sum(mult for _, mult in free)
+    need = target.plus - base
+    if target.minus - base != middles - need or not 0 <= need <= middles:
+        return None, 0
+    ways = [1]  # ways[j]: sign choices on the classes so far with j plus middles
+    for _, mult in free:
+        ways = [sum(ways[max(0, j - mult) : j + 1]) for j in range(len(ways) + mult)]
+    count = ways[need]
+    later = middles  # the middles of the classes not placed yet
+    for length, mult in free:
+        later -= mult
+        plus_middle = middle_is_plus(length // 2, Sign.PLUS)
+        for k in range(mult + 1):
+            placed = k if plus_middle else mult - k
+            if 0 <= need - placed <= later:
+                break
+        need -= placed
+        spec += [(length, Sign.PLUS)] * k + [(length, Sign.MINUS)] * (mult - k)
+    return from_row_spec(Kind.SYMPLECTIC, spec), count
 
 
 def in_moment_image(d: SignedDiagram, p: int, q: int) -> bool:

@@ -33,10 +33,16 @@ from .diagram_core import (
     to_json_dict,
     validate_partition_kind,
 )
-from .enumeration import diagrams_for_shape, shapes
+from .enumeration import diagrams_for_shape, parity_partitions
 from .infchar import infchar_segments
 from .orbit_induction import induce_real_tau
-from .theta_orbits import chain, deletion_inertia, in_moment_image, prepend_column
+from .theta_orbits import (
+    chain,
+    deletion_inertia,
+    in_moment_image,
+    inertia_companions,
+    prepend_column,
+)
 from .vector_order import HalfIntVector, vector_to_json
 
 
@@ -138,15 +144,22 @@ def class_u(d: SignedDiagram) -> ClassUReport:
 
 def admissible_shapes(max_size: int) -> Iterator[tuple[Kind, Partition]]:
     """(kind, shape) for every nonempty valid shape of size <= max_size that
-    passes the clauses of class U that see only the column heights; by size, symplectic before
-    orthogonal, then partition order."""
+    passes the clauses of class U that see only the column heights; by size,
+    symplectic before orthogonal, then partition order.  The shapes are
+    built from the very even and very odd column heights that interlace."""
+    kinds = (Kind.SYMPLECTIC, Kind.ORTHOGONAL)
     for size in range(1, max_size + 1):
-        for kind in (Kind.SYMPLECTIC, Kind.ORTHOGONAL):
-            for shape in shapes(kind, size):
-                columns = shape.transpose()
-                parity_ok = columns.very_even or columns.very_odd
-                if parity_ok and not _interlacing_failures(columns.rows, kind):
-                    yield kind, shape
+        groups: dict[Kind, list[Partition]] = {kind: [] for kind in kinds}
+        for heights in parity_partitions(size):
+            fits = [kind for kind in kinds if not _interlacing_failures(heights, kind)]
+            if fits:
+                shape = Partition._trusted(heights).transpose()
+                for kind in fits:
+                    if validate_partition_kind(shape, kind):
+                        groups[kind].append(shape)
+        for kind in kinds:
+            for shape in sorted(groups[kind], key=lambda p: p.rows, reverse=True):
+                yield kind, shape
 
 
 def shape_members(shape: Partition, kind: Kind) -> Iterator[SignedDiagram]:
@@ -391,17 +404,12 @@ def check_non3(t: Tower, k: int) -> dict:
     m2 = len(steps[k - 1].rows)
     n2 = p + q - n1 - 1
 
-    # companion search: valid sign assignments on the step-k shape whose
-    # pairing inertia is exactly (q0, p0); the search is the constructive
-    # substitute for the wave-front existence argument.
-    companions = [
-        cand
-        for cand in diagrams_for_shape(steps[k - 1].shape(), Kind.SYMPLECTIC)
-        if deletion_inertia(cand) == Signature(q0, p0)
-    ]
-    if not companions:
+    # companions: valid sign assignments on the step-k shape whose pairing
+    # inertia is exactly (q0, p0), counted, with the first one built; this
+    # is the constructive substitute for the wave-front existence argument.
+    d0, companions = inertia_companions(steps[k - 1].shape(), Signature(q0, p0))
+    if d0 is None:
         raise ValueError("no companion with the required pairing inertia")
-    d0 = companions[0]
 
     record: dict = {
         "k": k,
@@ -411,7 +419,7 @@ def check_non3(t: Tower, k: int) -> dict:
         "m1": m1,
         "m2": m2,
         "n2": n2,
-        "companions": len(companions),
+        "companions": companions,
     }
     checks: dict[str, bool] = {}
     checks["width_margin"] = n2 - n1 == m1 - 1 and m1 - 1 >= m2

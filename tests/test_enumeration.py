@@ -13,6 +13,7 @@ from orbitcalc.enumeration import (
     brute_count,
     class_count,
     diagrams_for_shape,
+    parity_partitions,
     partitions,
     shapes,
     signed_diagrams,
@@ -48,6 +49,32 @@ class TestPartitions:
         for n, members in enumerate(table):
             assert list(partitions(n)) == sorted(members, reverse=True)
         assert list(partitions(-1)) == []
+
+
+class TestParityPartitions:
+    """The all-even and all-odd partitions against filtering partitions()."""
+
+    def test_matches_filter_to_30(self):
+        for n in range(31):
+            got = list(parity_partitions(n))
+            want = {
+                rows
+                for rows in partitions(n)
+                if all(r % 2 == 0 for r in rows) or all(r % 2 == 1 for r in rows)
+            }
+            assert len(got) == len(set(got)), n
+            assert got == sorted(got, reverse=True), n
+            assert set(got) == want, n
+        assert list(parity_partitions(0)) == [()]
+        assert list(parity_partitions(-2)) == []
+
+    def test_both_parities_present(self):
+        rows = list(parity_partitions(8))
+        assert (8,) in rows and (7, 1) in rows and (2,) * 4 in rows and (1,) * 8 in rows
+
+    def test_large_n_does_not_recurse(self):
+        assert next(parity_partitions(5000)) == (5000,)
+        assert next(parity_partitions(5001)) == (5001,)
 
 
 class TestSignedEnumeration:

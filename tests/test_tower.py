@@ -16,7 +16,7 @@ from orbitcalc.diagram_core import (
 )
 from orbitcalc.enumeration import diagrams_for_shape, partitions, shapes, signed_diagrams
 from orbitcalc.infchar import check_bound
-from orbitcalc.theta_orbits import theta_lift_real
+from orbitcalc.theta_orbits import deletion_inertia, inertia_companions, theta_lift_real
 from orbitcalc.tower import (
     _interlacing_failures,
     admissible_diagrams,
@@ -63,6 +63,29 @@ def admissible(max_size):
             for d in signed_diagrams(kind, size=size):
                 if class_u(d).member:
                     yield d
+
+
+def transposed_shape_filter(max_size):
+    """Reference for admissible_shapes: every valid shape, transposed, kept
+    when its column heights are very even or very odd and interlace."""
+    for size in range(1, max_size + 1):
+        for kind in (Kind.SYMPLECTIC, Kind.ORTHOGONAL):
+            for shape in shapes(kind, size):
+                columns = shape.transpose()
+                parity_ok = columns.very_even or columns.very_odd
+                if parity_ok and not _interlacing_failures(columns.rows, kind):
+                    yield kind, shape
+
+
+def companion_search(shape):
+    """Reference for inertia_companions: every sign assignment on a
+    symplectic shape, in diagrams_for_shape order, grouped by its pairing
+    inertia as (first diagram, count)."""
+    found = {}
+    for d in diagrams_for_shape(shape, Kind.SYMPLECTIC):
+        first, count = found.get(deletion_inertia(d), (d, 0))
+        found[deletion_inertia(d)] = (first, count + 1)
+    return found
 
 
 def shape_first(max_size):
@@ -221,6 +244,18 @@ class TestGenerator:
             ), bound
 
 
+class TestAdmissibleShapes:
+    """admissible_shapes, built from column heights, against transposing
+    every valid shape."""
+
+    def test_matches_transposed_filter_to_24(self):
+        reference = list(transposed_shape_filter(24))
+        for bound in range(0, 25):
+            want = [(kind, shape) for kind, shape in reference if shape.size <= bound]
+            assert list(admissible_shapes(bound)) == want, bound
+        assert len(reference) == 397
+
+
 class TestForest:
     """admissible_towers, which lifts members one column at a time, against
     the shape-first generator, tower(d) on the deletion chain and
@@ -363,6 +398,36 @@ class TestNon3:
             t = tower(d)
             for k in t.metaplectic:
                 assert check_non3(t, k)["ok"], (d, k)
+
+    def test_companions_match_search_to_14(self):
+        # every target (r, s) with r + s <= size, most of which no sign
+        # assignment reaches
+        cases = found = 0
+        for size in range(0, 15, 2):
+            for shape in shapes(Kind.SYMPLECTIC, size):
+                search = companion_search(shape)
+                for r in range(size + 1):
+                    for s in range(size + 1 - r):
+                        want = search.get(Signature(r, s), (None, 0))
+                        assert inertia_companions(shape, Signature(r, s)) == want, (shape, r, s)
+                        cases += 1
+                        found += want[1] > 0
+        assert cases == 13831
+        assert 0 < found < cases
+
+    def test_records_digest_to_20(self):
+        # sha256 of every check_non3 record of every admissible tower up to
+        # size 20; the records must stay byte-identical under refactoring
+        digest = hashlib.sha256()
+        count = 0
+        for t in admissible_towers(20):
+            for k in t.metaplectic:
+                digest.update((json.dumps(check_non3(t, k), sort_keys=True) + "\n").encode())
+                count += 1
+        assert count == 927
+        assert digest.hexdigest() == (
+            "3607e7d7471e519c23fe21e7b24ab5a6755ed20c3f4dbf3c5701a5d3ebbeb800"
+        )
 
 
 class TestCertificate:

@@ -24,7 +24,7 @@ from orbitcalc.diagram_core import (
     validate_signed,
 )
 from orbitcalc.enumeration import partitions, shapes, signed_diagrams
-from orbitcalc.orbit_induction import add_two_columns, induce_real, merge
+from orbitcalc.orbit_induction import add_two_columns, induce_real, merge, two_n_signed
 from orbitcalc.theta_orbits import theta_lift_real
 
 SIGNED_MAX = 14
@@ -63,7 +63,8 @@ def all_signed(max_size: int) -> list[SignedDiagram]:
 
 class TestSignedBuilders:
     """diagrams_for_shape, canonicalize, tau, delete_column_signed,
-    induce_real and theta_lift_real, on every diagram up to size 14."""
+    induce_real and theta_lift_real, on every diagram up to size 14, and
+    two_n_signed up to [2^30]."""
 
     def test_every_result_passes_the_constructor(self):
         built = 0
@@ -99,6 +100,15 @@ class TestSignedBuilders:
                     lifts += 1
         assert lifts > 1000 and refused > 1000
 
+    def test_two_n_signed(self):
+        for n in range(31):
+            for i in range(n + 1):
+                rows = (SignedRow(2, Sign.PLUS),) * i + (SignedRow(2, Sign.MINUS),) * (n - i)
+                d = two_n_signed(n, i)
+                assert d == SignedDiagram(Kind.SYMPLECTIC, rows), (n, i)
+                assert_checked_equal(d)
+            assert two_n_signed(n, -1) is None and two_n_signed(n, n + 1) is None
+
 
 class TestPartitionBuilders:
     """transpose, delete_columns, merge, add_two_columns, shapes and the
@@ -109,7 +119,9 @@ class TestPartitionBuilders:
         built = 0
         for n in range(PARTITION_MAX + 1):
             for rows in partitions(n):
-                p = Partition._trusted(rows)  # as suite_domino_oracle builds it
+                # rows read as column heights, as suite_domino_oracle and
+                # admissible_shapes take them; results[0] is their shape
+                p = Partition._trusted(rows)
                 assert_partition_checked_equal(p)
                 results = [p.transpose(), p.transpose().transpose()]
                 results += [p.delete_columns(i) for i in range(p.width + 2)]

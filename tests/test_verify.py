@@ -3,6 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from orbitcalc import verify
+from orbitcalc.diagram_core import Kind, Partition
+from orbitcalc.enumeration import partitions
 from orbitcalc.verify import SUITES, run_suite
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -44,6 +47,30 @@ def test_zero_cases_do_not_pass():
     rep = run_suite("reasonss", 0)
     assert rep.checked == 0
     assert not rep.passed
+
+
+def test_domino_oracle_cases_match_filtered_partitions(monkeypatch):
+    # the suite builds its cases from column heights; they must be the
+    # (heights, kind) pairs of filtering every partition by its transpose
+    checked = []
+    domino = verify.infchar_domino
+
+    def recording(d, kind):
+        checked.append((d.transpose().rows, kind))
+        return domino(d, kind)
+
+    monkeypatch.setattr(verify, "infchar_domino", recording)
+    rep = run_suite("domino-oracle", 24)
+    want = []
+    for size in range(1, 25):
+        for rows in partitions(size):
+            heights = Partition(rows).transpose().rows
+            if all(h % 2 == 0 for h in heights) or all(h % 2 == 1 for h in heights):
+                kinds = Kind if size % 2 == 0 else (Kind.ORTHOGONAL,)
+                want += [(heights, kind) for kind in kinds]
+    assert rep.passed and rep.checked == len(checked) == len(want) == 1716
+    assert len(set(checked)) == len(checked)
+    assert set(checked) == set(want)
 
 
 def test_suites_deterministic():
