@@ -141,10 +141,10 @@ def inertia_companions(shape: Partition, target: Signature) -> tuple[SignedDiagr
         else:
             free.append((length, mult))
     middles = sum(mult for _, mult in free)
-    need = target.plus - base
+    need = target.plus - base  # middles the target puts on the positive side
     if target.minus - base != middles - need or not 0 <= need <= middles:
         return None, 0
-    ways = [1]  # ways[j]: sign choices on the classes so far with j plus middles
+    ways = [1]  # ways[j]: sign choices on the classes so far with j positive middles
     for _, mult in free:
         ways = [sum(ways[max(0, j - mult) : j + 1]) for j in range(len(ways) + mult)]
     count = ways[need]
