@@ -12,7 +12,8 @@ until it has run for 0.5 s and reports the median time of one pass.  The
 output holds every run of both sides, each side's per-suite median and
 quartiles of those times over its runs, and per suite the ratio base /
 change of the medians next to both sides' quartiles, so that a ratio can be
-read against the spread of the runs behind it.  The same comparison is
+read against the spread of the runs behind it, and each side's
+``src_lines``, the line count of its package.  The same comparison is
 printed as a table.  Stdlib only.
 """
 
@@ -84,11 +85,18 @@ def main() -> int:
             f"[{change['quartiles_s'][0]:.4f}, {change['quartiles_s'][1]:.4f}]  "
             f"base/change {'-' if ratio is None else f'{ratio:.2f}'}"
         )
+    lines = {side: rs[0]["src_lines"] for side, rs in runs.items()}
+    print(f"src_lines      base {lines['base']}  change {lines['change']}")
     record = {
         "runs_per_side": args.runs,
         "order": "pairs; base runs first in odd pairs, change in even ones",
         **{
-            side: {"commit": rs[0]["commit"], "elapsed_s": stats[side], "runs": rs}
+            side: {
+                "commit": rs[0]["commit"],
+                "src_lines": lines[side],
+                "elapsed_s": stats[side],
+                "runs": rs,
+            }
             for side, rs in runs.items()
         },
         "comparison": comparison,

@@ -39,16 +39,16 @@ def main() -> None:
     print(dc.render_ascii(intro))
     print()
     cert = certificate(intro)
-    t = cert.tower
-    print("tower:", " -> ".join(str(g) for g in t.groups))
-    print("signatures:", " ".join(f"({s.plus},{s.minus})" for s in t.sig[1:]))
+    groups = cert.tower.groups
+    print("tower:", " -> ".join(str(g) for g in groups))
+    print("signatures:", " ".join(f"({s.plus},{s.minus})" for s in cert.tower.sig[1:]))
     for k, records in enumerate(cert.records, start=1):
         checks = [
             f"{label}={'ok' if rec['ok'] else 'FAIL'}"
             for label, rec in zip(("pm", "range", "non3"), records)
             if rec is not None
         ]
-        print(f"  step {k}: {str(t.groups[k - 1]):<9} {' '.join(checks)}")
+        print(f"  step {k}: {str(groups[k - 1]):<9} {' '.join(checks)}")
     print("certificate:", "VALID" if cert.valid else "INVALID")
     print()
     shape = intro.shape()

@@ -8,9 +8,10 @@ pass per suite.  With ``--out`` each suite instead repeats until its passes
 have taken at least 0.5 s, so that a short suite is not timed on a single
 pass, and the run is also written as JSON: per suite its bound,
 ``checked``, ``passed``, ``elapsed_s`` (the median time of one pass) and
-``repetitions``, plus the Python version, ``os.cpu_count()`` and the commit
+``repetitions``, plus the Python version, ``os.cpu_count()``, the commit
 of the checkout the ``orbitcalc`` package was imported from (marked
-``+dirty`` when the package differs from it, null when git cannot tell).
+``+dirty`` when the package differs from it, null when git cannot tell) and
+``src_lines``, the line count of the package's ``*.py`` files.
 """
 
 import argparse
@@ -60,6 +61,13 @@ def package_commit() -> str | None:
     return head.stdout.strip() + ("+dirty" if dirty else "")
 
 
+def package_lines() -> int:
+    """Lines in the ``*.py`` files of the imported ``orbitcalc`` package, as
+    ``wc -l`` counts them."""
+    package = Path(orbitcalc.__file__).resolve().parent
+    return sum(f.read_bytes().count(b"\n") for f in package.glob("*.py"))
+
+
 def timed(name: str, bound: int, min_total_s: float):
     """The report of ``run_suite(name, bound)`` and the time of each pass;
     the suite repeats until the passes add up to ``min_total_s``."""
@@ -103,6 +111,7 @@ def main() -> int:
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
             "commit": package_commit(),
+            "src_lines": package_lines(),
             "suites": suites,
         }
         Path(args.out).write_text(json.dumps(record, indent=2) + "\n")

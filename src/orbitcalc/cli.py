@@ -128,11 +128,11 @@ def cmd_tower(args) -> int:
             "not admissible: " + "; ".join(exc.report.reasons),
         )
         return CHECK_FAILED
-    t = cert.tower
+    groups = cert.tower.groups
     lines = [
         f"tower of {dc.group_of(d)}:",
-        "  " + " -> ".join(str(g) for g in t.groups),
-        "  signatures: " + " ".join(f"({s.plus},{s.minus})" for s in t.sig[1:]),
+        "  " + " -> ".join(str(g) for g in groups),
+        "  signatures: " + " ".join(f"({s.plus},{s.minus})" for s in cert.tower.sig[1:]),
     ]
     for k, records in enumerate(cert.records, start=1):
         flags = [
@@ -140,7 +140,7 @@ def cmd_tower(args) -> int:
             for label, rec in zip(("pm", "range", "non3"), records)
             if rec is not None
         ]
-        lines.append(f"  step {k}: {t.groups[k - 1]} " + " ".join(flags))
+        lines.append(f"  step {k}: {groups[k - 1]} " + " ".join(flags))
     lines.append("  infchar: " + " ".join(vector_to_json(cert.infchar)))
     lines.append(f"  associated variety: {d.shape()}")
     lines.append("  certificate: " + ("VALID" if cert.valid else "INVALID"))

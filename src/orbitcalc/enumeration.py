@@ -9,6 +9,7 @@ vectors and dedupes canonical forms serves as an independent oracle.
 
 from __future__ import annotations
 
+import heapq
 from itertools import product
 from typing import Iterator
 
@@ -84,18 +85,7 @@ def parity_partitions(n: int) -> Iterator[tuple[int, ...]]:
         yield from odd
         return
     even = (tuple(2 * part for part in half) for half in partitions(n // 2))
-    # n even and positive: both streams are nonempty and disjoint
-    streams = [even, odd]
-    heads = [next(even), next(odd)]
-    while True:
-        i = int(heads[0] < heads[1])  # the stream with the larger head
-        yield heads[i]
-        head = next(streams[i], None)
-        if head is None:
-            yield heads[1 - i]
-            yield from streams[1 - i]
-            return
-        heads[i] = head
+    yield from heapq.merge(even, odd, reverse=True)
 
 
 def shapes(kind: Kind, size: int) -> Iterator[Partition]:

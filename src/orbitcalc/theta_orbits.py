@@ -161,18 +161,24 @@ def inertia_companions(shape: Partition, target: Signature) -> tuple[SignedDiagr
     return from_row_spec(Kind.SYMPLECTIC, spec), count
 
 
+def inertia_fits(inertia: Signature, p: int, q: int) -> bool:
+    """Sylvester: a symmetric form of inertia (r, s) is x^t I_{p,q} x for
+    some x exactly when r <= p and s <= q."""
+    return inertia.plus <= p and inertia.minus <= q
+
+
 def in_moment_image(d: SignedDiagram, p: int, q: int) -> bool:
     """Does the orbit of a symplectic diagram for Sp(2n) meet the image of
     the symplectic-side moment map of the pair (O(p,q), Sp(2n))?
 
     X = m2(x) = W x^t I_{p,q} x exactly when the symmetric matrix -W X
-    equals x^t I_{p,q} x, which by Sylvester is possible precisely when its
-    inertia fits under (p, q) componentwise.  Requires p + q <= 2n.
+    equals x^t I_{p,q} x, which is possible precisely when its inertia, the
+    :func:`deletion_inertia` of d, fits under (p, q) (:func:`inertia_fits`).
+    Requires p + q <= 2n.
     """
     if p + q > d.size:
         raise ValueError(f"need p + q <= {d.size}")
-    r, s = deletion_inertia(d)
-    return r <= p and s <= q
+    return inertia_fits(deletion_inertia(d), p, q)
 
 
 def chain(d: SignedDiagram) -> tuple[SignedDiagram, ...]:

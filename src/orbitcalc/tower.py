@@ -10,15 +10,19 @@ lift step needs, and a uniqueness property of the orbit that certifies
 the nonvanishing step; a certificate is the tower with all of these
 records attached to its steps, together with the infinitesimal character.
 
-Class U is hereditary under deleting the first column, so the suites grow
-it top-down: :func:`admissible_towers` lifts every member by prepending one
-column and extends the member's tower by that step, while :func:`tower`
-builds the tower of a single diagram from its deletion chain.
+A :class:`Tower` holds its steps and their signatures; groups, sizes and
+the metaplectic steps are read off those.  Every nonempty tower is built by
+:meth:`Tower.lift` from :data:`EMPTY`, one step at a time.  Class U is
+hereditary under deleting the first column, so the suites grow it top-down:
+:func:`admissible_towers` lifts every member by prepending one column and
+extends the member's tower by that step, while :func:`tower` lifts through
+the deletion chain of a single diagram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator
 
 from .diagram_core import (
@@ -39,8 +43,8 @@ from .orbit_induction import induce_real_tau
 from .theta_orbits import (
     chain,
     deletion_inertia,
-    in_moment_image,
     inertia_companions,
+    inertia_fits,
     prepend_column,
 )
 from .vector_order import HalfIntVector, vector_to_json
@@ -177,24 +181,46 @@ def shape_members(shape: Partition, kind: Kind) -> Iterator[SignedDiagram]:
 
 @dataclass(frozen=True)
 class Tower:
-    """The column-deletion tower of an admissible diagram, built once.
+    """The column-deletion tower of an admissible diagram.
 
     ``steps[k - 1]`` is D(k), the diagram keeping the last k columns, and
-    ``groups[k - 1]`` its group; ``sig`` and ``size`` are zero-padded so that
-    ``sig[k]`` and ``size[k]`` belong to step k.  ``metaplectic`` lists the
-    interior steps 2 <= k <= d1 - 1 that carry a symplectic diagram.
+    ``sig`` is zero-padded so that ``sig[k]`` is the signature of step k.
+    Everything else is derived on read: ``size`` (padded like ``sig``),
+    ``groups`` (``groups[k - 1]`` is the group of step k) and
+    ``metaplectic``, the interior steps 2 <= k <= d1 - 1 that carry a
+    symplectic diagram.  Every tower is a class-U member by construction, so
+    it carries no report; its report is :data:`MEMBER`.
     """
 
     steps: tuple[SignedDiagram, ...]
-    groups: tuple[GroupLabel, ...]
     sig: tuple[Signature, ...]
-    size: tuple[int, ...]
-    report: ClassUReport
-    metaplectic: tuple[int, ...]
 
     @property
     def d1(self) -> int:
         return len(self.steps)
+
+    @property
+    def size(self) -> tuple[int, ...]:
+        return tuple(p + q for p, q in self.sig)
+
+    @property
+    def groups(self) -> tuple[GroupLabel, ...]:
+        return tuple(group_of(s) for s in self.steps)
+
+    @property
+    def metaplectic(self) -> tuple[int, ...]:
+        return tuple(
+            k for k in range(2, self.d1) if self.steps[k - 1].kind is Kind.SYMPLECTIC
+        )
+
+    def lift(self, child: SignedDiagram) -> Tower:
+        """This tower extended by ``child``, the diagram one column wider
+        than its top step."""
+        return Tower(self.steps + (child,), self.sig + (signature(child),))
+
+
+EMPTY = Tower((), (Signature(0, 0),))  # the tower of either empty diagram
+MEMBER = ClassUReport(True, True, False)  # class_u of every diagram with a Tower
 
 
 class NotAdmissible(ValueError):
@@ -206,22 +232,13 @@ class NotAdmissible(ValueError):
 
 
 def tower(d: SignedDiagram) -> Tower:
-    """[D(1), ..., D(d1)] with their groups, signatures and sizes; raises
-    :class:`NotAdmissible` for non-admissible input."""
+    """[D(1), ..., D(d1)] with their signatures, lifted from :data:`EMPTY`
+    through the deletion chain; raises :class:`NotAdmissible` for
+    non-admissible input."""
     report = class_u(d)
     if not report.member:
         raise NotAdmissible(report)
-    steps = chain(d)[::-1]
-    return Tower(
-        steps=steps,
-        groups=tuple(group_of(s) for s in steps),
-        sig=(Signature(0, 0),) + tuple(signature(s) for s in steps),
-        size=(0,) + tuple(s.size for s in steps),
-        report=report,
-        metaplectic=tuple(
-            k for k in range(2, len(steps)) if steps[k - 1].kind is Kind.SYMPLECTIC
-        ),
-    )
+    return reduce(Tower.lift, chain(d)[::-1], EMPTY)
 
 
 # ---------------------------------------------------------------------------
@@ -247,25 +264,14 @@ def _prepend_heights(d: SignedDiagram, room: int) -> range:
 def _lift(t: Tower, d: SignedDiagram, max_size: int) -> Iterator[tuple[Tower, SignedDiagram]]:
     """The admissible one-column lifts of size <= max_size of d, whose tower
     is t, each with its tower: t extended by one step."""
-    m1, size = len(d.rows), t.size[-1]
-    # the top step of t becomes interior; it counts when it is metaplectic
-    interior = (t.d1,) if t.d1 >= 2 and d.kind is Kind.SYMPLECTIC else ()
-    for h in _prepend_heights(d, max_size - size):
+    m1 = len(d.rows)
+    for h in _prepend_heights(d, max_size - d.size):
         ones = h - m1
         splits = range(ones + 1) if d.kind is Kind.SYMPLECTIC else (0,)
         for plus in splits:
             child = prepend_column(d, ones, plus)
-            report = class_u(child)
-            if report.member:
-                lifted = Tower(
-                    steps=t.steps + (child,),
-                    groups=t.groups + (group_of(child),),
-                    sig=t.sig + (signature(child),),
-                    size=t.size + (size + h,),
-                    report=report,
-                    metaplectic=t.metaplectic + interior,
-                )
-                yield lifted, child
+            if class_u(child).member:
+                yield t.lift(child), child
 
 
 def _stream_key(t: Tower) -> tuple:
@@ -286,22 +292,13 @@ def admissible_towers(max_size: int) -> list[Tower]:
     """The tower of every nonempty class-U diagram of size <= max_size,
     grown level by level from the two empty diagrams; in the order of
     filtering ``signed_diagrams`` by size and kind with :func:`class_u`."""
-    level = [  # the towers of the empty diagrams, as tower() builds them
-        (Tower((), (), (Signature(0, 0),), (0,), class_u(d), ()), d)
-        for d in (SignedDiagram(Kind.SYMPLECTIC), SignedDiagram(Kind.ORTHOGONAL))
-    ]
+    level = [(EMPTY, SignedDiagram(Kind.SYMPLECTIC)), (EMPTY, SignedDiagram(Kind.ORTHOGONAL))]
     towers: list[Tower] = []
     while level:
         level = [lifted for t, d in level for lifted in _lift(t, d, max_size)]
         towers += (t for t, _ in level)
     towers.sort(key=_stream_key)
     return towers
-
-
-def admissible_diagrams(max_size: int) -> Iterator[SignedDiagram]:
-    """Every nonempty class-U diagram of size <= max_size, in the order of
-    :func:`admissible_towers`."""
-    return (t.steps[-1] for t in admissible_towers(max_size))
 
 
 def check_lemma_pm(t: Tower) -> list[dict]:
@@ -439,11 +436,9 @@ def check_non3(t: Tower, k: int) -> dict:
         sigs[j] == Signature(p0 + m1 - 1 - j, q0 + m2 + j) for j in range(candidate_count)
     )
     checks["signature_sum"] = all(r + s == p + q - 1 for r, s in sigs)
-    hits = [
-        j
-        for j in range(candidate_count)
-        if in_moment_image(induced.diagrams[j], p, q)
-    ]
+    # the candidates are for Sp(2 n2), and by the width margin
+    # p + q = 2 n1 + m1 <= 2 n2 (m1 - 1 >= m2 >= 1), as in_moment_image needs
+    hits = [j for j, inertia in enumerate(sigs) if inertia_fits(inertia, p, q)]
     j_star = p0 + m1 - 1 - p  # the (p, q-1) slot; j* + 1 carries (p-1, q)
     window = [j for j in (j_star, j_star + 1) if 0 <= j <= candidate_count - 1]
     checks["window"] = hits == window
@@ -484,19 +479,20 @@ class TowerCertificate:
     valid: bool
 
     def to_json_dict(self) -> dict:
-        t = self.tower
+        sig = self.tower.sig
+        groups = [str(g) for g in self.tower.groups]
         return {
             "valid": self.valid,
             "diagram": to_json_dict(self.diagram),
             "group": str(group_of(self.diagram)),
-            "class_u": t.report.to_json_dict(),
-            "groups": [str(g) for g in t.groups],
-            "signatures": [list(s) for s in t.sig[1:]],
+            "class_u": MEMBER.to_json_dict(),
+            "groups": groups,
+            "signatures": [list(s) for s in sig[1:]],
             "steps": [
                 {
                     "k": k,
-                    "group": str(t.groups[k - 1]),
-                    "signature": list(t.sig[k]),
+                    "group": groups[k - 1],
+                    "signature": list(sig[k]),
                     "lemma_pm": pm,
                     "range": rng,
                     "non3": non3,

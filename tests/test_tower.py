@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -12,14 +13,16 @@ from orbitcalc.diagram_core import (
     Signature,
     delete_column_signed,
     from_row_spec,
+    group_of,
     signature,
 )
 from orbitcalc.enumeration import diagrams_for_shape, partitions, shapes, signed_diagrams
 from orbitcalc.infchar import check_bound
 from orbitcalc.theta_orbits import deletion_inertia, inertia_companions, theta_lift_real
 from orbitcalc.tower import (
+    MEMBER,
+    Tower,
     _interlacing_failures,
-    admissible_diagrams,
     admissible_shapes,
     admissible_towers,
     certificate,
@@ -214,8 +217,8 @@ class TestGenerator:
         filtered = list(admissible(16))
         for bound in range(0, 17):
             want = [d for d in filtered if d.size <= bound]
-            assert list(admissible_diagrams(bound)) == want, bound
-        assert len(filtered) == sum(1 for _ in admissible_diagrams(16)) > 0
+            assert [t.steps[-1] for t in admissible_towers(bound)] == want, bound
+        assert len(filtered) == len(admissible_towers(16)) > 0
 
     def test_bounds_suite_matches_deduplicated_shapes(self):
         # the suite walks admissible shapes; the reference dedupes the
@@ -268,11 +271,30 @@ class TestForest:
             assert [t.steps[-1] for t in admissible_towers(bound)] == want, bound
 
     def test_towers_match_tower_field_by_field(self):
-        fields = ("steps", "groups", "sig", "size", "report", "metaplectic")
+        fields = ("steps", "groups", "sig", "size", "metaplectic")
         for t in admissible_towers(16):
             want = tower(t.steps[-1])
             for name in fields:
                 assert getattr(t, name) == getattr(want, name), (t.steps[-1], name)
+            assert class_u(t.steps[-1]).member, t.steps[-1]
+
+    def test_derived_ledger_to_16(self):
+        # the derived fields against rules that do not read them: the kinds
+        # alternate, so the interior metaplectic steps are those an even
+        # distance below a symplectic top, or an odd distance below an
+        # orthogonal one; sizes and groups step by step
+        assert [f.name for f in dataclasses.fields(Tower)] == ["steps", "sig"]
+        for t in admissible_towers(16):
+            top = t.steps[-1]
+            parity = 0 if top.kind is Kind.SYMPLECTIC else 1
+            assert t.metaplectic == tuple(
+                k for k in range(2, t.d1) if (t.d1 - k) % 2 == parity
+            ), top
+            assert t.size[0] == 0 and len(t.size) == t.d1 + 1, top
+            for k in range(1, t.d1 + 1):
+                assert t.size[k] == t.steps[k - 1].size, (top, k)
+                assert t.groups[k - 1] == group_of(t.steps[k - 1]), (top, k)
+            assert class_u(top) == MEMBER, top
 
     def test_steps_are_theta_lifts(self):
         # D(1) lifts the empty diagram of the other kind, D(k) lifts D(k-1)
@@ -285,12 +307,11 @@ class TestForest:
     def test_count_at_20(self):
         towers = admissible_towers(20)
         assert len(towers) == 1624
-        assert all(t.report.member for t in towers)
+        assert all(class_u(t.steps[-1]).member for t in towers)
 
     @pytest.mark.parametrize("bound", [0, -3])
     def test_empty_bounds(self, bound):
         assert admissible_towers(bound) == []
-        assert list(admissible_diagrams(bound)) == []
 
 
 class TestLemmaPm:
@@ -344,7 +365,7 @@ class TestTowerValue:
         assert t.sig[0] == Signature(0, 0) and t.size[0] == 0
         assert t.sig[6] == signature(intro_diagram) and t.size[6] == 30
         assert t.metaplectic == (2, 4)
-        assert t.report.member
+        assert class_u(t.steps[-1]).member
 
     def test_steps_delete_one_column(self):
         for d in admissible(12):

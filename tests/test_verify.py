@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import orbitcalc
 from orbitcalc import verify
 from orbitcalc.diagram_core import Kind, Partition
 from orbitcalc.enumeration import partitions
@@ -94,3 +95,11 @@ def test_spread_reports_median_and_quartiles():
     assert bench_compare.spread(runs) == {"s": {"median_s": 0.3, "quartiles_s": [0.15, 0.45]}}
     one = bench_compare.spread(runs[:1])
     assert one == {"s": {"median_s": 0.4, "quartiles_s": [0.4, 0.4]}}
+
+
+def test_package_lines_counts_every_module():
+    verify_all = _load_script("verify_all")
+    files = sorted(Path(orbitcalc.__file__).resolve().parent.glob("*.py"))
+    assert len(files) > 1
+    want = sum(len(f.read_text().splitlines()) for f in files)
+    assert verify_all.package_lines() == want
