@@ -99,6 +99,19 @@ def shapes(kind: Kind, size: int) -> Iterator[Partition]:
             yield d
 
 
+def parity_shapes(kind: Kind, size: int) -> list[tuple[tuple[int, ...], Partition]]:
+    """(column heights, shape) for the valid shapes of the kind and size
+    whose column heights are all even or all odd, in :func:`shapes` order;
+    each shape is transposed once from its heights."""
+    found = []
+    for heights in parity_partitions(size):
+        shape = Partition._trusted(heights).transpose()
+        if validate_partition_kind(shape, kind):
+            found.append((heights, shape))
+    found.sort(key=lambda pair: pair[1].rows, reverse=True)
+    return found
+
+
 def free_classes(shape: Partition, kind: Kind) -> list[tuple[int, int]]:
     """(length, multiplicity) of the sign-free length classes."""
     return [(length, mult) for length, mult in shape.classes() if not kind.constrained(length)]

@@ -90,12 +90,11 @@ def domino_cover(d: Partition, kind: Kind) -> tuple[Domino, ...]:
     carry 1/2.  Doubled, the i-th vertical domino of a column carries
     2i + row1_cover + bump, and a horizontal one carries 1.
     """
-    heights = d.transpose().rows
+    columns = d.transpose()
+    heights, very_odd = columns.rows, columns.very_odd
     if not heights:
         return ()
-    very_even = all(h % 2 == 0 for h in heights)
-    very_odd = all(h % 2 == 1 for h in heights)
-    if not (very_even or very_odd):
+    if not (columns.very_even or very_odd):
         raise ValueError("domino algorithm requires very even or very odd transpose")
     if kind is Kind.SYMPLECTIC and d.size % 2 != 0:
         # odd size leaves an unlabeled open domino where the symplectic
@@ -135,14 +134,14 @@ def infchar_domino(d: Partition, kind: Kind) -> HalfIntVector:
 
 
 def rho(g: GroupLabel) -> HalfIntVector:
-    """Half sum of positive restricted roots: (n, ..., 1) for Mp(2n) and
-    ((p+q-2)/2, (p+q-4)/2, ..., |q-p|/2) of length min(p, q) for O(p, q)."""
-    if g.kind is Kind.SYMPLECTIC:
-        if g.p % 2 != 0:
-            raise ValueError("Mp parameter must be even")
-        return tuple(range(g.p, 0, -2))
-    p, q = g.p, g.q
-    return tuple(p + q - 2 - 2 * i for i in range(min(p, q)))
+    """Half sum of positive restricted roots: (n, ..., 1) for Mp(2n), the
+    whole symplectic segment of 2n, and ((p+q-2)/2, (p+q-4)/2, ...,
+    |q-p|/2) for O(p, q), the first min(p, q) entries of the orthogonal
+    segment of p + q."""
+    if g.kind is Kind.SYMPLECTIC and g.p % 2 != 0:
+        raise ValueError("Mp parameter must be even")
+    full = segment(g.kind, g.p + g.q)
+    return tuple(full if g.kind is Kind.SYMPLECTIC else full[: min(g.p, g.q)])
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .diagram_core import (
     to_json_dict,
     validate_partition_kind,
 )
-from .enumeration import diagrams_for_shape, parity_partitions
+from .enumeration import parity_shapes
 from .infchar import infchar_segments
 from .orbit_induction import induce_real_tau
 from .theta_orbits import (
@@ -142,37 +142,25 @@ def class_u(d: SignedDiagram) -> ClassUReport:
 
 
 # ---------------------------------------------------------------------------
-# class U by shape: the shape clauses pick the shapes, the excluded tail is
-# the only test a sign assignment can fail
+# class U by shape: the column heights decide whether a shape carries a member
 
 
 def admissible_shapes(max_size: int) -> Iterator[tuple[Kind, Partition]]:
     """(kind, shape) for every nonempty valid shape of size <= max_size that
-    passes the clauses of class U that see only the column heights; by size,
-    symplectic before orthogonal, then partition order.  The shapes are
-    built from the very even and very odd column heights that interlace."""
-    kinds = (Kind.SYMPLECTIC, Kind.ORTHOGONAL)
+    carries a class-U diagram; by size, symplectic before orthogonal, then
+    partition order.
+
+    The heights must be very even or very odd and interlace.  The excluded
+    tail then rules out every sign assignment exactly when the last two
+    heights are both 1: the one row reaching the last column is free (a
+    constrained class has an even count), so either lead makes the tail
+    uniform.  Two or more such rows alternate by convention or can take
+    mixed leads, and unequal last heights leave no tail to exclude."""
     for size in range(1, max_size + 1):
-        groups: dict[Kind, list[Partition]] = {kind: [] for kind in kinds}
-        for heights in parity_partitions(size):
-            fits = [kind for kind in kinds if not _interlacing_failures(heights, kind)]
-            if fits:
-                shape = Partition._trusted(heights).transpose()
-                for kind in fits:
-                    if validate_partition_kind(shape, kind):
-                        groups[kind].append(shape)
-        for kind in kinds:
-            for shape in sorted(groups[kind], key=lambda p: p.rows, reverse=True):
-                yield kind, shape
-
-
-def shape_members(shape: Partition, kind: Kind) -> Iterator[SignedDiagram]:
-    """The diagrams on an admissible shape that avoid the excluded tail, in
-    sign order."""
-    heights = shape.transpose().rows
-    for d in diagrams_for_shape(shape, kind):
-        if not _excluded_pattern(d, heights):
-            yield d
+        for kind in (Kind.SYMPLECTIC, Kind.ORTHOGONAL):
+            for heights, shape in parity_shapes(kind, size):
+                if heights[-2:] != (1, 1) and not _interlacing_failures(heights, kind):
+                    yield kind, shape
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +266,7 @@ def _stream_key(t: Tower) -> tuple:
     """Size, symplectic before orthogonal, shape in descending lex order,
     then per free length class its plus count: plus-leading rows come first
     in a canonical class, so comparing leads (+ above -) row by row orders
-    the counts class by class, as :func:`diagrams_for_shape` does."""
+    the counts class by class, as ``enumeration.diagrams_for_shape`` does."""
     d = t.steps[-1]
     return (
         d.size,

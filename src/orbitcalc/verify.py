@@ -23,7 +23,7 @@ from .diagram_core import (
     signature,
     validate_signed,
 )
-from .enumeration import parity_partitions, shapes, signed_diagrams
+from .enumeration import parity_partitions, parity_shapes, signed_diagrams
 from .infchar import (
     characters_reverse,
     check_bound,
@@ -38,7 +38,6 @@ from .tower import (
     check_lemma_pm,
     check_non3,
     check_range,
-    shape_members,
 )
 from .vector_order import bar_sort, closure_order, scaled_preceq, vector_to_json
 
@@ -114,19 +113,18 @@ def suite_lemma_pm(bound: int) -> SuiteReport:
 
 def suite_reversal(bound: int) -> SuiteReport:
     """Order reversal between closure order and sorted characters, over all
-    same-size valid pairs with transposes of one parity; one transpose and
-    one sorted character per shape, shared by all its pairs."""
+    same-size valid pairs with transposes of one parity.  The shapes come
+    from their very even and very odd column heights (``parity_shapes``),
+    with one sorted character per shape, shared by all its pairs."""
     rep = SuiteReport("reversal", bound)
     for size in range(1, bound + 1):
         for kind in (Kind.SYMPLECTIC, Kind.ORTHOGONAL):
-            # (shape, transpose, sorted character), split by transpose parity
-            even, odd = [], []
-            for s in shapes(kind, size):
-                t = s.transpose()
-                if t.very_even or t.very_odd:
-                    char = bar_sort(segments_of_transpose(t.rows, kind))
-                    (odd if t.very_odd else even).append((s, t.rows, char))
-            for family in (even, odd):
+            # (shape, column heights, sorted character), split by height parity
+            families: tuple[list, list] = ([], [])
+            for heights, s in parity_shapes(kind, size):
+                char = bar_sort(segments_of_transpose(heights, kind))
+                families[heights[0] % 2].append((s, heights, char))
+            for family in families:
                 for d1, t1, b1 in family:
                     for d2, t2, b2 in family:
                         ok = characters_reverse(closure_order(t1, t2), b1, b2)
@@ -146,8 +144,6 @@ def suite_bounds(bound: int) -> SuiteReport:
     skipped."""
     rep = SuiteReport("bounds", bound)
     for kind, shape in admissible_shapes(bound):  # the bound only sees the shape
-        if next(shape_members(shape, kind), None) is None:
-            continue  # every sign assignment has the excluded tail
         if kind is Kind.ORTHOGONAL and shape.size == 2:
             rep.notes.append(f"skipped {shape} orthogonal: bound denominator is zero")
             continue

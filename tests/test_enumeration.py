@@ -14,6 +14,7 @@ from orbitcalc.enumeration import (
     class_count,
     diagrams_for_shape,
     parity_partitions,
+    parity_shapes,
     partitions,
     shapes,
     signed_diagrams,
@@ -75,6 +76,23 @@ class TestParityPartitions:
     def test_large_n_does_not_recurse(self):
         assert next(parity_partitions(5000)) == (5000,)
         assert next(parity_partitions(5001)) == (5001,)
+
+
+class TestParityShapes:
+    """The (heights, shape) stream against filtering shapes() by the parity
+    of the transpose."""
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_matches_filtered_shapes_to_30(self, kind):
+        for n in [*range(31), -1, -2]:
+            want = []
+            for shape in shapes(kind, n):
+                columns = shape.transpose()
+                if columns.very_even or columns.very_odd:
+                    want.append((columns.rows, shape))
+            assert parity_shapes(kind, n) == want, (kind, n)
+        assert parity_shapes(kind, 0) == [((), Partition(()))]
+        assert parity_shapes(kind, -3) == []
 
 
 class TestSignedEnumeration:

@@ -31,7 +31,6 @@ from orbitcalc.tower import (
     check_range,
     class_u,
     pre_rigid,
-    shape_members,
     special,
     tower,
 )
@@ -70,14 +69,16 @@ def admissible(max_size):
 
 def transposed_shape_filter(max_size):
     """Reference for admissible_shapes: every valid shape, transposed, kept
-    when its column heights are very even or very odd and interlace."""
+    when its column heights are very even or very odd and interlace and some
+    sign assignment on it passes class_u."""
     for size in range(1, max_size + 1):
         for kind in (Kind.SYMPLECTIC, Kind.ORTHOGONAL):
             for shape in shapes(kind, size):
                 columns = shape.transpose()
                 parity_ok = columns.very_even or columns.very_odd
                 if parity_ok and not _interlacing_failures(columns.rows, kind):
-                    yield kind, shape
+                    if any(class_u(d).member for d in diagrams_for_shape(shape, kind)):
+                        yield kind, shape
 
 
 def companion_search(shape):
@@ -92,10 +93,10 @@ def companion_search(shape):
 
 
 def shape_first(max_size):
-    """Class U by shape: the shapes that pass the column-height clauses,
-    then the sign assignments without the excluded tail."""
+    """Class U by shape: the shapes that carry a member, then the sign
+    assignments on each that pass class_u."""
     for kind, shape in admissible_shapes(max_size):
-        yield from shape_members(shape, kind)
+        yield from (d for d in diagrams_for_shape(shape, kind) if class_u(d).member)
 
 
 class TestRigiditySpeciality:
@@ -248,15 +249,15 @@ class TestGenerator:
 
 
 class TestAdmissibleShapes:
-    """admissible_shapes, built from column heights, against transposing
-    every valid shape."""
+    """admissible_shapes, decided by column heights, against transposing
+    every valid shape and asking class_u of its sign assignments."""
 
     def test_matches_transposed_filter_to_24(self):
         reference = list(transposed_shape_filter(24))
         for bound in range(0, 25):
             want = [(kind, shape) for kind, shape in reference if shape.size <= bound]
             assert list(admissible_shapes(bound)) == want, bound
-        assert len(reference) == 397
+        assert len(reference) == 338
 
 
 class TestForest:

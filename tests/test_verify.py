@@ -5,8 +5,8 @@ import pytest
 
 import orbitcalc
 from orbitcalc import verify
-from orbitcalc.diagram_core import Kind, Partition
-from orbitcalc.enumeration import partitions
+from orbitcalc.diagram_core import Kind, Partition, SignedDiagram
+from orbitcalc.enumeration import partitions, shapes
 from orbitcalc.verify import SUITES, run_suite
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -72,6 +72,56 @@ def test_domino_oracle_cases_match_filtered_partitions(monkeypatch):
     assert rep.passed and rep.checked == len(checked) == len(want) == 1716
     assert len(set(checked)) == len(checked)
     assert set(checked) == set(want)
+
+
+def test_reversal_families_match_transposed_shapes(monkeypatch):
+    # the suite builds its shapes from column heights; per size and kind,
+    # its even and odd families must be the shapes, in shapes() order, of
+    # transposing every valid shape and keeping the very even and very odd
+    segments = verify.segments_of_transpose
+    families = {}
+
+    def recording(heights, kind):
+        shape = Partition(heights).transpose()
+        families.setdefault((shape.size, kind, heights[0] % 2), []).append(shape)
+        return segments(heights, kind)
+
+    monkeypatch.setattr(verify, "segments_of_transpose", recording)
+    rep = run_suite("reversal", 16)
+    want = {}
+    for size in range(1, 17):
+        for kind in Kind:
+            for shape in shapes(kind, size):
+                t = shape.transpose()
+                if t.very_even or t.very_odd:
+                    want.setdefault((size, kind, t.rows[0] % 2), []).append(shape)
+    assert rep.passed and rep.checked > 0
+    assert families == want
+    assert sum(map(len, want.values())) == 300
+
+
+def test_bounds_builds_no_signed_diagram(monkeypatch):
+    # the bound reads shapes only; class U by shape is decided by the
+    # column heights, so neither the checking constructor nor the trusted
+    # build may run
+    built = []
+    post_init = SignedDiagram.__post_init__
+    trusted = SignedDiagram._trusted.__func__
+
+    def checking(self):
+        built.append(self)
+        post_init(self)
+
+    def unchecked(cls, kind, rows):
+        built.append(rows)
+        return trusted(cls, kind, rows)
+
+    monkeypatch.setattr(SignedDiagram, "__post_init__", checking)
+    monkeypatch.setattr(SignedDiagram, "_trusted", classmethod(unchecked))
+    assert run_suite("bounds", 20).passed
+    assert built == []
+    run_suite("lemma-pm", 4)  # the probe sees a suite that builds diagrams
+    assert built
 
 
 def test_suites_deterministic():
