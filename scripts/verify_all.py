@@ -3,8 +3,10 @@
 
     PYTHONPATH=src python3 scripts/verify_all.py [--out BENCH_<label>.json]
 
-Exits nonzero if any suite reports a counterexample.  The table times one
-pass per suite.  With ``--out`` each suite instead repeats until its passes
+Exits nonzero if any suite reports a counterexample or checks another
+number of cases than ``ACCEPTANCE_BOUNDS`` records for it, so that a suite
+that silently lost cases does not pass.  The table times one pass per
+suite.  With ``--out`` each suite instead repeats until its passes
 have taken at least 0.5 s, so that a short suite is not timed on a single
 pass, and the run is also written as JSON: per suite its bound,
 ``checked``, ``passed``, ``elapsed_s`` (the median time of one pass) and
@@ -27,17 +29,19 @@ from pathlib import Path
 import orbitcalc
 from orbitcalc.verify import run_suite
 
+# (suite, acceptance bound, cases the suite checks at that bound); the
+# acceptance tests read this one table too
 ACCEPTANCE_BOUNDS = [
-    ("reasonss", 10),
-    ("lemma-pm", 20),
-    ("reversal", 14),
-    ("bounds", 20),
-    ("domino-oracle", 20),
-    ("twocom", 12),
-    ("induce-oracle", 12),
-    ("conjugation", 100),
-    ("non3", 20),
-    ("appendix", 40),
+    ("reasonss", 10, 516),
+    ("lemma-pm", 20, 1624),
+    ("reversal", 14, 1196),
+    ("bounds", 20, 194),
+    ("domino-oracle", 20, 848),
+    ("twocom", 12, 26),
+    ("induce-oracle", 12, 80),
+    ("conjugation", 100, 100),
+    ("non3", 20, 1624),
+    ("appendix", 40, 8711),
 ]
 MIN_TIMED_S = 0.5  # with --out, the least total time each suite is repeated for
 
@@ -85,10 +89,11 @@ def main() -> int:
     args = parser.parse_args()
     failures = 0
     suites = {}
-    for name, bound in ACCEPTANCE_BOUNDS:
+    for name, bound, expected in ACCEPTANCE_BOUNDS:
         rep, times = timed(name, bound, MIN_TIMED_S if args.out else 0.0)
         elapsed = statistics.median(times)
-        status = "pass" if rep.passed else "FAIL"
+        ok = rep.passed and rep.checked == expected
+        status = "pass" if ok else "FAIL"
         repeated = f"  (median of {len(times)})" if len(times) > 1 else ""
         print(
             f"{name:<14} bound={bound:<4} {status}  "
@@ -96,9 +101,11 @@ def main() -> int:
         )
         for note in rep.notes:
             print(f"    note: {note}")
+        if rep.checked != expected:
+            print(f"    count: expected {expected} cases")
         for ce in rep.counterexamples:
             print(f"    counterexample: {ce}")
-        failures += not rep.passed
+        failures += not ok
         suites[name] = {
             "bound": bound,
             "checked": rep.checked,

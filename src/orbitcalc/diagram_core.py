@@ -20,8 +20,9 @@ and ``from_json_dict``, check everything and raise ``ValueError``.  The
 package builds a diagram or partition unchecked, through ``_trusted``, only
 where its own code lays the rows out correctly by construction:
 ``from_row_spec`` (which every canonical diagram goes through, and which
-keeps one check per row length and per length class), transposes, column
-deletions and shapes.
+keeps one check per row length and per length class), the induced families
+(one ``from_row_spec`` prefix with a length-2 class appended), transposes,
+column deletions and shapes.
 """
 
 from __future__ import annotations
@@ -188,7 +189,8 @@ class SignedDiagram:
     ``Kind``, a row that is not a (length, sign) pair, a lead that is not a
     ``Sign``, a bad shape or a violation of :func:`validate_signed` raises
     ``ValueError``.  ``_trusted`` skips the check; only
-    :func:`from_row_spec` uses it."""
+    :func:`from_row_spec` and the induced families of
+    ``orbit_induction.induce_real``, which extend its output, use it."""
 
     kind: Kind
     rows: tuple[SignedRow, ...] = ()
@@ -295,7 +297,8 @@ def from_row_spec(kind: Kind, spec: Iterable[tuple[int, Sign | None]]) -> Signed
     """Assemble a canonical diagram from (length, sign) pairs.  Constrained
     rows take sign None and receive the convention pattern of their class;
     free rows of one length list Plus-leading rows first.  Every canonical
-    diagram is built here.
+    diagram is built here or, for an induced family, extends a diagram
+    built here.
 
     Each row length and each length class is checked once, and a bad one
     raises ``ValueError``: a length is a positive int, a constrained class

@@ -19,6 +19,7 @@ from .diagram_core import (
     Partition,
     Sign,
     SignedDiagram,
+    SignedRow,
     from_row_spec,
     tau,
 )
@@ -56,7 +57,14 @@ class InducedOrbitSet:
 
 
 def induce_real(s: SignedDiagram, n: int) -> InducedOrbitSet:
-    """Real orbits induced from the zero GL(n-m) orbit times the orbit of s."""
+    """Real orbits induced from the zero GL(n-m) orbit times the orbit of s.
+
+    Every row of s grows by 2 to a length of 3 or more, so the candidates
+    share those rows and differ only in the new length-2 class, which sorts
+    last.  The grown rows are built once through :func:`from_row_spec` and
+    checked once against :func:`add_two_columns`; candidate j appends that
+    class in canonical order, n - m - r - j plus-leading rows before j
+    minus-leading ones, through ``SignedDiagram._trusted``."""
     if s.kind is not Kind.SYMPLECTIC:
         raise ValueError("real induction starts from a symplectic diagram")
     m = s.size // 2
@@ -66,19 +74,22 @@ def induce_real(s: SignedDiagram, n: int) -> InducedOrbitSet:
         raise ValueError(f"row count {r} exceeds new column length {k}")
 
     # a row keeps its parity as it grows by 2, so it stays free or constrained
-    extended: list[tuple[int, Sign | None]] = [
-        (length + 2, None if s.kind.constrained(length) else lead.flipped)
-        for length, lead in s.rows
-    ]
-    diagrams = tuple(
-        from_row_spec(
-            Kind.SYMPLECTIC, extended + [(2, Sign.MINUS)] * j + [(2, Sign.PLUS)] * (k - r - j)
-        )
-        for j in range(k - r + 1)
-    )
+    prefix = from_row_spec(
+        Kind.SYMPLECTIC,
+        (
+            (length + 2, None if s.kind.constrained(length) else lead.flipped)
+            for length, lead in s.rows
+        ),
+    ).rows
+    twos = k - r
     expected_shape = add_two_columns(s.shape(), k)
-    if any(d.shape() != expected_shape for d in diagrams):
+    if tuple(length for length, _ in prefix) + (2,) * twos != expected_shape.rows:
         raise ValueError(f"induction from {s.rows} left the shape {expected_shape}")
+    plus, minus = SignedRow(2, Sign.PLUS), SignedRow(2, Sign.MINUS)
+    diagrams = tuple(
+        SignedDiagram._trusted(Kind.SYMPLECTIC, prefix + (plus,) * (twos - j) + (minus,) * j)
+        for j in range(twos + 1)
+    )
     return InducedOrbitSet(diagrams, k)
 
 

@@ -241,8 +241,9 @@ def _prepend_heights(d: SignedDiagram, room: int) -> range:
     the empty diagram is admissible at every height its kind allows.  On a
     nonempty d, whose first column has m1 boxes, class U needs h of the
     parity of m1, and h > m1 for an orthogonal result (its first comparison
-    is strict); the other clauses of the lift are those of d, except the
-    excluded tail, which class_u decides."""
+    is strict); the other parity and interlacing clauses of the lift are
+    those of d.  So every lift at these heights is very even or very odd and
+    interlaces, and only the excluded tail is left to :func:`_lift`."""
     m1 = len(d.rows)
     if d.kind is Kind.ORTHOGONAL:  # symplectic result
         return range(m1 or 2, room + 1, 2)
@@ -251,14 +252,24 @@ def _prepend_heights(d: SignedDiagram, room: int) -> range:
 
 def _lift(t: Tower, d: SignedDiagram, max_size: int) -> Iterator[tuple[Tower, SignedDiagram]]:
     """The admissible one-column lifts of size <= max_size of d, whose tower
-    is t, each with its tower: t extended by one step."""
+    is t, each with its tower: t extended by one step.
+
+    The heights come from :func:`_prepend_heights`, so a lift is admissible
+    exactly when it avoids the excluded tail.  A lift of a d of width 2 or
+    more keeps d's last two column heights, and the rows reaching its last
+    column are d's full-width rows grown by one: a free class flips every
+    lead, so it keeps one lead exactly when it had one, and a constrained
+    class keeps the alternating convention.  Such a lift shows the tail
+    exactly when d does, and d is admissible.  A lift of the empty diagram
+    has one column and no tail.  So only a two-column lift, of a d of width
+    1, is tested for the tail."""
     m1 = len(d.rows)
     for h in _prepend_heights(d, max_size - d.size):
         ones = h - m1
         splits = range(ones + 1) if d.kind is Kind.SYMPLECTIC else (0,)
         for plus in splits:
             child = prepend_column(d, ones, plus)
-            if class_u(child).member:
+            if d.width != 1 or not _excluded_pattern(child, (h, m1)):
                 yield t.lift(child), child
 
 

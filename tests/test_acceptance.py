@@ -1,12 +1,16 @@
 """Acceptance criteria, one test per criterion.
 
 Each test prints one pass/fail line (run with -s to see them live) and
-enforces the stated size bounds and wall-clock limits.  Bounds are pinned
-here, not configurable.
+enforces the stated size bounds and wall-clock limits.  The suite bounds
+and the case count each suite checks there are pinned in one table,
+``ACCEPTANCE_BOUNDS`` in ``scripts/verify_all.py``, which is loaded here by
+path; they are not configurable.
 """
 
+import importlib.util
 import json
 import time
+from pathlib import Path
 
 from orbitcalc import diagram_core as dc
 from orbitcalc.cli import main
@@ -20,6 +24,25 @@ from orbitcalc.diagram_core import (
 from orbitcalc.enumeration import brute_count, class_count, shapes, signed_diagrams
 from orbitcalc.orbit_induction import induce_real
 from orbitcalc.verify import run_suite
+
+
+def _load_verify_all():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "verify_all.py"
+    spec = importlib.util.spec_from_file_location("verify_all", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ACCEPTANCE = {name: (bound, checked) for name, bound, checked in _load_verify_all().ACCEPTANCE_BOUNDS}
+
+
+def accepted(name: str):
+    """The report of the suite at its acceptance bound, and whether it
+    passed having checked exactly the recorded number of cases."""
+    bound, checked = ACCEPTANCE[name]
+    rep = run_suite(name, bound)
+    return rep, rep.passed and rep.checked == checked
 
 
 def report(number: int, ok: bool, elapsed: float, text: str) -> None:
@@ -86,35 +109,35 @@ def test_03_induction_fixture(induction_source, induction_expected, capsys):
 
 def test_04_deletion_classification(capsys):
     done = timed(30.0)
-    rep = run_suite("reasonss", 10)
+    rep, ok = accepted("reasonss")
     with capsys.disabled():
         report(
             4,
-            rep.passed,
+            ok,
             done(),
-            f"deletion classification and signature bounds, {rep.checked} diagrams <= 10",
+            f"deletion classification and signature bounds, {rep.checked} diagrams <= {rep.bound}",
         )
 
 
 def test_05_domino_oracle(capsys):
     done = timed(60.0)
-    rep = run_suite("domino-oracle", 20)
+    rep, ok = accepted("domino-oracle")
     with capsys.disabled():
         report(
             5,
-            rep.passed,
+            ok,
             done(),
-            f"domino labels match segments, {rep.checked} cases <= 20",
+            f"domino labels match segments, {rep.checked} cases <= {rep.bound}",
         )
 
 
 def test_06_appendix_identities(capsys):
     done = timed(120.0)
-    rep = run_suite("appendix", 40)
+    rep, ok = accepted("appendix")
     with capsys.disabled():
         report(
             6,
-            rep.passed,
+            ok,
             done(),
             f"segment sums and the two scaled-segment bounds, {rep.checked} cases",
         )
@@ -122,67 +145,67 @@ def test_06_appendix_identities(capsys):
 
 def test_07_reversal(capsys):
     done = timed(120.0)
-    rep = run_suite("reversal", 14)
+    rep, ok = accepted("reversal")
     with capsys.disabled():
         report(
             7,
-            rep.passed,
+            ok,
             done(),
-            f"order reversal on comparable pairs, {rep.checked} pairs <= 14",
+            f"order reversal on comparable pairs, {rep.checked} pairs <= {rep.bound}",
         )
 
 
 def test_08_character_bounds(capsys):
     done = timed(120.0)
-    rep = run_suite("bounds", 20)
+    rep, ok = accepted("bounds")
     note = f"; {rep.notes[0]}" if rep.notes else ""
     with capsys.disabled():
         report(
             8,
-            rep.passed,
+            ok,
             done(),
-            f"weak and strict character bounds, {rep.checked} shapes <= 20{note}",
+            f"weak and strict character bounds, {rep.checked} shapes <= {rep.bound}{note}",
         )
 
 
 def test_09_tower_ledger(capsys):
     done = timed(300.0)
-    pm = run_suite("lemma-pm", 20)
-    ledger = run_suite("non3", 20)
-    ok = pm.passed and ledger.passed
+    _, pm_ok = accepted("lemma-pm")
+    ledger, ledger_ok = accepted("non3")
+    ok = pm_ok and ledger_ok
     with capsys.disabled():
         report(
             9,
             ok,
             done(),
-            f"column lemma, range conditions, uniqueness: {ledger.checked} members <= 20",
+            f"column lemma, range conditions, uniqueness: {ledger.checked} members <= {ledger.bound}",
         )
 
 
 def test_10_wavefront_coverage(capsys):
     done = timed(30.0)
-    rep = run_suite("twocom", 12)
+    rep, ok = accepted("twocom")
     with capsys.disabled():
         report(
             10,
-            rep.passed,
+            ok,
             done(),
-            f"wave-front coverage and disjointness, n <= 12 both classes",
+            f"wave-front coverage and disjointness, n <= {rep.bound} both classes",
         )
 
 
 def test_11_moment_oracle(capsys):
     done = timed(300.0)
-    witnesses = run_suite("induce-oracle", 12)
-    conj = run_suite("conjugation", 100)
-    ok = witnesses.passed and conj.passed
+    witnesses, witnesses_ok = accepted("induce-oracle")
+    conj, conj_ok = accepted("conjugation")
+    ok = witnesses_ok and conj_ok
     with capsys.disabled():
         report(
             11,
             ok,
             done(),
-            f"witness classification grid 2n <= 12 ({witnesses.checked} cells), "
-            f"negation rule, anchors, 100 conjugations",
+            f"witness classification grid 2n <= {witnesses.bound} ({witnesses.checked} cells), "
+            f"negation rule, anchors, {conj.checked} conjugations",
         )
 
 

@@ -8,6 +8,7 @@ from orbitcalc.diagram_core import (
     SignedRow,
     Signature,
     equivalent,
+    from_row_spec,
     signature,
     tau,
     validate_signed,
@@ -99,6 +100,49 @@ class TestInduceReal:
                             1 for r in d.rows if r.length == 2 and r.leading is M
                         )
                         assert minus_twos == j
+
+
+def induce_real_per_candidate(s, n):
+    """The induced family built one candidate at a time: every grown row of s
+    and candidate j's length-2 rows go through their own from_row_spec
+    call, and every candidate is checked against add_two_columns."""
+    m, r = s.size // 2, len(s.rows)
+    k = n - m
+    extended = [
+        (length + 2, None if s.kind.constrained(length) else lead.flipped)
+        for length, lead in s.rows
+    ]
+    diagrams = tuple(
+        from_row_spec(Kind.SYMPLECTIC, extended + [(2, M)] * j + [(2, P)] * (k - r - j))
+        for j in range(k - r + 1)
+    )
+    assert all(d.shape() == add_two_columns(s.shape(), k) for d in diagrams)
+    return diagrams
+
+
+class TestInducedPrefix:
+    """induce_real appends the length-2 class to one canonical prefix; the
+    per-candidate construction and the checking constructor are the
+    independent routes."""
+
+    def test_matches_per_candidate_to_16(self):
+        families = 0
+        for two_m in range(0, 17, 2):
+            for s in signed_diagrams(Kind.SYMPLECTIC, size=two_m):
+                m, r = two_m // 2, len(s.rows)
+                for n in range(m + r, m + r + 4):
+                    got = induce_real(s, n).diagrams
+                    assert got == induce_real_per_candidate(s, n), (s, n)
+                    for d in got:
+                        assert SignedDiagram(d.kind, d.rows) == d, (s, n)
+                    families += 1
+        assert families == 4 * 1153
+
+    def test_tau_matches_per_candidate(self, induction_source):
+        for n in range(14, 18):  # m = 9 and 5 rows
+            assert induce_real_tau(induction_source, n).diagrams == (
+                induce_real_per_candidate(tau(induction_source), n)
+            )
 
 
 class TestInduceRealTau:

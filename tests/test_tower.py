@@ -18,11 +18,19 @@ from orbitcalc.diagram_core import (
 )
 from orbitcalc.enumeration import diagrams_for_shape, partitions, shapes, signed_diagrams
 from orbitcalc.infchar import check_bound
-from orbitcalc.theta_orbits import deletion_inertia, inertia_companions, theta_lift_real
+from orbitcalc.theta_orbits import (
+    deletion_inertia,
+    inertia_companions,
+    prepend_column,
+    theta_lift_real,
+)
 from orbitcalc.tower import (
+    EMPTY,
     MEMBER,
     Tower,
     _interlacing_failures,
+    _lift,
+    _prepend_heights,
     admissible_shapes,
     admissible_towers,
     certificate,
@@ -304,6 +312,25 @@ class TestForest:
             for k, step in enumerate(t.steps, start=1):
                 assert theta_lift_real(below, t.sig[k]) == step, (t.steps[-1], k)
                 below = step
+
+    def test_lifts_kept_exactly_when_class_u_to_22(self):
+        # _lift tests only the two-column tail; class_u runs every clause on
+        # every lift a node at bound 22 tries
+        nodes = [(EMPTY, SignedDiagram(kind)) for kind in Kind]
+        nodes += [(t, t.steps[-1]) for t in admissible_towers(22)]
+        tried = rejected = 0
+        for t, d in nodes:
+            m1 = len(d.rows)
+            lifts = [
+                prepend_column(d, h - m1, plus)
+                for h in _prepend_heights(d, 22 - d.size)
+                for plus in (range(h - m1 + 1) if d.kind is Kind.SYMPLECTIC else (0,))
+            ]
+            members = [child for child in lifts if class_u(child).member]
+            assert [child for _, child in _lift(t, d, 22)] == members, d
+            tried += len(lifts)
+            rejected += len(lifts) - len(members)
+        assert (tried, rejected) == (2489, 22)
 
     def test_count_at_20(self):
         towers = admissible_towers(20)

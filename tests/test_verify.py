@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,17 @@ def test_timed_repeats_until_the_minimum():
     rep, times = verify_all.timed("twocom", 4, 0.05)
     assert rep.passed and len(times) > 1 and sum(times) >= 0.05
     assert sum(times[:-1]) < 0.05
+
+
+def test_verify_all_fails_on_a_case_count_mismatch(monkeypatch, capsys):
+    verify_all = _load_script("verify_all")
+    checked = run_suite("twocom", 4).checked
+    monkeypatch.setattr(sys, "argv", ["verify_all.py"])
+    monkeypatch.setattr(verify_all, "ACCEPTANCE_BOUNDS", [("twocom", 4, checked)])
+    assert verify_all.main() == 0
+    monkeypatch.setattr(verify_all, "ACCEPTANCE_BOUNDS", [("twocom", 4, checked + 1)])
+    assert verify_all.main() == 1
+    assert f"count: expected {checked + 1} cases" in capsys.readouterr().out
 
 
 def test_spread_reports_median_and_quartiles():
