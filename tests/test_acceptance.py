@@ -34,7 +34,9 @@ def _load_verify_all():
     return module
 
 
-ACCEPTANCE = {name: (bound, checked) for name, bound, checked in _load_verify_all().ACCEPTANCE_BOUNDS}
+ACCEPTANCE = {
+    name: (bound, checked) for name, bound, checked in _load_verify_all().ACCEPTANCE_BOUNDS
+}
 
 
 def accepted(name: str):
@@ -178,7 +180,8 @@ def test_09_tower_ledger(capsys):
             9,
             ok,
             done(),
-            f"column lemma, range conditions, uniqueness: {ledger.checked} members <= {ledger.bound}",
+            f"column lemma, range conditions, uniqueness: "
+            f"{ledger.checked} members <= {ledger.bound}",
         )
 
 
