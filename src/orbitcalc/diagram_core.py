@@ -15,8 +15,8 @@ row down.  Rows of the opposite parity are free, and two diagrams are
 equivalent when they differ only by reordering rows of equal length.
 
 Input is checked once, where it enters: the public constructors
-``Partition(...)`` and ``SignedDiagram(...)``, and with them ``parse_ascii``
-and ``from_json_dict``, check everything and raise ``ValueError``.  The
+``Partition(...)`` and ``SignedDiagram(...)``, and with them
+``from_json_dict``, check everything and raise ``ValueError``.  The
 package builds a diagram or partition unchecked, through ``_trusted``, only
 where its own code lays the rows out correctly by construction:
 ``from_row_spec`` (which every canonical diagram goes through, and which
@@ -139,12 +139,6 @@ class Partition:
             heights.append(count)
         return Partition._trusted(tuple(heights))
 
-    def delete_columns(self, i: int) -> "Partition":
-        """Remove the leftmost i columns (rows shrink by i, empties drop)."""
-        if i < 0:
-            raise ValueError("column count must be nonnegative")
-        return Partition._trusted(tuple(r - i for r in self.rows if r > i))
-
     def classes(self) -> list[tuple[int, int]]:
         """(length, multiplicity) of each distinct row length, longest first."""
         return [(length, sum(1 for _ in group)) for length, group in groupby(self.rows)]
@@ -156,10 +150,6 @@ class Partition:
     @property
     def very_odd(self) -> bool:
         return all(r % 2 == 1 for r in self.rows)
-
-    @property
-    def multiplicity_free(self) -> bool:
-        return len(set(self.rows)) == len(self.rows)
 
     def to_json(self) -> list[int]:
         return list(self.rows)
@@ -402,25 +392,6 @@ def render_ascii(d: SignedDiagram) -> str:
     for i, row in enumerate(d.rows, start=1):
         lines.append("".join(d.box_sign(i, j).char for j in range(1, row.length + 1)))
     return "\n".join(lines)
-
-
-def parse_ascii(text: str, kind: Kind) -> SignedDiagram:
-    """Inverse of render_ascii.  Rejects malformed rows with positions."""
-    rows: list[SignedRow] = []
-    lines = text.splitlines()
-    for i, line in enumerate(lines, start=1):
-        if not line:
-            raise ValueError(f"row {i}: empty line")
-        lead = Sign.PLUS if line[0] == "+" else Sign.MINUS
-        for j, ch in enumerate(line, start=1):
-            if ch not in "+-":
-                raise ValueError(f"row {i}, column {j}: expected '+' or '-', got {ch!r}")
-            sign = Sign.PLUS if ch == "+" else Sign.MINUS
-            expected = lead if j % 2 == 1 else lead.flipped
-            if sign is not expected:
-                raise ValueError(f"row {i}, column {j}: signs must alternate across the row")
-        rows.append(SignedRow(len(line), lead))
-    return SignedDiagram(kind, tuple(rows))
 
 
 def to_json_dict(d: SignedDiagram) -> dict:

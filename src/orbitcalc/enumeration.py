@@ -3,8 +3,7 @@
 Diagrams come out once per equivalence class, in a fixed deterministic
 order, by choosing how many rows of each free length class lead with plus;
 the class count for a shape is the product of (multiplicity + 1) over its
-free length classes.  A brute-force counter that enumerates raw sign
-vectors and dedupes canonical forms serves as an independent oracle.
+free length classes.
 """
 
 from __future__ import annotations
@@ -19,11 +18,9 @@ from .diagram_core import (
     Sign,
     SignedDiagram,
     Signature,
-    canonicalize,
     from_row_spec,
     signature,
     validate_partition_kind,
-    validate_signed,
 )
 
 
@@ -159,22 +156,3 @@ def signed_diagrams(
         for d in diagrams_for_shape(shape, kind):
             if sig is None or signature(d) == sig:
                 yield d
-
-
-def brute_count(kind: Kind, size: int, sig: Signature | None = None) -> int:
-    """Independent class counter: raw per-row sign vectors, validity filter,
-    canonical dedupe.  Exponential; for oracle use at small sizes only."""
-    seen = set()
-    for rows in partitions(size):
-        shape = Partition(rows)
-        if not validate_partition_kind(shape, kind):
-            continue
-        for leads in product((Sign.PLUS, Sign.MINUS), repeat=len(rows)):
-            raw = tuple(zip(rows, leads))
-            if validate_signed(kind, raw):
-                continue
-            d = SignedDiagram(kind, raw)
-            if sig is not None and signature(d) != Signature(*sig):
-                continue
-            seen.add((kind, canonicalize(d).rows))
-    return len(seen)

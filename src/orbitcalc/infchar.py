@@ -10,8 +10,8 @@ computations share nothing beyond the diagram, they serve as mutual
 oracles.
 
 Every vector here holds doubled ints (see ``vector_order``): a segment is
-a ``range`` stepping by -2, and the domino labels, rho and the bound
-vectors are doubled alike.  The scale factors of ``check_bound`` enter only
+a ``range`` stepping by -2, and the domino labels and the bound vectors
+are doubled alike.  The scale factors of ``check_bound`` enter only
 through ``scaled_preceq``; no ``Fraction``, no floats.
 
 Segment step note: both segments descend in steps of 1.  The symplectic
@@ -23,12 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram_core import GroupLabel, Kind, Partition
+from .diagram_core import Kind, Partition
 from .vector_order import (
     HalfIntVector,
     OrderResult,
     bar_sort,
-    dominance_leq,
     scaled_preceq,
     seq_preceq,
 )
@@ -130,18 +129,7 @@ def infchar_domino(d: Partition, kind: Kind) -> HalfIntVector:
 
 
 # ---------------------------------------------------------------------------
-# rho vectors and bounds
-
-
-def rho(g: GroupLabel) -> HalfIntVector:
-    """Half sum of positive restricted roots: (n, ..., 1) for Mp(2n), the
-    whole symplectic segment of 2n, and ((p+q-2)/2, (p+q-4)/2, ...,
-    |q-p|/2) for O(p, q), the first min(p, q) entries of the orthogonal
-    segment of p + q."""
-    if g.kind is Kind.SYMPLECTIC and g.p % 2 != 0:
-        raise ValueError("Mp parameter must be even")
-    full = segment(g.kind, g.p + g.q)
-    return tuple(full if g.kind is Kind.SYMPLECTIC else full[: min(g.p, g.q)])
+# bounds and order reversal
 
 
 @dataclass(frozen=True)
@@ -189,18 +177,3 @@ def characters_reverse(
     if rel is not OrderResult.EQUAL and rel is not OrderResult.LESS_EQ:
         return None
     return seq_preceq(b2, b1)
-
-
-def reversal_check(d1: Partition, d2: Partition, kind: Kind) -> bool:
-    """Order reversal: smaller orbit closure, larger sorted character.
-
-    Returns whether [d1 below d2 implies bar(I(d1)) dominates bar(I(d2))]
-    holds for the pair; requires both transposes very even or both very odd.
-    """
-    t1, t2 = d1.transpose(), d2.transpose()
-    same_parity = (t1.very_even and t2.very_even) or (t1.very_odd and t2.very_odd)
-    if not same_parity:
-        raise ValueError("reversal check requires transposes of matching parity")
-    b1 = bar_sort(segments_of_transpose(t1.rows, kind))
-    b2 = bar_sort(segments_of_transpose(t2.rows, kind))
-    return characters_reverse(dominance_leq(d1, d2), b1, b2) is not False

@@ -5,10 +5,11 @@ denominator: ``rows[i]`` maps each column of a nonzero entry of row i to an
 integer, and ``den`` is the lcm of the entries' denominators, so the value
 rows / den is in lowest terms and equal matrices compare equal.  Every
 operation runs on those integers; ``Fraction`` appears only where entries
-are read in and in the dense ``entries`` view.  A product is the product of
-the integer rows over the product of the two denominators.  Scaling by
-den > 0 changes neither rank nor kernel, and it multiplies each Gram matrix
-of a pairing below by a positive constant, so it keeps the inertia too.
+are read in or written out as rational strings ("-3/4") and in the dense
+``entries`` view.  A product is the product of the integer rows over the
+product of the two denominators.  Scaling by den > 0 changes neither rank
+nor kernel, and it multiplies each Gram matrix of a pairing below by a
+positive constant, so it keeps the inertia too.
 Rank, kernel and inverse come from Bareiss's fraction-free Gauss-Jordan
 elimination, whose every division is exact; the inertia of a symmetric
 matrix from congruence on integers; and membership in a Lie algebra from
@@ -40,7 +41,6 @@ from .diagram_core import (
     SignedDiagram,
     from_row_spec,
 )
-from .vector_order import format_rational, parse_rational
 
 Row = tuple[Fraction, ...]
 IntRows = Sequence[dict[int, int]]  # sparse integer rows: column -> nonzero entry
@@ -123,6 +123,19 @@ def _kernel(reduced: IntRows, pivots: list[int], d: int, ncols: int) -> list[dic
     return basis
 
 
+def format_rational(x: Fraction) -> str:
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def parse_rational(s: str) -> Fraction:
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational {s!r}: {exc}") from None
+
+
 def _exact(x) -> Fraction | int:
     """A matrix entry: a Fraction, an int or a rational string ("-3/4").
     Floats, bools and anything else are refused rather than read as their
@@ -198,9 +211,6 @@ class RationalMatrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def is_zero(self) -> bool:
-        return not any(self.rows)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -236,19 +246,6 @@ class RationalMatrix:
             for j, v in row.items():
                 out[j][i] = v
         return RationalMatrix(tuple(out), self.nrows, self.den)
-
-    def power(self, k: int) -> "RationalMatrix":
-        if not self.is_square or k < 0:
-            raise ValueError("powers are taken of square matrices, with exponent >= 0")
-        out = RationalMatrix.identity(self.nrows)
-        for _ in range(k):
-            out = out @ self
-        return out
-
-    def apply(self, v: Row) -> Row:
-        """The matrix times the column vector v."""
-        column = RationalMatrix.from_rows([v]).transpose()
-        return tuple(x for (x,) in (self @ column).entries)
 
     # -- elimination ----------------------------------------------------------
 
@@ -396,24 +393,6 @@ def _jordan_shape(ranks: list[int]) -> Partition:
     heights = [h for h in heights if h > 0]
     # heights is the transpose of the Jordan partition
     return Partition(tuple(heights)).transpose() if heights else Partition()
-
-
-def is_nilpotent(x: RationalMatrix) -> bool:
-    return not any(_power_chain(x)[-1])
-
-
-def rank_sequence(x: RationalMatrix) -> list[int]:
-    """Ranks of successive powers of a nilpotent matrix, starting at
-    rank(X^0) = dim, until zero."""
-    powers = _power_chain(x)
-    if any(powers[-1]):
-        raise ValueError("rank sequence requires a nilpotent matrix")
-    return [len(_bareiss(p, x.ncols)[1]) for p in powers]
-
-
-def jordan_partition(x: RationalMatrix) -> Partition:
-    """Jordan type of a nilpotent matrix."""
-    return _jordan_shape(rank_sequence(x))
 
 
 def symmetric_signature(gram: list[list[Fraction]]) -> tuple[int, int]:

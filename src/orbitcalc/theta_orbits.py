@@ -3,8 +3,8 @@
 Between consecutive members of a dual pair the correspondence acts on the
 orbit labels of interest by deleting or prepending one column, so a
 diagram determines a full alternating chain of orbits and groups down to
-a single column.  Real lifts are pinned by a target signature and must be
-unique; ambiguity is an error, never a guess.
+a single column.  The pairing inertia of a symplectic diagram decides
+which of its orbits meet the image of the moment map.
 """
 
 from __future__ import annotations
@@ -17,20 +17,8 @@ from .diagram_core import (
     Signature,
     canonicalize,
     delete_column_signed,
-    equivalent,
     from_row_spec,
-    signature,
 )
-
-
-def theta_lift_complex(d: Partition, target_size: int) -> Partition:
-    """The unique partition of target_size whose first-column deletion gives
-    d: every row grows by 1 and the new first column is filled with 1-rows.
-    The classification kind flips."""
-    new_col = target_size - d.size
-    if new_col < d.height:
-        raise ValueError("no column-prepend lift of this size")
-    return Partition(tuple(r + 1 for r in d.rows) + (1,) * (new_col - d.height))
 
 
 def prepend_column(d: SignedDiagram, ones: int, plus: int = 0) -> SignedDiagram:
@@ -50,35 +38,6 @@ def prepend_column(d: SignedDiagram, ones: int, plus: int = 0) -> SignedDiagram:
     else:
         spec += [(1, Sign.PLUS)] * plus + [(1, Sign.MINUS)] * (ones - plus)
     return from_row_spec(kind, spec)
-
-
-def theta_lift_real(d: SignedDiagram, target: Signature) -> SignedDiagram:
-    """The unique valid signed lift with the given signature.
-
-    Only the new 1-rows of a column prepend have any freedom (for an
-    orthogonal lift), and the target signature fixes their split, so there
-    is at most one candidate; an invalid one is an error.
-    """
-    target = Signature(*target)
-    target_size = target.plus + target.minus
-    new_col = target_size - d.size
-    if new_col < len(d.rows):
-        raise ValueError("no column-prepend lift of this size")
-    # the new box of a forced row is a plus box when its row of d leads with -
-    forced_plus = signature(d).plus + sum(1 for _, lead in d.rows if lead is Sign.MINUS)
-    # an odd count of symplectic 1-rows, or a split outside [0, ones],
-    # fails the validity or the signature check
-    try:
-        lift = prepend_column(d, new_col - len(d.rows), target.plus - forced_plus)
-    except ValueError:  # the constructor refused the candidate
-        lift = None
-    if (
-        lift is None
-        or signature(lift) != target
-        or not equivalent(delete_column_signed(lift), d)
-    ):
-        raise ValueError(f"no valid lift of signature {tuple(target)}")
-    return lift
 
 
 def middle_is_plus(half: int, lead: Sign) -> bool:

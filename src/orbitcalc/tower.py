@@ -35,11 +35,10 @@ from .diagram_core import (
     group_of,
     signature,
     to_json_dict,
-    validate_partition_kind,
 )
 from .enumeration import parity_shapes
 from .infchar import infchar_segments
-from .orbit_induction import induce_real_tau
+from .orbit_induction import induce_real
 from .theta_orbits import (
     chain,
     deletion_inertia,
@@ -48,18 +47,6 @@ from .theta_orbits import (
     prepend_column,
 )
 from .vector_order import HalfIntVector, vector_to_json
-
-
-def pre_rigid(d: Partition) -> bool:
-    """Transpose multiplicity-free: every column height occurs once."""
-    return d.transpose().multiplicity_free
-
-
-def special(d: Partition, kind: Kind) -> bool:
-    """Type C/D speciality: odd column heights occur with even multiplicity."""
-    if not validate_partition_kind(d, kind):
-        raise ValueError(f"{d} is not a valid {kind.value} shape")
-    return all(m % 2 == 0 for h, m in d.transpose().classes() if h % 2 == 1)
 
 
 @dataclass(frozen=True)
@@ -375,10 +362,13 @@ def check_non3(t: Tower, k: int) -> dict:
 
     Writes (p0, q0) for the step-(k-1) signature, 2n1 for the step-k size,
     (p, q) for the step-(k+1) signature and (m1, m2) for the leading column
-    heights of steps k+1 and k.  Candidate orbits come from inducing the
-    even-row flip of a step-k companion whose pairing inertia is exactly
-    (q0, p0) -- the flip is available because the wave-front bookkeeping is
-    closed under duals, which swap the inertia.  Candidate j (the count of
+    heights of steps k+1 and k.  Candidate orbits come from inducing a
+    step-k companion whose pairing inertia is exactly (p0, q0).  The
+    wave-front bookkeeping names the even-row flip ``tau`` of a companion of
+    inertia (q0, p0) instead; ``tau`` moves the middle sign of every even row
+    to the other side and permutes the diagrams of a shape, so that is the
+    same inertia with the same companion count, and the candidates'
+    inertias depend only on the companion's.  Candidate j (the count of
     minus-leading new length-2 rows) then has pairing inertia
     (p0 + m1 - 1 - j, q0 + m2 + j); these sum to p + q - 1, so only
     j* = p0 + m1 - 1 - p with inertia exactly (p, q-1) and its neighbor
@@ -401,9 +391,9 @@ def check_non3(t: Tower, k: int) -> dict:
     n2 = p + q - n1 - 1
 
     # companions: valid sign assignments on the step-k shape whose pairing
-    # inertia is exactly (q0, p0), counted, with the first one built; this
+    # inertia is exactly (p0, q0), counted, with the first one built; this
     # is the constructive substitute for the wave-front existence argument.
-    d0, companions = inertia_companions(steps[k - 1].shape(), Signature(q0, p0))
+    d0, companions = inertia_companions(steps[k - 1].shape(), Signature(p0, q0))
     if d0 is None:
         raise ValueError("no companion with the required pairing inertia")
 
@@ -425,7 +415,7 @@ def check_non3(t: Tower, k: int) -> dict:
         record["ok"] = False
         return record
 
-    induced = induce_real_tau(d0, n2)
+    induced = induce_real(d0, n2)
     if induced.count != candidate_count:
         raise ValueError(
             f"induction from {d0.rows} gives {induced.count} orbits, expected {candidate_count}"

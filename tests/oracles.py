@@ -1,0 +1,190 @@
+"""Reference routes that the tests check the package against.
+
+Each function is a second, plainer way to reach a result the package
+computes, or a reader for what the package writes; the package itself
+never calls them.  A brute-force count next to the product formula, a lift
+by target signature next to the column-prepend forest, the dominance order
+as a predicate, parsers for the ASCII picture and the vector strings, and
+Jordan types from the ranks of explicit matrix powers.
+"""
+
+from __future__ import annotations
+
+import re
+from itertools import product
+
+from orbitcalc.diagram_core import (
+    GroupLabel,
+    Kind,
+    Partition,
+    Sign,
+    SignedDiagram,
+    SignedRow,
+    Signature,
+    canonicalize,
+    delete_column_signed,
+    equivalent,
+    signature,
+    validate_partition_kind,
+    validate_signed,
+)
+from orbitcalc.enumeration import partitions
+from orbitcalc.infchar import characters_reverse, segment, segments_of_transpose
+from orbitcalc.moment_oracle import RationalMatrix
+from orbitcalc.theta_orbits import prepend_column
+from orbitcalc.vector_order import HalfIntVector, OrderResult, bar_sort, dominance_leq
+
+# ---------------------------------------------------------------------------
+# diagrams
+
+
+def brute_count(kind: Kind, size: int, sig: Signature | None = None) -> int:
+    """Equivalence classes of valid diagrams by raw per-row sign vectors, the
+    validity filter and a canonical dedupe.  Exponential; small sizes only."""
+    seen = set()
+    for rows in partitions(size):
+        if not validate_partition_kind(Partition(rows), kind):
+            continue
+        for leads in product((Sign.PLUS, Sign.MINUS), repeat=len(rows)):
+            raw = tuple(zip(rows, leads))
+            if validate_signed(kind, raw):
+                continue
+            d = SignedDiagram(kind, raw)
+            if sig is not None and signature(d) != Signature(*sig):
+                continue
+            seen.add(canonicalize(d).rows)
+    return len(seen)
+
+
+def theta_lift_real(d: SignedDiagram, target: Signature) -> SignedDiagram:
+    """The unique valid column-prepend lift of d with the given signature.
+
+    Only the new 1-rows have any freedom (for an orthogonal lift), and the
+    target fixes their split, so there is at most one candidate; no valid
+    one raises ``ValueError``."""
+    target = Signature(*target)
+    new_col = sum(target) - d.size
+    if new_col < len(d.rows):
+        raise ValueError("no column-prepend lift of this size")
+    # the new box of a forced row is a plus box when its row of d leads with -
+    forced_plus = signature(d).plus + sum(1 for _, lead in d.rows if lead is Sign.MINUS)
+    try:
+        lift = prepend_column(d, new_col - len(d.rows), target.plus - forced_plus)
+    except ValueError:  # an odd count of symplectic 1-rows
+        lift = None
+    if (
+        lift is None
+        or signature(lift) != target
+        or not equivalent(delete_column_signed(lift), d)
+    ):
+        raise ValueError(f"no valid lift of signature {tuple(target)}")
+    return lift
+
+
+def delete_columns(p: Partition, i: int) -> Partition:
+    """p without its leftmost i columns: rows shrink by i, empties drop."""
+    if i < 0:
+        raise ValueError("column count must be nonnegative")
+    return Partition(tuple(r - i for r in p.rows if r > i))
+
+
+def parse_ascii(text: str, kind: Kind) -> SignedDiagram:
+    """Inverse of ``render_ascii``; a row whose signs do not alternate, or a
+    character other than + or -, raises with its position."""
+    rows: list[SignedRow] = []
+    for i, line in enumerate(text.splitlines(), start=1):
+        if not line:
+            raise ValueError(f"row {i}: empty line")
+        lead = Sign.PLUS if line[0] == "+" else Sign.MINUS
+        for j, ch in enumerate(line, start=1):
+            if ch not in "+-":
+                raise ValueError(f"row {i}, column {j}: expected '+' or '-', got {ch!r}")
+            if Sign(ch) is not (lead if j % 2 == 1 else lead.flipped):
+                raise ValueError(f"row {i}, column {j}: signs must alternate across the row")
+        rows.append(SignedRow(len(line), lead))
+    return SignedDiagram(kind, tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# orders and characters
+
+
+def dominated(d1: Partition, d2: Partition) -> bool:
+    """d1 lies (weakly) in the closure of d2."""
+    return dominance_leq(d1, d2) in (OrderResult.EQUAL, OrderResult.LESS_EQ)
+
+
+def reversal_check(d1: Partition, d2: Partition, kind: Kind) -> bool:
+    """Order reversal for one pair: d1 below d2 implies that the sorted
+    character of d1 dominates that of d2.  Both transposes must be very
+    even, or both very odd."""
+    t1, t2 = d1.transpose(), d2.transpose()
+    if not ((t1.very_even and t2.very_even) or (t1.very_odd and t2.very_odd)):
+        raise ValueError("reversal check requires transposes of matching parity")
+    b1 = bar_sort(segments_of_transpose(t1.rows, kind))
+    b2 = bar_sort(segments_of_transpose(t2.rows, kind))
+    return characters_reverse(dominance_leq(d1, d2), b1, b2) is not False
+
+
+def rho(g: GroupLabel) -> HalfIntVector:
+    """Half sum of positive restricted roots, doubled: the symplectic
+    segment of 2n for Mp(2n), the first min(p, q) entries of the orthogonal
+    segment of p + q for O(p, q)."""
+    if g.kind is Kind.SYMPLECTIC and g.p % 2 != 0:
+        raise ValueError("Mp parameter must be even")
+    full = segment(g.kind, g.p + g.q)
+    return tuple(full if g.kind is Kind.SYMPLECTIC else full[: min(g.p, g.q)])
+
+
+_HALF = re.compile(r"(-?\d+)(/2)?")
+
+
+def vector_from_json(data: list[str]) -> HalfIntVector:
+    """Inverse of ``vector_to_json``: "n" reads as 2n and "n/2", n odd, as n.
+    Any other string, "1.5" and "2/4" included, raises."""
+    out = []
+    for s in data:
+        match = _HALF.fullmatch(s)
+        if match is None or (match[2] and int(match[1]) % 2 == 0):
+            raise ValueError(f"not a half-integer string: {s!r}")
+        out.append(int(match[1]) if match[2] else 2 * int(match[1]))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# matrices
+
+
+def power(x: RationalMatrix, k: int) -> RationalMatrix:
+    if not x.is_square or k < 0:
+        raise ValueError("powers are taken of square matrices, with exponent >= 0")
+    out = RationalMatrix.identity(x.nrows)
+    for _ in range(k):
+        out = out @ x
+    return out
+
+
+def apply(x: RationalMatrix, v) -> tuple:
+    """x times the column vector v."""
+    return tuple(e for (e,) in (x @ RationalMatrix.from_rows([v]).transpose()).entries)
+
+
+def is_zero(x: RationalMatrix) -> bool:
+    return not any(x.rows)
+
+
+def is_nilpotent(x: RationalMatrix) -> bool:
+    return is_zero(power(x, x.nrows))
+
+
+def jordan_partition(x: RationalMatrix) -> Partition:
+    """Jordan type of a nilpotent matrix from the ranks of its powers: the
+    blocks of size >= k number rank x^(k-1) - rank x^k."""
+    if not is_nilpotent(x):
+        raise ValueError("the Jordan type is read off a nilpotent matrix")
+    ranks = [x.nrows]
+    xk = RationalMatrix.identity(x.nrows)
+    while ranks[-1]:
+        xk = xk @ x
+        ranks.append(xk.rank())
+    return Partition(tuple(a - b for a, b in zip(ranks, ranks[1:]))).transpose()

@@ -10,7 +10,6 @@ from orbitcalc.diagram_core import (
     validate_signed,
 )
 from orbitcalc.enumeration import (
-    brute_count,
     class_count,
     diagrams_for_shape,
     parity_partitions,
@@ -19,6 +18,7 @@ from orbitcalc.enumeration import (
     shapes,
     signed_diagrams,
 )
+from oracles import brute_count
 
 
 class TestPartitions:

@@ -9,11 +9,10 @@ from orbitcalc.infchar import (
     domino_cover,
     infchar_domino,
     infchar_segments,
-    reversal_check,
-    rho,
     segment,
 )
 from orbitcalc.vector_order import bar_sort, scaled_preceq, seq_preceq, vector_to_json
+from oracles import reversal_check, rho
 
 
 class TestSegment:

@@ -22,8 +22,6 @@ from orbitcalc.moment_oracle import (
     build_witness,
     classify_signed,
     conjugate,
-    is_nilpotent,
-    jordan_partition,
     moment_m1,
     moment_m2,
     random_form_preserving,
@@ -33,6 +31,7 @@ from orbitcalc.moment_oracle import (
 )
 from orbitcalc.orbit_induction import induce_real
 from orbitcalc.verify import _conjugation_pool, suite_induce_oracle
+from oracles import apply, delete_columns, is_nilpotent, is_zero, jordan_partition, power
 
 M = Sign.MINUS
 P = Sign.PLUS
@@ -43,7 +42,7 @@ class TestMatrix:
         m = RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
         assert m.rank() == 2
         for v in m.kernel_basis():
-            assert all(x == 0 for x in m.apply(v))
+            assert all(x == 0 for x in apply(m, v))
         assert len(m.kernel_basis()) == 1
 
     def test_inverse(self):
@@ -95,8 +94,8 @@ class TestMatrix:
 class TestMomentMaps:
     def test_zero(self):
         x = RationalMatrix.zeros(2, 2)
-        assert moment_m1(x, 1, 1).is_zero()
-        assert moment_m2(x, 1, 1).is_zero()
+        assert is_zero(moment_m1(x, 1, 1))
+        assert is_zero(moment_m2(x, 1, 1))
 
     def test_no_columns(self):
         # 2n = 0: m1 is the zero element of o(p, q), m2 the 0 x 0 matrix
@@ -130,8 +129,8 @@ class TestMomentMaps:
             ipq = FormSpec.orthogonal(p, q).matrix()
             wn = FormSpec.symplectic(4).matrix()
             for l in range(1, 5):
-                lhs = m1.power(l)
-                rhs = ipq @ x @ m2.power(l - 1) @ wn @ x.transpose()
+                lhs = power(m1, l)
+                rhs = ipq @ x @ power(m2, l - 1) @ wn @ x.transpose()
                 assert lhs.entries == rhs.entries
 
     def test_nilpotency_transfer(self):
@@ -173,7 +172,7 @@ class TestMomentMaps:
             if j1.size == 0 and j2.size == 0:
                 continue
             found += 1
-            assert j1.delete_columns(1) == j2 or j2.delete_columns(1) == j1, (
+            assert delete_columns(j1, 1) == j2 or delete_columns(j2, 1) == j1, (
                 x.entries,
                 j1,
                 j2,
@@ -418,7 +417,7 @@ class TestIntegerKernel:
             kernel = m.kernel_basis()
             assert len(kernel) == m.ncols - len(pivots)
             for v in kernel:
-                assert all(x == 0 for x in m.apply(v)), m.entries
+                assert all(x == 0 for x in apply(m, v)), m.entries
             # the basis is independent, hence spans the null space
             assert len(_gauss_jordan(kernel, m.ncols)[1]) == len(kernel)
 

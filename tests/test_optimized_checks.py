@@ -61,8 +61,8 @@ def test_constructor_check_under_optimize():
 
 
 ROW_SPEC_REFUSALS = """
-from orbitcalc.diagram_core import Kind, Sign, SignedDiagram, Signature, from_row_spec
-from orbitcalc.theta_orbits import theta_lift_real
+from orbitcalc.diagram_core import Kind, Sign, SignedDiagram, from_row_spec
+from orbitcalc.theta_orbits import prepend_column
 
 P, M, O, S = Sign.PLUS, Sign.MINUS, Kind.ORTHOGONAL, Kind.SYMPLECTIC
 cases = [
@@ -83,9 +83,10 @@ cases = [
     lambda: from_row_spec(O, [(1, P), (True, M)]),
     lambda: from_row_spec(O, [(True, M), (1, P)]),
 ]
-for rows, target in [((), (1, 0)), ((), (2, 1)), (((1, P),), (2, 1)), (((1, P), (1, M)), (3, 2))]:
+# a symplectic column prepend with an odd count of new 1-rows
+for rows, ones in [((), 1), ((), 3), (((1, P),), 1), (((1, P), (1, M)), 1)]:
     d = SignedDiagram(O, rows)
-    cases.append(lambda d=d, target=target: theta_lift_real(d, Signature(*target)))
+    cases.append(lambda d=d, ones=ones: prepend_column(d, ones))
 for case in cases:
     try:
         case()

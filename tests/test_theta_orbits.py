@@ -2,7 +2,6 @@ import pytest
 
 from orbitcalc.diagram_core import (
     Kind,
-    Partition,
     Sign,
     SignedDiagram,
     SignedRow,
@@ -11,54 +10,20 @@ from orbitcalc.diagram_core import (
     equivalent,
     group_of,
     signature,
+    tau,
 )
-from orbitcalc.enumeration import signed_diagrams
+from orbitcalc.enumeration import diagrams_for_shape, shapes, signed_diagrams
 from orbitcalc.orbit_induction import two_n_signed
 from orbitcalc.theta_orbits import (
     chain,
     deletion_inertia,
     in_moment_image,
-    theta_lift_complex,
-    theta_lift_real,
+    inertia_companions,
 )
+from oracles import is_nilpotent, is_zero, theta_lift_real
 
 M = Sign.MINUS
 P = Sign.PLUS
-
-
-class TestLiftComplex:
-    def test_example(self):
-        assert theta_lift_complex(Partition((2, 2, 1)), 10) == Partition(
-            (3, 3, 2, 1, 1)
-        )
-
-    def test_empty(self):
-        assert theta_lift_complex(Partition(), 5) == Partition(
-            (1, 1, 1, 1, 1)
-        )
-
-    def test_intro_chain_reconstruction(self, intro_diagram):
-        shapes = [entry.shape() for entry in chain(intro_diagram)]
-        shapes.reverse()  # smallest first
-        sizes = [s.size for s in shapes]
-        assert sizes == [1, 4, 9, 14, 21, 30]
-        current = shapes[0]
-        for target, want in zip(sizes[1:], shapes[1:]):
-            current = theta_lift_complex(current, target)
-            assert current == want
-
-    def test_no_lift(self):
-        with pytest.raises(ValueError, match="no column-prepend lift"):
-            theta_lift_complex(Partition((2, 2)), 5)
-
-    def test_inverts_deletion(self):
-        for size in range(1, 9):
-            for kind in Kind:
-                for d in signed_diagrams(kind, size=size):
-                    shape = d.shape()
-                    for extra in range(shape.height, shape.height + 3):
-                        lifted = theta_lift_complex(shape, shape.size + extra)
-                        assert lifted.delete_columns(1) == shape
 
 
 class TestLiftReal:
@@ -148,6 +113,23 @@ class TestPairingInertia:
                 r, s = deletion_inertia(d)
                 assert deletion_inertia(negate(d)) == Signature(s, r)
 
+    def test_tau_swaps_inertia_and_companion_counts_to_16(self):
+        # check_non3 takes a companion of inertia (p0, q0) for tau of one of
+        # inertia (q0, p0): tau moves every even row's middle sign to the
+        # other side, and it permutes the diagrams of a shape, so the two
+        # targets have as many companions
+        for size in range(0, 17, 2):
+            for shape in shapes(Kind.SYMPLECTIC, size):
+                inertias = set()
+                for d in diagrams_for_shape(shape, Kind.SYMPLECTIC):
+                    r, s = deletion_inertia(d)
+                    assert deletion_inertia(tau(d)) == Signature(s, r), d
+                    inertias.add(Signature(r, s))
+                for r, s in inertias:
+                    count = inertia_companions(shape, Signature(r, s))[1]
+                    assert count > 0, (shape, r, s)
+                    assert inertia_companions(shape, Signature(s, r))[1] == count, (shape, r, s)
+
     def test_matches_matrix_inertia(self):
         # the row formula equals the inertia of -W X on a representative
         from orbitcalc import moment_oracle as mo
@@ -201,7 +183,7 @@ class TestMomentImage:
                 [entries[0:4], entries[4:8], entries[8:12]]
             )
             m2 = mo.moment_m2(x3, 1, 2)
-            if mo.is_nilpotent(m2) and not m2.is_zero():
+            if is_nilpotent(m2) and not is_zero(m2):
                 label = mo.classify_signed(m2, mo.FormSpec.symplectic(4))
                 if equivalent(label, plus):
                     found = x3

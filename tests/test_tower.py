@@ -22,7 +22,6 @@ from orbitcalc.theta_orbits import (
     deletion_inertia,
     inertia_companions,
     prepend_column,
-    theta_lift_real,
 )
 from orbitcalc.tower import (
     EMPTY,
@@ -38,12 +37,11 @@ from orbitcalc.tower import (
     check_non3,
     check_range,
     class_u,
-    pre_rigid,
-    special,
     tower,
 )
 from orbitcalc.verify import suite_bounds
 from orbitcalc.vector_order import vector_to_json
+from oracles import theta_lift_real
 
 M = Sign.MINUS
 P = Sign.PLUS
@@ -108,26 +106,16 @@ def shape_first(max_size):
 
 
 class TestRigiditySpeciality:
-    def test_intro_shape(self):
-        d = Partition((6, 5, 5, 4, 4, 2, 2, 1, 1))
-        assert not pre_rigid(d)  # height 5 repeats in the transpose
-        assert not special(d, Kind.SYMPLECTIC)  # 9 occurs once
-
-    def test_clean_staircase(self):
-        d = Partition((4, 2)).transpose()  # transpose is (4, 2)
-        assert pre_rigid(d)
-        assert special(d, Kind.SYMPLECTIC)
-
-    def test_single_box(self):
-        assert pre_rigid(Partition((1,)))
-
     def test_special_rigid_members(self):
-        # multiplicity-free all-even transposes: admissible under every sign
-        # assignment, and every column height is even
+        # pre-rigid (no column height repeats) and special (odd heights in
+        # even multiplicity) shapes with parity heights: admissible under
+        # every sign assignment, and every column height is even
         for size in range(2, 15, 2):
             for shape in shapes(Kind.SYMPLECTIC, size):
                 t = shape.transpose()
-                if not (pre_rigid(shape) and special(shape, Kind.SYMPLECTIC)):
+                pre_rigid = len(set(t.rows)) == len(t.rows)
+                special = all(m % 2 == 0 for h, m in t.classes() if h % 2 == 1)
+                if not (pre_rigid and special):
                     continue
                 if not (t.very_even or t.very_odd):
                     continue

@@ -25,7 +25,7 @@ from orbitcalc.diagram_core import (
 )
 from orbitcalc.enumeration import partitions, shapes, signed_diagrams
 from orbitcalc.orbit_induction import add_two_columns, induce_real, merge, two_n_signed
-from orbitcalc.theta_orbits import theta_lift_real
+from oracles import theta_lift_real
 
 SIGNED_MAX = 14
 PARTITION_MAX = 20
@@ -111,8 +111,8 @@ class TestSignedBuilders:
 
 
 class TestPartitionBuilders:
-    """transpose, delete_columns, merge, add_two_columns, shapes and the
-    partitions() stream, on every partition up to size 20."""
+    """transpose, merge, add_two_columns, shapes and the partitions()
+    stream, on every partition up to size 20."""
 
     def test_every_result_passes_the_constructor(self):
         small = [Partition(rows) for n in range(5) for rows in partitions(n)]
@@ -124,7 +124,6 @@ class TestPartitionBuilders:
                 p = Partition._trusted(rows)
                 assert_partition_checked_equal(p)
                 results = [p.transpose(), p.transpose().transpose()]
-                results += [p.delete_columns(i) for i in range(p.width + 2)]
                 results += [add_two_columns(p, k) for k in range(p.height, p.height + 3)]
                 results += [merge(p, q) for q in small]
                 results += [merge(p, p.transpose())]
@@ -132,7 +131,7 @@ class TestPartitionBuilders:
                     assert_partition_checked_equal(q)
                 assert results[1] == p
                 built += len(results)
-        assert built > 50_000
+        assert built > 45_000
 
     def test_shapes(self):
         for size in range(PARTITION_MAX + 1):
