@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time scripts/verify_all.py on two source trees, run alternately.
+"""Time scripts/verify_all.py and the CLI commands on two source trees, run alternately.
 
     python3 scripts/bench_compare.py --base-src OTHER/src --runs 3 --out BENCH_<label>.json
 
@@ -14,7 +14,15 @@ quartiles of those times over its runs, and per suite the ratio base /
 change of the medians next to both sides' quartiles, so that a ratio can be
 read against the spread of the runs behind it, and each side's
 ``src_lines``, the line count of its package.  The same comparison is
-printed as a table.  Stdlib only.
+printed as a table.
+
+Each pair also times CLI start-up: every command of the ``cli-mix``
+benchmark workload (``perfbench/cli_mix.py``, imported read-only) runs as
+``python -m orbitcalc.cli`` from spawn to exit, once per side, the two sides
+back to back per command in the pair's order.  ``cli_startup`` in the output
+holds each side's per-command and pooled (all commands, all pairs) median
+and quartiles, the pooled ratio base / change, and the commands whose exit
+code or stdout differ between the sides.  Stdlib only.
 """
 
 import argparse
@@ -28,6 +36,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 VERIFY_ALL = HERE / "verify_all.py"
+sys.path.insert(0, str(HERE.parent / "perfbench"))
+import cli_mix  # noqa: E402  (the command list and the spawn-to-exit runner)
 
 
 def one_run(src: Path) -> dict:
@@ -41,18 +51,26 @@ def one_run(src: Path) -> dict:
         return json.loads(out.read_text())
 
 
+def summary(times: list[float]) -> dict:
+    """The median and the quartiles of ``times`` (all three equal for one)."""
+    q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
+    return {
+        "median_s": round(statistics.median(times), 5),
+        "quartiles_s": [round(q1, 5), round(q3, 5)],
+    }
+
+
 def spread(runs: list[dict]) -> dict[str, dict]:
-    """Per suite the median and the quartiles of ``elapsed_s`` over the runs
-    (all three equal for a single run)."""
-    out = {}
-    for name in runs[0]["suites"]:
-        times = [r["suites"][name]["elapsed_s"] for r in runs]
-        q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
-        out[name] = {
-            "median_s": round(statistics.median(times), 5),
-            "quartiles_s": [round(q1, 5), round(q3, 5)],
-        }
-    return out
+    """Per suite the median and the quartiles of ``elapsed_s`` over the runs."""
+    return {
+        name: summary([r["suites"][name]["elapsed_s"] for r in runs]) for name in runs[0]["suites"]
+    }
+
+
+def startup(times: dict[str, list[float]]) -> dict:
+    """Per-command and pooled summaries of one side's CLI timings."""
+    pooled = [t for ts in times.values() for t in ts]
+    return {"pooled": summary(pooled), "per_command": {n: summary(ts) for n, ts in times.items()}}
 
 
 def main() -> int:
@@ -65,10 +83,18 @@ def main() -> int:
         parser.error("--runs must be positive")
     sides = {"base": args.base_src.resolve(), "change": HERE.parent / "src"}
     runs: dict[str, list[dict]] = {side: [] for side in sides}
+    cli = {side: {name: [] for name in cli_mix.COMMANDS} for side in sides}
+    outputs: dict[str, dict] = {side: {} for side in sides}
     for i in range(args.runs):
-        for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
             runs[side].append(one_run(sides[side]))
             print(f"pair {i + 1}/{args.runs}: {side} done", file=sys.stderr)
+        for name, argv in cli_mix.COMMANDS.items():
+            for side in order:
+                code, out, seconds = cli_mix.run_subprocess(argv, cli_mix.child_env(sides[side]))
+                cli[side][name].append(seconds)
+                outputs[side][name] = (code, out)
     stats = {side: spread(rs) for side, rs in runs.items()}
     comparison = {}
     for name, change in stats["change"].items():
@@ -85,6 +111,15 @@ def main() -> int:
             f"[{change['quartiles_s'][0]:.4f}, {change['quartiles_s'][1]:.4f}]  "
             f"base/change {'-' if ratio is None else f'{ratio:.2f}'}"
         )
+    cli_stats = {side: startup(times) for side, times in cli.items()}
+    pooled = {side: stats["pooled"] for side, stats in cli_stats.items()}
+    cli_ratio = round(pooled["base"]["median_s"] / pooled["change"]["median_s"], 2)
+    differ = [name for name in cli_mix.COMMANDS if outputs["base"][name] != outputs["change"][name]]
+    print(
+        f"cli pooled     base {pooled['base']['median_s']:8.4f}s {pooled['base']['quartiles_s']}  "
+        f"change {pooled['change']['median_s']:8.4f}s {pooled['change']['quartiles_s']}  "
+        f"base/change {cli_ratio:.2f}  outputs differ: {differ or 'none'}"
+    )
     lines = {side: rs[0]["src_lines"] for side, rs in runs.items()}
     print(f"src_lines      base {lines['base']}  change {lines['change']}")
     record = {
@@ -100,6 +135,12 @@ def main() -> int:
             for side, rs in runs.items()
         },
         "comparison": comparison,
+        "cli_startup": {
+            "command": "python -m orbitcalc.cli ARGV, cwd perfbench/cli, spawn to exit",
+            **cli_stats,
+            "pooled_speedup_base_over_change": cli_ratio,
+            "outputs_differ": differ,
+        },
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 0

@@ -16,15 +16,13 @@ from typing import TYPE_CHECKING
 
 from . import diagram_core as dc
 from .diagram_core import Kind, Partition, Signature
-from .enumeration import class_count, shapes, signed_diagrams
-from .infchar import infchar_domino, infchar_segments
-from .orbit_induction import induce_real, induce_real_tau, plus_rows, wf_ialpha
-from .theta_orbits import chain
-from .tower import NotAdmissible, certificate, class_u
-from .vector_order import bar_sort, vector_to_json
 
-if TYPE_CHECKING:  # imported where used, so that other commands skip it
+if TYPE_CHECKING:
     from .moment_oracle import FormSpec
+
+# Each command imports the modules it runs once its input has passed the
+# checks, so that validate, render and the usage errors of every command but
+# oracle (whose matrices moment_oracle parses) load diagram_core alone.
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -98,6 +96,8 @@ def cmd_validate(args) -> int:
 
 def cmd_classify(args) -> int:
     d = _load(args.diagram, dc.from_json_dict)
+    from .tower import class_u
+
     report = class_u(d)
     data = {
         "group": str(dc.group_of(d)),
@@ -119,6 +119,9 @@ def cmd_classify(args) -> int:
 
 def cmd_tower(args) -> int:
     d = _load(args.diagram, dc.from_json_dict)
+    from .tower import NotAdmissible, certificate
+    from .vector_order import vector_to_json
+
     try:
         cert = certificate(d)
     except NotAdmissible as exc:
@@ -150,6 +153,8 @@ def cmd_tower(args) -> int:
 
 def cmd_induce(args) -> int:
     s = _load(args.diagram, dc.from_json_dict)
+    from .orbit_induction import induce_real, induce_real_tau
+
     try:
         result = (induce_real_tau if args.tau else induce_real)(s, args.n)
     except ValueError as exc:
@@ -168,6 +173,9 @@ def cmd_infchar(args) -> int:
     kind = _kind(args.kind)
     if not dc.validate_partition_kind(d, kind):
         raise CliError(f"{args.partition}: {d} is not a {kind.value} shape")
+    from .infchar import infchar_domino, infchar_segments
+    from .vector_order import bar_sort, vector_to_json
+
     segments = infchar_segments(d, kind)
     data: dict = {
         "segments": vector_to_json(segments),
@@ -192,7 +200,10 @@ def cmd_infchar(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    steps = chain(_load(args.diagram, dc.from_json_dict))
+    d = _load(args.diagram, dc.from_json_dict)
+    from .theta_orbits import chain
+
+    steps = chain(d)
     groups = [str(dc.group_of(step)) for step in steps]
     data = [{"diagram": dc.to_json_dict(step), "group": g} for step, g in zip(steps, groups)]
     _emit({"chain": data}, args.json, " -> ".join(groups))
@@ -249,6 +260,8 @@ def cmd_enumerate(args) -> int:
         sig = Signature(p, q)
     if args.size is not None:
         _nonnegative("--size", args.size)
+    from .enumeration import class_count, shapes, signed_diagrams
+
     diagrams = signed_diagrams(kind, size=args.size, sig=sig)
     try:
         first = next(diagrams, None)  # the generator checks its arguments here
@@ -272,11 +285,12 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    bound = _nonnegative("--max", args.max)  # before the import: a usage error loads nothing
     from .verify import SUITES, run_suite
 
     if args.suite not in SUITES:
         raise CliError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
-    rep = run_suite(args.suite, _nonnegative("--max", args.max))
+    rep = run_suite(args.suite, bound)
     status = "pass" if rep.passed else "FAIL"
     lines = [f"{rep.name} (bound {rep.bound}): {status}, {rep.checked} cases"]
     lines += [f"  note: {note}" for note in rep.notes]
@@ -286,8 +300,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_wf_ialpha(args) -> int:
+    n = _nonnegative("--n", args.n)
+    from .orbit_induction import plus_rows, wf_ialpha
+
     try:
-        diagrams = wf_ialpha(_nonnegative("--n", args.n), args.alpha)
+        diagrams = wf_ialpha(n, args.alpha)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     data = {

@@ -29,9 +29,48 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, NamedTuple
+
+
+_setattr = object.__setattr__  # bypasses Value.__setattr__; bound once, for speed
+
+
+class Value:
+    """Base of the package's immutable values.  A subclass names its fields
+    in ``__slots__`` and its ``__init__`` sets them once, through ``_set``,
+    in field order (a ``_trusted`` builder sets them directly).  Equality (same class, equal fields), the hash of the field tuple, the
+    repr and the ``AttributeError`` on assignment are a frozen dataclass's."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return type(self), self._fields()
 
 
 class Kind(enum.Enum):
@@ -89,23 +128,22 @@ def _shape_problem(lengths: tuple) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """Young diagram: weakly decreasing positive row lengths.  The
     constructor checks its input and raises ``ValueError``; ``_trusted``
     skips the check for rows the package computed in that form."""
 
-    rows: tuple[int, ...] = ()
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows: tuple[int, ...] = ()) -> None:
         try:
-            rows = tuple(self.rows)
+            checked = tuple(rows)
         except TypeError:
-            raise ValueError(f"row lengths must be a sequence: {self.rows!r}") from None
-        object.__setattr__(self, "rows", rows)
-        problem = _shape_problem(rows)
+            raise ValueError(f"row lengths must be a sequence: {rows!r}") from None
+        problem = _shape_problem(checked)
         if problem is not None:
             raise ValueError(problem)
+        self._set(checked)
 
     @classmethod
     def _trusted(cls, rows: tuple[int, ...]) -> "Partition":
@@ -173,8 +211,7 @@ def convention_signs(kind: Kind, count: int) -> list[Sign]:
     return [pattern[i % 2] for i in range(count)]
 
 
-@dataclass(frozen=True)
-class SignedDiagram:
+class SignedDiagram(Value):
     """Signed Young diagram, valid by construction: a kind that is not a
     ``Kind``, a row that is not a (length, sign) pair, a lead that is not a
     ``Sign``, a bad shape or a violation of :func:`validate_signed` raises
@@ -182,26 +219,25 @@ class SignedDiagram:
     :func:`from_row_spec` and the induced families of
     ``orbit_induction.induce_real``, which extend its output, use it."""
 
-    kind: Kind
-    rows: tuple[SignedRow, ...] = ()
+    __slots__ = ("kind", "rows")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: Kind, rows: tuple[SignedRow, ...] = ()) -> None:
         try:
-            rows = tuple(SignedRow(*row) for row in self.rows)
+            checked = tuple(SignedRow(*row) for row in rows)
         except TypeError:
             raise ValueError(
-                f"invalid signed diagram: rows must be (length, sign) pairs: {self.rows!r}"
+                f"invalid signed diagram: rows must be (length, sign) pairs: {rows!r}"
             ) from None
-        object.__setattr__(self, "rows", rows)
-        if not isinstance(self.kind, Kind):
-            problems = [f"kind must be a Kind, got {self.kind!r}"]
-        elif not all(isinstance(lead, Sign) for _, lead in rows):
-            problems = [f"leading signs must be Sign values: {rows!r}"]
+        if not isinstance(kind, Kind):
+            problems = [f"kind must be a Kind, got {kind!r}"]
+        elif not all(isinstance(lead, Sign) for _, lead in checked):
+            problems = [f"leading signs must be Sign values: {checked!r}"]
         else:
-            shape = _shape_problem(tuple(length for length, _ in rows))
-            problems = [shape] if shape else validate_signed(self.kind, rows)
+            shape = _shape_problem(tuple(length for length, _ in checked))
+            problems = [shape] if shape else validate_signed(kind, checked)
         if problems:
             raise ValueError("invalid signed diagram: " + "; ".join(problems))
+        self._set(kind, checked)
 
     @classmethod
     def _trusted(cls, kind: Kind, rows: tuple[SignedRow, ...]) -> "SignedDiagram":
@@ -357,17 +393,15 @@ def negate(d: SignedDiagram) -> SignedDiagram:
     return tau(d) if d.kind is Kind.SYMPLECTIC else canonicalize(d)
 
 
-@dataclass(frozen=True)
-class GroupLabel:
+class GroupLabel(Value):
     """Real group attached to a diagram: Mp(2n) or O(p, q)."""
 
-    kind: Kind
-    p: int
-    q: int = 0
+    __slots__ = ("kind", "p", "q")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, Kind):
-            raise ValueError(f"kind must be a Kind, got {self.kind!r}")
+    def __init__(self, kind: Kind, p: int, q: int = 0) -> None:
+        if not isinstance(kind, Kind):
+            raise ValueError(f"kind must be a Kind, got {kind!r}")
+        self._set(kind, p, q)
 
     def __str__(self) -> str:
         if self.kind is Kind.SYMPLECTIC:

@@ -21,9 +21,9 @@ sp(m, C) = (m/2, m/2 - 1, ..., 1), which pins the step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .diagram_core import Kind, Partition
+from .diagram_core import Kind, Partition, Value
 from .vector_order import (
     HalfIntVector,
     OrderResult,
@@ -63,11 +63,12 @@ def infchar_segments(d: Partition, kind: Kind) -> HalfIntVector:
 # domino route
 
 
-@dataclass(frozen=True)
-class Domino:
+class Domino(NamedTuple):
     """One tile: vertical dominoes live in a single column (top_row is the
     upper box), horizontal ones cover (columns, columns+1) of row 1, and the
-    open domino sticks out of column 1 when the first row has odd length."""
+    open domino sticks out of column 1 when the first row has odd length.
+    A named tuple, the cheapest record to build (a tiling builds one per
+    tile); no tile is ever compared with a plain tuple."""
 
     orientation: str  # "vertical" | "horizontal" | "open"
     column: int
@@ -132,10 +133,11 @@ def infchar_domino(d: Partition, kind: Kind) -> HalfIntVector:
 # bounds and order reversal
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    holds_weak: bool
-    holds_strict: bool
+class BoundReport(Value):
+    __slots__ = ("holds_weak", "holds_strict")
+
+    def __init__(self, holds_weak: bool, holds_strict: bool) -> None:
+        self._set(holds_weak, holds_strict)
 
 
 def check_bound(d: Partition, kind: Kind) -> BoundReport:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -39,6 +38,7 @@ from .diagram_core import (
     Partition,
     Sign,
     SignedDiagram,
+    Value,
     from_row_spec,
 )
 
@@ -147,19 +147,16 @@ def _exact(x) -> Fraction | int:
     raise ValueError(f"matrix entry {x!r} is not an exact rational")
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(Value):
     """The matrix rows / den, nrows x ncols.  ``rows`` holds one dict per row
     from column to nonzero integer; the constructor reduces the value to
     lowest terms with den > 0, so den is the lcm of the entries'
     denominators and equality is value equality."""
 
-    rows: tuple[dict[int, int], ...]
-    ncols: int
-    den: int = 1
+    __slots__ = ("rows", "ncols", "den")
 
-    def __post_init__(self) -> None:
-        rows, den = tuple(self.rows), self.den
+    def __init__(self, rows: tuple[dict[int, int], ...], ncols: int, den: int = 1) -> None:
+        rows = tuple(rows)
         if den != 1:
             if den == 0:
                 raise ValueError("matrix denominator must be nonzero")
@@ -168,8 +165,7 @@ class RationalMatrix:
             if g != 1:
                 rows = tuple({j: v // g for j, v in row.items()} for row in rows)
                 den //= g
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "den", den)
+        self._set(rows, ncols, den)
 
     # -- construction ------------------------------------------------------
 
@@ -285,14 +281,14 @@ class RationalMatrix:
         return cls.from_rows(data)
 
 
-@dataclass(frozen=True)
-class FormSpec:
+class FormSpec(Value):
     """The fixed bilinear form: W_n = [[0, I], [-I, 0]] (symplectic) or the
     diagonal I_{p,q} (orthogonal)."""
 
-    kind: Kind
-    p: int
-    q: int = 0
+    __slots__ = ("kind", "p", "q")
+
+    def __init__(self, kind: Kind, p: int, q: int = 0) -> None:
+        self._set(kind, p, q)
 
     @classmethod
     def symplectic(cls, two_n: int) -> "FormSpec":

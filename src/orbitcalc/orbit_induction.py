@@ -12,14 +12,13 @@ stay convention-bound, and the new length-2 rows split into j copies of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram_core import (
     Kind,
     Partition,
     Sign,
     SignedDiagram,
     SignedRow,
+    Value,
     from_row_spec,
     tau,
 )
@@ -43,13 +42,15 @@ def add_two_columns(s: Partition, k: int) -> Partition:
     return Partition._trusted(tuple(r + 2 for r in s.rows) + (2,) * (k - s.height))
 
 
-@dataclass(frozen=True)
-class InducedOrbitSet:
+class InducedOrbitSet(Value):
     """All orbit labels of one real induction, indexed by the count j of
-    minus-leading length-2 rows; diagrams are canonical and share a shape."""
+    minus-leading length-2 rows; diagrams are canonical and share a shape.
+    ``new_columns`` is n - m."""
 
-    diagrams: tuple[SignedDiagram, ...]
-    new_columns: int  # n - m
+    __slots__ = ("diagrams", "new_columns")
+
+    def __init__(self, diagrams: tuple[SignedDiagram, ...], new_columns: int) -> None:
+        self._set(diagrams, new_columns)
 
     @property
     def count(self) -> int:

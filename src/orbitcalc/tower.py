@@ -21,7 +21,6 @@ the deletion chain of a single diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterator
 
@@ -32,6 +31,7 @@ from .diagram_core import (
     Sign,
     SignedDiagram,
     Signature,
+    Value,
     group_of,
     signature,
     to_json_dict,
@@ -49,12 +49,13 @@ from .theta_orbits import (
 from .vector_order import HalfIntVector, vector_to_json
 
 
-@dataclass(frozen=True)
-class ClassUReport:
-    very_even_or_odd: bool
-    interlacing_ok: bool
-    excluded_pattern: bool
-    reasons: tuple[str, ...] = ()
+class ClassUReport(Value):
+    __slots__ = ("very_even_or_odd", "interlacing_ok", "excluded_pattern", "reasons")
+
+    def __init__(
+        self, very_even_or_odd: bool, interlacing_ok: bool, excluded_pattern: bool, reasons=()
+    ) -> None:
+        self._set(very_even_or_odd, interlacing_ok, excluded_pattern, reasons)
 
     @property
     def member(self) -> bool:
@@ -154,8 +155,7 @@ def admissible_shapes(max_size: int) -> Iterator[tuple[Kind, Partition]]:
 # towers; step k carries the diagram with k columns
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(Value):
     """The column-deletion tower of an admissible diagram.
 
     ``steps[k - 1]`` is D(k), the diagram keeping the last k columns, and
@@ -167,8 +167,10 @@ class Tower:
     it carries no report; its report is :data:`MEMBER`.
     """
 
-    steps: tuple[SignedDiagram, ...]
-    sig: tuple[Signature, ...]
+    __slots__ = ("steps", "sig")
+
+    def __init__(self, steps: tuple[SignedDiagram, ...], sig: tuple[Signature, ...]) -> None:
+        self._set(steps, sig)
 
     @property
     def d1(self) -> int:
@@ -455,17 +457,17 @@ ANNOTATIONS = (
 )
 
 
-@dataclass(frozen=True)
-class TowerCertificate:
+class TowerCertificate(Value):
     """The tower of ``diagram`` with its checks: ``records[k - 1]`` is the
     (lemma_pm, range, non3) record triple of step k, None where a check does
     not apply."""
 
-    diagram: SignedDiagram
-    tower: Tower
-    records: tuple[tuple[dict | None, dict | None, dict | None], ...]
-    infchar: HalfIntVector
-    valid: bool
+    __slots__ = ("diagram", "tower", "records", "infchar", "valid")
+
+    def __init__(
+        self, diagram: SignedDiagram, tower: Tower, records, infchar: HalfIntVector, valid: bool
+    ) -> None:
+        self._set(diagram, tower, records, infchar, valid)
 
     def to_json_dict(self) -> dict:
         sig = self.tower.sig

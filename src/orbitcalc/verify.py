@@ -9,7 +9,6 @@ the one randomized suite draws from a fixed seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from . import moment_oracle as mo
 from .diagram_core import (
@@ -17,6 +16,7 @@ from .diagram_core import (
     Partition,
     Sign,
     SignedDiagram,
+    Value,
     delete_column_signed,
     equivalent,
     negate,
@@ -42,13 +42,16 @@ from .tower import (
 from .vector_order import bar_sort, closure_order, scaled_preceq, vector_to_json
 
 
-@dataclass
-class SuiteReport:
-    name: str
-    bound: int
-    checked: int = 0
-    counterexamples: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+class SuiteReport(Value):
+    """A suite's result; the one mutable value, filled in as the suite runs."""
+
+    __slots__ = ("name", "bound", "checked", "counterexamples", "notes")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, bound: int, checked=0, counterexamples=(), notes=()) -> None:
+        self._set(name, bound, checked, list(counterexamples), list(notes))
 
     @property
     def passed(self) -> bool:

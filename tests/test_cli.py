@@ -138,8 +138,9 @@ class TestTower:
             calls.append(d)
             return class_u(d)
 
+        # the CLI imports its commands' functions when they run, so patching
+        # the defining module reaches every caller
         monkeypatch.setattr("orbitcalc.tower.class_u", counted)
-        monkeypatch.setattr("orbitcalc.cli.class_u", counted)
         path = intro_path
         if not admissible:
             path = tmp_path / "excluded.json"
@@ -575,19 +576,61 @@ class TestPackageReach:
 
 
 class TestLazyImports:
-    def test_tower_and_render_skip_oracle_and_verify(self, intro_path):
+    """Structural pins, not timing gates: each command loads only the modules
+    it runs, and the package never loads ``dataclasses``."""
+
+    @staticmethod
+    def loaded_after(*commands):
+        """(exit codes, the orbitcalc and heavy stdlib modules loaded) after
+        running ``commands`` through ``main`` in a fresh interpreter."""
         script = textwrap.dedent(
             f"""
-            import sys
+            import contextlib, io, json, sys
             from orbitcalc.cli import main
-            codes = [main(["render", {intro_path!r}]), main(["tower", {intro_path!r}])]
-            heavy = ("orbitcalc.moment_oracle", "orbitcalc.verify", "fractions")
-            print(codes, [m for m in heavy if m in sys.modules])
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes = [main(argv) for argv in {list(commands)!r}]
+            heavy = ("dataclasses", "inspect", "fractions")
+            loaded = [m for m in sys.modules if m.startswith("orbitcalc") or m in heavy]
+            print(json.dumps([codes, sorted(loaded)]))
             """
         )
         proc = run_python(["-c", script])
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+        return tuple(json.loads(proc.stdout.splitlines()[-1]))
+
+    def test_tower_and_render_skip_oracle_and_verify(self, intro_path):
+        codes, loaded = self.loaded_after(["render", intro_path], ["tower", intro_path])
+        assert codes == [0, 0]
+        heavy = ("orbitcalc.moment_oracle", "orbitcalc.verify", "fractions", "dataclasses")
+        assert [m for m in heavy if m in loaded] == []
+
+    def test_render_validate_and_usage_errors_load_diagram_core_alone(self, intro_path):
+        codes, loaded = self.loaded_after(
+            ["render", intro_path],
+            ["validate", intro_path],
+            ["verify", "--suite", "nope", "--max", "-3"],
+            ["infchar", "--kind", "x", intro_path],
+            ["enumerate", "--kind", "sp", "--size", "-1"],
+            ["wf-ialpha", "--n", "-1", "--alpha", "1"],
+            *([cmd, intro_path + ".missing"] for cmd in ("tower", "classify", "chain")),
+            ["induce", "--n", "3", intro_path + ".missing"],
+        )
+        assert codes == [0, 0] + [2] * 8
+        assert loaded == ["orbitcalc", "orbitcalc.cli", "orbitcalc.diagram_core"]
+
+    def test_oracle_loads_no_dataclasses(self, tmp_path):
+        path = tmp_path / "nilpotent.json"
+        path.write_text("[[0, 1], [0, 0]]")
+        codes, loaded = self.loaded_after(["oracle", "classify", str(path), "--form", "sp:2"])
+        assert codes == [0]
+        assert "orbitcalc.moment_oracle" in loaded
+        assert "dataclasses" not in loaded and "orbitcalc.verify" not in loaded
+
+    def test_bad_max_is_reported_before_the_suite(self, capsys):
+        # --max is checked before verify is imported, so it wins over a bad suite
+        code, out, err = run(capsys, "verify", "--suite", "nope", "--max", "-3")
+        assert (code, out) == (2, "")
+        assert err == "error: --max must be nonnegative, got -3\n"
 
 
 class TestIntroScript:

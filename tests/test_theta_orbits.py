@@ -252,18 +252,18 @@ class TestChain:
         diagrams = [d for size in range(0, 9) for kind in Kind for d in signed_diagrams(kind, size=size)]
         built, checked = [], []
         trusted = SignedDiagram._trusted
-        check = SignedDiagram.__post_init__
+        check = SignedDiagram.__init__
 
         def counted(kind, rows):
             built.append(rows)
             return trusted(kind, rows)
 
-        def counted_check(self):
-            checked.append(self)
-            check(self)
+        def counted_check(self, *args, **kwargs):
+            checked.append(args)
+            check(self, *args, **kwargs)
 
         monkeypatch.setattr(SignedDiagram, "_trusted", staticmethod(counted))
-        monkeypatch.setattr(SignedDiagram, "__post_init__", counted_check)
+        monkeypatch.setattr(SignedDiagram, "__init__", counted_check)
         for d in diagrams:
             built.clear()
             steps = chain(d)

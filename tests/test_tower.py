@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 
@@ -280,7 +279,7 @@ class TestForest:
         # alternate, so the interior metaplectic steps are those an even
         # distance below a symplectic top, or an odd distance below an
         # orthogonal one; sizes and groups step by step
-        assert [f.name for f in dataclasses.fields(Tower)] == ["steps", "sig"]
+        assert Tower.__slots__ == ("steps", "sig")
         for t in admissible_towers(16):
             top = t.steps[-1]
             parity = 0 if top.kind is Kind.SYMPLECTIC else 1

@@ -1,0 +1,213 @@
+"""Value semantics of the package's record classes, pinned to the text and
+behaviour they had as frozen dataclasses: repr and str (counterexample text
+embeds them), class-strict equality, the hash of the field tuple, the
+``AttributeError`` on assignment, and the constructors' ``ValueError``s."""
+
+import copy
+import pickle
+
+import pytest
+
+from orbitcalc.diagram_core import GroupLabel, Kind, Partition, Sign, SignedDiagram, group_of
+from orbitcalc.infchar import BoundReport, Domino, check_bound, domino_cover
+from orbitcalc.moment_oracle import FormSpec, RationalMatrix
+from orbitcalc.orbit_induction import InducedOrbitSet, induce_real
+from orbitcalc.tower import EMPTY, MEMBER, ClassUReport, Tower, TowerCertificate, certificate, tower
+from orbitcalc.verify import SuiteReport
+
+P, M = Sign.PLUS, Sign.MINUS
+SP = "<Kind.SYMPLECTIC: 'symplectic'>"
+OR = "<Kind.ORTHOGONAL: 'orthogonal'>"
+O1 = f"SignedDiagram(kind={OR}, rows=(SignedRow(length=1, leading=Sign('+')),))"
+TOWER_O1 = f"Tower(steps=({O1},), sig=(Signature(plus=0, minus=0), Signature(plus=1, minus=0)))"
+
+
+def o1():
+    return SignedDiagram(Kind.ORTHOGONAL, ((1, P),))
+
+
+# (value, repr) with str equal to repr unless the class defines its own
+REPRS = [
+    (lambda: SignedDiagram(Kind.ORTHOGONAL), f"SignedDiagram(kind={OR}, rows=())"),
+    (
+        lambda: SignedDiagram(Kind.SYMPLECTIC, ((2, P), (1, M), (1, P))),
+        f"SignedDiagram(kind={SP}, rows=(SignedRow(length=2, leading=Sign('+')), "
+        "SignedRow(length=1, leading=Sign('-')), SignedRow(length=1, leading=Sign('+'))))",
+    ),
+    (o1, O1),
+    (
+        lambda: domino_cover(Partition((2, 2)), Kind.SYMPLECTIC),
+        "(Domino(orientation='vertical', column=1, top_row=1, label=2), "
+        "Domino(orientation='vertical', column=2, top_row=1, label=0))",
+    ),
+    (
+        lambda: check_bound(Partition((2,)), Kind.SYMPLECTIC),
+        "BoundReport(holds_weak=True, holds_strict=True)",
+    ),
+    (
+        lambda: induce_real(SignedDiagram(Kind.SYMPLECTIC), 1),
+        "InducedOrbitSet(diagrams=("
+        f"SignedDiagram(kind={SP}, rows=(SignedRow(length=2, leading=Sign('+')),)), "
+        f"SignedDiagram(kind={SP}, rows=(SignedRow(length=2, leading=Sign('-')),))), "
+        "new_columns=1)",
+    ),
+    (
+        lambda: MEMBER,
+        "ClassUReport(very_even_or_odd=True, interlacing_ok=True, excluded_pattern=False, reasons=())",
+    ),
+    (lambda: EMPTY, "Tower(steps=(), sig=(Signature(plus=0, minus=0),))"),
+    (lambda: tower(o1()), TOWER_O1),
+    (
+        lambda: certificate(o1()),
+        f"TowerCertificate(diagram={O1}, tower={TOWER_O1}, records=((None, None, None),), "
+        "infchar=(), valid=True)",
+    ),
+    (
+        lambda: RationalMatrix.from_rows([[1, "1/2"], [0, -3]]),
+        "RationalMatrix(rows=({0: 2, 1: 1}, {1: -6}), ncols=2, den=2)",
+    ),
+    (lambda: FormSpec.orthogonal(2, 1), f"FormSpec(kind={OR}, p=2, q=1)"),
+    (
+        lambda: SuiteReport("twocom", 4),
+        "SuiteReport(name='twocom', bound=4, checked=0, counterexamples=[], notes=[])",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, text", REPRS)
+def test_repr_and_str(build, text):
+    assert repr(build()) == text
+    assert str(build()) == text
+
+
+def test_own_str():
+    assert (repr(Partition((2, 1))), str(Partition((2, 1)))) == ("Partition(rows=(2, 1))", "(2,1)")
+    assert (repr(Partition()), str(Partition())) == ("Partition(rows=())", "()")
+    label = group_of(SignedDiagram(Kind.SYMPLECTIC, ((2, P), (1, M), (1, P))))
+    assert (repr(label), str(label)) == (f"GroupLabel(kind={SP}, p=4, q=0)", "Mp(4)")
+    assert str(GroupLabel(Kind.ORTHOGONAL, 1)) == "O(1,0)"
+
+
+def test_equality_is_by_class_and_fields():
+    assert Partition((2, 1)) == Partition([2, 1])
+    assert Partition((2, 1)) != (2, 1)
+    assert Partition((2, 1)) != Partition((2,))
+    assert GroupLabel(Kind.SYMPLECTIC, 2) != FormSpec(Kind.SYMPLECTIC, 2)
+    assert BoundReport(True, False) != (True, False)
+    assert Domino("open", 1) == Domino("open", 1, None, None)
+    assert Tower((), ()) != InducedOrbitSet((), ())
+    assert SuiteReport("a", 1) == SuiteReport("a", 1, 0, [], [])
+    assert SuiteReport("a", 1) != SuiteReport("a", 2)
+
+
+def test_hash_is_the_hash_of_the_field_tuple():
+    d = SignedDiagram(Kind.SYMPLECTIC, ((2, P), (1, M), (1, P)))
+    assert hash(d) == hash((d.kind, d.rows))
+    assert hash(Partition((2, 1))) == hash(((2, 1),))
+    assert hash(GroupLabel(Kind.ORTHOGONAL, 1, 2)) == hash((Kind.ORTHOGONAL, 1, 2))
+    assert hash(EMPTY) == hash(((), EMPTY.sig))
+    assert hash(MEMBER) == hash((True, True, False, ()))
+    assert {FormSpec.symplectic(2): 1}[FormSpec(Kind.SYMPLECTIC, 2, 0)] == 1
+    # a matrix holds dicts, so only an empty one hashes, as before
+    assert hash(RationalMatrix.zeros(0, 3)) == hash(((), 3, 1))
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(RationalMatrix.identity(2))
+    with pytest.raises(TypeError, match="unhashable type: 'SuiteReport'"):
+        hash(SuiteReport("a", 1))
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (Partition((1,)), "rows"),
+        (SignedDiagram(Kind.ORTHOGONAL), "kind"),
+        (GroupLabel(Kind.ORTHOGONAL, 1), "q"),
+        (BoundReport(True, True), "holds_weak"),
+        (InducedOrbitSet((), 0), "new_columns"),
+        (MEMBER, "reasons"),
+        (EMPTY, "steps"),
+        (RationalMatrix.identity(1), "den"),
+        (FormSpec.symplectic(2), "p"),
+        (Partition((1,)), "other"),
+    ],
+)
+def test_frozen(value, field):
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+
+
+def test_domino_is_a_frozen_named_tuple():
+    # the one record built per tile; equal to its field tuple, as a named tuple is
+    tile = Domino("vertical", 2, 1, 4)
+    assert tile == ("vertical", 2, 1, 4) and hash(tile) == hash(("vertical", 2, 1, 4))
+    with pytest.raises(AttributeError):
+        tile.label = 0
+
+
+def test_suite_report_is_mutable():
+    rep = SuiteReport("x", 3)
+    rep.checked += 1
+    rep.counterexamples.append("c")
+    assert (rep.checked, rep.counterexamples, rep.passed) == (1, ["c"], False)
+    assert SuiteReport("y", 1).counterexamples is not SuiteReport("y", 1).counterexamples
+
+
+def test_certificate_is_a_value():
+    cert = certificate(o1())
+    assert isinstance(cert, TowerCertificate)
+    assert cert == certificate(o1())
+    assert ClassUReport(True, True, False) == MEMBER
+
+
+@pytest.mark.parametrize("value", [build for build, _ in REPRS])
+def test_copy_and_pickle_keep_the_value(value):
+    v = value()
+    assert copy.copy(v) == v
+    assert copy.deepcopy(v) == v
+    assert pickle.loads(pickle.dumps(v)) == v
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Partition(5), "row lengths must be a sequence: 5"),
+        (lambda: Partition((2.0, 1)), "row lengths must be integers: (2.0, 1)"),
+        (lambda: Partition((0,)), "row lengths must be positive: (0,)"),
+        (lambda: Partition((1, 2)), "row lengths must be weakly decreasing: (1, 2)"),
+        (lambda: SignedDiagram("sp"), "invalid signed diagram: kind must be a Kind, got 'sp'"),
+        (
+            lambda: SignedDiagram(Kind.SYMPLECTIC, [(1,)]),
+            "invalid signed diagram: rows must be (length, sign) pairs: [(1,)]",
+        ),
+        (
+            lambda: SignedDiagram(Kind.SYMPLECTIC, ((2, "+"),)),
+            "invalid signed diagram: leading signs must be Sign values: "
+            "(SignedRow(length=2, leading='+'),)",
+        ),
+        (
+            lambda: SignedDiagram(Kind.SYMPLECTIC, ((1, P), (2, P))),
+            "invalid signed diagram: row lengths must be weakly decreasing: (1, 2)",
+        ),
+        (
+            lambda: SignedDiagram(Kind.SYMPLECTIC, ((1, P), (1, M))),
+            "invalid signed diagram: row 1 of the length-1 class leads with '+', convention "
+            "requires '-'; row 2 of the length-1 class leads with '-', convention requires '+'",
+        ),
+        (
+            lambda: SignedDiagram(Kind.SYMPLECTIC, ((1, P),)),
+            "invalid signed diagram: rows of length 1 occur 1 times; even multiplicity required "
+            "for symplectic diagrams; row 1 of the length-1 class leads with '+', convention "
+            "requires '-'",
+        ),
+        (lambda: GroupLabel("sp", 2), "kind must be a Kind, got 'sp'"),
+        (lambda: RationalMatrix((), 0, 0), "matrix denominator must be nonzero"),
+        (lambda: FormSpec.symplectic(3), "symplectic dimension must be even and nonnegative"),
+        (lambda: RationalMatrix.from_rows([[1, 2], [3]]), "ragged matrix"),
+    ],
+)
+def test_constructor_errors(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

@@ -106,18 +106,18 @@ def test_bounds_builds_no_signed_diagram(monkeypatch):
     # column heights, so neither the checking constructor nor the trusted
     # build may run
     built = []
-    post_init = SignedDiagram.__post_init__
+    init = SignedDiagram.__init__
     trusted = SignedDiagram._trusted.__func__
 
-    def checking(self):
-        built.append(self)
-        post_init(self)
+    def checking(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
 
     def unchecked(cls, kind, rows):
         built.append(rows)
         return trusted(cls, kind, rows)
 
-    monkeypatch.setattr(SignedDiagram, "__post_init__", checking)
+    monkeypatch.setattr(SignedDiagram, "__init__", checking)
     monkeypatch.setattr(SignedDiagram, "_trusted", classmethod(unchecked))
     assert run_suite("bounds", 20).passed
     assert built == []
@@ -157,6 +157,14 @@ def test_spread_reports_median_and_quartiles():
     assert bench_compare.spread(runs) == {"s": {"median_s": 0.3, "quartiles_s": [0.15, 0.45]}}
     one = bench_compare.spread(runs[:1])
     assert one == {"s": {"median_s": 0.4, "quartiles_s": [0.4, 0.4]}}
+
+
+def test_startup_pools_every_command():
+    bench_compare = _load_script("bench_compare")
+    stats = bench_compare.startup({"a": [0.1, 0.3], "b": [0.2, 0.4, 0.5]})
+    assert stats["pooled"] == {"median_s": 0.3, "quartiles_s": [0.15, 0.45]}
+    assert stats["per_command"]["a"] == {"median_s": 0.2, "quartiles_s": [0.05, 0.35]}
+    assert list(stats["per_command"]) == ["a", "b"]
 
 
 def test_package_lines_counts_every_module():
