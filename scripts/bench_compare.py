@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time scripts/verify_all.py and the CLI commands on two source trees, run alternately.
 
-    python3 scripts/bench_compare.py --base-src OTHER/src --runs 3 --out BENCH_<label>.json
+    python3 scripts/bench_compare.py --base-src OTHER/src --out BENCH_<label>.json
 
 Each run is a fresh interpreter running ``verify_all.py --out`` with
 ``PYTHONPATH`` set to one side's ``src``: the base tree given, or the
@@ -76,7 +76,7 @@ def startup(times: dict[str, list[float]]) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base-src", required=True, type=Path)
-    parser.add_argument("--runs", type=int, default=3, help="pairs of runs")
+    parser.add_argument("--runs", type=int, default=10, help="pairs of runs")
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
     if args.runs < 1:

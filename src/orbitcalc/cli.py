@@ -301,23 +301,19 @@ def cmd_verify(args) -> int:
 
 def cmd_wf_ialpha(args) -> int:
     n = _nonnegative("--n", args.n)
-    from .orbit_induction import plus_rows, wf_ialpha
+    from .orbit_induction import two_n_signed, wf_ialpha
 
     try:
-        diagrams = wf_ialpha(n, args.alpha)
+        indices = wf_ialpha(n, args.alpha)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     data = {
         "components": [
-            {"plus_rows": plus_rows(d), "diagram": dc.to_json_dict(d)} for d in diagrams
+            {"plus_rows": i, "diagram": dc.to_json_dict(two_n_signed(n, i))} for i in indices
         ],
-        "complete": len(diagrams) == args.n + 1,
+        "complete": len(indices) == args.n + 1,
     }
-    _emit(
-        data,
-        args.json,
-        " ".join(f"[2^{args.n}]^({plus_rows(d)})" for d in diagrams),
-    )
+    _emit(data, args.json, " ".join(f"[2^{args.n}]^({i})" for i in indices))
     return 0
 
 

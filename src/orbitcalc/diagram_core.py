@@ -28,7 +28,6 @@ column deletions and shapes.
 from __future__ import annotations
 
 import enum
-import json
 from itertools import groupby
 from typing import Iterable, NamedTuple
 
@@ -460,15 +459,3 @@ def from_json_dict(data: dict) -> SignedDiagram:
     """Parse the JSON schema; bad shapes and sign convention violations are
     rejected by the constructor rather than silently fixed."""
     return SignedDiagram(*parse_json_rows(data))
-
-
-def dumps(d: SignedDiagram) -> str:
-    return json.dumps(to_json_dict(d), indent=2, sort_keys=True)
-
-
-def loads(text: str) -> SignedDiagram:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
-    return from_json_dict(data)

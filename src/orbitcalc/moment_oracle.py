@@ -5,11 +5,11 @@ denominator: ``rows[i]`` maps each column of a nonzero entry of row i to an
 integer, and ``den`` is the lcm of the entries' denominators, so the value
 rows / den is in lowest terms and equal matrices compare equal.  Every
 operation runs on those integers; ``Fraction`` appears only where entries
-are read in or written out as rational strings ("-3/4") and in the dense
-``entries`` view.  A product is the product of the integer rows over the
-product of the two denominators.  Scaling by den > 0 changes neither rank
-nor kernel, and it multiplies each Gram matrix of a pairing below by a
-positive constant, so it keeps the inertia too.
+are read in and in the dense ``entries`` view.  A product is the product
+of the integer rows over the product of the two denominators.  Scaling by
+den > 0 changes neither rank nor kernel, and it multiplies each Gram
+matrix of a pairing below by a positive constant, so it keeps the inertia
+too.
 Rank, kernel and inverse come from Bareiss's fraction-free Gauss-Jordan
 elimination, whose every division is exact; the inertia of a symmetric
 matrix from congruence on integers; and membership in a Lie algebra from
@@ -121,12 +121,6 @@ def _kernel(reduced: IntRows, pivots: list[int], d: int, ncols: int) -> list[dic
                 v[pc] = -row[f]
         basis.append(v)
     return basis
-
-
-def format_rational(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def parse_rational(s: str) -> Fraction:
@@ -268,9 +262,6 @@ class RationalMatrix(Value):
         return RationalMatrix(right, n, d)
 
     # -- serialization ----------------------------------------------------------
-
-    def to_json(self) -> list[list[str]]:
-        return [[format_rational(x) for x in row] for row in self.entries]
 
     @classmethod
     def from_json(cls, data) -> "RationalMatrix":

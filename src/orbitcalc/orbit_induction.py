@@ -1,6 +1,7 @@
-"""Induced orbits: complex merging, the real induction recipe for a GL
-block on a symplectic orbit, its tau variant, and the rank-one tower of
-shapes [2^n] with the wave-front decompositions built from them.
+"""Induced orbits: the real induction recipe for a GL block on a
+symplectic orbit, its tau variant, and the rank-one tower of shapes [2^n]
+with the wave-front decompositions built from them, each component held
+as its index i, the plus-row count of [2^n]^(i).
 
 Real induction from a symplectic diagram S with n - m at least the row
 count r produces n - m - r + 1 orbit labels D^(j): the shape gains two
@@ -22,16 +23,6 @@ from .diagram_core import (
     from_row_spec,
     tau,
 )
-
-
-def merge(s: Partition, t: Partition) -> Partition:
-    """Row-wise sum with zero padding (induction for GL blocks)."""
-    n = max(s.height, t.height)
-    rows = tuple(
-        (s.rows[j] if j < s.height else 0) + (t.rows[j] if j < t.height else 0)
-        for j in range(n)
-    )
-    return Partition._trusted(tuple(r for r in rows if r > 0))
 
 
 def add_two_columns(s: Partition, k: int) -> Partition:
@@ -101,48 +92,37 @@ def induce_real_tau(s: SignedDiagram, n: int) -> InducedOrbitSet:
     return induce_real(tau(s), n)
 
 
-def two_n_signed(n: int, i: int) -> SignedDiagram | None:
-    """[2^n] with i rows leading +; None is the empty-set sentinel at the
-    out-of-range indices i = -1 and i = n + 1."""
-    if i < -1 or i > n + 1:
-        raise ValueError(f"index {i} outside [-1, {n + 1}]")
-    if i == -1 or i == n + 1:
-        return None
+def two_n_signed(n: int, i: int) -> SignedDiagram:
+    """The wave-front component [2^n]^(i): [2^n] with i rows leading +."""
+    if not 0 <= i <= n:
+        raise ValueError(f"index {i} outside [0, {n}]")
     return from_row_spec(Kind.SYMPLECTIC, [(2, Sign.PLUS)] * i + [(2, Sign.MINUS)] * (n - i))
 
 
-def plus_rows(d: SignedDiagram) -> int:
-    """Index i of a [2^n] diagram: its count of plus-leading rows."""
-    return sum(1 for r in d.rows if r.leading is Sign.PLUS)
-
-
-def wf_theta_trivial(p: int, q: int) -> tuple[SignedDiagram, ...]:
+def wf_theta_trivial(p: int, q: int) -> tuple[int, ...]:
     """Wave-front components of the lift of the trivial character through the
-    pair (O(p,q), Sp(2n)) with p + q = n + 1: the labels [2^n]^(p) and
-    [2^n]^(p-1), dropping out-of-range sentinels."""
+    pair (O(p,q), Sp(2n)) with p + q = n + 1, by their index: [2^n]^(p) and
+    [2^n]^(p-1), as the indices p and p - 1 that lie in [0, n]."""
     if p < 0 or q < 0 or p + q < 1:
         raise ValueError("need p, q >= 0 with p + q >= 1")
     n = p + q - 1
-    out = [two_n_signed(n, i) for i in (p, p - 1)]
-    kept = tuple(d for d in out if d is not None)
-    return tuple(sorted(kept, key=plus_rows, reverse=True))
+    return tuple(i for i in (p, p - 1) if 0 <= i <= n)
 
 
-def wf_ialpha(n: int, alpha: int) -> tuple[SignedDiagram, ...]:
+def wf_ialpha(n: int, alpha: int) -> tuple[int, ...]:
     """Union of wf_theta_trivial(p, q) over p + q = n + 1 with p - q = alpha
-    mod 4.  Admissible alpha has the parity of n + 1."""
-    seen = {
-        plus_rows(d): d for part in wf_ialpha_parts(n, alpha).values() for d in part
-    }
-    return tuple(seen[i] for i in sorted(seen, reverse=True))
+    mod 4.  Admissible alpha has the parity of n + 1.  Within the class p
+    steps down by 2, so the parts (p, p - 1) are disjoint and their
+    concatenation descends."""
+    return tuple(i for part in wf_ialpha_parts(n, alpha).values() for i in part)
 
 
-def wf_ialpha_parts(n: int, alpha: int) -> dict[tuple[int, int], tuple[SignedDiagram, ...]]:
+def wf_ialpha_parts(n: int, alpha: int) -> dict[tuple[int, int], tuple[int, ...]]:
     """Per-(p, q) components entering wf_ialpha, for coverage checks."""
     if (alpha - (n + 1)) % 2 != 0:
         raise ValueError(f"alpha = {alpha} must have the parity of n + 1 = {n + 1}")
     parts = {}
-    for p in range(n + 2):
+    for p in range(n + 1, -1, -1):
         q = n + 1 - p
         if (p - q - alpha) % 4 == 0:
             parts[(p, q)] = wf_theta_trivial(p, q)

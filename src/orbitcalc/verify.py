@@ -31,7 +31,7 @@ from .infchar import (
     segment,
     segments_of_transpose,
 )
-from .orbit_induction import induce_real, plus_rows, wf_ialpha_parts
+from .orbit_induction import induce_real, wf_ialpha_parts
 from .tower import (
     admissible_shapes,
     admissible_towers,
@@ -194,7 +194,7 @@ def suite_twocom(bound: int) -> SuiteReport:
             union: set[int] = set()
             overlap = False
             for members in parts.values():
-                ids = {plus_rows(m) for m in members}
+                ids = set(members)
                 overlap = overlap or bool(union & ids)
                 union |= ids
             if union != set(range(n + 1)):

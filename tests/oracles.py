@@ -1,16 +1,20 @@
 """Reference routes that the tests check the package against.
 
 Each function is a second, plainer way to reach a result the package
-computes, or a reader for what the package writes; the package itself
-never calls them.  A brute-force count next to the product formula, a lift
-by target signature next to the column-prepend forest, the dominance order
-as a predicate, parsers for the ASCII picture and the vector strings, and
-Jordan types from the ranks of explicit matrix powers.
+computes, a reader for what the package writes, or a writer for what it
+reads; the package itself never calls them.  A brute-force count next to
+the product formula, a lift by target signature next to the column-prepend
+forest, the row-wise merge of partitions next to the two-column merge, the
+dominance order as a predicate, parsers for the ASCII picture and the
+vector strings, diagram and matrix JSON writers, and Jordan types from the
+ranks of explicit matrix powers.
 """
 
 from __future__ import annotations
 
+import json
 import re
+from fractions import Fraction
 from itertools import product
 
 from orbitcalc.diagram_core import (
@@ -24,7 +28,9 @@ from orbitcalc.diagram_core import (
     canonicalize,
     delete_column_signed,
     equivalent,
+    from_json_dict,
     signature,
+    to_json_dict,
     validate_partition_kind,
     validate_signed,
 )
@@ -79,6 +85,30 @@ def theta_lift_real(d: SignedDiagram, target: Signature) -> SignedDiagram:
     ):
         raise ValueError(f"no valid lift of signature {tuple(target)}")
     return lift
+
+
+def dumps(d: SignedDiagram) -> str:
+    """The diagram file the CLI reads, as the tests write it."""
+    return json.dumps(to_json_dict(d), indent=2, sort_keys=True)
+
+
+def loads(text: str) -> SignedDiagram:
+    """Inverse of ``dumps``; text that is not JSON raises ``ValueError``."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from None
+    return from_json_dict(data)
+
+
+def merge(s: Partition, t: Partition) -> Partition:
+    """Row-wise sum with zero padding (induction for GL blocks)."""
+    n = max(s.height, t.height)
+    rows = tuple(
+        (s.rows[j] if j < s.height else 0) + (t.rows[j] if j < t.height else 0)
+        for j in range(n)
+    )
+    return Partition(tuple(r for r in rows if r > 0))
 
 
 def delete_columns(p: Partition, i: int) -> Partition:
@@ -153,6 +183,17 @@ def vector_from_json(data: list[str]) -> HalfIntVector:
 
 # ---------------------------------------------------------------------------
 # matrices
+
+
+def format_rational(x: Fraction) -> str:
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def matrix_to_json(x: RationalMatrix) -> list[list[str]]:
+    """Rows of rational strings, the matrix file format the CLI reads."""
+    return [[format_rational(e) for e in row] for row in x.entries]
 
 
 def power(x: RationalMatrix, k: int) -> RationalMatrix:

@@ -12,7 +12,6 @@ import json
 import time
 from pathlib import Path
 
-from orbitcalc import diagram_core as dc
 from orbitcalc.cli import main
 from orbitcalc.diagram_core import (
     Kind,
@@ -24,7 +23,7 @@ from orbitcalc.diagram_core import (
 from orbitcalc.enumeration import class_count, shapes, signed_diagrams
 from orbitcalc.orbit_induction import induce_real
 from orbitcalc.verify import run_suite
-from oracles import brute_count, delete_columns
+from oracles import brute_count, delete_columns, dumps
 
 
 def _load_verify_all():
@@ -68,7 +67,7 @@ def timed(limit: float):
 def test_01_intro_tower(tmp_path, intro_diagram, capsys):
     done = timed(1.0)
     path = tmp_path / "intro.json"
-    path.write_text(dc.dumps(intro_diagram))
+    path.write_text(dumps(intro_diagram))
     code = main(["tower", "--json", str(path)])
     out = capsys.readouterr().out
     elapsed = done()

@@ -13,12 +13,10 @@ from orbitcalc.diagram_core import (
     Signature,
     canonicalize,
     delete_column_signed,
-    dumps,
     equivalent,
     from_json_dict,
     from_row_spec,
     group_of,
-    loads,
     negate,
     render_ascii,
     signature,
@@ -28,7 +26,7 @@ from orbitcalc.diagram_core import (
     validate_signed,
 )
 from orbitcalc.enumeration import partitions, signed_diagrams
-from oracles import delete_columns, parse_ascii
+from oracles import delete_columns, dumps, loads, parse_ascii
 
 M = Sign.MINUS
 P = Sign.PLUS

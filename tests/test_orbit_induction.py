@@ -18,13 +18,13 @@ from orbitcalc.orbit_induction import (
     add_two_columns,
     induce_real,
     induce_real_tau,
-    merge,
-    plus_rows,
     two_n_signed,
     wf_ialpha,
     wf_ialpha_parts,
     wf_theta_trivial,
 )
+from orbitcalc.theta_orbits import in_moment_image
+from oracles import merge
 
 M = Sign.MINUS
 P = Sign.PLUS
@@ -179,13 +179,10 @@ class TestTwoNSigned:
         d = two_n_signed(3, 2)
         assert d.rows == (SignedRow(2, P), SignedRow(2, P), SignedRow(2, M))
 
-    def test_sentinels(self):
-        assert two_n_signed(3, -1) is None
-        assert two_n_signed(3, 4) is None
-        with pytest.raises(ValueError):
-            two_n_signed(3, 5)
-        with pytest.raises(ValueError):
-            two_n_signed(3, -2)
+    def test_index_outside_range_raises(self):
+        for i in (-2, -1, 4, 5):
+            with pytest.raises(ValueError, match="outside"):
+                two_n_signed(3, i)
 
     def test_signature_balanced(self):
         for n in range(6):
@@ -195,18 +192,15 @@ class TestTwoNSigned:
 
 class TestWaveFront:
     def test_middle_pair(self):
-        got = wf_theta_trivial(2, 2)
-        assert [plus_rows(d) for d in got] == [2, 1]
+        assert wf_theta_trivial(2, 2) == (2, 1)
 
     def test_edges(self):
-        assert [plus_rows(d) for d in wf_theta_trivial(0, 4)] == [0]
-        assert [plus_rows(d) for d in wf_theta_trivial(4, 0)] == [3]
+        assert wf_theta_trivial(0, 4) == (0,)
+        assert wf_theta_trivial(4, 0) == (3,)
 
     def test_ialpha_covers(self):
-        got = wf_ialpha(3, 0)
-        assert [plus_rows(d) for d in got] == [3, 2, 1, 0]
-        got = wf_ialpha(1, 0)
-        assert [plus_rows(d) for d in got] == [1, 0]
+        assert wf_ialpha(3, 0) == (3, 2, 1, 0)
+        assert wf_ialpha(1, 0) == (1, 0)
 
     def test_parity_mismatch(self):
         with pytest.raises(ValueError, match="parity"):
@@ -217,7 +211,23 @@ class TestWaveFront:
             for alpha in (0, 2) if n % 2 == 1 else (1, 3):
                 union = set()
                 for members in wf_ialpha_parts(n, alpha).values():
-                    ids = {plus_rows(d) for d in members}
+                    ids = set(members)
                     assert not union & ids
                     union |= ids
                 assert union == set(range(n + 1))
+
+    def test_indices_match_the_moment_image(self):
+        # the paper's definition, not the index formula: [2^n]^(i) is a
+        # component of the lift through (p, q) exactly when the built
+        # diagram meets the moment image for (p, q)
+        for n in range(1, 25):
+            for p in range(n + 2):
+                q = n + 1 - p
+                meets = [i for i in range(n + 1) if in_moment_image(two_n_signed(n, i), p, q)]
+                assert wf_theta_trivial(p, q) == tuple(reversed(meets)), (n, p)
+
+    def test_ialpha_is_the_descending_union_of_its_parts(self):
+        for n in range(25):
+            for alpha in (0, 2) if n % 2 == 1 else (1, 3):
+                union = set().union(*wf_ialpha_parts(n, alpha).values())
+                assert wf_ialpha(n, alpha) == tuple(sorted(union, reverse=True)), (n, alpha)

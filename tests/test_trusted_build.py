@@ -9,6 +9,8 @@ constructor builds from the same rows.
 
 from itertools import groupby
 
+import pytest
+
 from orbitcalc.diagram_core import (
     Kind,
     Partition,
@@ -24,7 +26,7 @@ from orbitcalc.diagram_core import (
     validate_signed,
 )
 from orbitcalc.enumeration import partitions, shapes, signed_diagrams
-from orbitcalc.orbit_induction import add_two_columns, induce_real, merge, two_n_signed
+from orbitcalc.orbit_induction import add_two_columns, induce_real, two_n_signed
 from oracles import theta_lift_real
 
 SIGNED_MAX = 14
@@ -107,15 +109,16 @@ class TestSignedBuilders:
                 d = two_n_signed(n, i)
                 assert d == SignedDiagram(Kind.SYMPLECTIC, rows), (n, i)
                 assert_checked_equal(d)
-            assert two_n_signed(n, -1) is None and two_n_signed(n, n + 1) is None
+            for i in (-1, n + 1):
+                with pytest.raises(ValueError, match="outside"):
+                    two_n_signed(n, i)
 
 
 class TestPartitionBuilders:
-    """transpose, merge, add_two_columns, shapes and the partitions()
-    stream, on every partition up to size 20."""
+    """transpose, add_two_columns, shapes and the partitions() stream, on
+    every partition up to size 20."""
 
     def test_every_result_passes_the_constructor(self):
-        small = [Partition(rows) for n in range(5) for rows in partitions(n)]
         built = 0
         for n in range(PARTITION_MAX + 1):
             for rows in partitions(n):
@@ -125,13 +128,11 @@ class TestPartitionBuilders:
                 assert_partition_checked_equal(p)
                 results = [p.transpose(), p.transpose().transpose()]
                 results += [add_two_columns(p, k) for k in range(p.height, p.height + 3)]
-                results += [merge(p, q) for q in small]
-                results += [merge(p, p.transpose())]
                 for q in results:
                     assert_partition_checked_equal(q)
                 assert results[1] == p
                 built += len(results)
-        assert built > 45_000
+        assert built > 13_000
 
     def test_shapes(self):
         for size in range(PARTITION_MAX + 1):

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from orbitcalc.diagram_core import Partition, validate_partition_kind, Kind
 from orbitcalc.enumeration import partitions
-from orbitcalc.moment_oracle import format_rational, parse_rational
+from orbitcalc.moment_oracle import parse_rational
 from orbitcalc.vector_order import (
     OrderResult,
     bar_sort,
@@ -14,7 +14,7 @@ from orbitcalc.vector_order import (
     seq_preceq,
     vector_to_json,
 )
-from oracles import dominated, vector_from_json
+from oracles import dominated, format_rational, vector_from_json
 
 halves = st.integers(-8, 8)  # doubled entries: the halves -4, -7/2, ..., 4
 vectors = st.lists(halves, min_size=0, max_size=8).map(tuple)
