@@ -2,7 +2,8 @@
 
 Subcommands: validate, classify, tower, induce, infchar, chain, oracle,
 render, enumerate, verify, wf-ialpha.  Exit codes: 0 ok, 1 check failed,
-2 usage or malformed input.  All output is deterministic for fixed input.
+2 usage or malformed input, 141 stdout closed early (as for SIGPIPE).  All
+output is deterministic for fixed input.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -26,6 +28,7 @@ if TYPE_CHECKING:
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+BROKEN_PIPE = 141
 
 
 class CliError(Exception):
@@ -401,10 +404,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader left early (| head): stdout to devnull, so exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -9,21 +9,26 @@ are read in and in the dense ``entries`` view.  A product is the product
 of the integer rows over the product of the two denominators.  Scaling by
 den > 0 changes neither rank nor kernel, and it multiplies each Gram
 matrix of a pairing below by a positive constant, so it keeps the inertia
-too.
-Rank, kernel and inverse come from Bareiss's fraction-free Gauss-Jordan
-elimination, whose every division is exact; the inertia of a symmetric
-matrix from congruence on integers; and membership in a Lie algebra from
-comparing entries through the form J, which is a signed permutation.
-Nothing is rounded.
+too.  Rank, kernel and inverse come from Bareiss's fraction-free
+Gauss-Jordan elimination, whose every division is exact; the inertia of a
+symmetric matrix from congruence on integers; and membership in a Lie
+algebra from comparing entries through the form J, which is a signed
+permutation.  Nothing is rounded.
 
-Sign extraction: for a sign-carrying block size k (even in the symplectic
-case, odd in the orthogonal one) the pairing B(u, v) = Omega(X^(k-1) u, v)
-restricted to ker X^k is symmetric; its radical is spanned by the smaller
-blocks and the deeper tails, so its signature counts exactly the +/- rows
-of length k.  This is the basis-free form of the generator-pairing rule
-(signature of Omega(X^(k-1) e, e) on a cyclic vector e), and the two are
-cross-checked by tests on explicit witnesses: in sl2 the raising element
-classifies as 2 with a plus, its negative as 2 with a minus.
+Jordan type comes from the flag of row spaces of the powers: rowspace X^k
+= (rowspace X^(k-1)) X, so each reduced basis times X, reduced again, is
+the next, and the ranks r_k reach 0 exactly when X is nilpotent.  Sign
+extraction: for a sign-carrying block size k (even in the symplectic case,
+odd in the orthogonal one) the pairing B(u, v) = Omega(X^(k-1) u, v) on
+ker X^k is symmetric; its radical is spanned by the smaller blocks and the
+deeper tails, so its signature counts exactly the +/- rows of length k.
+As ker X^(k-1) lies in that radical, B is taken on the complement spanned
+by the r_(k-1) - r_k kernel vectors of X^k at the columns that are pivots
+of X^(k-1) but free in X^k.  This is the basis-free form of the
+generator-pairing rule (signature of Omega(X^(k-1) e, e) on a cyclic
+vector e), and the two are cross-checked by tests on explicit witnesses:
+in sl2 the raising element classifies as 2 with a plus, its negative as 2
+with a minus.
 """
 
 from __future__ import annotations
@@ -107,14 +112,11 @@ def _bareiss(rows: IntRows, ncols: int) -> tuple[IntRows, list[int], int]:
     return m[: len(pivots)], pivots, prev
 
 
-def _kernel(reduced: IntRows, pivots: list[int], d: int, ncols: int) -> list[dict[int, int]]:
-    """Integer basis of the null space from a ``_bareiss`` result: one vector
-    per free column f, d times the reduced-echelon kernel vector of f."""
-    pivot_set = set(pivots)
+def _kernel(reduced: IntRows, pivots: list[int], d: int, free) -> list[dict[int, int]]:
+    """Null-space vectors from a ``_bareiss`` result, one per free column f
+    in ``free``: d times the reduced-echelon kernel vector of f."""
     basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
+    for f in free:
         v = {f: d}
         for row, pc in zip(reduced, pivots):
             if f in row:
@@ -246,7 +248,8 @@ class RationalMatrix(Value):
         """Basis of the right null space: for each free column f, the vector
         with 1 at f that the reduced row echelon form leaves."""
         reduced, pivots, d = _bareiss(self.rows, self.ncols)
-        return list(RationalMatrix(_kernel(reduced, pivots, d, self.ncols), self.ncols, d).entries)
+        free = sorted(set(range(self.ncols)).difference(pivots))
+        return list(RationalMatrix(_kernel(reduced, pivots, d, free), self.ncols, d).entries)
 
     def inverse(self) -> "RationalMatrix":
         if not self.is_square:
@@ -360,26 +363,11 @@ def moment_m2(x: RationalMatrix, p: int, q: int) -> RationalMatrix:
 # Jordan data
 
 
-def _power_chain(x: RationalMatrix) -> list[IntRows]:
-    """Integer powers (D x)^0, (D x)^1, ... of a square matrix, D = x.den,
-    up to the first zero power or (D x)^dim; x is nilpotent exactly when
-    the last one is zero."""
-    if not x.is_square:
-        raise ValueError("nilpotency applies to square matrices")
-    n = x.nrows
-    powers = [[{i: 1} for i in range(n)], x.rows]
-    while len(powers) <= n and any(powers[-1]):
-        powers.append(_product(powers[-1], x.rows))
-    return powers
-
-
 def _jordan_shape(ranks: list[int]) -> Partition:
-    """Jordan type from the ranks of X^0, X^1, ...: blocks of size >= k
-    number rank X^(k-1) - rank X^k."""
-    heights = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    heights = [h for h in heights if h > 0]
-    # heights is the transpose of the Jordan partition
-    return Partition(tuple(heights)).transpose() if heights else Partition()
+    """Jordan type from the strictly falling ranks of X^0, X^1, ... down to 0:
+    blocks of size >= k number rank X^(k-1) - rank X^k, so these heights are
+    the transpose of the Jordan partition."""
+    return Partition(tuple(a - b for a, b in zip(ranks, ranks[1:]))).transpose()
 
 
 def symmetric_signature(gram: list[list[Fraction]]) -> tuple[int, int]:
@@ -426,14 +414,16 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
     if not form.contains(x):
         raise ValueError("matrix is not in the Lie algebra of the form")
     dim = form.dim
-    # one shared power chain of D x drives nilpotency, shape, and the
-    # pairings; each pairing's Gram matrix comes out multiplied by a
-    # positive constant, which keeps its inertia
-    powers = _power_chain(x)
-    if any(powers[-1]):
-        raise ValueError("classification requires a nilpotent matrix")
-    reduced = [_bareiss(p, dim) for p in powers]
-    shape = _jordan_shape([len(pivots) for _, pivots, _ in reduced])
+    # rowspace (D x)^k as (reduced basis, pivots, pivot value); dividing out
+    # the gcd keeps the integers at the size of a reduced form
+    flag = [([{i: 1} for i in range(dim)], list(range(dim)), 1)]
+    while flag[-1][1]:
+        reduced, pivots, d = _bareiss(_product(flag[-1][0], x.rows), dim)
+        if len(pivots) == len(flag[-1][1]):
+            raise ValueError("classification requires a nilpotent matrix")
+        g = gcd(d, *(v for row in reduced for v in row.values()))
+        flag.append(([{j: v // g for j, v in row.items()} for row in reduced], pivots, d // g))
+    shape = _jordan_shape([len(pivots) for _, pivots, _ in flag])
     perm, signs = form._signed_permutation()
 
     spec: list[tuple[int, Sign | None]] = []
@@ -443,17 +433,17 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
                 raise ValueError(f"{count} rows of sign-free length {k} do not pair up")
             spec += [(k, None)] * count
             continue
-        kernel = _kernel(*reduced[k], dim)
-        images = [_apply(powers[k - 1], v) for v in kernel]
-        paired = [
-            {i: signs[i] * v[perm[i]] for i in range(dim) if perm[i] in v} for v in kernel
-        ]
-        # B(u, v) = (X^(k-1) u)^t J v, which must come out symmetric at a
-        # sign-carrying k
-        gram = [
-            [sum(a * jv[i] for i, a in image.items() if i in jv) for jv in paired]
-            for image in images
-        ]
+        # B(u, v) = (X^(k-1) u)^t J v on the complement of ker X^(k-1) in ker X^k
+        kernel = _kernel(*flag[k], sorted(set(flag[k - 1][1]).difference(flag[k][1])))
+        images = kernel
+        for _ in range(k - 1):
+            images = [_apply(x.rows, v) for v in images]
+        paired = [{i: signs[i] * v[perm[i]] for i in range(dim) if perm[i] in v} for v in kernel]
+        # B must come out symmetric at a sign-carrying k.  As x is in the
+        # algebra, B(v, u) = +/-B(u, v), which vanishes for u in ker X^(k-1);
+        # so symmetry on the complement is symmetry on all of ker X^k
+        gram = [[sum(a * jv[i] for i, a in image.items() if i in jv) for jv in paired]
+                for image in images]
         if any(gram[a][b] != gram[b][a] for a in range(len(gram)) for b in range(a)):
             raise ValueError(f"the length-{k} pairing is not symmetric")
         np_, nm = symmetric_signature(gram)

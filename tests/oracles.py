@@ -6,8 +6,9 @@ reads; the package itself never calls them.  A brute-force count next to
 the product formula, a lift by target signature next to the column-prepend
 forest, the row-wise merge of partitions next to the two-column merge, the
 dominance order as a predicate, parsers for the ASCII picture and the
-vector strings, diagram and matrix JSON writers, and Jordan types from the
-ranks of explicit matrix powers.
+vector strings, diagram and matrix JSON writers, Jordan types from the
+ranks of explicit matrix powers, and signed labels from the pairings on the
+whole kernels of those powers.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from orbitcalc.diagram_core import (
     delete_column_signed,
     equivalent,
     from_json_dict,
+    from_row_spec,
     signature,
     to_json_dict,
     validate_partition_kind,
@@ -36,7 +38,7 @@ from orbitcalc.diagram_core import (
 )
 from orbitcalc.enumeration import partitions
 from orbitcalc.infchar import characters_reverse, segment, segments_of_transpose
-from orbitcalc.moment_oracle import RationalMatrix
+from orbitcalc.moment_oracle import FormSpec, RationalMatrix, symmetric_signature
 from orbitcalc.theta_orbits import prepend_column
 from orbitcalc.vector_order import HalfIntVector, OrderResult, bar_sort, dominance_leq
 
@@ -229,3 +231,39 @@ def jordan_partition(x: RationalMatrix) -> Partition:
         xk = xk @ x
         ranks.append(xk.rank())
     return Partition(tuple(a - b for a, b in zip(ranks, ranks[1:]))).transpose()
+
+
+def classify_by_powers(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
+    """``classify_signed`` by the full power chain: nilpotency from X^dim,
+    the Jordan type from the ranks of every power, and at each
+    sign-carrying length k the inertia of B(u, v) = (X^(k-1) u)^t J v on all
+    of ker X^k, from a Fraction kernel basis and matrix products.  Raises
+    the same ``ValueError`` texts."""
+    if not form.contains(x):
+        raise ValueError("matrix is not in the Lie algebra of the form")
+    powers = [RationalMatrix.identity(x.nrows)]
+    while len(powers) <= x.nrows and not is_zero(powers[-1]):
+        powers.append(powers[-1] @ x)
+    if not is_zero(powers[-1]):
+        raise ValueError("classification requires a nilpotent matrix")
+    ranks = [p.rank() for p in powers]
+    heights = [a - b for a, b in zip(ranks, ranks[1:]) if a > b]
+    shape = Partition(tuple(heights)).transpose() if heights else Partition()
+    spec: list[tuple[int, Sign | None]] = []
+    for k, count in shape.classes():
+        if form.kind.constrained(k):
+            if count % 2 != 0:
+                raise ValueError(f"{count} rows of sign-free length {k} do not pair up")
+            spec += [(k, None)] * count
+            continue
+        kernel = RationalMatrix.from_rows(powers[k].kernel_basis())
+        gram = (kernel @ powers[k - 1].transpose() @ form.matrix() @ kernel.transpose()).entries
+        if any(gram[a][b] != gram[b][a] for a in range(len(gram)) for b in range(a)):
+            raise ValueError(f"the length-{k} pairing is not symmetric")
+        np_, nm = symmetric_signature([list(row) for row in gram])
+        if np_ + nm != count:
+            raise ValueError(
+                f"inertia {np_}+{nm} of the length-{k} pairing must count its rows {count}"
+            )
+        spec += [(k, Sign.PLUS)] * np_ + [(k, Sign.MINUS)] * nm
+    return from_row_spec(form.kind, spec)

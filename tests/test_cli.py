@@ -236,6 +236,45 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "classify", str(path), "--form", "sp:2")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "rows, form, text",
+        [
+            # x^t J + J x != 0 in sp(2)
+            ([[1, 0], [0, 0]], "sp:2", "matrix is not in the Lie algebra of the form"),
+            ([[0, 1, 0], [0, 0, 0]], "sp:2", "matrix is not in the Lie algebra of the form"),
+            # diag(A, -A^t) in sp(4) with A = [[1, 1], [0, 0]] = A^2: the
+            # ranks of the powers fall from 4 to 2 and stay there
+            (
+                [[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, -1, 0], [0, 0, -1, 0]],
+                "sp:4",
+                "classification requires a nilpotent matrix",
+            ),
+        ],
+        ids=["outside-algebra", "non-square", "rank-stalls"],
+    )
+    def test_failure_texts(self, capsys, tmp_path, rows, form, text):
+        # literal texts, as the power-chain classifier printed them
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(rows))
+        code, out, err = run(capsys, "oracle", "classify", str(path), "--form", form)
+        assert (code, out, err) == (1, f"classification failed: {text}\n", "")
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_without_traceback(self):
+        # 111 kB of JSON, more than a 64 kB pipe buffer holds, so the child is
+        # still writing when the reader closes the pipe after 16 bytes
+        argv = ["-m", "orbitcalc.cli", "enumerate", "--kind", "sp", "--size", "14", "--json"]
+        env = dict(os.environ, PYTHONPATH=PACKAGE_PARENT)
+        with subprocess.Popen(
+            [sys.executable, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as proc:
+            assert proc.stdout.read(16)
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == cli.BROKEN_PIPE
+            err = proc.stderr.read().decode()
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+
 
 class TestEnumerate:
     def test_count_matches_formula(self, capsys):

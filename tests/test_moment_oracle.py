@@ -24,6 +24,7 @@ from orbitcalc.moment_oracle import (
     conjugate,
     moment_m1,
     moment_m2,
+    random_algebra_element,
     random_form_preserving,
     representative,
     symmetric_signature,
@@ -33,6 +34,7 @@ from orbitcalc.orbit_induction import induce_real
 from orbitcalc.verify import _conjugation_pool, suite_induce_oracle
 from oracles import (
     apply,
+    classify_by_powers,
     delete_columns,
     is_nilpotent,
     is_zero,
@@ -335,6 +337,82 @@ class TestConjugation:
         for _ in range(5):
             g = random_form_preserving(form, rng)
             assert equivalent(classify_signed(conjugate(g, x), form), label)
+
+
+class TestFlagAgainstPowers:
+    """``classify_signed`` (the flag of row spaces, the pairing on a
+    complement of ker X^(k-1)) against ``oracles.classify_by_powers`` (full
+    powers, the pairing on all of ker X^k, Fraction kernels): the same label
+    or the same ``ValueError`` text on every input, and each label's shape
+    is the Jordan type that ``oracles.jordan_partition`` reads off the ranks
+    of explicit powers."""
+
+    @staticmethod
+    def outcome(classify, x, form):
+        try:
+            return classify(x, form)
+        except ValueError as exc:
+            return str(exc)
+
+    def check(self, x, form):
+        got = self.outcome(classify_signed, x, form)
+        assert got == self.outcome(classify_by_powers, x, form)
+        if isinstance(got, SignedDiagram):
+            assert got.shape() == jordan_partition(x)
+        return got
+
+    def test_representatives(self):
+        for size in range(0, 13, 2):
+            form = FormSpec.symplectic(size)
+            for d in signed_diagrams(Kind.SYMPLECTIC, size=size):
+                x = representative(d)
+                assert self.check(x, form) == d
+                assert equivalent(self.check(-x, form), negate(d))
+
+    def test_induce_oracle_witnesses(self):
+        # the witness grid of the induce-oracle suite at bound 12: its 80
+        # cases are these 78 (S, n) cells and the two sl2 anchors
+        cases = 0
+        for two_m in range(0, 13, 2):
+            for s in signed_diagrams(Kind.SYMPLECTIC, size=two_m):
+                for n in range(two_m // 2, 7):
+                    if n - two_m // 2 < len(s.rows):
+                        continue
+                    form = FormSpec.symplectic(2 * n)
+                    for j in range(len(induce_real(s, n).diagrams)):
+                        x = build_witness(s, n, j)
+                        self.check(x, form)
+                        self.check(-x, form)
+                        cases += 1
+        assert cases == 161
+
+    @pytest.mark.parametrize("seed", [1, 7, 1009])
+    def test_conjugated_pool(self, seed):
+        rng = random.Random(seed)
+        pool = _conjugation_pool()
+        forms = {(form.kind, form.p, form.q) for _, form in pool}
+        assert {(Kind.ORTHOGONAL, 2, 1), (Kind.ORTHOGONAL, 2, 2)} <= forms
+        for x, form in pool:
+            for _ in range(2):
+                self.check(conjugate(random_form_preserving(form, rng), x), form)
+
+    def test_random_algebra_elements(self):
+        # entries in -1..1: mostly not nilpotent, and many of those singular,
+        # so that the rank drops before it stalls
+        rng = random.Random(11)
+        forms = [FormSpec.symplectic(2), FormSpec.symplectic(4), FormSpec.symplectic(6)]
+        forms += [FormSpec.orthogonal(p, q) for p, q in ((1, 1), (2, 1), (2, 2), (3, 1))]
+        labels = stalls = 0
+        for i in range(150):
+            form = forms[i % len(forms)]
+            x = random_algebra_element(form, rng, bound=1)
+            got = self.check(x, form)
+            if isinstance(got, SignedDiagram):
+                labels += 1
+            else:
+                assert got == "classification requires a nilpotent matrix"
+                stalls += x.rank() < x.nrows
+        assert 0 < labels < 75 and stalls > 10
 
 
 class TestFractionFree:
