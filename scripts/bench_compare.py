@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Time scripts/verify_all.py and the CLI commands on two source trees, run alternately.
 
+    python3 scripts/bench_compare.py --base-rev REV --out BENCH_<label>.json
     python3 scripts/bench_compare.py --base-src OTHER/src --out BENCH_<label>.json
 
 Each run is a fresh interpreter running ``verify_all.py --out`` with
-``PYTHONPATH`` set to one side's ``src``: the base tree given, or the
-change, which is the ``src`` next to this script.  The runs come in pairs,
+``PYTHONPATH`` set to one side's ``src``: the base, or the change, which
+is the ``src`` next to this script.  The base is either the ``src`` of a git
+revision of this repository, exported with ``git archive`` into a temporary
+directory, or a ``src`` tree given as it stands.  The runs come in pairs,
 and the side that runs first alternates from pair to pair, so that drift on
 a shared host hits both alike.  ``verify_all.py --out`` repeats each suite
 until it has run for 0.5 s and reports the median time of one pass.  The
@@ -13,8 +16,10 @@ output holds every run of both sides, each side's per-suite median and
 quartiles of those times over its runs, and per suite the ratio base /
 change of the medians next to both sides' quartiles, so that a ratio can be
 read against the spread of the runs behind it, and each side's
-``src_lines``, the line count of its package.  The same comparison is
-printed as a table.
+``src_lines``, the line count of its package, and ``commit``: for
+``--base-rev`` the commit exported, otherwise the commit git reads next to
+the package (null outside a checkout).  The same comparison is printed as a
+table.
 
 Each pair also times CLI start-up: every command of the ``cli-mix``
 benchmark workload (``perfbench/cli_mix.py``, imported read-only) runs as
@@ -26,11 +31,13 @@ code or stdout differ between the sides.  Stdlib only.
 """
 
 import argparse
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -73,23 +80,51 @@ def startup(times: dict[str, list[float]]) -> dict:
     return {"pooled": summary(pooled), "per_command": {n: summary(ts) for n, ts in times.items()}}
 
 
+def export(rev: str, into: Path) -> tuple[Path, str]:
+    """Extract ``src`` of the git revision ``rev`` of this repository into
+    ``into``; return that ``src`` and the full commit it was taken from."""
+
+    def git(*argv):
+        return subprocess.run(["git", *argv], cwd=HERE.parent, capture_output=True, check=True)
+
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}").stdout.decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(git("archive", commit, "src").stdout)) as tar:
+        tar.extractall(into)
+    return into / "src", commit
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base-src", required=True, type=Path)
+    base = parser.add_mutually_exclusive_group(required=True)
+    base.add_argument("--base-rev", help="a git revision of this repository")
+    base.add_argument("--base-src", type=Path, help="a src tree, as it stands")
     parser.add_argument("--runs", type=int, default=10, help="pairs of runs")
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
     if args.runs < 1:
         parser.error("--runs must be positive")
-    sides = {"base": args.base_src.resolve(), "change": HERE.parent / "src"}
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.base_src:
+            return compare(args.base_src.resolve(), None, args.runs, args.out)
+        try:
+            src, commit = export(args.base_rev, Path(tmp))
+        except subprocess.CalledProcessError as exc:
+            parser.error(f"--base-rev {args.base_rev}: {exc.stderr.decode().strip()}")
+        return compare(src, commit, args.runs, args.out)
+
+
+def compare(base_src: Path, base_commit: str | None, pairs: int, out_path: str) -> int:
+    """Run ``pairs`` alternating pairs on the base and the change, print the
+    comparison and write the record to ``out_path``."""
+    sides = {"base": base_src, "change": HERE.parent / "src"}
     runs: dict[str, list[dict]] = {side: [] for side in sides}
     cli = {side: {name: [] for name in cli_mix.COMMANDS} for side in sides}
     outputs: dict[str, dict] = {side: {} for side in sides}
-    for i in range(args.runs):
+    for i in range(pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
             runs[side].append(one_run(sides[side]))
-            print(f"pair {i + 1}/{args.runs}: {side} done", file=sys.stderr)
+            print(f"pair {i + 1}/{pairs}: {side} done", file=sys.stderr)
         for name, argv in cli_mix.COMMANDS.items():
             for side in order:
                 code, out, seconds = cli_mix.run_subprocess(argv, cli_mix.child_env(sides[side]))
@@ -121,13 +156,15 @@ def main() -> int:
         f"base/change {cli_ratio:.2f}  outputs differ: {differ or 'none'}"
     )
     lines = {side: rs[0]["src_lines"] for side, rs in runs.items()}
+    commits = {side: rs[0]["commit"] for side, rs in runs.items()}
+    commits["base"] = base_commit or commits["base"]
     print(f"src_lines      base {lines['base']}  change {lines['change']}")
     record = {
-        "runs_per_side": args.runs,
+        "runs_per_side": pairs,
         "order": "pairs; base runs first in odd pairs, change in even ones",
         **{
             side: {
-                "commit": rs[0]["commit"],
+                "commit": commits[side],
                 "src_lines": lines[side],
                 "elapsed_s": stats[side],
                 "runs": rs,
@@ -142,7 +179,7 @@ def main() -> int:
             "outputs_differ": differ,
         },
     }
-    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+    Path(out_path).write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

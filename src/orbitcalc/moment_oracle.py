@@ -15,20 +15,20 @@ symmetric matrix from congruence on integers; and membership in a Lie
 algebra from comparing entries through the form J, which is a signed
 permutation.  Nothing is rounded.
 
-Jordan type comes from the flag of row spaces of the powers: rowspace X^k
-= (rowspace X^(k-1)) X, so each reduced basis times X, reduced again, is
-the next, and the ranks r_k reach 0 exactly when X is nilpotent.  Sign
-extraction: for a sign-carrying block size k (even in the symplectic case,
-odd in the orthogonal one) the pairing B(u, v) = Omega(X^(k-1) u, v) on
-ker X^k is symmetric; its radical is spanned by the smaller blocks and the
-deeper tails, so its signature counts exactly the +/- rows of length k.
-As ker X^(k-1) lies in that radical, B is taken on the complement spanned
-by the r_(k-1) - r_k kernel vectors of X^k at the columns that are pivots
-of X^(k-1) but free in X^k.  This is the basis-free form of the
-generator-pairing rule (signature of Omega(X^(k-1) e, e) on a cyclic
-vector e), and the two are cross-checked by tests on explicit witnesses:
-in sl2 the raising element classifies as 2 with a plus, its negative as 2
-with a minus.
+Jordan type comes from the flag of row spaces of the powers, each in the
+image's coordinates: rowspace X^k lies in rowspace X^(k-1), which the
+pivot columns P_(k-1) of its reduced form see injectively.  Level k reduces
+X acting on rowspace X^(k-1), written at P_(k-1); its reduced basis C_k
+times that, at the pivots of C_k, is level k+1's.  The ranks r_k reach 0
+exactly when X is nilpotent.  Signs: at a sign-carrying block size k (even
+for sp, odd for o(p, q)) B(u, v) = Omega(X^(k-1) u, v) on ker X^k is
+symmetric with ker X^(k-1), the smaller blocks and the deeper tails in its
+radical, so on the complement spanned by the kernel vectors of C_k at its
+free positions, mapped back through P_(k-1), its signature counts the +/-
+rows of length k.  As x^t J = -J x, it is (-1)^(k-1) (J^t u)^t X^(k-1) v,
+row vectors times x: the basis-free form of the generator-pairing rule
+(signature of Omega(X^(k-1) e, e) on a cyclic vector e).  In sl2 the
+raising element classifies as 2 with a plus, its negative with a minus.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .diagram_core import (
@@ -63,15 +64,6 @@ def _product(a: IntRows, b: IntRows) -> IntRows:
             for j, w in b[k].items():
                 acc[j] = acc.get(j, 0) + v * w
         out.append({j: s for j, s in acc.items() if s})
-    return out
-
-
-def _apply(rows: IntRows, v: dict[int, int]) -> dict[int, int]:
-    out = {}
-    for i, row in enumerate(rows):
-        s = sum(w * v[j] for j, w in row.items() if j in v)
-        if s:
-            out[i] = s
     return out
 
 
@@ -414,16 +406,22 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
     if not form.contains(x):
         raise ValueError("matrix is not in the Lie algebra of the form")
     dim = form.dim
-    # rowspace (D x)^k as (reduced basis, pivots, pivot value); dividing out
-    # the gcd keeps the integers at the size of a reduced form
-    flag = [([{i: 1} for i in range(dim)], list(range(dim)), 1)]
-    while flag[-1][1]:
-        reduced, pivots, d = _bareiss(_product(flag[-1][0], x.rows), dim)
-        if len(pivots) == len(flag[-1][1]):
+    # level k: C_k, its pivots and pivot value over the columns ``cols`` =
+    # P_(k-1).  Dividing out each level's content keeps the integers at the
+    # size of a reduced form; without it they grow with every earlier pivot
+    # along a long Jordan block
+    rows, cols, flag = x.rows, list(range(dim)), []
+    while cols:
+        reduced, pivots, d = _bareiss(rows, len(cols))
+        if len(pivots) == len(cols):
             raise ValueError("classification requires a nilpotent matrix")
-        g = gcd(d, *(v for row in reduced for v in row.values()))
-        flag.append(([{j: v // g for j, v in row.items()} for row in reduced], pivots, d // g))
-    shape = _jordan_shape([len(pivots) for _, pivots, _ in flag])
+        flag.append((reduced, pivots, d, cols))
+        at = {c: i for i, c in enumerate(pivots)}  # level k+1: X on rowspace X^k, at P_k
+        rows = _product(reduced, [{at[j]: v for j, v in row.items() if j in at} for row in rows])
+        g = gcd(*chain.from_iterable(map(dict.values, rows)))
+        rows = [{j: v // g for j, v in row.items()} for row in rows] if g > 1 else rows
+        cols = [cols[c] for c in pivots]
+    shape = _jordan_shape([dim] + [len(pivots) for _, pivots, _, _ in flag])
     perm, signs = form._signed_permutation()
 
     spec: list[tuple[int, Sign | None]] = []
@@ -433,17 +431,18 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
                 raise ValueError(f"{count} rows of sign-free length {k} do not pair up")
             spec += [(k, None)] * count
             continue
-        # B(u, v) = (X^(k-1) u)^t J v on the complement of ker X^(k-1) in ker X^k
-        kernel = _kernel(*flag[k], sorted(set(flag[k - 1][1]).difference(flag[k][1])))
-        images = kernel
+        # the complement of ker X^(k-1) in ker X^k, back in dim coordinates
+        reduced, pivots, d, cols = flag[k - 1]
+        free = sorted(set(range(len(cols))).difference(pivots))
+        kernel = [{cols[j]: v for j, v in u.items()} for u in _kernel(reduced, pivots, d, free)]
+        # B(u, v) = (X^(k-1) u)^t J v = (-1)^(k-1) (J^t u)^t X^(k-1) v
+        images = [{perm[i]: (-1) ** (k - 1) * signs[i] * a for i, a in u.items()} for u in kernel]
         for _ in range(k - 1):
-            images = [_apply(x.rows, v) for v in images]
-        paired = [{i: signs[i] * v[perm[i]] for i in range(dim) if perm[i] in v} for v in kernel]
+            images = _product(images, x.rows)
+        gram = [[sum(a * v[i] for i, a in w.items() if i in v) for v in kernel] for w in images]
         # B must come out symmetric at a sign-carrying k.  As x is in the
         # algebra, B(v, u) = +/-B(u, v), which vanishes for u in ker X^(k-1);
         # so symmetry on the complement is symmetry on all of ker X^k
-        gram = [[sum(a * jv[i] for i, a in image.items() if i in jv) for jv in paired]
-                for image in images]
         if any(gram[a][b] != gram[b][a] for a in range(len(gram)) for b in range(a)):
             raise ValueError(f"the length-{k} pairing is not symmetric")
         np_, nm = symmetric_signature(gram)

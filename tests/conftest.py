@@ -1,6 +1,36 @@
+import signal
+
 import pytest
+from hypothesis import settings
 
 from orbitcalc.diagram_core import Kind, Sign, SignedDiagram, SignedRow
+
+pytest_plugins = ("pytester",)
+
+# tier1: the same cases on every run, no example database in the checkout,
+# and no per-example deadline, which tracks host load rather than the code;
+# the per-test LIMIT below bounds the time instead
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
+
+LIMIT = 30  # seconds per test call; faulthandler_timeout dumps the stacks first
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    """Fail a test whose call runs past LIMIT seconds, naming it, so that a
+    hang fails the run instead of stopping it."""
+
+    def expire(signum, frame):
+        pytest.fail(f"{item.nodeid} ran past the {LIMIT} s limit", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, LIMIT)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 M = Sign.MINUS
 P = Sign.PLUS

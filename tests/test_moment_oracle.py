@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -395,6 +396,64 @@ class TestFlagAgainstPowers:
         for x, form in pool:
             for _ in range(2):
                 self.check(conjugate(random_form_preserving(form, rng), x), form)
+
+    def test_deep_conjugates(self):
+        # long Jordan blocks, conjugated: the flag runs through 14-16 levels,
+        # each multiplying the rows of the level above, so the integers grow
+        # unless each level's content is divided out
+        rng = random.Random(16)
+        for rows in [(16, P)], [(14, M)], [(10, P), (4, M)]:
+            d = SignedDiagram(Kind.SYMPLECTIC, tuple(SignedRow(n, lead) for n, lead in rows))
+            form = FormSpec.symplectic(d.size)
+            x = conjugate(random_form_preserving(form, rng), representative(d))
+            assert self.check(x, form) == d
+
+    # nilpotent blocks of o(p, q) on coordinates with these form signs: a
+    # length-3 row on (+, +, -) and on (-, -, +), a length-1 row of each
+    # sign, and a pair of sign-free length-2 rows on (+, +, -, -)
+    ORTHOGONAL_BLOCKS = [
+        ([[0, 1, 0], [-1, 0, -1], [0, -1, 0]], (1, 1, -1)),
+        ([[0, 1, 0], [-1, 0, -1], [0, -1, 0]], (-1, -1, 1)),
+        ([[0]], (1,)),
+        ([[0]], (-1,)),
+        ([[0, -1, 0, 1], [1, 0, 1, 0], [0, 1, 0, -1], [1, 0, 1, 0]], (1, 1, -1, -1)),
+    ]
+
+    @classmethod
+    def orthogonal_sums(cls):
+        """(x, form) for every direct sum of ORTHOGONAL_BLOCKS with at least
+        one length-3 row and p + q <= 8, each block's coordinates taken in
+        turn from the + and the - coordinates of the form."""
+        for counts in itertools.product(range(3), range(3), range(9), range(9), range(3)):
+            chosen = [b for b, n in zip(cls.ORTHOGONAL_BLOCKS, counts) for _ in range(n)]
+            p = sum(signs.count(1) for _, signs in chosen)
+            q = sum(signs.count(-1) for _, signs in chosen)
+            if p + q > 8 or counts[0] + counts[1] == 0:
+                continue
+            rows = [[0] * (p + q) for _ in range(p + q)]
+            at = {1: iter(range(p)), -1: iter(range(p, p + q))}
+            for block, signs in chosen:
+                coords = [next(at[sign]) for sign in signs]
+                for a, row in zip(coords, block):
+                    for b, value in zip(coords, row):
+                        rows[a][b] = value
+            yield RationalMatrix.from_rows(rows), FormSpec.orthogonal(p, q)
+
+    def test_orthogonal_conjugates(self):
+        # seeded conjugates of nilpotents in o(p, q), p + q <= 8, whose labels
+        # hold free rows of length 1 and 3 with both leads; the pairing reads
+        # J^t u, and J^t = J on o(p, q) alone, so the symplectic inputs do not
+        # show the orthogonal side of it
+        rng = random.Random(21)
+        free = set()
+        cases = 0
+        for x, form in self.orthogonal_sums():
+            label = self.check(x, form)
+            assert self.check(conjugate(random_form_preserving(form, rng), x), form) == label
+            free |= {(r.length, r.leading) for r in label.rows if r.length % 2}
+            cases += 1
+        assert free == {(1, P), (1, M), (3, P), (3, M)}
+        assert cases == 66
 
     def test_random_algebra_elements(self):
         # entries in -1..1: mostly not nilpotent, and many of those singular,

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -165,6 +167,55 @@ def test_startup_pools_every_command():
     assert stats["pooled"] == {"median_s": 0.3, "quartiles_s": [0.15, 0.45]}
     assert stats["per_command"]["a"] == {"median_s": 0.2, "quartiles_s": [0.05, 0.35]}
     assert list(stats["per_command"]) == ["a", "b"]
+
+
+def test_base_rev_is_exported_with_its_commit(monkeypatch, tmp_path):
+    # --base-rev runs the src of that revision and records its commit;
+    # --base-src runs the tree given and records what git reads there
+    bench_compare = _load_script("bench_compare")
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "m.py").write_text("base\n")
+
+    def git(*argv):
+        done = subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *argv],
+            cwd=repo, capture_output=True, text=True, check=True,
+        )
+        return done.stdout.strip()
+
+    git("init", "-q")
+    git("add", "src")
+    git("commit", "-qm", "base")
+    (repo / "src" / "m.py").write_text("change\n")
+    monkeypatch.setattr(bench_compare, "HERE", repo / "scripts")
+    ran = {}
+
+    def one_run(src):
+        side = "change" if src == repo / "src" else "base"
+        ran[side] = (src / "m.py").read_text()
+        commit = "c0ffee" if side == "change" else None
+        return {"suites": {"s": {"elapsed_s": 0.1}}, "commit": commit, "src_lines": 1}
+
+    monkeypatch.setattr(bench_compare, "one_run", one_run)
+    monkeypatch.setattr(bench_compare.cli_mix, "COMMANDS", {"a": ["--help"]})
+    monkeypatch.setattr(bench_compare.cli_mix, "run_subprocess", lambda argv, env: (0, "", 0.1))
+    out = tmp_path / "bench.json"
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "m.py").write_text("other\n")
+    argv = ["bench_compare.py", "--runs", "1", "--out", str(out)]
+    for base, commit, text in ((["--base-rev", "HEAD"], git("rev-parse", "HEAD"), "base\n"),
+                               (["--base-src", str(other)], None, "other\n")):
+        monkeypatch.setattr(sys, "argv", argv + base)
+        assert bench_compare.main() == 0
+        record = json.loads(out.read_text())
+        assert (record["base"]["commit"], record["change"]["commit"]) == (commit, "c0ffee")
+        assert ran == {"base": text, "change": "change\n"}
+    monkeypatch.setattr(sys, "argv", argv + ["--base-rev", "no-such-rev"])
+    with pytest.raises(SystemExit) as exc:
+        bench_compare.main()
+    assert exc.value.code == 2
 
 
 def test_package_lines_counts_every_module():
