@@ -19,10 +19,15 @@ Input is checked once, where it enters: the public constructors
 ``from_json_dict``, check everything and raise ``ValueError``.  The
 package builds a diagram or partition unchecked, through ``_trusted``, only
 where its own code lays the rows out correctly by construction:
-``from_row_spec`` (which every canonical diagram goes through, and which
-keeps one check per row length and per length class), the induced families
-(one ``from_row_spec`` prefix with a length-2 class appended), transposes,
-column deletions and shapes.
+``from_row_spec`` (which every canonical diagram goes through; one pass
+groups the spec, checking each row length, then each length class is
+checked by its counts and laid out from rows built once for it), the
+induced families (one ``from_row_spec`` prefix with a length-2 class
+appended), transposes, column deletions and shapes.
+
+The sign and kind algebra is plain member attributes set once at import
+(see ``Kind`` and ``Sign``); the hot loops read them once per call, and
+build their ``NamedTuple`` records through ``tuple.__new__``.
 """
 
 from __future__ import annotations
@@ -73,29 +78,24 @@ class Value:
 
 
 class Kind(enum.Enum):
-    """Which bilinear form the diagram's group preserves."""
+    """Which bilinear form the diagram's group preserves.  Set once below:
+    ``opposite``, the other kind; ``parity``, that of the sign-constrained
+    row lengths; ``convention``, the leads of a constrained class's first
+    two rows."""
 
     SYMPLECTIC = "symplectic"
     ORTHOGONAL = "orthogonal"
 
-    @property
-    def opposite(self) -> "Kind":
-        return Kind.ORTHOGONAL if self is Kind.SYMPLECTIC else Kind.SYMPLECTIC
-
     def constrained(self, length: int) -> bool:
         """Is a row of this length sign-constrained for this kind?"""
-        if self is Kind.SYMPLECTIC:
-            return length % 2 == 1
-        return length % 2 == 0
+        return length % 2 == self.parity
 
 
 class Sign(enum.Enum):
+    """A box sign; ``flipped``, the other sign, is set once below."""
+
     PLUS = "+"
     MINUS = "-"
-
-    @property
-    def flipped(self) -> "Sign":
-        return Sign.MINUS if self is Sign.PLUS else Sign.PLUS
 
     @property
     def char(self) -> str:
@@ -103,6 +103,16 @@ class Sign(enum.Enum):
 
     def __repr__(self) -> str:  # keeps test output compact
         return f"Sign({self.value!r})"
+
+
+# plain member attributes: a read costs a dict lookup, not a property call
+Sign.PLUS.flipped, Sign.MINUS.flipped = Sign.MINUS, Sign.PLUS
+Kind.SYMPLECTIC.opposite, Kind.ORTHOGONAL.opposite = Kind.ORTHOGONAL, Kind.SYMPLECTIC
+Kind.SYMPLECTIC.parity, Kind.ORTHOGONAL.parity = 1, 0
+Kind.SYMPLECTIC.convention = (Sign.MINUS, Sign.PLUS)
+Kind.ORTHOGONAL.convention = (Sign.PLUS, Sign.MINUS)
+
+_new = tuple.__new__  # builds a NamedTuple record without its Python-level __new__
 
 
 class Signature(NamedTuple):
@@ -201,15 +211,6 @@ def validate_partition_kind(d: Partition, kind: Kind) -> bool:
     return all(m % 2 == 0 for length, m in d.classes() if kind.constrained(length))
 
 
-def convention_signs(kind: Kind, count: int) -> list[Sign]:
-    """Leading signs of a constrained length class, top row first."""
-    if kind is Kind.SYMPLECTIC:
-        pattern = (Sign.MINUS, Sign.PLUS)
-    else:
-        pattern = (Sign.PLUS, Sign.MINUS)
-    return [pattern[i % 2] for i in range(count)]
-
-
 class SignedDiagram(Value):
     """Signed Young diagram, valid by construction: a kind that is not a
     ``Kind``, a row that is not a (length, sign) pair, a lead that is not a
@@ -276,7 +277,7 @@ def signature(d: SignedDiagram) -> Signature:
         else:
             minus += lead_count
             plus += other
-    return Signature(plus, minus)
+    return _new(Signature, (plus, minus))
 
 
 def validate_signed(kind: Kind, rows: tuple[tuple[int, Sign], ...]) -> list[str]:
@@ -295,8 +296,9 @@ def validate_signed(kind: Kind, rows: tuple[tuple[int, Sign], ...]) -> list[str]
                 f"rows of length {length} occur {len(leads)} times; "
                 f"even multiplicity required for {kind.value} diagrams"
             )
-        expected = convention_signs(kind, len(leads))
-        for i, (got, want) in enumerate(zip(leads, expected)):
+        pattern = kind.convention
+        for i, got in enumerate(leads):
+            want = pattern[i % 2]
             if got is not want:
                 violations.append(
                     f"row {i + 1} of the length-{length} class leads with "
@@ -308,14 +310,18 @@ def validate_signed(kind: Kind, rows: tuple[tuple[int, Sign], ...]) -> list[str]
 def canonicalize(d: SignedDiagram) -> SignedDiagram:
     """Canonical representative of the equivalence class: constrained classes
     carry the convention pattern, free classes list Plus-leading rows first."""
+    parity = d.kind.parity
     return from_row_spec(
-        d.kind,
-        ((length, None if d.kind.constrained(length) else lead) for length, lead in d.rows),
+        d.kind, [(length, None if length % 2 == parity else lead) for length, lead in d.rows]
     )
 
 
 def equivalent(d1: SignedDiagram, d2: SignedDiagram) -> bool:
-    return d1.kind is d2.kind and canonicalize(d1).rows == canonicalize(d2).rows
+    """Same kind and the same canonical rows; equal rows are the same
+    diagram, so only unequal ones are canonicalized."""
+    if d1.kind is not d2.kind:
+        return False
+    return d1.rows == d2.rows or canonicalize(d1).rows == canonicalize(d2).rows
 
 
 def from_row_spec(kind: Kind, spec: Iterable[tuple[int, Sign | None]]) -> SignedDiagram:
@@ -325,11 +331,14 @@ def from_row_spec(kind: Kind, spec: Iterable[tuple[int, Sign | None]]) -> Signed
     diagram is built here or, for an induced family, extends a diagram
     built here.
 
-    Each row length and each length class is checked once, and a bad one
-    raises ``ValueError``: a length is a positive int, a constrained class
-    has no explicit sign and an even count, a free row has a ``Sign``.
-    Those checks are all a valid diagram needs beyond the layout made here,
-    so the result is built through ``SignedDiagram._trusted``."""
+    One pass groups the spec by length, checking each length as it comes:
+    a length is a positive int.  Each length class is then checked by its
+    counts, and a bad one raises ``ValueError``: a constrained class has no
+    explicit sign and an even count, a free row has a ``Sign``.  A class
+    is laid out from rows built once for it (the convention pair of a
+    constrained class, repeated; one Plus- and one Minus-leading row of a
+    free one).  Those checks are all a valid diagram needs beyond that
+    layout, so the result is built through ``SignedDiagram._trusted``."""
     if not isinstance(kind, Kind):
         raise ValueError(f"invalid signed diagram: kind must be a Kind, got {kind!r}")
     by_length: dict[int, list[Sign | None]] = {}
@@ -340,27 +349,31 @@ def from_row_spec(kind: Kind, spec: Iterable[tuple[int, Sign | None]]) -> Signed
                 f"invalid signed diagram: row lengths must be positive integers: {length!r}"
             )
         by_length.setdefault(length, []).append(sign)
+    parity = kind.parity
+    first, second = kind.convention
     rows: list[SignedRow] = []
     for length in sorted(by_length, reverse=True):
         signs = by_length[length]
         count = len(signs)
-        if kind.constrained(length):
-            if any(s is not None for s in signs):
+        if length % 2 == parity:
+            if signs.count(None) != count:
                 raise ValueError(f"length-{length} rows are sign-constrained for {kind.value}")
-            if count % 2 != 0:
+            if count % 2:
                 raise ValueError(
                     f"invalid signed diagram: rows of length {length} occur {count} times; "
                     f"even multiplicity required for {kind.value} diagrams"
                 )
-            rows.extend(SignedRow(length, s) for s in convention_signs(kind, count))
+            rows += (_new(SignedRow, (length, first)), _new(SignedRow, (length, second))) * (
+                count // 2
+            )
         else:
             plus = signs.count(Sign.PLUS)
-            minus = signs.count(Sign.MINUS)
-            if plus + minus != count:
+            if plus + signs.count(Sign.MINUS) != count:
                 raise ValueError(
                     f"length-{length} rows need explicit Sign leads for {kind.value}: {signs!r}"
                 )
-            rows += [SignedRow(length, Sign.PLUS)] * plus + [SignedRow(length, Sign.MINUS)] * minus
+            rows += (_new(SignedRow, (length, Sign.PLUS)),) * plus
+            rows += (_new(SignedRow, (length, Sign.MINUS)),) * (count - plus)
     return SignedDiagram._trusted(kind, tuple(rows))
 
 
@@ -368,18 +381,19 @@ def delete_column_signed(d: SignedDiagram) -> SignedDiagram:
     """Delete the leftmost column.  Every surviving row keeps its boxes, so
     its leading sign flips; the result lives in the opposite classification,
     where a row is constrained exactly when it was before the deletion."""
-    kind = d.kind.opposite
-    shorter = ((length - 1, lead.flipped) for length, lead in d.rows if length > 1)
-    return from_row_spec(kind, ((n, None if kind.constrained(n) else s) for n, s in shorter))
+    parity = d.kind.parity
+    shorter = [(n - 1, None if n % 2 == parity else lead.flipped) for n, lead in d.rows if n > 1]
+    return from_row_spec(d.kind.opposite, shorter)
 
 
 def tau(d: SignedDiagram) -> SignedDiagram:
     """Sign flip on even-length rows, induced by conjugation by diag(I, -I)."""
     if d.kind is not Kind.SYMPLECTIC:
         raise ValueError("tau defined only on symplectic diagrams")
+    parity = d.kind.parity
     return from_row_spec(
         d.kind,
-        ((length, None if d.kind.constrained(length) else lead.flipped) for length, lead in d.rows),
+        [(length, None if length % 2 == parity else lead.flipped) for length, lead in d.rows],
     )
 
 

@@ -32,6 +32,8 @@ from .vector_order import (
     seq_preceq,
 )
 
+_new = tuple.__new__  # builds a Domino without the NamedTuple's Python-level __new__
+
 
 def segment(kind: Kind, m: int) -> range:
     """The orthogonal segment has floor(m/2) entries from m/2 - 1 down, the
@@ -68,7 +70,8 @@ class Domino(NamedTuple):
     upper box), horizontal ones cover (columns, columns+1) of row 1, and the
     open domino sticks out of column 1 when the first row has odd length.
     A named tuple, the cheapest record to build (a tiling builds one per
-    tile); no tile is ever compared with a plain tuple."""
+    tile): :func:`domino_cover` builds it through ``tuple.__new__``, with
+    all four fields; no tile is ever compared with a plain tuple."""
 
     orientation: str  # "vertical" | "horizontal" | "open"
     column: int
@@ -103,20 +106,22 @@ def domino_cover(d: Partition, kind: Kind) -> tuple[Domino, ...]:
 
     dominoes: list[Domino] = []
     row1_cover = 1 if very_odd else 0
-    bump_parity = 1 if kind is Kind.SYMPLECTIC else 0
+    bump_parity = kind.parity
     for k, h in enumerate(heights, start=1):
         first_top = 1 if h % 2 == 0 else 2
         bump = 2 if k % 2 == bump_parity else 0
         for i in range(h // 2):
-            dominoes.append(Domino("vertical", k, first_top + 2 * i, 2 * i + row1_cover + bump))
+            dominoes.append(
+                _new(Domino, ("vertical", k, first_top + 2 * i, 2 * i + row1_cover + bump))
+            )
     if very_odd:
         width = d.width
         col = width - 1
         while col >= 1:
-            dominoes.append(Domino("horizontal", col, 1, 1))
+            dominoes.append(_new(Domino, ("horizontal", col, 1, 1)))
             col -= 2
         if width % 2 == 1:
-            dominoes.append(Domino("open", 1, 1, None))
+            dominoes.append(_new(Domino, ("open", 1, 1, None)))
 
     covered = sum(1 if t.orientation == "open" else 2 for t in dominoes)
     if covered != d.size:

@@ -66,12 +66,10 @@ def induce_real(s: SignedDiagram, n: int) -> InducedOrbitSet:
         raise ValueError(f"row count {r} exceeds new column length {k}")
 
     # a row keeps its parity as it grows by 2, so it stays free or constrained
+    parity = s.kind.parity
     prefix = from_row_spec(
         Kind.SYMPLECTIC,
-        (
-            (length + 2, None if s.kind.constrained(length) else lead.flipped)
-            for length, lead in s.rows
-        ),
+        [(length + 2, None if length % 2 == parity else lead.flipped) for length, lead in s.rows],
     ).rows
     twos = k - r
     expected_shape = add_two_columns(s.shape(), k)

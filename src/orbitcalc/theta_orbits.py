@@ -32,7 +32,8 @@ def prepend_column(d: SignedDiagram, ones: int, plus: int = 0) -> SignedDiagram:
     them lead with + and the rest with -.
     """
     kind = d.kind.opposite
-    spec = [(n + 1, None if d.kind.constrained(n) else lead.flipped) for n, lead in d.rows]
+    parity = d.kind.parity
+    spec = [(n + 1, None if n % 2 == parity else lead.flipped) for n, lead in d.rows]
     if kind is Kind.SYMPLECTIC:
         spec += [(1, None)] * ones
     else:

@@ -3,14 +3,15 @@
 Each suite sweeps an enumeration space up to a size bound and checks one
 family of identities; it reports the number of cases checked and every
 counterexample verbatim.  Suites are deterministic given (name, bound);
-the one randomized suite draws from a fixed seed.
+the one randomized suite draws from a fixed seed.  The matrix oracle is
+imported only inside the suites that call it, so the diagram-side suites
+never load it.
 """
 
 from __future__ import annotations
 
 import random
 
-from . import moment_oracle as mo
 from .diagram_core import (
     Kind,
     Partition,
@@ -208,6 +209,8 @@ def suite_twocom(bound: int) -> SuiteReport:
 
 def _induce_oracle_case(s: SignedDiagram, n: int) -> list[str]:
     """One (S, n) cell of the witness sweep; returns counterexample texts."""
+    from . import moment_oracle as mo
+
     bad = []
     induced = induce_real(s, n)
     for j, expected in enumerate(induced.diagrams):
@@ -229,6 +232,8 @@ def _induce_oracle_case(s: SignedDiagram, n: int) -> list[str]:
 def suite_induce_oracle(bound: int) -> SuiteReport:
     """Witness matrices classify to the induced labels, their negatives to
     the negated labels, and the sl2 anchors hold; grid capped by 2n <= bound."""
+    from . import moment_oracle as mo
+
     rep = SuiteReport("induce-oracle", bound)
     nmax = bound // 2
 
@@ -252,8 +257,11 @@ def suite_induce_oracle(bound: int) -> SuiteReport:
     return rep
 
 
-def _conjugation_pool() -> list[tuple[mo.RationalMatrix, mo.FormSpec]]:
-    pool: list[tuple[mo.RationalMatrix, mo.FormSpec]] = []
+def _conjugation_pool() -> list[tuple]:
+    """The (matrix, form) pairs that the conjugation suite cycles through."""
+    from . import moment_oracle as mo
+
+    pool = []
     for s in signed_diagrams(Kind.SYMPLECTIC, size=4):
         for n in (3, 4):
             if n - 2 >= len(s.rows):
@@ -272,6 +280,8 @@ def _conjugation_pool() -> list[tuple[mo.RationalMatrix, mo.FormSpec]]:
 def suite_conjugation(samples: int) -> SuiteReport:
     """Classification is invariant under form-preserving conjugation; the
     sample count plays the bound role, drawn from a fixed seed."""
+    from . import moment_oracle as mo
+
     rep = SuiteReport("conjugation", samples)
     rng = random.Random(20240311)
     pool = _conjugation_pool()

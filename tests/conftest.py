@@ -1,7 +1,9 @@
 import signal
+import tempfile
 
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from orbitcalc.diagram_core import Kind, Sign, SignedDiagram, SignedRow
 
@@ -12,6 +14,11 @@ pytest_plugins = ("pytester",)
 # the per-test LIMIT below bounds the time instead
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.load_profile("tier1")
+
+# hypothesis still writes its storage (constants, unicode data) without a
+# database; keep it in a directory outside the checkout, removed at exit
+HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="orbitcalc-hypothesis-")
+set_hypothesis_home_dir(HYPOTHESIS_HOME.name)
 
 LIMIT = 30  # seconds per test call; faulthandler_timeout dumps the stacks first
 

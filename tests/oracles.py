@@ -3,7 +3,8 @@
 Each function is a second, plainer way to reach a result the package
 computes, a reader for what the package writes, or a writer for what it
 reads; the package itself never calls them.  A brute-force count next to
-the product formula, a lift by target signature next to the column-prepend
+the product formula, the class-by-class diagram builder next to the
+one-pass one, a lift by target signature next to the column-prepend
 forest, the row-wise merge of partitions next to the two-column merge, the
 dominance order as a predicate, parsers for the ASCII picture and the
 vector strings, diagram and matrix JSON writers, Jordan types from the
@@ -62,6 +63,47 @@ def brute_count(kind: Kind, size: int, sig: Signature | None = None) -> int:
                 continue
             seen.add(canonicalize(d).rows)
     return len(seen)
+
+
+def from_row_spec_reference(kind: Kind, spec) -> SignedDiagram:
+    """``diagram_core.from_row_spec`` as it was before its one-pass
+    rewrite: the same checks and error texts, the classes laid out through
+    a convention list and one ``SignedRow`` call per row.  The kind's
+    constrained parity and convention pattern are spelled out here, so a
+    fault in the member attributes does not reach the reference."""
+    if not isinstance(kind, Kind):
+        raise ValueError(f"invalid signed diagram: kind must be a Kind, got {kind!r}")
+    by_length: dict[int, list[Sign | None]] = {}
+    for length, sign in spec:
+        if type(length) is not int or length <= 0:
+            raise ValueError(
+                f"invalid signed diagram: row lengths must be positive integers: {length!r}"
+            )
+        by_length.setdefault(length, []).append(sign)
+    symplectic = kind is Kind.SYMPLECTIC
+    pattern = (Sign.MINUS, Sign.PLUS) if symplectic else (Sign.PLUS, Sign.MINUS)
+    rows: list[SignedRow] = []
+    for length in sorted(by_length, reverse=True):
+        signs = by_length[length]
+        count = len(signs)
+        if length % 2 == (1 if symplectic else 0):
+            if any(s is not None for s in signs):
+                raise ValueError(f"length-{length} rows are sign-constrained for {kind.value}")
+            if count % 2 != 0:
+                raise ValueError(
+                    f"invalid signed diagram: rows of length {length} occur {count} times; "
+                    f"even multiplicity required for {kind.value} diagrams"
+                )
+            rows.extend(SignedRow(length, pattern[i % 2]) for i in range(count))
+        else:
+            plus = signs.count(Sign.PLUS)
+            minus = signs.count(Sign.MINUS)
+            if plus + minus != count:
+                raise ValueError(
+                    f"length-{length} rows need explicit Sign leads for {kind.value}: {signs!r}"
+                )
+            rows += [SignedRow(length, Sign.PLUS)] * plus + [SignedRow(length, Sign.MINUS)] * minus
+    return SignedDiagram._trusted(kind, tuple(rows))
 
 
 def theta_lift_real(d: SignedDiagram, target: Signature) -> SignedDiagram:

@@ -642,7 +642,7 @@ class TestLazyImports:
             from orbitcalc.cli import main
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 codes = [main(argv) for argv in {list(commands)!r}]
-            heavy = ("dataclasses", "inspect", "fractions")
+            heavy = ("dataclasses", "inspect", "fractions", "decimal")
             loaded = [m for m in sys.modules if m.startswith("orbitcalc") or m in heavy]
             print(json.dumps([codes, sorted(loaded)]))
             """
@@ -670,6 +670,16 @@ class TestLazyImports:
         )
         assert codes == [0, 0] + [2] * 8
         assert loaded == ["orbitcalc", "orbitcalc.cli", "orbitcalc.diagram_core"]
+
+    def test_diagram_suites_skip_oracle(self):
+        codes, loaded = self.loaded_after(
+            ["verify", "--suite", "lemma-pm", "--max", "8"],
+            ["verify", "--suite", "domino-oracle", "--max", "8"],
+        )
+        assert codes == [0, 0]
+        assert "orbitcalc.verify" in loaded
+        oracle = ("orbitcalc.moment_oracle", "fractions", "decimal")
+        assert [m for m in oracle if m in loaded] == []
 
     def test_oracle_loads_no_dataclasses(self, tmp_path):
         path = tmp_path / "nilpotent.json"

@@ -332,6 +332,33 @@ class TestEquivalence:
         assert canonicalize(intro_diagram) != intro_diagram
         assert equivalent(canonicalize(intro_diagram), intro_diagram)
 
+    @staticmethod
+    def counting_canonicalize(monkeypatch):
+        calls = []
+
+        def counted(d):
+            calls.append(d)
+            return canonicalize(d)
+
+        monkeypatch.setattr("orbitcalc.diagram_core.canonicalize", counted)
+        return calls
+
+    def test_equal_rows_are_not_canonicalized(self, monkeypatch, intro_diagram):
+        calls = self.counting_canonicalize(monkeypatch)
+        # the intro layout is not canonical, yet equal rows need no canonical form
+        copy = SignedDiagram(Kind.SYMPLECTIC, intro_diagram.rows)
+        assert equivalent(intro_diagram, copy)
+        assert calls == []
+        # equal (empty) rows of different kinds are not equivalent
+        assert not equivalent(SignedDiagram(Kind.SYMPLECTIC), SignedDiagram(Kind.ORTHOGONAL))
+
+    def test_reordered_rows_are_canonicalized(self, monkeypatch, intro_diagram):
+        calls = self.counting_canonicalize(monkeypatch)
+        canonical = canonicalize(intro_diagram)
+        assert canonical.rows != intro_diagram.rows
+        assert equivalent(intro_diagram, canonical)
+        assert calls == [intro_diagram, canonical]
+
     def test_different_shapes(self):
         d1 = from_row_spec(Kind.SYMPLECTIC, [(2, P)])
         d2 = from_row_spec(Kind.SYMPLECTIC, [(1, None), (1, None)])

@@ -1,7 +1,10 @@
 """The tier-1 harness in ``conftest.py``: a test call that runs past the
-per-test limit fails, and the failure names the test."""
+per-test limit fails, and the failure names the test; hypothesis keeps its
+storage outside the checkout."""
 
 from pathlib import Path
+
+from hypothesis.configuration import storage_directory
 
 import orbitcalc
 
@@ -22,3 +25,9 @@ def test_time_limit_fails_a_hanging_test_by_name(pytester, monkeypatch):
     result.assert_outcomes(failed=1)
     result.stdout.fnmatch_lines(["*test_sleeper.py::test_sleeps ran past the 0.5 s limit*"])
     assert result.duration < 15
+
+
+def test_hypothesis_storage_is_outside_the_checkout():
+    root = Path(__file__).resolve().parents[1]
+    home = storage_directory(intent_to_write=False).path.resolve()
+    assert home != root and root not in home.parents, home

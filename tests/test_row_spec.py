@@ -3,7 +3,9 @@ against the earlier per-function implementations kept here as references."""
 
 import random
 from collections import Counter
-from itertools import groupby
+from itertools import groupby, product
+
+import pytest
 
 from orbitcalc.diagram_core import (
     Kind,
@@ -12,12 +14,13 @@ from orbitcalc.diagram_core import (
     SignedDiagram,
     SignedRow,
     canonicalize,
-    convention_signs,
     equivalent,
+    from_row_spec,
     tau,
     validate_partition_kind,
 )
 from orbitcalc.enumeration import partitions, signed_diagrams
+from oracles import from_row_spec_reference
 
 
 def canonicalize_reference(d: SignedDiagram) -> SignedDiagram:
@@ -27,7 +30,10 @@ def canonicalize_reference(d: SignedDiagram) -> SignedDiagram:
     for length, group in groupby(d.rows, key=lambda row: row.length):
         leads = [lead for _, lead in group]
         if d.kind.constrained(length):
-            ordered = convention_signs(d.kind, len(leads))
+            pattern = (Sign.MINUS, Sign.PLUS)
+            if d.kind is Kind.ORTHOGONAL:
+                pattern = pattern[::-1]
+            ordered = [pattern[i % 2] for i in range(len(leads))]
         else:
             ordered = sorted(leads, key=lambda s: 0 if s is Sign.PLUS else 1)
         rows.extend(SignedRow(length, s) for s in ordered)
@@ -110,3 +116,104 @@ class TestShapeClasses:
             for rows in partitions(n):
                 expected = sorted(Counter(rows).items(), reverse=True)
                 assert Partition(rows).classes() == expected
+
+
+P, M, O, S = Sign.PLUS, Sign.MINUS, Kind.ORTHOGONAL, Kind.SYMPLECTIC
+
+# the from_row_spec refusals of test_optimized_checks.py, as (kind, spec)
+MALFORMED = [
+    (O, [(0, P)]),
+    (O, [(-1, P)]),
+    (O, [(2.0, None)]),
+    (O, [(True, P)]),
+    (S, [(0, None)]),
+    (S, [(-1, P)]),
+    (S, [(2.0, P)]),
+    (S, [(True, None)]),
+    (S, [(1, None)]),
+    (S, [(1, M), (1, P)]),
+    (O, [(1, "+")]),
+    ("orthogonal", [(1, P)]),
+    (O, [(2, None), (2.0, None)]),
+    (O, [(2.0, None), (2, None)]),
+    (O, [(1, P), (True, M)]),
+    (O, [(True, M), (1, P)]),
+]
+
+
+def outcome(build, kind, spec):
+    """(kind, rows) of the built diagram, or the text of its ValueError."""
+    try:
+        d = build(kind, spec)
+    except ValueError as exc:
+        return str(exc)
+    assert all(type(row) is SignedRow for row in d.rows)
+    return d.kind, d.rows
+
+
+def refusal(got) -> str:
+    if not isinstance(got, str):
+        return "built"
+    if "sign-constrained" in got:
+        return "explicit sign"
+    return "odd count" if "even multiplicity" in got else "free row without a Sign"
+
+
+def class_sign_choices(rows):
+    """Every choice of None, Plus or Minus per row of ``rows``, up to the
+    order of the rows of one length: per length class, every split of its
+    multiplicity into None, Plus and Minus counts."""
+    per_class = []
+    for length, group in groupby(rows):
+        mult = len(list(group))
+        per_class.append(
+            [
+                [(length, None)] * none
+                + [(length, P)] * plus
+                + [(length, M)] * (mult - none - plus)
+                for none in range(mult + 1)
+                for plus in range(mult - none + 1)
+            ]
+        )
+    for choice in product(*per_class):
+        yield [row for part in choice for row in part]
+
+
+class TestBuilderAgainstReference:
+    """The one-pass builder against the class-by-class one it replaced:
+    the same kind and rows, or the same ``ValueError`` text."""
+
+    def test_every_spec_up_to_size_10(self):
+        rng = random.Random(22)
+        seen = Counter()
+        for size in range(11):
+            for rows in partitions(size):
+                for spec in class_sign_choices(rows):
+                    rng.shuffle(spec)
+                    for kind in Kind:
+                        got = outcome(from_row_spec, kind, spec)
+                        assert got == outcome(from_row_spec_reference, kind, spec), (kind, spec)
+                        seen[refusal(got)] += 1
+        # each valid diagram comes from one choice, and every refusal occurs
+        assert seen.pop("built") == sum(1 for _ in all_signed(10))
+        assert set(seen) == {"explicit sign", "odd count", "free row without a Sign"}
+
+    @pytest.mark.parametrize("kind, spec", MALFORMED)
+    def test_malformed_specs(self, kind, spec):
+        got = outcome(from_row_spec, kind, spec)
+        assert isinstance(got, str)
+        assert got == outcome(from_row_spec_reference, kind, spec)
+
+
+class TestMemberAttributes:
+    """The sign and kind algebra, set once as plain member attributes."""
+
+    def test_flipped_and_opposite_are_involutions(self):
+        assert (P.flipped, M.flipped) == (M, P)
+        assert (S.opposite, O.opposite) == (O, S)
+
+    def test_constrained_lengths_and_conventions(self):
+        for length in range(1, 9):
+            assert S.constrained(length) == (length % 2 == 1)
+            assert O.constrained(length) == (length % 2 == 0)
+        assert S.convention == (M, P) and O.convention == (P, M)
