@@ -2,24 +2,22 @@
 """Time scripts/verify_all.py and the CLI commands on two source trees, run alternately.
 
     python3 scripts/bench_compare.py --base-rev REV --out BENCH_<label>.json
-    python3 scripts/bench_compare.py --base-src OTHER/src --out BENCH_<label>.json
 
 Each run is a fresh interpreter running ``verify_all.py --out`` with
-``PYTHONPATH`` set to one side's ``src``: the base, or the change, which
-is the ``src`` next to this script.  The base is either the ``src`` of a git
-revision of this repository, exported with ``git archive`` into a temporary
-directory, or a ``src`` tree given as it stands.  The runs come in pairs,
-and the side that runs first alternates from pair to pair, so that drift on
-a shared host hits both alike.  ``verify_all.py --out`` repeats each suite
-until it has run for 0.5 s and reports the median time of one pass.  The
-output holds every run of both sides, each side's per-suite median and
-quartiles of those times over its runs, and per suite the ratio base /
-change of the medians next to both sides' quartiles, so that a ratio can be
-read against the spread of the runs behind it, and each side's
-``src_lines``, the line count of its package, and ``commit``: for
-``--base-rev`` the commit exported, otherwise the commit git reads next to
-the package (null outside a checkout).  The same comparison is printed as a
-table.
+``PYTHONPATH`` set to one side's ``src``: the base, or the change, which is
+the ``src`` next to this script.  The base is the ``src`` of a git revision
+of this repository, exported with ``git archive`` into a temporary
+directory.  The runs come in pairs, and the side that runs first alternates
+from pair to pair, so that drift on a shared host hits both alike.
+``verify_all.py --out`` repeats each suite until it has run for 0.5 s and
+reports the median time of one pass.  The output holds every run of both
+sides, each side's per-suite median and quartiles of those times over its
+runs, and per suite the ratio base / change of the medians next to both
+sides' quartiles, so that a ratio can be read against the spread of the runs
+behind it, and each side's ``src_lines``, the line count of its package, and
+``commit``: for the base the commit exported, for the change the commit git
+reads next to the package (null outside a checkout).  The same comparison is
+printed as a table.
 
 Each pair also times CLI start-up: every command of the ``cli-mix``
 benchmark workload (``perfbench/cli_mix.py``, imported read-only) runs as
@@ -95,17 +93,13 @@ def export(rev: str, into: Path) -> tuple[Path, str]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    base = parser.add_mutually_exclusive_group(required=True)
-    base.add_argument("--base-rev", help="a git revision of this repository")
-    base.add_argument("--base-src", type=Path, help="a src tree, as it stands")
+    parser.add_argument("--base-rev", required=True, help="a git revision of this repository")
     parser.add_argument("--runs", type=int, default=10, help="pairs of runs")
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
     if args.runs < 1:
         parser.error("--runs must be positive")
     with tempfile.TemporaryDirectory() as tmp:
-        if args.base_src:
-            return compare(args.base_src.resolve(), None, args.runs, args.out)
         try:
             src, commit = export(args.base_rev, Path(tmp))
         except subprocess.CalledProcessError as exc:
@@ -113,7 +107,7 @@ def main() -> int:
         return compare(src, commit, args.runs, args.out)
 
 
-def compare(base_src: Path, base_commit: str | None, pairs: int, out_path: str) -> int:
+def compare(base_src: Path, base_commit: str, pairs: int, out_path: str) -> int:
     """Run ``pairs`` alternating pairs on the base and the change, print the
     comparison and write the record to ``out_path``."""
     sides = {"base": base_src, "change": HERE.parent / "src"}
@@ -156,8 +150,7 @@ def compare(base_src: Path, base_commit: str | None, pairs: int, out_path: str) 
         f"base/change {cli_ratio:.2f}  outputs differ: {differ or 'none'}"
     )
     lines = {side: rs[0]["src_lines"] for side, rs in runs.items()}
-    commits = {side: rs[0]["commit"] for side, rs in runs.items()}
-    commits["base"] = base_commit or commits["base"]
+    commits = {"base": base_commit, "change": runs["change"][0]["commit"]}
     print(f"src_lines      base {lines['base']}  change {lines['change']}")
     record = {
         "runs_per_side": pairs,

@@ -377,24 +377,30 @@ def from_row_spec(kind: Kind, spec: Iterable[tuple[int, Sign | None]]) -> Signed
     return SignedDiagram._trusted(kind, tuple(rows))
 
 
+def flipped_spec(d: SignedDiagram, grow: int) -> list[tuple[int, Sign | None]]:
+    """The re-signing step of every column move, as a :func:`from_row_spec`
+    spec: each row of d grows by ``grow`` boxes (a negative ``grow``
+    deletes columns, and rows left empty are dropped), a row constrained in
+    d takes None, and a free row flips its lead.  Whether a row is
+    constrained is read with d's kind, before the move."""
+    parity = d.kind.parity
+    return [
+        (n + grow, None if n % 2 == parity else lead.flipped) for n, lead in d.rows if n + grow > 0
+    ]
+
+
 def delete_column_signed(d: SignedDiagram) -> SignedDiagram:
     """Delete the leftmost column.  Every surviving row keeps its boxes, so
     its leading sign flips; the result lives in the opposite classification,
     where a row is constrained exactly when it was before the deletion."""
-    parity = d.kind.parity
-    shorter = [(n - 1, None if n % 2 == parity else lead.flipped) for n, lead in d.rows if n > 1]
-    return from_row_spec(d.kind.opposite, shorter)
+    return from_row_spec(d.kind.opposite, flipped_spec(d, -1))
 
 
 def tau(d: SignedDiagram) -> SignedDiagram:
     """Sign flip on even-length rows, induced by conjugation by diag(I, -I)."""
     if d.kind is not Kind.SYMPLECTIC:
         raise ValueError("tau defined only on symplectic diagrams")
-    parity = d.kind.parity
-    return from_row_spec(
-        d.kind,
-        [(length, None if length % 2 == parity else lead.flipped) for length, lead in d.rows],
-    )
+    return from_row_spec(d.kind, flipped_spec(d, 0))
 
 
 def negate(d: SignedDiagram) -> SignedDiagram:

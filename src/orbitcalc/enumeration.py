@@ -1,5 +1,8 @@
 """Streaming enumeration of partitions and signed diagrams.
 
+Partitions come from one successor rule, run with parts of any size or
+with odd parts only: drop the trailing 1s and the last part p > 1, and
+refill those boxes greedily with parts p - step (see :func:`_descending`).
 Diagrams come out once per equivalence class, in a fixed deterministic
 order, by choosing how many rows of each free length class lead with plus;
 the class count for a shape is the product of (multiplicity + 1) over its
@@ -24,49 +27,36 @@ from .diagram_core import (
 )
 
 
-def partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of n, largest part first, in descending lex order.
+def _descending(n: int, step: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n > 0 into parts of the form 1 + step * i, largest
+    part first, in descending lex order.
 
     The successor of a partition removes its trailing 1s and its last part
-    p > 1 and refills those boxes with parts p - 1, then the remainder.  A
+    p > 1 and refills those boxes greedily with parts p - step, then the
+    remainder r; a remainder not of the form becomes r - 1 and 1."""
+    parts = [n] if (n - 1) % step == 0 else [n - 1, 1]
+    while True:
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        k = parts.pop() - step
+        count, rest = divmod(ones + k + step, k)
+        parts += [k] * count
+        if rest:
+            parts += [rest] if (rest - 1) % step == 0 else [rest - 1, 1]
+
+
+def partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """All partitions of n, largest part first, in descending lex order; a
     negative n has none."""
-    if n < 0:
-        return
-    parts = [n] if n else []
-    while True:
-        yield tuple(parts)
-        ones = 0
-        while parts and parts[-1] == 1:
-            parts.pop()
-            ones += 1
-        if not parts:
-            return
-        k = parts.pop() - 1
-        count, rest = divmod(ones + k + 1, k)
-        parts += [k] * count
-        if rest:
-            parts.append(rest)
-
-
-def _odd_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """The partitions of n > 0 into odd parts, in descending lex order, by
-    the successor rule of :func:`partitions` with steps of 2: the last part
-    p > 1 becomes p - 2, and the boxes after it refill greedily with odd
-    parts of at most p - 2 (an even remainder r as r - 1 and 1)."""
-    parts = [n] if n % 2 else [n - 1, 1]
-    while True:
-        yield tuple(parts)
-        ones = 0
-        while parts and parts[-1] == 1:
-            parts.pop()
-            ones += 1
-        if not parts:
-            return
-        k = parts.pop() - 2
-        count, rest = divmod(ones + k + 2, k)
-        parts += [k] * count
-        if rest:
-            parts += [rest] if rest % 2 else [rest - 1, 1]
+    if n == 0:
+        yield ()
+    elif n > 0:
+        yield from _descending(n, 1)
 
 
 def parity_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -77,7 +67,7 @@ def parity_partitions(n: int) -> Iterator[tuple[int, ...]]:
     if n <= 0:
         yield from partitions(n)  # the empty partition, or none
         return
-    odd = _odd_partitions(n)
+    odd = _descending(n, 2)
     if n % 2:
         yield from odd
         return

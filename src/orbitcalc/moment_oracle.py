@@ -323,30 +323,29 @@ class FormSpec(Value):
 # moment maps
 
 
-def moment_m1(x: RationalMatrix, p: int, q: int) -> RationalMatrix:
-    """I_{p,q} x W_n x^t, an element of o(p, q); x is (p+q) x 2n."""
+def _pair_forms(x: RationalMatrix, p: int, q: int) -> tuple[FormSpec, FormSpec]:
+    """The forms of O(p, q) and Sp(2n) for a (p+q) x 2n matrix x."""
     if x.nrows != p + q:
         raise ValueError(f"matrix has {x.nrows} rows, need p + q = {p + q}")
     if x.ncols % 2 != 0:
         raise ValueError("column count must be even")
-    ipq = FormSpec.orthogonal(p, q).matrix()
-    wn = FormSpec.symplectic(x.ncols).matrix()
-    out = ipq @ x @ wn @ x.transpose()
-    if not FormSpec.orthogonal(p, q).contains(out):
+    return FormSpec.orthogonal(p, q), FormSpec.symplectic(x.ncols)
+
+
+def moment_m1(x: RationalMatrix, p: int, q: int) -> RationalMatrix:
+    """I_{p,q} x W_n x^t, an element of o(p, q); x is (p+q) x 2n."""
+    ipq, wn = _pair_forms(x, p, q)
+    out = ipq.matrix() @ x @ wn.matrix() @ x.transpose()
+    if not ipq.contains(out):
         raise ValueError(f"moment map m1 left o({p}, {q})")
     return out
 
 
 def moment_m2(x: RationalMatrix, p: int, q: int) -> RationalMatrix:
     """W_n x^t I_{p,q} x, an element of sp(2n, R); x is (p+q) x 2n."""
-    if x.nrows != p + q:
-        raise ValueError(f"matrix has {x.nrows} rows, need p + q = {p + q}")
-    if x.ncols % 2 != 0:
-        raise ValueError("column count must be even")
-    ipq = FormSpec.orthogonal(p, q).matrix()
-    wn = FormSpec.symplectic(x.ncols).matrix()
-    out = wn @ x.transpose() @ ipq @ x
-    if not FormSpec.symplectic(x.ncols).contains(out):
+    ipq, wn = _pair_forms(x, p, q)
+    out = wn.matrix() @ x.transpose() @ ipq.matrix() @ x
+    if not wn.contains(out):
         raise ValueError(f"moment map m2 left sp({x.ncols})")
     return out
 
@@ -599,26 +598,22 @@ def witness_block_part(x: RationalMatrix, m: int) -> RationalMatrix:
 
 
 def random_algebra_element(form: FormSpec, rng: random.Random, bound: int = 2) -> RationalMatrix:
-    """Random integer element of the form's Lie algebra: W^-1 S with S
-    symmetric (symplectic) or I_{p,q} K with K antisymmetric (orthogonal)."""
+    """Random integer element of the form's Lie algebra: J^t S with S
+    symmetric (symplectic) or antisymmetric (orthogonal, where J^t = J).
+    S is drawn row by row, from the diagonal on for a symmetric S and from
+    just above it for an antisymmetric one.  J is a signed permutation, so
+    row i of S is row perm[i] of J^t S, times signs[i]."""
     d = form.dim
-    if form.kind is Kind.SYMPLECTIC:
-        s = [[0] * d for _ in range(d)]
-        for i in range(d):
-            for jj in range(i, d):
-                v = rng.randint(-bound, bound)
-                s[i][jj] = v
-                s[jj][i] = v
-        # W is a signed permutation matrix, so W^-1 = W^t
-        out = form.matrix().transpose() @ RationalMatrix.from_rows(s)
-    else:
-        kmat = [[0] * d for _ in range(d)]
-        for i in range(d):
-            for jj in range(i + 1, d):
-                v = rng.randint(-bound, bound)
-                kmat[i][jj] = v
-                kmat[jj][i] = -v
-        out = form.matrix() @ RationalMatrix.from_rows(kmat)
+    perm, signs = form._signed_permutation()
+    symmetric = form.kind is Kind.SYMPLECTIC
+    rows: list[dict[int, int]] = [{} for _ in range(d)]
+    for i in range(d):
+        for j in range(i if symmetric else i + 1, d):
+            v = rng.randint(-bound, bound)
+            if v:
+                rows[perm[i]][j] = signs[i] * v
+                rows[perm[j]][i] = signs[j] * (v if symmetric else -v)
+    out = RationalMatrix(tuple(rows), d)
     if not form.contains(out):
         raise ValueError("random algebra element is not in the Lie algebra")
     return out

@@ -20,6 +20,7 @@ from .diagram_core import (
     SignedDiagram,
     SignedRow,
     Value,
+    flipped_spec,
     from_row_spec,
     tau,
 )
@@ -66,11 +67,7 @@ def induce_real(s: SignedDiagram, n: int) -> InducedOrbitSet:
         raise ValueError(f"row count {r} exceeds new column length {k}")
 
     # a row keeps its parity as it grows by 2, so it stays free or constrained
-    parity = s.kind.parity
-    prefix = from_row_spec(
-        Kind.SYMPLECTIC,
-        [(length + 2, None if length % 2 == parity else lead.flipped) for length, lead in s.rows],
-    ).rows
+    prefix = from_row_spec(Kind.SYMPLECTIC, flipped_spec(s, 2)).rows
     twos = k - r
     expected_shape = add_two_columns(s.shape(), k)
     if tuple(length for length, _ in prefix) + (2,) * twos != expected_shape.rows:

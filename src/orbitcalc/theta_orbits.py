@@ -17,6 +17,7 @@ from .diagram_core import (
     Signature,
     canonicalize,
     delete_column_signed,
+    flipped_spec,
     from_row_spec,
 )
 
@@ -32,8 +33,7 @@ def prepend_column(d: SignedDiagram, ones: int, plus: int = 0) -> SignedDiagram:
     them lead with + and the rest with -.
     """
     kind = d.kind.opposite
-    parity = d.kind.parity
-    spec = [(n + 1, None if n % 2 == parity else lead.flipped) for n, lead in d.rows]
+    spec = flipped_spec(d, 1)
     if kind is Kind.SYMPLECTIC:
         spec += [(1, None)] * ones
     else:

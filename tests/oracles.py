@@ -8,13 +8,15 @@ one-pass one, a lift by target signature next to the column-prepend
 forest, the row-wise merge of partitions next to the two-column merge, the
 dominance order as a predicate, parsers for the ASCII picture and the
 vector strings, diagram and matrix JSON writers, Jordan types from the
-ranks of explicit matrix powers, and signed labels from the pairings on the
-whole kernels of those powers.
+ranks of explicit matrix powers, signed labels from the pairings on the
+whole kernels of those powers, and random Lie-algebra elements as dense
+products with the form matrix.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import re
 from fractions import Fraction
 from itertools import product
@@ -309,3 +311,29 @@ def classify_by_powers(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
             )
         spec += [(k, Sign.PLUS)] * np_ + [(k, Sign.MINUS)] * nm
     return from_row_spec(form.kind, spec)
+
+
+def random_algebra_element(form: FormSpec, rng: random.Random, bound: int = 2) -> RationalMatrix:
+    """Random integer element of the form's Lie algebra: W^-1 S with S
+    symmetric (symplectic) or I_{p,q} K with K antisymmetric (orthogonal)."""
+    d = form.dim
+    if form.kind is Kind.SYMPLECTIC:
+        s = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for jj in range(i, d):
+                v = rng.randint(-bound, bound)
+                s[i][jj] = v
+                s[jj][i] = v
+        # W is a signed permutation matrix, so W^-1 = W^t
+        out = form.matrix().transpose() @ RationalMatrix.from_rows(s)
+    else:
+        kmat = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for jj in range(i + 1, d):
+                v = rng.randint(-bound, bound)
+                kmat[i][jj] = v
+                kmat[jj][i] = -v
+        out = form.matrix() @ RationalMatrix.from_rows(kmat)
+    if not form.contains(out):
+        raise ValueError("random algebra element is not in the Lie algebra")
+    return out

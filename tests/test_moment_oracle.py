@@ -33,6 +33,7 @@ from orbitcalc.moment_oracle import (
 )
 from orbitcalc.orbit_induction import induce_real
 from orbitcalc.verify import _conjugation_pool, suite_induce_oracle
+import oracles
 from oracles import (
     apply,
     classify_by_powers,
@@ -472,6 +473,40 @@ class TestFlagAgainstPowers:
                 assert got == "classification requires a nilpotent matrix"
                 stalls += x.rank() < x.nrows
         assert 0 < labels < 75 and stalls > 10
+
+
+class TestAlgebraElementBuilder:
+    """``random_algebra_element`` (the rows of J^t S written in place)
+    against the dense builder kept in ``oracles``: the same matrix and the
+    same generator state after every draw, so the conjugators of the
+    conjugation suite and of ``oracle-dense`` stay the same."""
+
+    SEEDS = (1, 7, 1009, 20240311)
+
+    @staticmethod
+    def forms() -> list[FormSpec]:
+        pool = list(dict.fromkeys(form for _, form in _conjugation_pool()))
+        extra = [FormSpec.symplectic(2), FormSpec.symplectic(4)]
+        return pool + extra + [FormSpec.orthogonal(1, 3), FormSpec.orthogonal(3, 0)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_same_draws(self, seed):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for form in self.forms():
+            for bound in (1, 2):
+                x = random_algebra_element(form, ours, bound)
+                assert x == oracles.random_algebra_element(form, ref, bound), (form, bound)
+                assert ours.getstate() == ref.getstate(), (form, bound)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_same_conjugators(self, seed, monkeypatch):
+        def draw() -> list[RationalMatrix]:
+            rng = random.Random(seed)
+            return [random_form_preserving(form, rng) for form in self.forms()]
+
+        ours = draw()
+        monkeypatch.setattr(moment_oracle, "random_algebra_element", oracles.random_algebra_element)
+        assert draw() == ours
 
 
 class TestFractionFree:

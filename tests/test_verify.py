@@ -170,8 +170,7 @@ def test_startup_pools_every_command():
 
 
 def test_base_rev_is_exported_with_its_commit(monkeypatch, tmp_path):
-    # --base-rev runs the src of that revision and records its commit;
-    # --base-src runs the tree given and records what git reads there
+    # --base-rev runs the src of that revision and records its commit
     bench_compare = _load_script("bench_compare")
     repo = tmp_path / "repo"
     (repo / "src").mkdir(parents=True)
@@ -201,17 +200,13 @@ def test_base_rev_is_exported_with_its_commit(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_compare.cli_mix, "COMMANDS", {"a": ["--help"]})
     monkeypatch.setattr(bench_compare.cli_mix, "run_subprocess", lambda argv, env: (0, "", 0.1))
     out = tmp_path / "bench.json"
-    other = tmp_path / "other"
-    other.mkdir()
-    (other / "m.py").write_text("other\n")
     argv = ["bench_compare.py", "--runs", "1", "--out", str(out)]
-    for base, commit, text in ((["--base-rev", "HEAD"], git("rev-parse", "HEAD"), "base\n"),
-                               (["--base-src", str(other)], None, "other\n")):
-        monkeypatch.setattr(sys, "argv", argv + base)
-        assert bench_compare.main() == 0
-        record = json.loads(out.read_text())
-        assert (record["base"]["commit"], record["change"]["commit"]) == (commit, "c0ffee")
-        assert ran == {"base": text, "change": "change\n"}
+    monkeypatch.setattr(sys, "argv", argv + ["--base-rev", "HEAD"])
+    assert bench_compare.main() == 0
+    record = json.loads(out.read_text())
+    head = git("rev-parse", "HEAD")
+    assert (record["base"]["commit"], record["change"]["commit"]) == (head, "c0ffee")
+    assert ran == {"base": "base\n", "change": "change\n"}
     monkeypatch.setattr(sys, "argv", argv + ["--base-rev", "no-such-rev"])
     with pytest.raises(SystemExit) as exc:
         bench_compare.main()
