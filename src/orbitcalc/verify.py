@@ -1,16 +1,20 @@
 """Exhaustive verification suites, runnable from the command line.
 
 Each suite sweeps an enumeration space up to a size bound and checks one
-family of identities; it reports the number of cases checked and every
-counterexample verbatim.  Suites are deterministic given (name, bound);
-the one randomized suite draws from a fixed seed.  The matrix oracle is
-imported only inside the suites that call it, so the diagram-side suites
-never load it.
+family of identities.  A suite is a generator: a case is what it yields,
+the tuple of that case's counterexample texts, empty when the case holds;
+a ``str`` it yields is a remark, not a case.  ``run_suite`` alone counts
+the cases (``checked`` is how many the suite yielded), joins their
+counterexamples in order and keeps the remarks as notes.  Suites are
+deterministic given (name, bound); the one randomized suite draws from a
+fixed seed.  The matrix oracle is imported only inside the suites that
+call it, so the diagram-side suites never load it.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 
 from .diagram_core import (
     Kind,
@@ -44,15 +48,12 @@ from .vector_order import bar_sort, closure_order, scaled_preceq, vector_to_json
 
 
 class SuiteReport(Value):
-    """A suite's result; the one mutable value, filled in as the suite runs."""
+    """A suite's result, built by ``run_suite`` once the suite has run."""
 
     __slots__ = ("name", "bound", "checked", "counterexamples", "notes")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
-    def __init__(self, name: str, bound: int, checked=0, counterexamples=(), notes=()) -> None:
-        self._set(name, bound, checked, list(counterexamples), list(notes))
+    def __init__(self, name: str, bound: int, checked: int, counterexamples, notes) -> None:
+        self._set(name, bound, checked, tuple(counterexamples), tuple(notes))
 
     @property
     def passed(self) -> bool:
@@ -64,8 +65,8 @@ class SuiteReport(Value):
             "bound": self.bound,
             "checked": self.checked,
             "passed": self.passed,
-            "counterexamples": self.counterexamples,
-            "notes": self.notes,
+            "counterexamples": list(self.counterexamples),
+            "notes": list(self.notes),
         }
 
 
@@ -78,19 +79,17 @@ def _all_signed(max_size: int):
 # ---------------------------------------------------------------------------
 
 
-def suite_reasonss(bound: int) -> SuiteReport:
+def suite_reasonss(bound: int) -> Iterator[tuple[str, ...]]:
     """One-column deletion lands in the opposite classification with the
     stated signature bounds, exhaustively up to the size bound."""
-    rep = SuiteReport("reasonss", bound)
     for d in _all_signed(bound):
         if not d.rows:
             continue
-        rep.checked += 1
         # the lemma behind delete_column_signed, checked on its own: the raw
         # flipped rows already obey the conventions of the opposite kind
         flipped = tuple((length - 1, lead.flipped) for length, lead in d.rows if length > 1)
         if validate_signed(d.kind.opposite, flipped):
-            rep.counterexamples.append(f"{d} deletes to an invalid diagram")
+            yield (f"{d} deletes to an invalid diagram",)
             continue
         e = delete_column_signed(d)
         ds, es = signature(d), signature(e)
@@ -98,29 +97,23 @@ def suite_reasonss(bound: int) -> SuiteReport:
             ok = es.plus == es.minus and es.plus <= min(ds.plus, ds.minus)
         else:
             ok = max(es.plus, es.minus) <= ds.plus
-        if not ok:
-            rep.counterexamples.append(
-                f"deletion signature {tuple(es)} breaks the bound for {tuple(ds)}"
-            )
-    return rep
+        yield () if ok else (f"deletion signature {tuple(es)} breaks the bound for {tuple(ds)}",)
 
 
-def suite_lemma_pm(bound: int) -> SuiteReport:
-    rep = SuiteReport("lemma-pm", bound)
+def suite_lemma_pm(bound: int) -> Iterator[tuple[str, ...]]:
     for t in admissible_towers(bound):
-        rep.checked += 1
+        bad = []
         for rec in check_lemma_pm(t):
             if not rec["ok"]:
-                rep.counterexamples.append(f"{t.steps[-1]}: step {rec['k']}: {rec['clauses']}")
-    return rep
+                bad.append(f"{t.steps[-1]}: step {rec['k']}: {rec['clauses']}")
+        yield tuple(bad)
 
 
-def suite_reversal(bound: int) -> SuiteReport:
+def suite_reversal(bound: int) -> Iterator[tuple[str, ...]]:
     """Order reversal between closure order and sorted characters, over all
     same-size valid pairs with transposes of one parity.  The shapes come
     from their very even and very odd column heights (``parity_shapes``),
     with one sorted character per shape, shared by all its pairs."""
-    rep = SuiteReport("reversal", bound)
     for size in range(1, bound + 1):
         for kind in (Kind.SYMPLECTIC, Kind.ORTHOGONAL):
             # (shape, column heights, sorted character), split by height parity
@@ -134,63 +127,53 @@ def suite_reversal(bound: int) -> SuiteReport:
                         ok = characters_reverse(closure_order(t1, t2), b1, b2)
                         if ok is None:
                             continue
-                        rep.checked += 1
-                        if not ok:
-                            rep.counterexamples.append(
-                                f"{kind.value}: {d1} below {d2} but characters do not reverse"
-                            )
-    return rep
+                        yield () if ok else (
+                            f"{kind.value}: {d1} below {d2} but characters do not reverse",
+                        )
 
 
-def suite_bounds(bound: int) -> SuiteReport:
+def suite_bounds(bound: int) -> Iterator[tuple[str, ...] | str]:
     """Weak and strict character bounds over the shapes of all admissible
     diagrams; the orthogonal size-2 case has a vanishing denominator and is
-    skipped."""
-    rep = SuiteReport("bounds", bound)
+    skipped, with a remark."""
     for kind, shape in admissible_shapes(bound):  # the bound only sees the shape
         if kind is Kind.ORTHOGONAL and shape.size == 2:
-            rep.notes.append(f"skipped {shape} orthogonal: bound denominator is zero")
+            yield f"skipped {shape} orthogonal: bound denominator is zero"
             continue
-        rep.checked += 1
         res = check_bound(shape, kind)
+        bad = []
         if not res.holds_weak:
-            rep.counterexamples.append(f"{kind.value} {shape}: weak bound fails")
+            bad.append(f"{kind.value} {shape}: weak bound fails")
         if not res.holds_strict:
-            rep.counterexamples.append(f"{kind.value} {shape}: strict bound fails")
-    return rep
+            bad.append(f"{kind.value} {shape}: strict bound fails")
+        yield tuple(bad)
 
 
-def suite_domino_oracle(bound: int) -> SuiteReport:
+def suite_domino_oracle(bound: int) -> Iterator[tuple[str, ...]]:
     """The domino labels agree with the segment concatenation as multisets
     for every partition with very even or very odd transpose, both kinds.
     The cases are built from their column heights: the domino route tiles
     the rows, the segment route reads the heights."""
-    rep = SuiteReport("domino-oracle", bound)
     for size in range(1, bound + 1):
         for heights in parity_partitions(size):
             d = Partition._trusted(heights).transpose()
             for kind in (Kind.SYMPLECTIC, Kind.ORTHOGONAL):
                 if kind is Kind.SYMPLECTIC and size % 2 != 0:
                     continue  # symplectic labels exist for even sizes only
-                rep.checked += 1
                 got = infchar_domino(d, kind)
                 want = bar_sort(segments_of_transpose(heights, kind))
-                if got != want:
-                    rep.counterexamples.append(
-                        f"{kind.value} {d}: domino {vector_to_json(got)} "
-                        f"vs segments {vector_to_json(want)}"
-                    )
-    return rep
+                yield () if got == want else (
+                    f"{kind.value} {d}: domino {vector_to_json(got)} "
+                    f"vs segments {vector_to_json(want)}",
+                )
 
 
-def suite_twocom(bound: int) -> SuiteReport:
+def suite_twocom(bound: int) -> Iterator[tuple[str, ...]]:
     """Wave-front coverage: for every n <= bound and admissible parity class,
     the union over the class covers all n + 1 labels and the per-pair sets
     within one class are pairwise disjoint."""
-    rep = SuiteReport("twocom", bound)
     for n in range(0, bound + 1):
         for alpha in ((0, 2) if n % 2 == 1 else (1, 3)):
-            rep.checked += 1
             parts = wf_ialpha_parts(n, alpha)
             union: set[int] = set()
             overlap = False
@@ -198,17 +181,16 @@ def suite_twocom(bound: int) -> SuiteReport:
                 ids = set(members)
                 overlap = overlap or bool(union & ids)
                 union |= ids
+            bad = []
             if union != set(range(n + 1)):
-                rep.counterexamples.append(
-                    f"n={n} alpha={alpha}: union covers {sorted(union)}"
-                )
+                bad.append(f"n={n} alpha={alpha}: union covers {sorted(union)}")
             if overlap:
-                rep.counterexamples.append(f"n={n} alpha={alpha}: classes overlap")
-    return rep
+                bad.append(f"n={n} alpha={alpha}: classes overlap")
+            yield tuple(bad)
 
 
-def _induce_oracle_case(s: SignedDiagram, n: int) -> list[str]:
-    """One (S, n) cell of the witness sweep; returns counterexample texts."""
+def _induce_oracle_case(s: SignedDiagram, n: int) -> tuple[str, ...]:
+    """One (S, n) cell of the witness sweep: its counterexample texts."""
     from . import moment_oracle as mo
 
     bad = []
@@ -226,15 +208,14 @@ def _induce_oracle_case(s: SignedDiagram, n: int) -> list[str]:
             mo.classify_signed(block, mo.FormSpec.symplectic(s.size)), s
         ):
             bad.append(f"witness block part leaves the source orbit (S={s.rows}, n={n})")
-    return bad
+    return tuple(bad)
 
 
-def suite_induce_oracle(bound: int) -> SuiteReport:
+def suite_induce_oracle(bound: int) -> Iterator[tuple[str, ...]]:
     """Witness matrices classify to the induced labels, their negatives to
     the negated labels, and the sl2 anchors hold; grid capped by 2n <= bound."""
     from . import moment_oracle as mo
 
-    rep = SuiteReport("induce-oracle", bound)
     nmax = bound // 2
 
     # sl2 anchor: the raising element is a plus row, its negative a minus row
@@ -242,19 +223,18 @@ def suite_induce_oracle(bound: int) -> SuiteReport:
     form = mo.FormSpec.symplectic(2)
     plus = mo.classify_signed(x, form)
     minus = mo.classify_signed(-x, form)
-    rep.checked += 2
-    if plus.rows != ((2, Sign.PLUS),):
-        rep.counterexamples.append("sl2 anchor: raising element is not a plus row")
-    if minus.rows != ((2, Sign.MINUS),):
-        rep.counterexamples.append("sl2 anchor: lowered element is not a minus row")
+    yield () if plus.rows == ((2, Sign.PLUS),) else (
+        "sl2 anchor: raising element is not a plus row",
+    )
+    yield () if minus.rows == ((2, Sign.MINUS),) else (
+        "sl2 anchor: lowered element is not a minus row",
+    )
 
     for two_m in range(0, 2 * nmax + 1, 2):
         for s in signed_diagrams(Kind.SYMPLECTIC, size=two_m):
             for n in range(two_m // 2, nmax + 1):
                 if n - two_m // 2 >= len(s.rows):
-                    rep.checked += 1
-                    rep.counterexamples.extend(_induce_oracle_case(s, n))
-    return rep
+                    yield _induce_oracle_case(s, n)
 
 
 def _conjugation_pool() -> list[tuple]:
@@ -277,64 +257,59 @@ def _conjugation_pool() -> list[tuple]:
     return pool
 
 
-def suite_conjugation(samples: int) -> SuiteReport:
+def suite_conjugation(samples: int) -> Iterator[tuple[str, ...]]:
     """Classification is invariant under form-preserving conjugation; the
     sample count plays the bound role, drawn from a fixed seed."""
     from . import moment_oracle as mo
 
-    rep = SuiteReport("conjugation", samples)
     rng = random.Random(20240311)
     pool = _conjugation_pool()
     for i in range(samples):
         x, form = pool[i % len(pool)]
         g = mo.random_form_preserving(form, rng)
-        rep.checked += 1
         before = mo.classify_signed(x, form)
         after = mo.classify_signed(mo.conjugate(g, x), form)
-        if not equivalent(before, after):
-            rep.counterexamples.append(f"conjugation moved the label of case {i}")
-    return rep
+        yield () if equivalent(before, after) else (f"conjugation moved the label of case {i}",)
 
 
-def suite_non3(bound: int) -> SuiteReport:
+def suite_non3(bound: int) -> Iterator[tuple[str, ...]]:
     """Full tower ledger over admissible diagrams: range conditions and the
     uniqueness record at every interior metaplectic step."""
-    rep = SuiteReport("non3", bound)
     for t in admissible_towers(bound):
-        rep.checked += 1
         d = t.steps[-1]
+        bad = []
         for rec in check_range(t):
             if not rec["ok"]:
-                rep.counterexamples.append(f"{d}: range at step {rec['k']}: {rec['checks']}")
+                bad.append(f"{d}: range at step {rec['k']}: {rec['checks']}")
         for k in t.metaplectic:
             rec = check_non3(t, k)
             if not rec["ok"]:
-                rep.counterexamples.append(f"{d}: uniqueness at step {k}: {rec['checks']}")
-    return rep
+                bad.append(f"{d}: uniqueness at step {k}: {rec['checks']}")
+        yield tuple(bad)
 
 
-def suite_appendix(bound: int) -> SuiteReport:
+def suite_appendix(bound: int) -> Iterator[tuple[str, ...]]:
     """Exact segment-sum identities and the two appendix inequalities on
     scaled segments, over their stated parameter grids.  Segments are
     doubled, so a sum (m+1)^2/8 reads (m+1)^2/4, and each scaled bound is
     one cross-multiplied comparison."""
-    rep = SuiteReport("appendix", bound)
     for m in range(1, 100, 2):
-        rep.checked += 1
+        bad = []
         if 4 * sum(segment(Kind.SYMPLECTIC, m)) != (m + 1) ** 2:
-            rep.counterexamples.append(f"minus-segment sum fails at m={m}")
+            bad.append(f"minus-segment sum fails at m={m}")
         if 4 * sum(segment(Kind.ORTHOGONAL, m)) != (m - 1) ** 2:
-            rep.counterexamples.append(f"plus-segment sum fails at m={m}")
+            bad.append(f"plus-segment sum fails at m={m}")
+        yield tuple(bad)
     # merged pair of segments against the scaled full segment
     for m in range(0, bound + 1):
         for r in range(0, m + 1):
             if (m - r) % 2 != 0 or m + r == 0:
                 continue
-            rep.checked += 1
             lhs = bar_sort([*segment(Kind.SYMPLECTIC, m), *segment(Kind.ORTHOGONAL, r)])
             rhs = segment(Kind.SYMPLECTIC, m + r)
-            if not scaled_preceq(lhs, rhs, m, m + r):
-                rep.counterexamples.append(f"segment-pair bound fails at (m={m}, r={r})")
+            yield () if scaled_preceq(lhs, rhs, m, m + r) else (
+                f"segment-pair bound fails at (m={m}, r={r})",
+            )
     # staircase family against the scaled full segment
     two_n_cap = (3 * bound) // 2
     for m in range(2, two_n_cap + 3):
@@ -350,16 +325,13 @@ def suite_appendix(bound: int) -> SuiteReport:
                         h for t in range(j) for h in (m - 2 * t, m - 2 * t)
                     )
                     heights += tuple(h for h in (m0, r) if h > 0)
-                    rep.checked += 1
                     # the staircase shape is the transpose of these heights
                     columns = Partition(heights).rows
                     lhs = bar_sort(segments_of_transpose(columns, Kind.SYMPLECTIC))
                     rhs = segment(Kind.SYMPLECTIC, two_n)
-                    if not scaled_preceq(lhs, rhs, m, two_n):
-                        rep.counterexamples.append(
-                            f"staircase bound fails at (m={m}, j={j}, m0={m0}, r={r})"
-                        )
-    return rep
+                    yield () if scaled_preceq(lhs, rhs, m, two_n) else (
+                        f"staircase bound fails at (m={m}, j={j}, m0={m0}, r={r})",
+                    )
 
 
 SUITES = {
@@ -377,6 +349,17 @@ SUITES = {
 
 
 def run_suite(name: str, bound: int) -> SuiteReport:
+    """Run one suite: count the cases it yields, join their counterexamples
+    in order and keep its remarks as notes."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](bound)
+    checked = 0
+    counterexamples: list[str] = []
+    notes: list[str] = []
+    for case in SUITES[name](bound):
+        if isinstance(case, str):
+            notes.append(case)
+        else:
+            checked += 1
+            counterexamples += case
+    return SuiteReport(name, bound, checked, counterexamples, notes)

@@ -551,7 +551,8 @@ class TestRecordedOutputs:
 class TestTracerNames:
     """The benchmark's tracer wraps package functions by name, from outside:
     every name it lists must resolve, the generator whose yields it counts
-    must still be a generator function, and its undo must restore them all."""
+    must still be a generator function, and its undo must restore them all.
+    Its workloads call the package directly, and each must run a round."""
 
     @staticmethod
     def resolve(layer, path):
@@ -572,6 +573,28 @@ class TestTracerNames:
             undo()
         assert all(wrapped[p] is not before[p] for p in paths)
         assert all(self.resolve(*p) is before[p] for p in paths)
+
+    def test_workloads_run_a_round(self, monkeypatch):
+        # each workload sets up and runs one in-process round as the
+        # benchmark does, so a call it depends on cannot change unseen
+        perfbench = ROOT / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        monkeypatch.chdir(perfbench / "cli")
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        own = ("workloads", "cli_mix", "calibration", "tracer")
+        loaded = [name for name in own if name in sys.modules]
+        try:
+            workloads = importlib.import_module("workloads")
+            for name in workloads.NAMES:
+                wl = workloads.make(name, Path(PACKAGE_PARENT))
+                wl.setup(7)
+                done, checked = wl.in_process_round(), wl.finish()
+                assert done.work > 0 and done.attempted > 0, name
+                assert done.failed == checked.failed == 0, name
+        finally:
+            for name in own:
+                if name not in loaded:
+                    sys.modules.pop(name, None)
 
 
 class TestPackageReach:

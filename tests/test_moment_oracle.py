@@ -32,7 +32,7 @@ from orbitcalc.moment_oracle import (
     witness_block_part,
 )
 from orbitcalc.orbit_induction import induce_real
-from orbitcalc.verify import _conjugation_pool, suite_induce_oracle
+from orbitcalc.verify import _conjugation_pool, run_suite
 import oracles
 from oracles import (
     apply,
@@ -521,7 +521,7 @@ class TestFractionFree:
         monkeypatch.setattr(moment_oracle, "Fraction", Refused)
         with pytest.raises(AssertionError, match="constructed a Fraction"):
             RationalMatrix.identity(1).entries
-        rep = suite_induce_oracle(8)
+        rep = run_suite("induce-oracle", 8)
         assert rep.passed and rep.checked == 24, rep.counterexamples
 
 

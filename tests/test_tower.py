@@ -38,7 +38,7 @@ from orbitcalc.tower import (
     class_u,
     tower,
 )
-from orbitcalc.verify import suite_bounds
+from orbitcalc.verify import run_suite
 from orbitcalc.vector_order import vector_to_json
 from oracles import theta_lift_real
 
@@ -237,8 +237,8 @@ class TestGenerator:
                     counterexamples.append(f"{d.kind.value} {d.shape()}: weak bound fails")
                 if not res.holds_strict:
                     counterexamples.append(f"{d.kind.value} {d.shape()}: strict bound fails")
-            rep = suite_bounds(bound)
-            assert (rep.checked, rep.notes, rep.counterexamples) == (
+            rep = run_suite("bounds", bound)
+            assert (rep.checked, list(rep.notes), list(rep.counterexamples)) == (
                 checked, notes, counterexamples,
             ), bound
 

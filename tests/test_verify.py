@@ -1,4 +1,6 @@
+import hashlib
 import importlib.util
+import itertools
 import json
 import subprocess
 import sys
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import orbitcalc
-from orbitcalc import verify
+from orbitcalc import moment_oracle, verify
 from orbitcalc.diagram_core import Kind, Partition, SignedDiagram
 from orbitcalc.enumeration import partitions, shapes
 from orbitcalc.verify import SUITES, run_suite
@@ -219,3 +221,80 @@ def test_package_lines_counts_every_module():
     assert len(files) > 1
     want = sum(len(f.read_text().splitlines()) for f in files)
     assert verify_all.package_lines() == want
+
+
+def _every_third(real, forced):
+    """``real``, except that every third call returns ``forced(result, *args)``."""
+    calls = itertools.count(1)
+
+    def patched(*args):
+        out = real(*args)
+        return forced(out, *args) if next(calls) % 3 == 0 else out
+
+    return patched
+
+
+def _failed(records):
+    return [dict(rec, ok=False) for rec in records]
+
+
+def _twocom_forced(parts, n, alpha):
+    # a class of its own holding a label outside [0, n] and one already taken
+    taken = [i for members in parts.values() for i in members][:1]
+    return {**parts, (-1, -1): (-1, *taken)}
+
+
+def _shifted(seg, kind, m):
+    return range(seg.start + 2, seg.stop + 2, seg.step)
+
+
+# the checks each suite is made to fail every third call: (module, name, forced)
+FORCED = {
+    "reasonss": [
+        ("verify", "validate_signed", lambda out, kind, rows: ["forced"]),
+        ("verify", "signature", lambda sig, d: type(sig)(sig.plus + 1, sig.minus)),
+    ],
+    "lemma-pm": [("verify", "check_lemma_pm", lambda recs, t: _failed(recs))],
+    "reversal": [("verify", "characters_reverse", lambda ok, *args: ok if ok is None else not ok)],
+    "bounds": [("verify", "check_bound", lambda res, shape, kind: type(res)(False, False))],
+    "domino-oracle": [("verify", "infchar_domino", lambda got, d, kind: got + (0,))],
+    "twocom": [("verify", "wf_ialpha_parts", _twocom_forced)],
+    "induce-oracle": [("moment_oracle", "classify_signed", lambda got, x, form: verify.negate(got))],
+    "conjugation": [("verify", "equivalent", lambda same, a, b: not same)],
+    "non3": [
+        ("verify", "check_range", lambda recs, t: _failed(recs)),
+        ("verify", "check_non3", lambda rec, t, k: dict(rec, ok=False)),
+    ],
+    "appendix": [
+        ("verify", "scaled_preceq", lambda ok, *args: not ok),
+        ("verify", "segment", _shifted),
+    ],
+}
+
+# sha256 of each forced report's JSON at the suite's small bound
+FORCED_DIGESTS = {
+    "reasonss": "a143c3936b1c66e2659a8c408cd846fdec0792e8db7463463d8c758ca2bb6c3f",
+    "lemma-pm": "56aeb0a0d5ca6ff5a0688280d38933ee0b5a916f6bf415572bbec9b756729050",
+    "reversal": "ec8999094edfb929cd53b4cd55eddafdcb3db7913d002c2bcb86cf73560ff5bd",
+    "bounds": "6184ba6a2ab47e0d4de501a0a50db69c85186677ea40b089c91bef558f0eed60",
+    "domino-oracle": "6cd32776e55268a728b2cf688ba81ea59f6dedd6e01cdaf889f1507ec607fb1b",
+    "twocom": "09bccb4801ab2b9b4a642f31f21292470eb7cc9c4a81dc24f8e2002551b079f4",
+    "induce-oracle": "83b871164b09ce8e0dfc95062c15a63d94ab4a669e42711821917f814b942e94",
+    "conjugation": "c3fda17e114d956a4cf6e01fa84c13d4ed763bbb9ad6d951ff63b3969a6c2cd3",
+    "non3": "9e2cbec82c8f1994df18ca72a632bf726bfe06d47b3ce2ac3ed3937cf9b0177c",
+    "appendix": "ffc5bf3c827ccdfb41237a1d22d5aef6de2305ad567b861ade7796db7853a1fa",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_forced_failures_report_every_counterexample_in_order(name, monkeypatch):
+    # pins the text, order and count of a failing report, which no passing
+    # run can: one case may fail several checks, and failing cases count
+    modules = {"verify": verify, "moment_oracle": moment_oracle}
+    for module, attr, forced in FORCED[name]:
+        real = getattr(modules[module], attr)
+        monkeypatch.setattr(modules[module], attr, _every_third(real, forced))
+    rep = run_suite(name, SMALL_BOUNDS[name])
+    text = json.dumps(rep.to_json_dict(), sort_keys=True)
+    assert not rep.passed and rep.counterexamples
+    assert hashlib.sha256(text.encode()).hexdigest() == FORCED_DIGESTS[name]
