@@ -9,8 +9,8 @@ the ``src`` next to this script.  The base is the ``src`` of a git revision
 of this repository, exported with ``git archive`` into a temporary
 directory.  The runs come in pairs, and the side that runs first alternates
 from pair to pair, so that drift on a shared host hits both alike.
-``verify_all.py --out`` repeats each suite until it has run for 0.5 s and
-reports the median time of one pass.  The output holds every run of both
+``verify_all.py --out`` runs each suite five times and reports its fastest
+pass.  The output holds every run of both
 sides, each side's per-suite median and quartiles of those times over its
 runs, and per suite the ratio base / change of the medians next to both
 sides' quartiles, so that a ratio can be read against the spread of the runs

@@ -4,7 +4,6 @@ orbit-level theta correspondence, infinitesimal characters, and an
 exact-arithmetic matrix oracle."""
 
 from .diagram_core import (
-    GroupLabel,
     Kind,
     Partition,
     Sign,
@@ -14,7 +13,6 @@ from .diagram_core import (
 )
 
 __all__ = [
-    "GroupLabel",
     "Kind",
     "Partition",
     "Sign",

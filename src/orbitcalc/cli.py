@@ -103,7 +103,7 @@ def cmd_classify(args) -> int:
 
     report = class_u(d)
     data = {
-        "group": str(dc.group_of(d)),
+        "group": dc.group_of(d),
         "signature": list(dc.signature(d)),
         "shape": d.shape().to_json(),
         "class_u": report.to_json_dict(),
@@ -137,7 +137,7 @@ def cmd_tower(args) -> int:
     groups = cert.tower.groups
     lines = [
         f"tower of {dc.group_of(d)}:",
-        "  " + " -> ".join(str(g) for g in groups),
+        "  " + " -> ".join(groups),
         "  signatures: " + " ".join(f"({s.plus},{s.minus})" for s in cert.tower.sig[1:]),
     ]
     for k, records in enumerate(cert.records, start=1):
@@ -207,7 +207,7 @@ def cmd_chain(args) -> int:
     from .theta_orbits import chain
 
     steps = chain(d)
-    groups = [str(dc.group_of(step)) for step in steps]
+    groups = [dc.group_of(step) for step in steps]
     data = [{"diagram": dc.to_json_dict(step), "group": g} for step, g in zip(steps, groups)]
     _emit({"chain": data}, args.json, " -> ".join(groups))
     return 0
@@ -224,7 +224,7 @@ def cmd_oracle(args) -> int:
         print(f"classification failed: {exc}")
         return CHECK_FAILED
     _emit(
-        {"diagram": dc.to_json_dict(d), "group": str(dc.group_of(d))},
+        {"diagram": dc.to_json_dict(d), "group": dc.group_of(d)},
         args.json,
         dc.render_ascii(d) + f"\n{dc.group_of(d)}",
     )

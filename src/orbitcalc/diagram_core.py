@@ -5,7 +5,8 @@ nilpotent orbit of Sp(2n, C) or O(n, C).  A signed Young diagram adds a
 +/- label to every box, alternating across each row, and labels a real
 nilpotent orbit of Mp(2n, R) or O(p, q).  Because signs alternate, a row
 is stored as (length, leading sign) and the full box grid is derived on
-demand.
+demand.  The group of a diagram is the label ``group_of(d)``, read off its
+kind and signature.
 
 Sign conventions for the rows whose lengths are forced by the group type
 (odd lengths for symplectic diagrams, even lengths for orthogonal ones)
@@ -412,27 +413,14 @@ def negate(d: SignedDiagram) -> SignedDiagram:
     return tau(d) if d.kind is Kind.SYMPLECTIC else canonicalize(d)
 
 
-class GroupLabel(Value):
-    """Real group attached to a diagram: Mp(2n) or O(p, q)."""
-
-    __slots__ = ("kind", "p", "q")
-
-    def __init__(self, kind: Kind, p: int, q: int = 0) -> None:
-        if not isinstance(kind, Kind):
-            raise ValueError(f"kind must be a Kind, got {kind!r}")
-        self._set(kind, p, q)
-
-    def __str__(self) -> str:
-        if self.kind is Kind.SYMPLECTIC:
-            return f"Mp({self.p})"
-        return f"O({self.p},{self.q})"
-
-
-def group_of(d: SignedDiagram) -> GroupLabel:
-    sig = signature(d)
+def group_of(d: SignedDiagram) -> str:
+    """The real group of the diagram as printed: ``Mp(2n)`` for a
+    symplectic diagram of size 2n, ``O(p,q)`` for an orthogonal one of
+    signature (p, q)."""
+    plus, minus = signature(d)
     if d.kind is Kind.SYMPLECTIC:
-        return GroupLabel(d.kind, sig.plus + sig.minus)
-    return GroupLabel(d.kind, sig.plus, sig.minus)
+        return f"Mp({plus + minus})"
+    return f"O({plus},{minus})"
 
 
 # ---------------------------------------------------------------------------

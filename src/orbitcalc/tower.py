@@ -25,7 +25,6 @@ from functools import reduce
 from typing import Iterator
 
 from .diagram_core import (
-    GroupLabel,
     Kind,
     Partition,
     Sign,
@@ -161,7 +160,7 @@ class Tower(Value):
     ``steps[k - 1]`` is D(k), the diagram keeping the last k columns, and
     ``sig`` is zero-padded so that ``sig[k]`` is the signature of step k.
     Everything else is derived on read: ``size`` (padded like ``sig``),
-    ``groups`` (``groups[k - 1]`` is the group of step k) and
+    ``groups`` (``groups[k - 1]`` is the group of step k, as printed) and
     ``metaplectic``, the interior steps 2 <= k <= d1 - 1 that carry a
     symplectic diagram.  Every tower is a class-U member by construction, so
     it carries no report; its report is :data:`MEMBER`.
@@ -181,7 +180,7 @@ class Tower(Value):
         return tuple(p + q for p, q in self.sig)
 
     @property
-    def groups(self) -> tuple[GroupLabel, ...]:
+    def groups(self) -> tuple[str, ...]:
         return tuple(group_of(s) for s in self.steps)
 
     @property
@@ -460,24 +459,29 @@ ANNOTATIONS = (
 class TowerCertificate(Value):
     """The tower of ``diagram`` with its checks: ``records[k - 1]`` is the
     (lemma_pm, range, non3) record triple of step k, None where a check does
-    not apply."""
+    not apply.  The certificate is ``valid`` when every record it holds is
+    ``ok``."""
 
-    __slots__ = ("diagram", "tower", "records", "infchar", "valid")
+    __slots__ = ("diagram", "tower", "records", "infchar")
 
     def __init__(
-        self, diagram: SignedDiagram, tower: Tower, records, infchar: HalfIntVector, valid: bool
+        self, diagram: SignedDiagram, tower: Tower, records, infchar: HalfIntVector
     ) -> None:
-        self._set(diagram, tower, records, infchar, valid)
+        self._set(diagram, tower, records, infchar)
+
+    @property
+    def valid(self) -> bool:
+        return all(rec is None or rec["ok"] for step in self.records for rec in step)
 
     def to_json_dict(self) -> dict:
         sig = self.tower.sig
-        groups = [str(g) for g in self.tower.groups]
+        groups = self.tower.groups
         return {
             "valid": self.valid,
             "diagram": to_json_dict(self.diagram),
-            "group": str(group_of(self.diagram)),
+            "group": group_of(self.diagram),
             "class_u": MEMBER.to_json_dict(),
-            "groups": groups,
+            "groups": list(groups),
             "signatures": [list(s) for s in sig[1:]],
             "steps": [
                 {
@@ -500,14 +504,8 @@ def certificate(d: SignedDiagram) -> TowerCertificate:
     """The tower with every feasibility check and the infinitesimal
     character; raises for non-admissible input."""
     t = tower(d)
-    pm = {rec["k"]: rec for rec in check_lemma_pm(t)}
-    rng = {rec["k"]: rec for rec in check_range(t)}
-    non3 = {k: check_non3(t, k) for k in t.metaplectic}
-    records = tuple((pm.get(k), rng.get(k), non3.get(k)) for k in range(1, t.d1 + 1))
-    return TowerCertificate(
-        diagram=d,
-        tower=t,
-        records=records,
-        infchar=infchar_segments(d.shape(), d.kind),
-        valid=all(rec is None or rec["ok"] for step in records for rec in step),
-    )
+    metaplectic = t.metaplectic
+    # each check gives one record per step 1..d1-1, in order; the top step has none
+    non3 = [check_non3(t, k) if k in metaplectic else None for k in range(1, t.d1)]
+    records = (*zip(check_lemma_pm(t), check_range(t), non3), (None, None, None))[: t.d1]
+    return TowerCertificate(d, t, records, infchar_segments(d.shape(), d.kind))

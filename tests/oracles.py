@@ -22,7 +22,6 @@ from fractions import Fraction
 from itertools import product
 
 from orbitcalc.diagram_core import (
-    GroupLabel,
     Kind,
     Partition,
     Sign,
@@ -202,14 +201,14 @@ def reversal_check(d1: Partition, d2: Partition, kind: Kind) -> bool:
     return characters_reverse(dominance_leq(d1, d2), b1, b2) is not False
 
 
-def rho(g: GroupLabel) -> HalfIntVector:
+def rho(kind: Kind, p: int, q: int) -> HalfIntVector:
     """Half sum of positive restricted roots, doubled: the symplectic
-    segment of 2n for Mp(2n), the first min(p, q) entries of the orthogonal
-    segment of p + q for O(p, q)."""
-    if g.kind is Kind.SYMPLECTIC and g.p % 2 != 0:
+    segment of 2n = p + q for Mp(2n), the first min(p, q) entries of the
+    orthogonal segment of p + q for O(p, q)."""
+    if kind is Kind.SYMPLECTIC and (p + q) % 2 != 0:
         raise ValueError("Mp parameter must be even")
-    full = segment(g.kind, g.p + g.q)
-    return tuple(full if g.kind is Kind.SYMPLECTIC else full[: min(g.p, g.q)])
+    full = segment(kind, p + q)
+    return tuple(full if kind is Kind.SYMPLECTIC else full[: min(p, q)])
 
 
 _HALF = re.compile(r"(-?\d+)(/2)?")

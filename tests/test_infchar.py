@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitcalc.diagram_core import GroupLabel, Kind, Partition
+from orbitcalc.diagram_core import Kind, Partition
 from orbitcalc.enumeration import partitions
 from orbitcalc.infchar import (
     check_bound,
@@ -112,11 +112,11 @@ class TestDomino:
 
 class TestRho:
     def test_examples(self):
-        assert vector_to_json(rho(GroupLabel(Kind.SYMPLECTIC, 8))) == ["4", "3", "2", "1"]
-        assert vector_to_json(rho(GroupLabel(Kind.ORTHOGONAL, 3, 5))) == ["3", "2", "1"]
-        assert vector_to_json(rho(GroupLabel(Kind.ORTHOGONAL, 1, 1))) == ["0"]
-        assert rho(GroupLabel(Kind.SYMPLECTIC, 0)) == ()
-        assert rho(GroupLabel(Kind.ORTHOGONAL, 4, 0)) == ()
+        assert vector_to_json(rho(Kind.SYMPLECTIC, 8, 0)) == ["4", "3", "2", "1"]
+        assert vector_to_json(rho(Kind.ORTHOGONAL, 3, 5)) == ["3", "2", "1"]
+        assert vector_to_json(rho(Kind.ORTHOGONAL, 1, 1)) == ["0"]
+        assert rho(Kind.SYMPLECTIC, 0, 0) == ()
+        assert rho(Kind.ORTHOGONAL, 4, 0) == ()
 
 
 class TestBound:
@@ -126,7 +126,7 @@ class TestBound:
             res = check_bound(d, Kind.SYMPLECTIC)
             assert res.holds_weak and res.holds_strict
             lhs = bar_sort(infchar_segments(d, Kind.SYMPLECTIC))
-            bound = rho(GroupLabel(Kind.SYMPLECTIC, 2 * n))
+            bound = rho(Kind.SYMPLECTIC, 2 * n, 0)
             # equality at the boundary case: the scale m1/2n is 2n/2n = 1
             assert lhs == bound
             assert scaled_preceq(lhs, bound, 2 * n, 2 * n)

@@ -15,7 +15,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from orbitcalc.diagram_core import GroupLabel, Kind, Partition
+from orbitcalc.diagram_core import Kind, Partition
 from orbitcalc.enumeration import partitions
 from orbitcalc.infchar import (
     check_bound,
@@ -97,11 +97,11 @@ def ref_preceq(a, b, strict=False, pad=False):
     return True
 
 
-def ref_rho(g):
-    if g.kind is Kind.SYMPLECTIC:
-        n = g.p // 2
+def ref_rho(kind, p, q):
+    if kind is Kind.SYMPLECTIC:
+        n = (p + q) // 2
         return tuple(Fraction(n - i) for i in range(n))
-    return tuple(Fraction(g.p + g.q - 2, 2) - i for i in range(min(g.p, g.q)))
+    return tuple(Fraction(p + q - 2, 2) - i for i in range(min(p, q)))
 
 
 def ref_bound(rows, kind):
@@ -114,7 +114,7 @@ def ref_bound(rows, kind):
     if kind is Kind.SYMPLECTIC:
         if size % 2:
             return None
-        base, denom = ref_rho(GroupLabel(Kind.SYMPLECTIC, size)), size
+        base, denom = ref_rho(Kind.SYMPLECTIC, size, 0), size
     else:
         base = tuple(Fraction(size, 2) - 1 - i for i in range(size // 2))
         denom = size - 2 if size > 2 else (None if size == 2 else 1)
@@ -241,12 +241,12 @@ class TestCharacters:
 
     def test_rho(self):
         for n in range(0, 9):
-            g = GroupLabel(Kind.SYMPLECTIC, 2 * n)
-            assert halve(rho(g)) == ref_rho(g)
+            g = (Kind.SYMPLECTIC, 2 * n, 0)
+            assert halve(rho(*g)) == ref_rho(*g)
         for p in range(0, 13):
             for q in range(0, 13 - p):
-                g = GroupLabel(Kind.ORTHOGONAL, p, q)
-                assert halve(rho(g)) == ref_rho(g), (p, q)
+                g = (Kind.ORTHOGONAL, p, q)
+                assert halve(rho(*g)) == ref_rho(*g), (p, q)
 
 
 class TestBoundary:

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from orbitcalc import tower as tower_module
+from orbitcalc.cli import main
 from orbitcalc.diagram_core import (
     Kind,
     Partition,
@@ -40,7 +42,7 @@ from orbitcalc.tower import (
 )
 from orbitcalc.verify import run_suite
 from orbitcalc.vector_order import vector_to_json
-from oracles import theta_lift_real
+from oracles import dumps, theta_lift_real
 
 M = Sign.MINUS
 P = Sign.PLUS
@@ -374,9 +376,7 @@ class TestTowerValue:
     def test_intro(self, intro_diagram):
         t = tower(intro_diagram)
         assert t.d1 == 6
-        assert [str(g) for g in t.groups] == [
-            "O(1,0)", "Mp(4)", "O(5,4)", "Mp(14)", "O(10,11)", "Mp(30)",
-        ]
+        assert t.groups == ("O(1,0)", "Mp(4)", "O(5,4)", "Mp(14)", "O(10,11)", "Mp(30)")
         assert t.sig[0] == Signature(0, 0) and t.size[0] == 0
         assert t.sig[6] == signature(intro_diagram) and t.size[6] == 30
         assert t.metaplectic == (2, 4)
@@ -470,14 +470,7 @@ class TestCertificate:
     def test_intro(self, intro_diagram):
         cert = certificate(intro_diagram)
         assert cert.valid
-        assert [str(g) for g in cert.tower.groups] == [
-            "O(1,0)",
-            "Mp(4)",
-            "O(5,4)",
-            "Mp(14)",
-            "O(10,11)",
-            "Mp(30)",
-        ]
+        assert cert.tower.groups == ("O(1,0)", "Mp(4)", "O(5,4)", "Mp(14)", "O(10,11)", "Mp(30)")
         assert vector_to_json(cert.infchar) == [
             "9/2", "7/2", "5/2", "3/2", "1/2",
             "5/2", "3/2", "1/2",
@@ -520,3 +513,33 @@ class TestCertificate:
         assert digest.hexdigest() == (
             "d05e8b41508215f63dbbaac7bfbfd9669fa0622fb73cef41e8b0eadcc1c42910"
         )
+
+    @pytest.mark.parametrize(
+        "check, label, step",
+        [("check_lemma_pm", "pm", 3), ("check_range", "range", 1), ("check_non3", "non3", 4)],
+    )
+    def test_one_failing_record_invalidates(
+        self, monkeypatch, capsys, tmp_path, intro_diagram, check, label, step
+    ):
+        # every admissible diagram certifies, so fail one record by hand:
+        # the verdict must read all three slots of every step
+        original = getattr(tower_module, check)
+
+        def failing(t, *k):
+            out = original(t, *k)
+            if check == "check_non3":
+                return dict(out, ok=False) if k == (step,) else out
+            return [dict(rec, ok=False) if i == step else rec for i, rec in enumerate(out, 1)]
+
+        monkeypatch.setattr(tower_module, check, failing)
+        cert = certificate(intro_diagram)
+        assert cert.valid is False
+        assert cert.to_json_dict()["valid"] is False
+        path = tmp_path / "intro.json"
+        path.write_text(dumps(intro_diagram))
+        assert main(["tower", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if "FAIL" in line]
+        assert failed == [line for line in lines if line.startswith(f"  step {step}: ")]
+        assert f"{label}:FAIL" in failed[0]
+        assert lines[-1] == "  certificate: INVALID"

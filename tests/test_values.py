@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from orbitcalc.diagram_core import GroupLabel, Kind, Partition, Sign, SignedDiagram, group_of
+from orbitcalc.diagram_core import Kind, Partition, Sign, SignedDiagram
 from orbitcalc.infchar import BoundReport, Domino, check_bound, domino_cover
 from orbitcalc.moment_oracle import FormSpec, RationalMatrix
 from orbitcalc.orbit_induction import InducedOrbitSet, induce_real
@@ -60,7 +60,7 @@ REPRS = [
     (
         lambda: certificate(o1()),
         f"TowerCertificate(diagram={O1}, tower={TOWER_O1}, records=((None, None, None),), "
-        "infchar=(), valid=True)",
+        "infchar=())",
     ),
     (
         lambda: RationalMatrix.from_rows([[1, "1/2"], [0, -3]]),
@@ -83,16 +83,12 @@ def test_repr_and_str(build, text):
 def test_own_str():
     assert (repr(Partition((2, 1))), str(Partition((2, 1)))) == ("Partition(rows=(2, 1))", "(2,1)")
     assert (repr(Partition()), str(Partition())) == ("Partition(rows=())", "()")
-    label = group_of(SignedDiagram(Kind.SYMPLECTIC, ((2, P), (1, M), (1, P))))
-    assert (repr(label), str(label)) == (f"GroupLabel(kind={SP}, p=4, q=0)", "Mp(4)")
-    assert str(GroupLabel(Kind.ORTHOGONAL, 1)) == "O(1,0)"
 
 
 def test_equality_is_by_class_and_fields():
     assert Partition((2, 1)) == Partition([2, 1])
     assert Partition((2, 1)) != (2, 1)
     assert Partition((2, 1)) != Partition((2,))
-    assert GroupLabel(Kind.SYMPLECTIC, 2) != FormSpec(Kind.SYMPLECTIC, 2)
     assert BoundReport(True, False) != (True, False)
     assert Domino("open", 1) == Domino("open", 1, None, None)
     assert Tower((), ()) != InducedOrbitSet((), ())
@@ -104,7 +100,6 @@ def test_hash_is_the_hash_of_the_field_tuple():
     d = SignedDiagram(Kind.SYMPLECTIC, ((2, P), (1, M), (1, P)))
     assert hash(d) == hash((d.kind, d.rows))
     assert hash(Partition((2, 1))) == hash(((2, 1),))
-    assert hash(GroupLabel(Kind.ORTHOGONAL, 1, 2)) == hash((Kind.ORTHOGONAL, 1, 2))
     assert hash(EMPTY) == hash(((), EMPTY.sig))
     assert hash(MEMBER) == hash((True, True, False, ()))
     assert {FormSpec.symplectic(2): 1}[FormSpec(Kind.SYMPLECTIC, 2, 0)] == 1
@@ -121,7 +116,7 @@ def test_hash_is_the_hash_of_the_field_tuple():
     [
         (Partition((1,)), "rows"),
         (SignedDiagram(Kind.ORTHOGONAL), "kind"),
-        (GroupLabel(Kind.ORTHOGONAL, 1), "q"),
+        (certificate(o1()), "records"),
         (BoundReport(True, True), "holds_weak"),
         (InducedOrbitSet((), 0), "new_columns"),
         (MEMBER, "reasons"),
@@ -194,7 +189,6 @@ def test_copy_and_pickle_keep_the_value(value):
             "for symplectic diagrams; row 1 of the length-1 class leads with '+', convention "
             "requires '-'",
         ),
-        (lambda: GroupLabel("sp", 2), "kind must be a Kind, got 'sp'"),
         (lambda: RationalMatrix((), 0, 0), "matrix denominator must be nonzero"),
         (lambda: FormSpec.symplectic(3), "symplectic dimension must be even and nonnegative"),
         (lambda: RationalMatrix.from_rows([[1, 2], [3]]), "ragged matrix"),

@@ -135,13 +135,25 @@ def test_suites_deterministic():
     assert a.to_json_dict() == b.to_json_dict()
 
 
-def test_timed_repeats_until_the_minimum():
+def test_out_times_each_suite_by_its_fastest_pass(monkeypatch, tmp_path):
     verify_all = _load_script("verify_all")
-    rep, times = verify_all.timed("twocom", 4, 0.0)
+    rep, times = verify_all.timed("twocom", 4, 1)
     assert rep.passed and len(times) == 1
-    rep, times = verify_all.timed("twocom", 4, 0.05)
-    assert rep.passed and len(times) > 1 and sum(times) >= 0.05
-    assert sum(times[:-1]) < 0.05
+    rep, times = verify_all.timed("twocom", 4, 5)
+    assert rep.passed and len(times) == 5
+    passes = []
+
+    def fixed_times(name, bound, n):
+        passes.append(n)
+        return rep, [0.3, 0.1, 0.2, 0.5, 0.4]
+
+    monkeypatch.setattr(verify_all, "timed", fixed_times)
+    monkeypatch.setattr(verify_all, "ACCEPTANCE_BOUNDS", [("twocom", 4, rep.checked)])
+    monkeypatch.setattr(sys, "argv", ["verify_all.py", "--out", str(tmp_path / "run.json")])
+    assert verify_all.main() == 0
+    suite = json.loads((tmp_path / "run.json").read_text())["suites"]["twocom"]
+    assert passes == [verify_all.TIMED_PASSES] == [5]
+    assert (suite["elapsed_s"], suite["repetitions"]) == (0.1, 5)
 
 
 def test_verify_all_fails_on_a_case_count_mismatch(monkeypatch, capsys):
