@@ -99,9 +99,7 @@ def cmd_validate(args) -> int:
 
 def cmd_classify(args) -> int:
     d = _load(args.diagram, dc.from_json_dict)
-    from .tower import class_u
-
-    report = class_u(d)
+    report = dc.class_u(d)
     data = {
         "group": dc.group_of(d),
         "signature": list(dc.signature(d)),
@@ -134,9 +132,10 @@ def cmd_tower(args) -> int:
             "not admissible: " + "; ".join(exc.report.reasons),
         )
         return CHECK_FAILED
-    groups = cert.tower.groups
+    data = cert.to_json_dict()
+    groups = data["groups"]
     lines = [
-        f"tower of {dc.group_of(d)}:",
+        f"tower of {data['group']}:",
         "  " + " -> ".join(groups),
         "  signatures: " + " ".join(f"({s.plus},{s.minus})" for s in cert.tower.sig[1:]),
     ]
@@ -150,7 +149,7 @@ def cmd_tower(args) -> int:
     lines.append("  infchar: " + " ".join(vector_to_json(cert.infchar)))
     lines.append(f"  associated variety: {d.shape()}")
     lines.append("  certificate: " + ("VALID" if cert.valid else "INVALID"))
-    _emit(cert.to_json_dict(), args.json, "\n".join(lines))
+    _emit(data, args.json, "\n".join(lines))
     return 0 if cert.valid else CHECK_FAILED
 
 

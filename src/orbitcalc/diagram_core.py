@@ -6,7 +6,8 @@ nilpotent orbit of Sp(2n, C) or O(n, C).  A signed Young diagram adds a
 nilpotent orbit of Mp(2n, R) or O(p, q).  Because signs alternate, a row
 is stored as (length, leading sign) and the full box grid is derived on
 demand.  The group of a diagram is the label ``group_of(d)``, read off its
-kind and signature.
+kind and signature by ``group_label``.  ``class_u`` decides admissibility
+from the column heights and the rows reaching the last column.
 
 Sign conventions for the rows whose lengths are forced by the group type
 (odd lengths for symplectic diagrams, even lengths for orthogonal ones)
@@ -93,7 +94,9 @@ class Kind(enum.Enum):
 
 
 class Sign(enum.Enum):
-    """A box sign; ``flipped``, the other sign, is set once below."""
+    """A box sign.  Set once below: ``flipped``, the other sign, and
+    ``alternation``, indexed by k % 2: the sign s * (-1)^(k - 1) of box k
+    of a row leading with s."""
 
     PLUS = "+"
     MINUS = "-"
@@ -108,6 +111,7 @@ class Sign(enum.Enum):
 
 # plain member attributes: a read costs a dict lookup, not a property call
 Sign.PLUS.flipped, Sign.MINUS.flipped = Sign.MINUS, Sign.PLUS
+Sign.PLUS.alternation, Sign.MINUS.alternation = (Sign.MINUS, Sign.PLUS), (Sign.PLUS, Sign.MINUS)
 Kind.SYMPLECTIC.opposite, Kind.ORTHOGONAL.opposite = Kind.ORTHOGONAL, Kind.SYMPLECTIC
 Kind.SYMPLECTIC.parity, Kind.ORTHOGONAL.parity = 1, 0
 Kind.SYMPLECTIC.convention = (Sign.MINUS, Sign.PLUS)
@@ -262,8 +266,7 @@ class SignedDiagram(Value):
 
     def box_sign(self, row: int, col: int) -> Sign:
         """Sign of box (row, col), both 1-based; signs alternate across rows."""
-        lead = self.rows[row - 1].leading
-        return lead if col % 2 == 1 else lead.flipped
+        return self.rows[row - 1].leading.alternation[col % 2]
 
 
 def signature(d: SignedDiagram) -> Signature:
@@ -413,14 +416,102 @@ def negate(d: SignedDiagram) -> SignedDiagram:
     return tau(d) if d.kind is Kind.SYMPLECTIC else canonicalize(d)
 
 
-def group_of(d: SignedDiagram) -> str:
-    """The real group of the diagram as printed: ``Mp(2n)`` for a
-    symplectic diagram of size 2n, ``O(p,q)`` for an orthogonal one of
-    signature (p, q)."""
-    plus, minus = signature(d)
-    if d.kind is Kind.SYMPLECTIC:
+def group_label(kind: Kind, sig: Signature) -> str:
+    """The real group as printed: ``Mp(2n)`` for a symplectic diagram of
+    size 2n, ``O(p,q)`` for an orthogonal one of signature (p, q)."""
+    plus, minus = sig
+    if kind is Kind.SYMPLECTIC:
         return f"Mp({plus + minus})"
     return f"O({plus},{minus})"
+
+
+def group_of(d: SignedDiagram) -> str:
+    """The printed group of d: ``group_label`` of its kind and signature."""
+    return group_label(d.kind, signature(d))
+
+
+# ---------------------------------------------------------------------------
+# class U: admissibility
+
+
+class ClassUReport(Value):
+    __slots__ = ("very_even_or_odd", "interlacing_ok", "excluded_pattern", "reasons")
+
+    def __init__(
+        self, very_even_or_odd: bool, interlacing_ok: bool, excluded_pattern: bool, reasons=()
+    ) -> None:
+        self._set(very_even_or_odd, interlacing_ok, excluded_pattern, reasons)
+
+    @property
+    def member(self) -> bool:
+        return self.very_even_or_odd and self.interlacing_ok and not self.excluded_pattern
+
+    def to_json_dict(self) -> dict:
+        return {
+            "member": self.member,
+            "very_even_or_odd": self.very_even_or_odd,
+            "interlacing_ok": self.interlacing_ok,
+            "excluded_pattern": self.excluded_pattern,
+            "reasons": list(self.reasons),
+        }
+
+
+def _interlacing_failures(heights: tuple[int, ...], kind: Kind) -> list[str]:
+    """The failed comparisons among the chained inequalities on the column
+    heights m_1 >= m_2 >= ...: strict descent at every even position for
+    symplectic diagrams, at every odd position (including the first) for
+    orthogonal ones.  Together with one height parity this is exactly what
+    makes every deletion step of a tower gain at least two boxes over the
+    previous gain when it needs to.  Only the strict comparisons can fail,
+    since column heights never increase; heights past the end count as
+    zero."""
+
+    def m(i: int) -> int:
+        return heights[i - 1] if i <= len(heights) else 0
+
+    first = 2 if kind is Kind.SYMPLECTIC else 1
+    return [
+        f"need m{pos} > m{pos + 1}: {m(pos)} vs {m(pos + 1)}"
+        for pos in range(first, len(heights) + 1, 2)
+        if not m(pos) > m(pos + 1)
+    ]
+
+
+def _excluded_pattern(d: SignedDiagram, heights: tuple[int, ...]) -> bool:
+    """Last two columns of equal length whose rows all show the same two-box
+    pattern (-+ throughout or +- throughout); ``heights`` are the column
+    heights of d.
+
+    The uniform strip is excluded at every height including one: a tower
+    step consisting of evenly paired, uniformly signed columns is exactly
+    what makes a lift's target group parameter collide with the middle rank,
+    and the single-row strip produces the same collision two steps up.
+    Excluding it keeps admissibility hereditary under column deletion and
+    makes the collision provably impossible.
+    """
+    width = len(heights)
+    if width < 2 or heights[-1] != heights[-2]:
+        return False
+    tail_leads = {lead for length, lead in d.rows if length == width}
+    return len(tail_leads) == 1
+
+
+def class_u(d: SignedDiagram) -> ClassUReport:
+    columns = d.shape().transpose()
+    parity_ok = columns.very_even or columns.very_odd
+    reasons = _interlacing_failures(columns.rows, d.kind)
+    interlace_ok = not reasons
+    if not parity_ok:
+        reasons.append("column heights must be all even or all odd")
+    excluded = _excluded_pattern(d, columns.rows)
+    if excluded:
+        reasons.append("uniform sign pattern on the equal last two columns")
+    return ClassUReport(
+        very_even_or_odd=parity_ok,
+        interlacing_ok=interlace_ok,
+        excluded_pattern=excluded,
+        reasons=tuple(reasons),
+    )
 
 
 # ---------------------------------------------------------------------------

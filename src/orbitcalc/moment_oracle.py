@@ -74,7 +74,10 @@ def _bareiss(rows: IntRows, ncols: int) -> tuple[IntRows, list[int], int]:
     the last pivot d: row r holds d in column pivots[r] and 0 in every other
     pivot column, so the reduced form over d is the reduced row echelon
     form.  Every entry stays a minor of the input, so each division by the
-    previous pivot is exact.  The input rows are not modified.
+    previous pivot is exact.  A row with an entry a in the pivot column is
+    rebuilt in one pass, as row[j] p / prev (never 0) off the pivot row and
+    (row[j] p - a w) / prev, kept when nonzero, at each of its entries w.
+    The input rows are not modified.
     """
     m = [row for row in rows if row]
     pivots: list[int] = []
@@ -95,10 +98,12 @@ def _bareiss(rows: IntRows, ncols: int) -> tuple[IntRows, list[int], int]:
                 if p != prev:
                     m[i] = {j: v * p // prev for j, v in row.items()}
                 continue
-            acc = {j: v * p for j, v in row.items()}
+            new = {j: v * p // prev for j, v in row.items() if j not in prow}
             for j, w in prow.items():
-                acc[j] = acc.get(j, 0) - a * w
-            m[i] = {j: v // prev for j, v in acc.items() if v}
+                v = (row.get(j, 0) * p - a * w) // prev
+                if v:
+                    new[j] = v
+            m[i] = new
         pivots.append(c)
         prev = p
     return m[: len(pivots)], pivots, prev

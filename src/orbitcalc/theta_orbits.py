@@ -41,13 +41,6 @@ def prepend_column(d: SignedDiagram, ones: int, plus: int = 0) -> SignedDiagram:
     return from_row_spec(kind, spec)
 
 
-def middle_is_plus(half: int, lead: Sign) -> bool:
-    """Does the middle sign of an even row of length 2 * half leading with
-    ``lead`` count on the positive side of the pairing inertia?  The middle
-    sign is lead * (-1)^(half - 1)."""
-    return (lead is Sign.PLUS) == (half % 2 == 1)
-
-
 def deletion_inertia(d: SignedDiagram) -> Signature:
     """Inertia (r, s) of the symmetric pairing Omega(X., .) attached to any
     X in the orbit of a symplectic diagram.
@@ -60,17 +53,19 @@ def deletion_inertia(d: SignedDiagram) -> Signature:
     (l, l).  This is the signature written on the one-column deletion when
     it is read as the orbit label of the orthogonal side of the moment
     maps; it differs from naive box counting of the deletion by the middle
-    flip on even rows of odd half-length.
+    flip on even rows of odd half-length.  The middle sign is that of box w,
+    ``sigma.alternation[w % 2]``.
     """
     if d.kind is not Kind.SYMPLECTIC:
         raise ValueError("the pairing inertia applies to symplectic diagrams")
+    plus = Sign.PLUS
     r = s = 0
     for length, lead in d.rows:
-        half = length // 2
+        half = length >> 1
         r += half
         s += half
-        if length % 2 == 0:
-            if middle_is_plus(half, lead):
+        if not length & 1:
+            if lead.alternation[half & 1] is plus:
                 s -= 1
             else:
                 r -= 1
@@ -111,7 +106,7 @@ def inertia_companions(shape: Partition, target: Signature) -> tuple[SignedDiagr
     later = middles  # the middles of the classes not placed yet
     for length, mult in free:
         later -= mult
-        plus_middle = middle_is_plus(length // 2, Sign.PLUS)
+        plus_middle = Sign.PLUS.alternation[length // 2 % 2] is Sign.PLUS
         for k in range(mult + 1):
             placed = k if plus_middle else mult - k
             if 0 <= need - placed <= later:

@@ -1,14 +1,15 @@
 """Admissible diagrams and the arithmetic ledger of their induction towers.
 
-A signed diagram is admissible (class U here) when its transpose is very
-even or very odd, satisfies the interlacing conditions of its kind, and
-avoids the excluded tail: last two columns of equal length whose rows all
-carry the same two-box pattern.  For admissible diagrams the whole
-alternating tower of column deletions satisfies a battery of signature
-inequalities (the five-clause column lemma), the range conditions each
-lift step needs, and a uniqueness property of the orbit that certifies
-the nonvanishing step; a certificate is the tower with all of these
-records attached to its steps, together with the infinitesimal character.
+A signed diagram is admissible (class U here, decided by
+``diagram_core.class_u``) when its transpose is very even or very odd,
+satisfies the interlacing conditions of its kind, and avoids the excluded
+tail: last two columns of equal length whose rows all carry the same
+two-box pattern.  For admissible diagrams the whole alternating tower of
+column deletions satisfies a battery of signature inequalities (the
+five-clause column lemma), the range conditions each lift step needs, and
+a uniqueness property of the orbit that certifies the nonvanishing step;
+a certificate is the tower with all of these records attached to its
+steps, together with the infinitesimal character.
 
 A :class:`Tower` holds its steps and their signatures; groups, sizes and
 the metaplectic steps are read off those.  Every nonempty tower is built by
@@ -25,13 +26,17 @@ from functools import reduce
 from typing import Iterator
 
 from .diagram_core import (
+    ClassUReport,
     Kind,
     Partition,
     Sign,
     SignedDiagram,
     Signature,
     Value,
-    group_of,
+    _excluded_pattern,
+    _interlacing_failures,
+    class_u,
+    group_label,
     signature,
     to_json_dict,
 )
@@ -46,86 +51,6 @@ from .theta_orbits import (
     prepend_column,
 )
 from .vector_order import HalfIntVector, vector_to_json
-
-
-class ClassUReport(Value):
-    __slots__ = ("very_even_or_odd", "interlacing_ok", "excluded_pattern", "reasons")
-
-    def __init__(
-        self, very_even_or_odd: bool, interlacing_ok: bool, excluded_pattern: bool, reasons=()
-    ) -> None:
-        self._set(very_even_or_odd, interlacing_ok, excluded_pattern, reasons)
-
-    @property
-    def member(self) -> bool:
-        return self.very_even_or_odd and self.interlacing_ok and not self.excluded_pattern
-
-    def to_json_dict(self) -> dict:
-        return {
-            "member": self.member,
-            "very_even_or_odd": self.very_even_or_odd,
-            "interlacing_ok": self.interlacing_ok,
-            "excluded_pattern": self.excluded_pattern,
-            "reasons": list(self.reasons),
-        }
-
-
-def _interlacing_failures(heights: tuple[int, ...], kind: Kind) -> list[str]:
-    """The failed comparisons among the chained inequalities on the column
-    heights m_1 >= m_2 >= ...: strict descent at every even position for
-    symplectic diagrams, at every odd position (including the first) for
-    orthogonal ones.  Together with one height parity this is exactly what
-    makes every deletion step of a tower gain at least two boxes over the
-    previous gain when it needs to.  Only the strict comparisons can fail,
-    since column heights never increase; heights past the end count as
-    zero."""
-
-    def m(i: int) -> int:
-        return heights[i - 1] if i <= len(heights) else 0
-
-    first = 2 if kind is Kind.SYMPLECTIC else 1
-    return [
-        f"need m{pos} > m{pos + 1}: {m(pos)} vs {m(pos + 1)}"
-        for pos in range(first, len(heights) + 1, 2)
-        if not m(pos) > m(pos + 1)
-    ]
-
-
-def _excluded_pattern(d: SignedDiagram, heights: tuple[int, ...]) -> bool:
-    """Last two columns of equal length whose rows all show the same two-box
-    pattern (-+ throughout or +- throughout); ``heights`` are the column
-    heights of d.
-
-    The uniform strip is excluded at every height including one: a tower
-    step consisting of evenly paired, uniformly signed columns is exactly
-    what makes a lift's target group parameter collide with the middle rank,
-    and the single-row strip produces the same collision two steps up.
-    Excluding it keeps admissibility hereditary under column deletion and
-    makes the collision provably impossible.
-    """
-    width = len(heights)
-    if width < 2 or heights[-1] != heights[-2]:
-        return False
-    tail_leads = {lead for length, lead in d.rows if length == width}
-    return len(tail_leads) == 1
-
-
-def class_u(d: SignedDiagram) -> ClassUReport:
-    columns = d.shape().transpose()
-    parity_ok = columns.very_even or columns.very_odd
-    reasons = _interlacing_failures(columns.rows, d.kind)
-    interlace_ok = not reasons
-    if not parity_ok:
-        reasons.append("column heights must be all even or all odd")
-    excluded = _excluded_pattern(d, columns.rows)
-    if excluded:
-        reasons.append("uniform sign pattern on the equal last two columns")
-    return ClassUReport(
-        very_even_or_odd=parity_ok,
-        interlacing_ok=interlace_ok,
-        excluded_pattern=excluded,
-        reasons=tuple(reasons),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +106,7 @@ class Tower(Value):
 
     @property
     def groups(self) -> tuple[str, ...]:
-        return tuple(group_of(s) for s in self.steps)
+        return tuple(group_label(s.kind, sig) for s, sig in zip(self.steps, self.sig[1:]))
 
     @property
     def metaplectic(self) -> tuple[int, ...]:
@@ -479,7 +404,7 @@ class TowerCertificate(Value):
         return {
             "valid": self.valid,
             "diagram": to_json_dict(self.diagram),
-            "group": group_of(self.diagram),
+            "group": group_label(self.diagram.kind, sig[-1]),
             "class_u": MEMBER.to_json_dict(),
             "groups": list(groups),
             "signatures": [list(s) for s in sig[1:]],

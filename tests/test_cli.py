@@ -137,8 +137,8 @@ class TestTower:
             calls.append(d)
             return class_u(d)
 
-        # the CLI imports its commands' functions when they run, so patching
-        # the defining module reaches every caller
+        # tower() looks class_u up in its own module, and the CLI imports
+        # tower when the command runs, so this patch reaches every call
         monkeypatch.setattr("orbitcalc.tower.class_u", counted)
         path = intro_path
         if not admissible:
@@ -149,6 +149,23 @@ class TestTower:
         assert code == (0 if admissible else 1)
         assert out.startswith("tower of Mp(30):" if admissible else "not admissible: uniform")
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_one_signature_per_step(self, capsys, monkeypatch, intro_path, as_json):
+        # the groups and the top group are read off Tower.sig, so the run
+        # computes each of the 6 steps' signatures once, in Tower.lift
+        calls = []
+        original = dc.signature
+
+        def counted(d):
+            calls.append(d)
+            return original(d)
+
+        monkeypatch.setattr("orbitcalc.diagram_core.signature", counted)
+        monkeypatch.setattr("orbitcalc.tower.signature", counted)
+        code, _, _ = run(capsys, "tower", *(["--json"] if as_json else []), intro_path)
+        assert code == 0
+        assert len(calls) == 6
 
 
 class TestClassify:
@@ -690,8 +707,9 @@ class TestLazyImports:
             ["wf-ialpha", "--n", "-1", "--alpha", "1"],
             *([cmd, intro_path + ".missing"] for cmd in ("tower", "classify", "chain")),
             ["induce", "--n", "3", intro_path + ".missing"],
+            ["classify", intro_path],
         )
-        assert codes == [0, 0] + [2] * 8
+        assert codes == [0, 0] + [2] * 8 + [0]
         assert loaded == ["orbitcalc", "orbitcalc.cli", "orbitcalc.diagram_core"]
 
     def test_diagram_suites_skip_oracle(self):

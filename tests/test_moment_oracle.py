@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -47,6 +48,15 @@ from oracles import (
 
 M = Sign.MINUS
 P = Sign.PLUS
+
+
+def _deep_conjugates():
+    """(d, form, x): seeded conjugates of [16+], [14-] and [10+, 4-] in sp."""
+    rng = random.Random(16)
+    for rows in [(16, P)], [(14, M)], [(10, P), (4, M)]:
+        d = SignedDiagram(Kind.SYMPLECTIC, tuple(SignedRow(n, lead) for n, lead in rows))
+        form = FormSpec.symplectic(d.size)
+        yield d, form, conjugate(random_form_preserving(form, rng), representative(d))
 
 
 class TestMatrix:
@@ -402,11 +412,7 @@ class TestFlagAgainstPowers:
         # long Jordan blocks, conjugated: the flag runs through 14-16 levels,
         # each multiplying the rows of the level above, so the integers grow
         # unless each level's content is divided out
-        rng = random.Random(16)
-        for rows in [(16, P)], [(14, M)], [(10, P), (4, M)]:
-            d = SignedDiagram(Kind.SYMPLECTIC, tuple(SignedRow(n, lead) for n, lead in rows))
-            form = FormSpec.symplectic(d.size)
-            x = conjugate(random_form_preserving(form, rng), representative(d))
+        for d, form, x in _deep_conjugates():
             assert self.check(x, form) == d
 
     # nilpotent blocks of o(p, q) on coordinates with these form signs: a
@@ -600,6 +606,20 @@ class TestIntegerKernel:
                 assert all(x == 0 for x in apply(m, v)), m.entries
             # the basis is independent, hence spans the null space
             assert len(_gauss_jordan(kernel, m.ncols)[1]) == len(kernel)
+
+    def test_bareiss_contract(self):
+        matrices = _differential_cases() + [x for _, _, x in _deep_conjugates()]
+        for m in matrices:
+            rows = copy.deepcopy(m.rows)
+            reduced, pivots, d = moment_oracle._bareiss(m.rows, m.ncols)
+            rref, expected = _gauss_jordan(m.entries, m.ncols)
+            assert pivots == expected, m.entries
+            assert len(reduced) == len(pivots)
+            for row, want in zip(reduced, rref):
+                assert [Fraction(row.get(j, 0), d) for j in range(m.ncols)] == want
+                assert all(row.values()), row
+            assert m.rows == rows
+        assert len(matrices) > 150
 
     def test_inverse(self):
         singular = 0

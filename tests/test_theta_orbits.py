@@ -101,6 +101,20 @@ class TestPairingInertia:
         assert deletion_inertia(SignedDiagram(Kind.SYMPLECTIC, ((4, M),))) == (2, 1)
         assert deletion_inertia(SignedDiagram(Kind.SYMPLECTIC, ((6, P),))) == (3, 2)
 
+    @pytest.mark.parametrize("lead", [P, M])
+    def test_middle_sign_rule(self, lead):
+        # the middle sign of an even row of length 2 * half leading with
+        # lead is lead * (-1)^(half - 1), the sign of box half; it decides
+        # which side of the inertia gets the row's middle
+        value = 1 if lead is P else -1
+        for half in range(1, 9):
+            middle = lead.alternation[half % 2]
+            assert (middle is P) == (value * (-1) ** (half - 1) == 1), (half, lead)
+            row = SignedDiagram(Kind.SYMPLECTIC, ((2 * half, lead),))
+            plus = int(middle is P)
+            assert deletion_inertia(row) == (half - 1 + plus, half - plus)
+            assert inertia_companions(row.shape(), deletion_inertia(row)) == (row, 1)
+
     def test_odd_pairs_split_evenly(self):
         d = SignedDiagram(Kind.SYMPLECTIC, ((3, M), (3, P)))
         assert deletion_inertia(d) == Signature(2, 2)
