@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import diagram_core as dc
-from .diagram_core import Kind, Partition, Signature
+from .diagram_core import ORTHOGONAL, SYMPLECTIC, Kind, Partition, Signature
 
 if TYPE_CHECKING:
     from .moment_oracle import FormSpec
@@ -37,9 +37,9 @@ class CliError(Exception):
 
 def _kind(token: str) -> Kind:
     if token in ("sp", "symplectic"):
-        return Kind.SYMPLECTIC
+        return SYMPLECTIC
     if token in ("o", "orthogonal"):
-        return Kind.ORTHOGONAL
+        return ORTHOGONAL
     raise CliError(f"unknown kind {token!r}; use sp or o")
 
 

@@ -16,6 +16,9 @@ from itertools import product
 from typing import Iterator
 
 from .diagram_core import (
+    MINUS,
+    PLUS,
+    SYMPLECTIC,
     Kind,
     Partition,
     Sign,
@@ -78,7 +81,7 @@ def parity_partitions(n: int) -> Iterator[tuple[int, ...]]:
 def shapes(kind: Kind, size: int) -> Iterator[Partition]:
     """Valid shapes of the given size for the kind; symplectic shapes have
     odd rows in pairs, so their size is even."""
-    if kind is Kind.SYMPLECTIC and size % 2 != 0:
+    if kind is SYMPLECTIC and size % 2 != 0:
         return
     for rows in partitions(size):
         d = Partition._trusted(rows)
@@ -122,7 +125,7 @@ def diagrams_for_shape(shape: Partition, kind: Kind) -> Iterator[SignedDiagram]:
     for plus_counts in product(*(range(mult + 1) for _, mult in free)):
         spec = list(constrained)
         for (length, mult), k in zip(free, plus_counts):
-            spec += [(length, Sign.PLUS)] * k + [(length, Sign.MINUS)] * (mult - k)
+            spec += [(length, PLUS)] * k + [(length, MINUS)] * (mult - k)
         yield from_row_spec(kind, spec)
 
 
@@ -138,7 +141,7 @@ def signed_diagrams(
         if size is not None and size != sig.plus + sig.minus:
             raise ValueError("size and signature disagree")
         size = sig.plus + sig.minus
-        if kind is Kind.SYMPLECTIC and sig.plus != sig.minus:
+        if kind is SYMPLECTIC and sig.plus != sig.minus:
             return
     if size is None:
         raise ValueError("need a size or a signature")

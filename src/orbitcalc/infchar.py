@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .diagram_core import Kind, Partition, Value
+from .diagram_core import SYMPLECTIC, Kind, Partition, Value
 from .vector_order import (
     HalfIntVector,
     OrderResult,
@@ -41,7 +41,7 @@ def segment(kind: Kind, m: int) -> range:
     the doubled entries step by 2 and stop above -1 resp. 0."""
     if m < 0:
         raise ValueError("segment length must be nonnegative")
-    if kind is Kind.SYMPLECTIC:
+    if kind is SYMPLECTIC:
         return range(m, 0, -2)
     return range(m - 2, -1, -2)
 
@@ -99,7 +99,7 @@ def domino_cover(d: Partition, kind: Kind) -> tuple[Domino, ...]:
         return ()
     if not (columns.very_even or very_odd):
         raise ValueError("domino algorithm requires very even or very odd transpose")
-    if kind is Kind.SYMPLECTIC and d.size % 2 != 0:
+    if kind is SYMPLECTIC and d.size % 2 != 0:
         # odd size leaves an unlabeled open domino where the symplectic
         # segment would put its final 1/2; only even sizes carry the label set
         raise ValueError("symplectic domino labels require an even-size diagram")
@@ -160,7 +160,7 @@ def check_bound(d: Partition, kind: Kind) -> BoundReport:
     t = d.transpose().rows
     lhs = bar_sort(segments_of_transpose(t, kind))
     base = segment(kind, d.size)
-    if kind is Kind.SYMPLECTIC:
+    if kind is SYMPLECTIC:
         if d.size % 2 != 0:
             raise ValueError("symplectic shapes have even size")
         denom = d.size

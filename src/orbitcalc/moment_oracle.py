@@ -40,6 +40,10 @@ from itertools import chain
 from math import gcd, lcm
 
 from .diagram_core import (
+    MINUS,
+    ORTHOGONAL,
+    PLUS,
+    SYMPLECTIC,
     Kind,
     Partition,
     Sign,
@@ -285,21 +289,21 @@ class FormSpec(Value):
     def symplectic(cls, two_n: int) -> "FormSpec":
         if two_n % 2 != 0 or two_n < 0:
             raise ValueError("symplectic dimension must be even and nonnegative")
-        return cls(Kind.SYMPLECTIC, two_n)
+        return cls(SYMPLECTIC, two_n)
 
     @classmethod
     def orthogonal(cls, p: int, q: int) -> "FormSpec":
         if p < 0 or q < 0:
             raise ValueError("signature entries must be nonnegative")
-        return cls(Kind.ORTHOGONAL, p, q)
+        return cls(ORTHOGONAL, p, q)
 
     @property
     def dim(self) -> int:
-        return self.p if self.kind is Kind.SYMPLECTIC else self.p + self.q
+        return self.p if self.kind is SYMPLECTIC else self.p + self.q
 
     def _signed_permutation(self) -> tuple[list[int], list[int]]:
         """(perm, signs): the nonzero entries of J are J[i][perm[i]] = signs[i]."""
-        if self.kind is Kind.SYMPLECTIC:
+        if self.kind is SYMPLECTIC:
             n = self.p // 2
             return [n + i for i in range(n)] + list(range(n)), [1] * n + [-1] * n
         return list(range(self.dim)), [1] * self.p + [-1] * self.q
@@ -454,7 +458,7 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
             raise ValueError(
                 f"inertia {np_}+{nm} of the length-{k} pairing must count its rows {count}"
             )
-        spec += [(k, Sign.PLUS)] * np_ + [(k, Sign.MINUS)] * nm
+        spec += [(k, PLUS)] * np_ + [(k, MINUS)] * nm
     return from_row_spec(form.kind, spec)
 
 
@@ -475,7 +479,7 @@ def _emit_even_block(entries, p, q, a0: int, w: int, lead: Sign) -> None:
     sign equals ``lead``: chain q_1 -> -q_2 -> ... -> c p_w -> ... -> p_1,
     the two chains of size w joined by the middle entry c."""
     _emit_chains(entries, p, q, a0, w)
-    sign_value = 1 if lead is Sign.PLUS else -1
+    sign_value = 1 if lead is PLUS else -1
     entries[(p(a0 + w - 1), q(a0 + w - 1))] = sign_value * (-1) ** (w - 1)
 
 
@@ -514,7 +518,7 @@ def _assemble(entries: dict[tuple[int, int], int], dim: int, what: str) -> Ratio
 
 def representative(d: SignedDiagram) -> RationalMatrix:
     """A nilpotent integer matrix in sp(size, R) classifying back to d."""
-    if d.kind is not Kind.SYMPLECTIC:
+    if d.kind is not SYMPLECTIC:
         raise ValueError("representatives are built for symplectic diagrams")
     m = d.size // 2
     entries: dict[tuple[int, int], int] = {}
@@ -537,7 +541,7 @@ def build_witness(s: SignedDiagram, n: int, j: int) -> RationalMatrix:
     accessory pairs sit at indices (i, n+i) for i <= n-m and the 2m-block at
     (n-m+a, n+n-m+a) for a = 1..m.
     """
-    if s.kind is not Kind.SYMPLECTIC:
+    if s.kind is not SYMPLECTIC:
         raise ValueError("witnesses extend symplectic diagrams")
     m = s.size // 2
     r = len(s.rows)
@@ -610,7 +614,7 @@ def random_algebra_element(form: FormSpec, rng: random.Random, bound: int = 2) -
     row i of S is row perm[i] of J^t S, times signs[i]."""
     d = form.dim
     perm, signs = form._signed_permutation()
-    symmetric = form.kind is Kind.SYMPLECTIC
+    symmetric = form.kind is SYMPLECTIC
     rows: list[dict[int, int]] = [{} for _ in range(d)]
     for i in range(d):
         for j in range(i if symmetric else i + 1, d):

@@ -14,14 +14,15 @@ stay convention-bound, and the new length-2 rows split into j copies of
 from __future__ import annotations
 
 from .diagram_core import (
-    Kind,
+    MINUS,
+    PLUS,
+    SYMPLECTIC,
     Partition,
-    Sign,
     SignedDiagram,
     SignedRow,
     Value,
-    flipped_spec,
     from_row_spec,
+    moved_rows,
     tau,
 )
 
@@ -54,11 +55,11 @@ def induce_real(s: SignedDiagram, n: int) -> InducedOrbitSet:
 
     Every row of s grows by 2 to a length of 3 or more, so the candidates
     share those rows and differ only in the new length-2 class, which sorts
-    last.  The grown rows are built once through :func:`from_row_spec` and
-    checked once against :func:`add_two_columns`; candidate j appends that
-    class in canonical order, n - m - r - j plus-leading rows before j
-    minus-leading ones, through ``SignedDiagram._trusted``."""
-    if s.kind is not Kind.SYMPLECTIC:
+    last.  The grown rows are built once, as :func:`moved_rows` of s with
+    ``grow`` 2, and checked once against :func:`add_two_columns`; candidate
+    j appends that class in canonical order, n - m - r - j plus-leading rows
+    before j minus-leading ones, through ``SignedDiagram._trusted``."""
+    if s.kind is not SYMPLECTIC:
         raise ValueError("real induction starts from a symplectic diagram")
     m = s.size // 2
     r = len(s.rows)
@@ -66,15 +67,14 @@ def induce_real(s: SignedDiagram, n: int) -> InducedOrbitSet:
     if k < r:
         raise ValueError(f"row count {r} exceeds new column length {k}")
 
-    # a row keeps its parity as it grows by 2, so it stays free or constrained
-    prefix = from_row_spec(Kind.SYMPLECTIC, flipped_spec(s, 2)).rows
+    prefix = moved_rows(s, 2)
     twos = k - r
     expected_shape = add_two_columns(s.shape(), k)
     if tuple(length for length, _ in prefix) + (2,) * twos != expected_shape.rows:
         raise ValueError(f"induction from {s.rows} left the shape {expected_shape}")
-    plus, minus = SignedRow(2, Sign.PLUS), SignedRow(2, Sign.MINUS)
+    plus, minus = SignedRow(2, PLUS), SignedRow(2, MINUS)
     diagrams = tuple(
-        SignedDiagram._trusted(Kind.SYMPLECTIC, prefix + (plus,) * (twos - j) + (minus,) * j)
+        SignedDiagram._trusted(SYMPLECTIC, prefix + (plus,) * (twos - j) + (minus,) * j)
         for j in range(twos + 1)
     )
     return InducedOrbitSet(diagrams, k)
@@ -91,7 +91,7 @@ def two_n_signed(n: int, i: int) -> SignedDiagram:
     """The wave-front component [2^n]^(i): [2^n] with i rows leading +."""
     if not 0 <= i <= n:
         raise ValueError(f"index {i} outside [0, {n}]")
-    return from_row_spec(Kind.SYMPLECTIC, [(2, Sign.PLUS)] * i + [(2, Sign.MINUS)] * (n - i))
+    return from_row_spec(SYMPLECTIC, [(2, PLUS)] * i + [(2, MINUS)] * (n - i))
 
 
 def wf_theta_trivial(p: int, q: int) -> tuple[int, ...]:

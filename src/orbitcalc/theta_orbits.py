@@ -10,35 +10,36 @@ which of its orbits meet the image of the moment map.
 from __future__ import annotations
 
 from .diagram_core import (
-    Kind,
+    MINUS,
+    PLUS,
+    SYMPLECTIC,
     Partition,
     Sign,
     SignedDiagram,
+    SignedRow,
     Signature,
     canonicalize,
     delete_column_signed,
-    flipped_spec,
     from_row_spec,
+    moved_rows,
 )
 
 
 def prepend_column(d: SignedDiagram, ones: int, plus: int = 0) -> SignedDiagram:
-    """The diagram of the opposite kind whose first-column deletion is d,
-    with ``ones`` new 1-rows; built by one :func:`from_row_spec` call.
-
-    Rows of length >= 2 are forced: each row of d gains a box on the left,
-    flipping its leading sign, and is constrained exactly when its row of d
-    is.  The new 1-rows are convention-bound for a symplectic result (an
-    odd count raises ``ValueError``); for an orthogonal one, ``plus`` of
-    them lead with + and the rest with -.
-    """
+    """The diagram of the opposite kind whose first-column deletion is d:
+    the :func:`moved_rows` of d with ``grow`` 1, then ``ones`` new 1-rows,
+    built through ``SignedDiagram._trusted``.  The 1-rows are convention
+    pairs for a symplectic result (an odd count raises ``ValueError``, an
+    explicit check that ``python -O`` keeps); for an orthogonal one,
+    ``plus`` of them lead with + and the rest with -."""
     kind = d.kind.opposite
-    spec = flipped_spec(d, 1)
-    if kind is Kind.SYMPLECTIC:
-        spec += [(1, None)] * ones
+    if kind is SYMPLECTIC:
+        if ones & 1:
+            raise ValueError(f"{ones} new 1-rows; even multiplicity required for symplectic")
+        new = tuple(SignedRow(1, lead) for lead in SYMPLECTIC.convention) * (ones >> 1)
     else:
-        spec += [(1, Sign.PLUS)] * plus + [(1, Sign.MINUS)] * (ones - plus)
-    return from_row_spec(kind, spec)
+        new = (SignedRow(1, PLUS),) * plus + (SignedRow(1, MINUS),) * (ones - plus)
+    return SignedDiagram._trusted(kind, moved_rows(d, 1) + new)
 
 
 def deletion_inertia(d: SignedDiagram) -> Signature:
@@ -56,16 +57,15 @@ def deletion_inertia(d: SignedDiagram) -> Signature:
     flip on even rows of odd half-length.  The middle sign is that of box w,
     ``sigma.alternation[w % 2]``.
     """
-    if d.kind is not Kind.SYMPLECTIC:
+    if d.kind is not SYMPLECTIC:
         raise ValueError("the pairing inertia applies to symplectic diagrams")
-    plus = Sign.PLUS
     r = s = 0
     for length, lead in d.rows:
         half = length >> 1
         r += half
         s += half
         if not length & 1:
-            if lead.alternation[half & 1] is plus:
+            if lead.alternation[half & 1] is PLUS:
                 s -= 1
             else:
                 r -= 1
@@ -73,7 +73,7 @@ def deletion_inertia(d: SignedDiagram) -> Signature:
 
 
 def inertia_companions(shape: Partition, target: Signature) -> tuple[SignedDiagram | None, int]:
-    """The first diagram of ``diagrams_for_shape(shape, Kind.SYMPLECTIC)``
+    """The first diagram of ``diagrams_for_shape(shape, SYMPLECTIC)``
     whose :func:`deletion_inertia` is ``target``, and the number of such
     diagrams; (None, 0) when there is none.
 
@@ -91,7 +91,7 @@ def inertia_companions(shape: Partition, target: Signature) -> tuple[SignedDiagr
     base = 0  # inertia on each side before the middles are placed
     for length, mult in shape.classes():
         base += (length - 1) // 2 * mult
-        if Kind.SYMPLECTIC.constrained(length):
+        if SYMPLECTIC.constrained(length):
             spec += [(length, None)] * mult
         else:
             free.append((length, mult))
@@ -106,14 +106,14 @@ def inertia_companions(shape: Partition, target: Signature) -> tuple[SignedDiagr
     later = middles  # the middles of the classes not placed yet
     for length, mult in free:
         later -= mult
-        plus_middle = Sign.PLUS.alternation[length // 2 % 2] is Sign.PLUS
+        plus_middle = PLUS.alternation[length // 2 % 2] is PLUS
         for k in range(mult + 1):
             placed = k if plus_middle else mult - k
             if 0 <= need - placed <= later:
                 break
         need -= placed
-        spec += [(length, Sign.PLUS)] * k + [(length, Sign.MINUS)] * (mult - k)
-    return from_row_spec(Kind.SYMPLECTIC, spec), count
+        spec += [(length, PLUS)] * k + [(length, MINUS)] * (mult - k)
+    return from_row_spec(SYMPLECTIC, spec), count
 
 
 def inertia_fits(inertia: Signature, p: int, q: int) -> bool:

@@ -26,10 +26,12 @@ from functools import reduce
 from typing import Iterator
 
 from .diagram_core import (
+    ORTHOGONAL,
+    PLUS,
+    SYMPLECTIC,
     ClassUReport,
     Kind,
     Partition,
-    Sign,
     SignedDiagram,
     Signature,
     Value,
@@ -69,7 +71,7 @@ def admissible_shapes(max_size: int) -> Iterator[tuple[Kind, Partition]]:
     uniform.  Two or more such rows alternate by convention or can take
     mixed leads, and unequal last heights leave no tail to exclude."""
     for size in range(1, max_size + 1):
-        for kind in (Kind.SYMPLECTIC, Kind.ORTHOGONAL):
+        for kind in (SYMPLECTIC, ORTHOGONAL):
             for heights, shape in parity_shapes(kind, size):
                 if heights[-2:] != (1, 1) and not _interlacing_failures(heights, kind):
                     yield kind, shape
@@ -111,7 +113,7 @@ class Tower(Value):
     @property
     def metaplectic(self) -> tuple[int, ...]:
         return tuple(
-            k for k in range(2, self.d1) if self.steps[k - 1].kind is Kind.SYMPLECTIC
+            k for k in range(2, self.d1) if self.steps[k - 1].kind is SYMPLECTIC
         )
 
     def lift(self, child: SignedDiagram) -> Tower:
@@ -158,7 +160,7 @@ def _prepend_heights(d: SignedDiagram, room: int) -> range:
     those of d.  So every lift at these heights is very even or very odd and
     interlaces, and only the excluded tail is left to :func:`_lift`."""
     m1 = len(d.rows)
-    if d.kind is Kind.ORTHOGONAL:  # symplectic result
+    if d.kind is ORTHOGONAL:  # symplectic result
         return range(m1 or 2, room + 1, 2)
     return range(m1 + 2, room + 1, 2) if m1 else range(1, room + 1)
 
@@ -177,9 +179,9 @@ def _lift(t: Tower, d: SignedDiagram, max_size: int) -> Iterator[tuple[Tower, Si
     has one column and no tail.  So only a two-column lift, of a d of width
     1, is tested for the tail."""
     m1 = len(d.rows)
-    for h in _prepend_heights(d, max_size - d.size):
+    for h in _prepend_heights(d, max_size - sum(t.sig[-1])):
         ones = h - m1
-        splits = range(ones + 1) if d.kind is Kind.SYMPLECTIC else (0,)
+        splits = range(ones + 1) if d.kind is SYMPLECTIC else (0,)
         for plus in splits:
             child = prepend_column(d, ones, plus)
             if d.width != 1 or not _excluded_pattern(child, (h, m1)):
@@ -193,10 +195,10 @@ def _stream_key(t: Tower) -> tuple:
     the counts class by class, as ``enumeration.diagrams_for_shape`` does."""
     d = t.steps[-1]
     return (
-        d.size,
-        d.kind is Kind.ORTHOGONAL,
+        sum(t.sig[-1]),
+        d.kind is ORTHOGONAL,
         [-length for length, _ in d.rows],
-        [lead is Sign.PLUS for _, lead in d.rows],
+        [lead is PLUS for _, lead in d.rows],
     )
 
 
@@ -204,7 +206,7 @@ def admissible_towers(max_size: int) -> list[Tower]:
     """The tower of every nonempty class-U diagram of size <= max_size,
     grown level by level from the two empty diagrams; in the order of
     filtering ``signed_diagrams`` by size and kind with :func:`class_u`."""
-    level = [(EMPTY, SignedDiagram(Kind.SYMPLECTIC)), (EMPTY, SignedDiagram(Kind.ORTHOGONAL))]
+    level = [(EMPTY, SignedDiagram(SYMPLECTIC)), (EMPTY, SignedDiagram(ORTHOGONAL))]
     towers: list[Tower] = []
     while level:
         level = [lifted for t, d in level for lifted in _lift(t, d, max_size)]
@@ -224,7 +226,7 @@ def check_lemma_pm(t: Tower) -> list[dict]:
             "plus_covers": sig[k + 1].plus >= sig[k].minus,
             "minus_covers": sig[k + 1].minus >= sig[k].plus,
         }
-        if t.steps[k - 1].kind is Kind.SYMPLECTIC:
+        if t.steps[k - 1].kind is SYMPLECTIC:
             clauses["convexity"] = size[k + 1] + size[k - 1] >= 2 * size[k] + 2
         else:
             clauses["convexity"] = size[k + 1] + size[k - 1] >= 2 * size[k]
@@ -240,7 +242,7 @@ def check_range(t: Tower) -> list[dict]:
     sig, size = t.sig, t.size
     out = []
     if t.d1 >= 2:
-        if t.steps[0].kind is Kind.SYMPLECTIC:
+        if t.steps[0].kind is SYMPLECTIC:
             checks = {
                 "balanced": sig[1].plus == sig[1].minus,
                 "plus_doubles": sig[2].plus >= 2 * sig[1].minus,
@@ -254,7 +256,7 @@ def check_range(t: Tower) -> list[dict]:
             }
         out.append({"k": 1, "step": "base", "checks": checks, "ok": all(checks.values())})
     for k in range(2, t.d1):
-        if t.steps[k - 1].kind is Kind.SYMPLECTIC:
+        if t.steps[k - 1].kind is SYMPLECTIC:
             p, q = sig[k - 1]
             two_n = size[k]
             pp, qq = sig[k + 1]
@@ -307,7 +309,7 @@ def check_non3(t: Tower, k: int) -> dict:
     if not 2 <= k <= t.d1 - 1:
         raise ValueError(f"step {k} has no neighbors on both sides")
     steps = t.steps
-    if steps[k - 1].kind is not Kind.SYMPLECTIC:
+    if steps[k - 1].kind is not SYMPLECTIC:
         raise ValueError(f"step {k} is not metaplectic")
     p0, q0 = t.sig[k - 1]
     n1 = t.size[k] // 2

@@ -17,9 +17,11 @@ import random
 from collections.abc import Iterator
 
 from .diagram_core import (
-    Kind,
+    MINUS,
+    ORTHOGONAL,
+    PLUS,
+    SYMPLECTIC,
     Partition,
-    Sign,
     SignedDiagram,
     Value,
     delete_column_signed,
@@ -72,7 +74,7 @@ class SuiteReport(Value):
 
 def _all_signed(max_size: int):
     for size in range(0, max_size + 1):
-        for kind in (Kind.SYMPLECTIC, Kind.ORTHOGONAL):
+        for kind in (SYMPLECTIC, ORTHOGONAL):
             yield from signed_diagrams(kind, size=size)
 
 
@@ -93,7 +95,7 @@ def suite_reasonss(bound: int) -> Iterator[tuple[str, ...]]:
             continue
         e = delete_column_signed(d)
         ds, es = signature(d), signature(e)
-        if d.kind is Kind.ORTHOGONAL:
+        if d.kind is ORTHOGONAL:
             ok = es.plus == es.minus and es.plus <= min(ds.plus, ds.minus)
         else:
             ok = max(es.plus, es.minus) <= ds.plus
@@ -115,7 +117,7 @@ def suite_reversal(bound: int) -> Iterator[tuple[str, ...]]:
     from their very even and very odd column heights (``parity_shapes``),
     with one sorted character per shape, shared by all its pairs."""
     for size in range(1, bound + 1):
-        for kind in (Kind.SYMPLECTIC, Kind.ORTHOGONAL):
+        for kind in (SYMPLECTIC, ORTHOGONAL):
             # (shape, column heights, sorted character), split by height parity
             families: tuple[list, list] = ([], [])
             for heights, s in parity_shapes(kind, size):
@@ -137,7 +139,7 @@ def suite_bounds(bound: int) -> Iterator[tuple[str, ...] | str]:
     diagrams; the orthogonal size-2 case has a vanishing denominator and is
     skipped, with a remark."""
     for kind, shape in admissible_shapes(bound):  # the bound only sees the shape
-        if kind is Kind.ORTHOGONAL and shape.size == 2:
+        if kind is ORTHOGONAL and shape.size == 2:
             yield f"skipped {shape} orthogonal: bound denominator is zero"
             continue
         res = check_bound(shape, kind)
@@ -157,8 +159,8 @@ def suite_domino_oracle(bound: int) -> Iterator[tuple[str, ...]]:
     for size in range(1, bound + 1):
         for heights in parity_partitions(size):
             d = Partition._trusted(heights).transpose()
-            for kind in (Kind.SYMPLECTIC, Kind.ORTHOGONAL):
-                if kind is Kind.SYMPLECTIC and size % 2 != 0:
+            for kind in (SYMPLECTIC, ORTHOGONAL):
+                if kind is SYMPLECTIC and size % 2 != 0:
                     continue  # symplectic labels exist for even sizes only
                 got = infchar_domino(d, kind)
                 want = bar_sort(segments_of_transpose(heights, kind))
@@ -223,15 +225,15 @@ def suite_induce_oracle(bound: int) -> Iterator[tuple[str, ...]]:
     form = mo.FormSpec.symplectic(2)
     plus = mo.classify_signed(x, form)
     minus = mo.classify_signed(-x, form)
-    yield () if plus.rows == ((2, Sign.PLUS),) else (
+    yield () if plus.rows == ((2, PLUS),) else (
         "sl2 anchor: raising element is not a plus row",
     )
-    yield () if minus.rows == ((2, Sign.MINUS),) else (
+    yield () if minus.rows == ((2, MINUS),) else (
         "sl2 anchor: lowered element is not a minus row",
     )
 
     for two_m in range(0, 2 * nmax + 1, 2):
-        for s in signed_diagrams(Kind.SYMPLECTIC, size=two_m):
+        for s in signed_diagrams(SYMPLECTIC, size=two_m):
             for n in range(two_m // 2, nmax + 1):
                 if n - two_m // 2 >= len(s.rows):
                     yield _induce_oracle_case(s, n)
@@ -242,7 +244,7 @@ def _conjugation_pool() -> list[tuple]:
     from . import moment_oracle as mo
 
     pool = []
-    for s in signed_diagrams(Kind.SYMPLECTIC, size=4):
+    for s in signed_diagrams(SYMPLECTIC, size=4):
         for n in (3, 4):
             if n - 2 >= len(s.rows):
                 for j in range(n - 2 - len(s.rows) + 1):
@@ -295,9 +297,9 @@ def suite_appendix(bound: int) -> Iterator[tuple[str, ...]]:
     one cross-multiplied comparison."""
     for m in range(1, 100, 2):
         bad = []
-        if 4 * sum(segment(Kind.SYMPLECTIC, m)) != (m + 1) ** 2:
+        if 4 * sum(segment(SYMPLECTIC, m)) != (m + 1) ** 2:
             bad.append(f"minus-segment sum fails at m={m}")
-        if 4 * sum(segment(Kind.ORTHOGONAL, m)) != (m - 1) ** 2:
+        if 4 * sum(segment(ORTHOGONAL, m)) != (m - 1) ** 2:
             bad.append(f"plus-segment sum fails at m={m}")
         yield tuple(bad)
     # merged pair of segments against the scaled full segment
@@ -305,8 +307,8 @@ def suite_appendix(bound: int) -> Iterator[tuple[str, ...]]:
         for r in range(0, m + 1):
             if (m - r) % 2 != 0 or m + r == 0:
                 continue
-            lhs = bar_sort([*segment(Kind.SYMPLECTIC, m), *segment(Kind.ORTHOGONAL, r)])
-            rhs = segment(Kind.SYMPLECTIC, m + r)
+            lhs = bar_sort([*segment(SYMPLECTIC, m), *segment(ORTHOGONAL, r)])
+            rhs = segment(SYMPLECTIC, m + r)
             yield () if scaled_preceq(lhs, rhs, m, m + r) else (
                 f"segment-pair bound fails at (m={m}, r={r})",
             )
@@ -327,8 +329,8 @@ def suite_appendix(bound: int) -> Iterator[tuple[str, ...]]:
                     heights += tuple(h for h in (m0, r) if h > 0)
                     # the staircase shape is the transpose of these heights
                     columns = Partition(heights).rows
-                    lhs = bar_sort(segments_of_transpose(columns, Kind.SYMPLECTIC))
-                    rhs = segment(Kind.SYMPLECTIC, two_n)
+                    lhs = bar_sort(segments_of_transpose(columns, SYMPLECTIC))
+                    rhs = segment(SYMPLECTIC, two_n)
                     yield () if scaled_preceq(lhs, rhs, m, two_n) else (
                         f"staircase bound fails at (m={m}, j={j}, m0={m0}, r={r})",
                     )

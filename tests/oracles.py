@@ -9,8 +9,9 @@ forest, the row-wise merge of partitions next to the two-column merge, the
 dominance order as a predicate, parsers for the ASCII picture and the
 vector strings, diagram and matrix JSON writers, Jordan types from the
 ranks of explicit matrix powers, signed labels from the pairings on the
-whole kernels of those powers, and random Lie-algebra elements as dense
-products with the form matrix.
+whole kernels of those powers, random Lie-algebra elements as dense
+products with the form matrix, and the column moves by the spec route
+(``flipped_spec`` through ``from_row_spec``) next to the class-wise one.
 """
 
 from __future__ import annotations
@@ -105,6 +106,38 @@ def from_row_spec_reference(kind: Kind, spec) -> SignedDiagram:
                 )
             rows += [SignedRow(length, Sign.PLUS)] * plus + [SignedRow(length, Sign.MINUS)] * minus
     return SignedDiagram._trusted(kind, tuple(rows))
+
+
+def flipped_spec(d: SignedDiagram, grow: int) -> list[tuple[int, Sign | None]]:
+    """The re-signing step of a column move as a ``from_row_spec`` spec, the
+    route the package took before its class-wise ``moved_rows``: each row of
+    d grows by ``grow`` boxes (rows left empty are dropped), a row
+    constrained in d takes None, and a free row flips its lead."""
+    parity = d.kind.parity
+    return [
+        (n + grow, None if n % 2 == parity else lead.flipped) for n, lead in d.rows if n + grow > 0
+    ]
+
+
+def moved_rows_reference(d: SignedDiagram, grow: int) -> tuple[SignedRow, ...]:
+    """``diagram_core.moved_rows`` by the spec route: ``flipped_spec``
+    regrouped and re-sorted by ``from_row_spec``, in d's kind for an even
+    ``grow`` and the opposite kind for an odd one."""
+    kind = d.kind.opposite if grow % 2 else d.kind
+    return from_row_spec(kind, flipped_spec(d, grow)).rows
+
+
+def prepend_column_reference(d: SignedDiagram, ones: int, plus: int = 0) -> SignedDiagram:
+    """``theta_orbits.prepend_column`` by the spec route: the new 1-rows
+    join ``flipped_spec(d, 1)`` and one ``from_row_spec`` call lays out and
+    checks them (an odd count of symplectic 1-rows raises ``ValueError``)."""
+    kind = d.kind.opposite
+    spec = flipped_spec(d, 1)
+    if kind is Kind.SYMPLECTIC:
+        spec += [(1, None)] * ones
+    else:
+        spec += [(1, Sign.PLUS)] * plus + [(1, Sign.MINUS)] * (ones - plus)
+    return from_row_spec(kind, spec)
 
 
 def theta_lift_real(d: SignedDiagram, target: Signature) -> SignedDiagram:

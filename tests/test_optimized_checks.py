@@ -98,8 +98,10 @@ for case in cases:
 
 
 def test_row_spec_checks_under_optimize():
-    """The per-class checks of from_row_spec, which every diagram the package
-    builds goes through, are explicit ValueErrors that -O keeps."""
+    """The per-class checks of from_row_spec, the one builder of specs that
+    come from elsewhere, and prepend_column's refusal of an odd count of
+    symplectic 1-rows (it builds through moved_rows, not from_row_spec) are
+    explicit ValueErrors that -O keeps."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", ROW_SPEC_REFUSALS],

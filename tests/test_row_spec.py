@@ -1,12 +1,18 @@
 """Differential tests: the canonical forms built through ``from_row_spec``
-against the earlier per-function implementations kept here as references."""
+and the class-wise column moves against the earlier implementations kept
+here and in ``oracles`` as references."""
 
+import ast
+import importlib
 import random
 from collections import Counter
 from itertools import groupby, product
+from pathlib import Path
 
 import pytest
 
+import orbitcalc
+from orbitcalc import diagram_core
 from orbitcalc.diagram_core import (
     Kind,
     Partition,
@@ -16,11 +22,13 @@ from orbitcalc.diagram_core import (
     canonicalize,
     equivalent,
     from_row_spec,
+    moved_rows,
     tau,
     validate_partition_kind,
 )
 from orbitcalc.enumeration import partitions, signed_diagrams
-from oracles import from_row_spec_reference
+from orbitcalc.theta_orbits import prepend_column
+from oracles import from_row_spec_reference, moved_rows_reference, prepend_column_reference
 
 
 def canonicalize_reference(d: SignedDiagram) -> SignedDiagram:
@@ -217,3 +225,111 @@ class TestMemberAttributes:
             assert S.constrained(length) == (length % 2 == 1)
             assert O.constrained(length) == (length % 2 == 0)
         assert S.convention == (M, P) and O.convention == (P, M)
+
+    def test_member_names_are_the_members(self):
+        assert diagram_core.PLUS is Sign.PLUS and diagram_core.MINUS is Sign.MINUS
+        assert diagram_core.SYMPLECTIC is Kind.SYMPLECTIC
+        assert diagram_core.ORTHOGONAL is Kind.ORTHOGONAL
+        # every package module that binds one of the names binds the member
+        for path in sorted(Path(orbitcalc.__file__).resolve().parent.glob("[!_]*.py")):
+            module = importlib.import_module(f"orbitcalc.{path.stem}")
+            for member in MEMBER_NAMES:
+                if hasattr(module, member):
+                    assert getattr(module, member) is getattr(diagram_core, member), path.name
+
+    def test_package_reads_members_by_name(self):
+        """No module reads ``Kind.<member>`` or ``Sign.<member>`` (also as
+        ``dc.Kind.<member>``), except the statements of ``diagram_core`` that
+        bind the four names and set the member attributes through them."""
+        members = {("Kind", m) for m in Kind.__members__} | {("Sign", m) for m in Sign.__members__}
+        reads = []
+        for path in sorted(Path(orbitcalc.__file__).resolve().parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            block = set()
+            if path.name == "diagram_core.py":
+                block = {
+                    id(node)
+                    for stmt in tree.body
+                    if isinstance(stmt, ast.Assign) and _assigns_member_names(stmt)
+                    for node in ast.walk(stmt)
+                }
+                assert block, "diagram_core binds the member names"
+            for node in ast.walk(tree):
+                owner = getattr(node, "value", None)
+                owner = getattr(owner, "id", getattr(owner, "attr", None))
+                if (
+                    isinstance(node, ast.Attribute)
+                    and (owner, node.attr) in members
+                    and id(node) not in block
+                ):
+                    reads.append(f"{path.name}:{node.lineno}: {owner}.{node.attr}")
+        assert reads == []
+
+
+MEMBER_NAMES = ("PLUS", "MINUS", "SYMPLECTIC", "ORTHOGONAL")
+
+
+def _assigns_member_names(stmt: ast.Assign) -> bool:
+    """Does every name among the targets of ``stmt`` name a member?"""
+    names = [n.id for t in stmt.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return bool(names) and set(names) <= set(MEMBER_NAMES)
+
+
+def minus_first(d: SignedDiagram) -> SignedDiagram:
+    """d with every free class listing its Minus-leading rows first: valid,
+    and not canonical when a class holds both leads."""
+    return free_classes_permuted(d, random.Random(0))[0]
+
+
+def prepend_outcome(build, d, ones, plus):
+    """(kind, rows) of the prepended diagram, or ``ValueError``."""
+    try:
+        e = build(d, ones, plus)
+    except ValueError:
+        return ValueError
+    assert all(type(row) is SignedRow for row in e.rows)
+    return e.kind, e.rows
+
+
+class TestColumnMoves:
+    """The class-wise column move against the spec route it replaced
+    (``flipped_spec`` through ``from_row_spec``, kept in ``oracles``): the
+    same rows, row tuple for row tuple, for every move the package makes
+    (deletion -1, ``tau`` 0, prepending a column 1, induction 2)."""
+
+    @staticmethod
+    def assert_moves_match(d: SignedDiagram) -> None:
+        for grow in (-1, 0, 1, 2):
+            got = moved_rows(d, grow)
+            assert got == moved_rows_reference(d, grow), (d, grow)
+            assert all(type(row) is SignedRow for row in got)
+
+    @staticmethod
+    def assert_prepends_match(d: SignedDiagram) -> int:
+        """Every count of new 1-rows up to 4 and every split of them; the
+        odd symplectic counts are refused by both routes.  Returns how many
+        lifts were built."""
+        built = 0
+        for ones in range(5):
+            for plus in range(ones + 1):
+                got = prepend_outcome(prepend_column, d, ones, plus)
+                assert got == prepend_outcome(prepend_column_reference, d, ones, plus)
+                built += got is not ValueError
+        return built
+
+    def test_every_diagram_up_to_size_12(self):
+        built = 0
+        for d in all_signed(12):
+            self.assert_moves_match(d)
+            built += self.assert_prepends_match(d)
+        assert built > 5000
+
+    def test_free_classes_listed_minus_first(self):
+        reordered = 0
+        for d in all_signed(12):
+            e = minus_first(d)
+            if e.rows != d.rows:
+                reordered += 1
+                self.assert_moves_match(e)
+                self.assert_prepends_match(e)
+        assert reordered > 100

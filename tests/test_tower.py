@@ -20,6 +20,7 @@ from orbitcalc.diagram_core import (
 from orbitcalc.enumeration import diagrams_for_shape, partitions, shapes, signed_diagrams
 from orbitcalc.infchar import check_bound
 from orbitcalc.theta_orbits import (
+    chain,
     deletion_inertia,
     inertia_companions,
     prepend_column,
@@ -370,6 +371,101 @@ class TestRange:
                 assert rec["ok"], (d, rec)
                 if "min_ne_n" in rec["checks"]:
                     assert rec["checks"]["min_ne_n"]
+
+
+O, S = Kind.ORTHOGONAL, Kind.SYMPLECTIC
+
+# One hand-written tower for each lemma-pm and range clause that no deletion
+# tower of a valid diagram fails (to size 18): the steps are the deletion
+# chain of ``top``, and ``sig`` lists the signatures of steps 1..d1: the
+# chain's, with one of them moved by at most 2 in each entry.  ``failing``
+# is every (check, k, clause) that fails on the tower; the clause fails alone
+# in its record (at step k, of the kind of step ``where``), so a version of
+# it that always holds turns that record ok, and a swapped kind branch
+# changes which clauses run.
+SILENT_CLAUSES = [
+    # check_lemma_pm
+    ("lemma_pm", "plus_gain", 2, O, ((3, P), (3, M), (1, M), (1, M)), [(2, 0), (2, 2), (3, 5)],
+     [("lemma_pm", 2, "plus_gain")]),
+    ("lemma_pm", "minus_gain", 2, O, ((3, M), (3, M), (1, P), (1, P)), [(0, 2), (2, 2), (5, 3)],
+     [("lemma_pm", 2, "minus_gain")]),
+    ("lemma_pm", "plus_covers", 4, O, ((5, M), (3, P), (3, M), (1, M), (1, M)),
+     [(0, 1), (1, 1), (2, 3), (2, 6), (5, 8)],
+     [("lemma_pm", 3, "plus_gain"), ("lemma_pm", 3, "plus_covers"),
+      ("lemma_pm", 4, "plus_covers")]),
+    ("lemma_pm", "minus_covers", 4, O, ((5, M), (3, P), (3, P), (1, P), (1, P)),
+     [(0, 1), (1, 1), (3, 2), (6, 2), (8, 5)],
+     [("lemma_pm", 3, "minus_gain"), ("lemma_pm", 3, "minus_covers"),
+      ("lemma_pm", 4, "minus_covers")]),
+    # check_range, base step: an orthogonal step 1, then a symplectic one
+    ("base", "balanced", 1, S, ((2, M),), [(1, 0), (1, 2)], [("range", 1, "balanced")]),
+    ("base", "size_covers", 1, S, ((2, M),), [(1, 1), (1, 1)],
+     [("lemma_pm", 1, "plus_gain"), ("lemma_pm", 1, "minus_gain"), ("lemma_pm", 1, "convexity"),
+      ("range", 1, "size_covers")]),
+    ("base", "balanced", 1, O, ((2, P), (2, M), (1, M), (1, M)), [(0, 1), (2, 4)],
+     [("range", 1, "balanced")]),
+    ("base", "plus_doubles", 1, O, ((2, P), (2, M), (1, M), (1, M)), [(1, 1), (1, 5)],
+     [("lemma_pm", 1, "plus_gain"), ("range", 1, "plus_doubles")]),
+    ("base", "minus_doubles", 1, O, ((2, P), (2, M), (1, P), (1, P)), [(1, 1), (5, 1)],
+     [("lemma_pm", 1, "minus_gain"), ("range", 1, "minus_doubles")]),
+    # check_range, a metaplectic middle step
+    ("mp_middle", "gap_positive", 2, O, ((3, M), (3, M), (1, P), (1, M)),
+     [(2, 4), (2, 2), (3, 5)],
+     [("lemma_pm", 1, "plus_gain"), ("lemma_pm", 1, "minus_gain"),
+      ("lemma_pm", 1, "plus_covers"), ("lemma_pm", 1, "convexity"),
+      ("range", 1, "size_covers"), ("range", 2, "gap_positive")]),
+    ("mp_middle", "min_ge_n", 2, O, ((3, M), (1, P), (1, M)), [(0, 1), (1, 1), (0, 5)],
+     [("lemma_pm", 2, "plus_gain"), ("lemma_pm", 2, "plus_covers"), ("range", 2, "min_ge_n")]),
+    # check_range, an orthogonal middle step
+    ("o_middle", "gap", 2, S, ((3, M), (3, P), (2, M), (2, M)), [(1, 1), (4, 4), (5, 5)],
+     [("lemma_pm", 2, "plus_gain"), ("lemma_pm", 2, "minus_gain"), ("lemma_pm", 2, "convexity"),
+      ("range", 2, "gap")]),
+    ("o_middle", "min_ge_n", 2, S, ((3, M), (3, P), (2, M), (2, M), (2, M)),
+     [(1, 1), (6, 0), (6, 6)],
+     [("lemma_pm", 1, "minus_gain"), ("lemma_pm", 1, "minus_covers"),
+      ("range", 1, "minus_doubles"), ("range", 2, "min_ge_n")]),
+]
+
+
+def failures(t: Tower) -> list[tuple[str, int, str]]:
+    """(check, k, clause) of every clause that fails on t, in record order."""
+    out = []
+    checks = (("lemma_pm", check_lemma_pm(t), "clauses"), ("range", check_range(t), "checks"))
+    for check, records, field in checks:
+        for rec in records:
+            out += [(check, rec["k"], name) for name, ok in rec[field].items() if not ok]
+            assert rec["ok"] == all(rec[field].values())
+    return out
+
+
+class TestSilentClauses:
+    @pytest.mark.parametrize(
+        "where, clause, k, kind, top, sig, failing",
+        SILENT_CLAUSES,
+        ids=[f"{entry[0]}-{entry[1]}-{entry[3].value}" for entry in SILENT_CLAUSES],
+    )
+    def test_fails_alone_in_its_record(self, where, clause, k, kind, top, sig, failing):
+        steps = chain(SignedDiagram(kind, top))[::-1]
+        real = [tuple(signature(step)) for step in steps]
+        moved = [(was, now) for was, now in zip(real, sig) if was != now]
+        assert len(sig) == len(steps) and len(moved) == 1
+        (was, now), = moved
+        assert max(abs(was[0] - now[0]), abs(was[1] - now[1])) <= 2
+        t = Tower(steps, (Signature(0, 0), *(Signature(*s) for s in sig)))
+        assert failures(t) == failing
+        check = "lemma_pm" if where == "lemma_pm" else "range"
+        assert [name for c, kk, name in failing if (c, kk) == (check, k)] == [clause]
+        if check == "range":
+            assert {rec["k"]: rec["step"] for rec in check_range(t)}[k] == where
+
+    def test_one_tower_per_silent_clause(self):
+        # both base-step branches check "balanced"; each gets a tower
+        assert sorted({(entry[0], entry[1]) for entry in SILENT_CLAUSES}) == sorted(
+            [("lemma_pm", c) for c in ("plus_gain", "minus_gain", "plus_covers", "minus_covers")]
+            + [("base", c) for c in ("balanced", "plus_doubles", "minus_doubles", "size_covers")]
+            + [("mp_middle", "gap_positive"), ("mp_middle", "min_ge_n")]
+            + [("o_middle", "gap"), ("o_middle", "min_ge_n")]
+        )
 
 
 class TestTowerValue:
