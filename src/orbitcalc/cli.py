@@ -141,7 +141,7 @@ def cmd_tower(args) -> int:
     ]
     for k, records in enumerate(cert.records, start=1):
         flags = [
-            f"{label}:{'ok' if rec['ok'] else 'FAIL'}"
+            f"{label}:{'ok' if rec.ok else 'FAIL'}"
             for label, rec in zip(("pm", "range", "non3"), records)
             if rec is not None
         ]

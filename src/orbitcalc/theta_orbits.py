@@ -28,10 +28,12 @@ from .diagram_core import (
 def prepend_column(d: SignedDiagram, ones: int, plus: int = 0) -> SignedDiagram:
     """The diagram of the opposite kind whose first-column deletion is d:
     the :func:`moved_rows` of d with ``grow`` 1, then ``ones`` new 1-rows,
-    built through ``SignedDiagram._trusted``.  The 1-rows are convention
-    pairs for a symplectic result (an odd count raises ``ValueError``, an
-    explicit check that ``python -O`` keeps); for an orthogonal one,
-    ``plus`` of them lead with + and the rest with -."""
+    built through ``SignedDiagram._trusted``: convention pairs for a
+    symplectic result, ``plus`` leading with + and the rest with - for an
+    orthogonal one.  Explicit checks, which ``python -O`` keeps, raise
+    ``ValueError`` for an odd symplectic count or ``plus`` outside 0..ones."""
+    if not 0 <= plus <= ones:
+        raise ValueError(f"need 0 <= plus <= ones, got plus={plus}, ones={ones}")
     kind = d.kind.opposite
     if kind is SYMPLECTIC:
         if ones & 1:

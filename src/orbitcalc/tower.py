@@ -86,9 +86,9 @@ class Tower(Value):
 
     ``steps[k - 1]`` is D(k), the diagram keeping the last k columns, and
     ``sig`` is zero-padded so that ``sig[k]`` is the signature of step k.
-    Everything else is derived on read: ``size`` (padded like ``sig``),
-    ``groups`` (``groups[k - 1]`` is the group of step k, as printed) and
-    ``metaplectic``, the interior steps 2 <= k <= d1 - 1 that carry a
+    The size of step k is ``sum(sig[k])``.  Everything else is derived on
+    read: ``groups`` (``groups[k - 1]`` is the group of step k, as printed)
+    and ``metaplectic``, the interior steps 2 <= k <= d1 - 1 that carry a
     symplectic diagram.  Every tower is a class-U member by construction, so
     it carries no report; its report is :data:`MEMBER`.
     """
@@ -101,10 +101,6 @@ class Tower(Value):
     @property
     def d1(self) -> int:
         return len(self.steps)
-
-    @property
-    def size(self) -> tuple[int, ...]:
-        return tuple(p + q for p, q in self.sig)
 
     @property
     def groups(self) -> tuple[str, ...]:
@@ -215,9 +211,28 @@ def admissible_towers(max_size: int) -> list[Tower]:
     return towers
 
 
-def check_lemma_pm(t: Tower) -> list[dict]:
+class CheckRecord(Value):
+    """A check's record at step k: its other ``fields`` in order and its named
+    ``clauses`` (their repr is the counterexample text); ``ok`` when all hold.
+    Its JSON names the clauses "clauses" if it has no fields, else "checks"."""
+
+    __slots__ = ("k", "fields", "clauses")
+
+    def __init__(self, k: int, fields: dict, clauses: dict[str, bool]) -> None:
+        self._set(k, fields, clauses)
+
+    @property
+    def ok(self) -> bool:
+        return all(self.clauses.values())
+
+    def to_json_dict(self) -> dict:
+        key = "checks" if self.fields else "clauses"
+        return {"k": self.k, **self.fields, key: self.clauses, "ok": self.ok}
+
+
+def check_lemma_pm(t: Tower) -> list[CheckRecord]:
     """Five signature clauses at every interior step of the tower."""
-    sig, size = t.sig, t.size
+    sig = t.sig
     out = []
     for k in range(1, t.d1):
         clauses = {
@@ -227,19 +242,19 @@ def check_lemma_pm(t: Tower) -> list[dict]:
             "minus_covers": sig[k + 1].minus >= sig[k].plus,
         }
         if t.steps[k - 1].kind is SYMPLECTIC:
-            clauses["convexity"] = size[k + 1] + size[k - 1] >= 2 * size[k] + 2
+            clauses["convexity"] = sum(sig[k + 1]) + sum(sig[k - 1]) >= 2 * sum(sig[k]) + 2
         else:
-            clauses["convexity"] = size[k + 1] + size[k - 1] >= 2 * size[k]
+            clauses["convexity"] = sum(sig[k + 1]) + sum(sig[k - 1]) >= 2 * sum(sig[k])
         if k + 2 <= t.d1:
-            clauses["size_parity"] = (size[k + 2] - size[k]) % 2 == 0
-        out.append({"k": k, "clauses": clauses, "ok": all(clauses.values())})
+            clauses["size_parity"] = (sum(sig[k + 2]) - sum(sig[k])) % 2 == 0
+        out.append(CheckRecord(k, {}, clauses))
     return out
 
 
-def check_range(t: Tower) -> list[dict]:
+def check_range(t: Tower) -> list[CheckRecord]:
     """Per-step range conditions of the two lift theorems, plus the base-step
-    inequalities at k = 1."""
-    sig, size = t.sig, t.size
+    inequalities at k = 1; the field ``step`` names which."""
+    sig = t.sig
     out = []
     if t.d1 >= 2:
         if t.steps[0].kind is SYMPLECTIC:
@@ -247,18 +262,18 @@ def check_range(t: Tower) -> list[dict]:
                 "balanced": sig[1].plus == sig[1].minus,
                 "plus_doubles": sig[2].plus >= 2 * sig[1].minus,
                 "minus_doubles": sig[2].minus >= 2 * sig[1].plus,
-                "size_margin": size[2] >= 4 * sig[1].minus + 2,
+                "size_margin": sum(sig[2]) >= 4 * sig[1].minus + 2,
             }
         else:
             checks = {
                 "balanced": sig[2].plus == sig[2].minus,
                 "size_covers": sig[2].plus >= sig[1].plus + sig[1].minus,
             }
-        out.append({"k": 1, "step": "base", "checks": checks, "ok": all(checks.values())})
+        out.append(CheckRecord(1, {"step": "base"}, checks))
     for k in range(2, t.d1):
         if t.steps[k - 1].kind is SYMPLECTIC:
             p, q = sig[k - 1]
-            two_n = size[k]
+            two_n = sum(sig[k])
             pp, qq = sig[k + 1]
             n = two_n // 2
             checks = {
@@ -270,9 +285,9 @@ def check_range(t: Tower) -> list[dict]:
             }
             step = "mp_middle"
         else:
-            two_n = size[k - 1]
+            two_n = sum(sig[k - 1])
             p, q = sig[k]
-            two_n2 = size[k + 1]
+            two_n2 = sum(sig[k + 1])
             n = two_n // 2
             checks = {
                 "gap": two_n2 - (p + q) >= (p + q) - two_n - 2,
@@ -280,11 +295,11 @@ def check_range(t: Tower) -> list[dict]:
                 "min_ne_n": min(p, q) != n,
             }
             step = "o_middle"
-        out.append({"k": k, "step": step, "checks": checks, "ok": all(checks.values())})
+        out.append(CheckRecord(k, {"step": step}, checks))
     return out
 
 
-def check_non3(t: Tower, k: int) -> dict:
+def check_non3(t: Tower, k: int) -> CheckRecord:
     """Uniqueness record for the orthogonal-metaplectic-orthogonal triple at
     steps (k-1, k, k+1) of the tower t.
 
@@ -304,7 +319,8 @@ def check_non3(t: Tower, k: int) -> dict:
     the unique hit in its parity class (its other moment slot differs from
     (p, q) in the parity of the first entry).  The record certifies that
     the window is nonempty in range, that the moment-image hits are exactly
-    its in-range part, and the per-class uniqueness.
+    its in-range part, and the per-class uniqueness.  Past the width margin
+    its fields add ``j_star`` and, for a candidate j*, ``j_star_signature``.
     """
     if not 2 <= k <= t.d1 - 1:
         raise ValueError(f"step {k} has no neighbors on both sides")
@@ -312,7 +328,7 @@ def check_non3(t: Tower, k: int) -> dict:
     if steps[k - 1].kind is not SYMPLECTIC:
         raise ValueError(f"step {k} is not metaplectic")
     p0, q0 = t.sig[k - 1]
-    n1 = t.size[k] // 2
+    n1 = sum(t.sig[k]) // 2
     p, q = t.sig[k + 1]
     m1 = len(steps[k].rows)
     m2 = len(steps[k - 1].rows)
@@ -325,8 +341,7 @@ def check_non3(t: Tower, k: int) -> dict:
     if d0 is None:
         raise ValueError("no companion with the required pairing inertia")
 
-    record: dict = {
-        "k": k,
+    fields: dict = {
         "p0q0": (p0, q0),
         "n1": n1,
         "pq": (p, q),
@@ -335,13 +350,10 @@ def check_non3(t: Tower, k: int) -> dict:
         "n2": n2,
         "companions": companions,
     }
-    checks: dict[str, bool] = {}
-    checks["width_margin"] = n2 - n1 == m1 - 1 and m1 - 1 >= m2
+    checks = {"width_margin": n2 - n1 == m1 - 1 and m1 - 1 >= m2}
     candidate_count = m1 - m2
     if not checks["width_margin"]:
-        record["checks"] = checks
-        record["ok"] = False
-        return record
+        return CheckRecord(k, fields, checks)
 
     induced = induce_real(d0, n2)
     if induced.count != candidate_count:
@@ -363,14 +375,12 @@ def check_non3(t: Tower, k: int) -> dict:
     checks["unique_in_class"] = all(
         sum(1 for j2 in hits if (j2 - j) % 2 == 0) == 1 for j in hits
     )
-    record["j_star"] = j_star
+    fields["j_star"] = j_star
     if 0 <= j_star <= candidate_count - 1:
-        record["j_star_signature"] = tuple(sigs[j_star])
+        fields["j_star_signature"] = tuple(sigs[j_star])
         checks["j_star_signature"] = sigs[j_star] == Signature(p, q - 1)
         checks["j_star_in_image"] = j_star in hits
-    record["checks"] = checks
-    record["ok"] = all(checks.values())
-    return record
+    return CheckRecord(k, fields, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +395,9 @@ ANNOTATIONS = (
 
 class TowerCertificate(Value):
     """The tower of ``diagram`` with its checks: ``records[k - 1]`` is the
-    (lemma_pm, range, non3) record triple of step k, None where a check does
-    not apply.  The certificate is ``valid`` when every record it holds is
-    ``ok``."""
+    (lemma_pm, range, non3) triple of :class:`CheckRecord` values of step k,
+    None where a check does not apply.  The certificate is ``valid`` when
+    every record it holds is ``ok``."""
 
     __slots__ = ("diagram", "tower", "records", "infchar")
 
@@ -398,7 +408,7 @@ class TowerCertificate(Value):
 
     @property
     def valid(self) -> bool:
-        return all(rec is None or rec["ok"] for step in self.records for rec in step)
+        return all(rec is None or rec.ok for step in self.records for rec in step)
 
     def to_json_dict(self) -> dict:
         sig = self.tower.sig
@@ -415,9 +425,9 @@ class TowerCertificate(Value):
                     "k": k,
                     "group": groups[k - 1],
                     "signature": list(sig[k]),
-                    "lemma_pm": pm,
-                    "range": rng,
-                    "non3": non3,
+                    "lemma_pm": pm and pm.to_json_dict(),
+                    "range": rng and rng.to_json_dict(),
+                    "non3": non3 and non3.to_json_dict(),
                 }
                 for k, (pm, rng, non3) in enumerate(self.records, start=1)
             ],

@@ -106,8 +106,8 @@ def suite_lemma_pm(bound: int) -> Iterator[tuple[str, ...]]:
     for t in admissible_towers(bound):
         bad = []
         for rec in check_lemma_pm(t):
-            if not rec["ok"]:
-                bad.append(f"{t.steps[-1]}: step {rec['k']}: {rec['clauses']}")
+            if not rec.ok:
+                bad.append(f"{t.steps[-1]}: step {rec.k}: {rec.clauses}")
         yield tuple(bad)
 
 
@@ -281,12 +281,12 @@ def suite_non3(bound: int) -> Iterator[tuple[str, ...]]:
         d = t.steps[-1]
         bad = []
         for rec in check_range(t):
-            if not rec["ok"]:
-                bad.append(f"{d}: range at step {rec['k']}: {rec['checks']}")
+            if not rec.ok:
+                bad.append(f"{d}: range at step {rec.k}: {rec.clauses}")
         for k in t.metaplectic:
             rec = check_non3(t, k)
-            if not rec["ok"]:
-                bad.append(f"{d}: uniqueness at step {k}: {rec['checks']}")
+            if not rec.ok:
+                bad.append(f"{d}: uniqueness at step {k}: {rec.clauses}")
         yield tuple(bad)
 
 

@@ -12,6 +12,8 @@ ranks of explicit matrix powers, signed labels from the pairings on the
 whole kernels of those powers, random Lie-algebra elements as dense
 products with the form matrix, and the column moves by the spec route
 (``flipped_spec`` through ``from_row_spec``) next to the class-wise one.
+Last, a check record whose verdict is forced to fail, for the tests that
+break a certificate or a suite by hand.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from orbitcalc.enumeration import partitions
 from orbitcalc.infchar import characters_reverse, segment, segments_of_transpose
 from orbitcalc.moment_oracle import FormSpec, RationalMatrix, symmetric_signature
 from orbitcalc.theta_orbits import prepend_column
+from orbitcalc.tower import CheckRecord
 from orbitcalc.vector_order import HalfIntVector, OrderResult, bar_sort, dominance_leq
 
 # ---------------------------------------------------------------------------
@@ -154,7 +157,7 @@ def theta_lift_real(d: SignedDiagram, target: Signature) -> SignedDiagram:
     forced_plus = signature(d).plus + sum(1 for _, lead in d.rows if lead is Sign.MINUS)
     try:
         lift = prepend_column(d, new_col - len(d.rows), target.plus - forced_plus)
-    except ValueError:  # an odd count of symplectic 1-rows
+    except ValueError:  # an odd count of symplectic 1-rows, or a split out of range
         lift = None
     if (
         lift is None
@@ -163,6 +166,18 @@ def theta_lift_real(d: SignedDiagram, target: Signature) -> SignedDiagram:
     ):
         raise ValueError(f"no valid lift of signature {tuple(target)}")
     return lift
+
+
+class FailedRecord(CheckRecord):
+    """A check record with its fields and clauses as computed and its
+    verdict ``ok`` forced to False (it declares no ``__slots__``, so the
+    base's field names stay its own)."""
+
+    ok = False
+
+
+def failed_record(rec: CheckRecord) -> FailedRecord:
+    return FailedRecord(rec.k, rec.fields, rec.clauses)
 
 
 def dumps(d: SignedDiagram) -> str:

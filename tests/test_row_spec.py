@@ -317,6 +317,15 @@ class TestColumnMoves:
                 built += got is not ValueError
         return built
 
+    @pytest.mark.parametrize(
+        "kind, ones, plus",
+        # unchecked: three plus-leading 1-rows, three minus-leading ones, no rows
+        [(Kind.SYMPLECTIC, 1, 3), (Kind.SYMPLECTIC, 2, -1), (Kind.ORTHOGONAL, -2, 0)],
+    )
+    def test_prepend_refuses_a_split_out_of_range(self, kind, ones, plus):
+        with pytest.raises(ValueError, match="need 0 <= plus <= ones"):
+            prepend_column(SignedDiagram(kind, ()), ones, plus)
+
     def test_every_diagram_up_to_size_12(self):
         built = 0
         for d in all_signed(12):

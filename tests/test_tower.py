@@ -43,7 +43,7 @@ from orbitcalc.tower import (
 )
 from orbitcalc.verify import run_suite
 from orbitcalc.vector_order import vector_to_json
-from oracles import dumps, theta_lift_real
+from oracles import dumps, failed_record, theta_lift_real
 
 M = Sign.MINUS
 P = Sign.PLUS
@@ -270,7 +270,7 @@ class TestForest:
             assert [t.steps[-1] for t in admissible_towers(bound)] == want, bound
 
     def test_towers_match_tower_field_by_field(self):
-        fields = ("steps", "groups", "sig", "size", "metaplectic")
+        fields = ("steps", "groups", "sig", "metaplectic")
         for t in admissible_towers(16):
             want = tower(t.steps[-1])
             for name in fields:
@@ -289,9 +289,9 @@ class TestForest:
             assert t.metaplectic == tuple(
                 k for k in range(2, t.d1) if (t.d1 - k) % 2 == parity
             ), top
-            assert t.size[0] == 0 and len(t.size) == t.d1 + 1, top
+            assert sum(t.sig[0]) == 0 and len(t.sig) == t.d1 + 1, top
             for k in range(1, t.d1 + 1):
-                assert t.size[k] == t.steps[k - 1].size, (top, k)
+                assert sum(t.sig[k]) == t.steps[k - 1].size, (top, k)
                 assert t.groups[k - 1] == group_of(t.steps[k - 1]), (top, k)
             assert class_u(top) == MEMBER, top
 
@@ -336,7 +336,7 @@ class TestLemmaPm:
     def test_intro_all_clauses(self, intro_diagram):
         records = check_lemma_pm(tower(intro_diagram))
         assert len(records) == 5
-        assert all(rec["ok"] for rec in records)
+        assert all(rec.ok for rec in records)
 
     def test_single_box_vacuous(self):
         d = SignedDiagram(Kind.ORTHOGONAL, (SignedRow(1, P),))
@@ -344,33 +344,33 @@ class TestLemmaPm:
 
     def test_intro_convexity_numbers(self, intro_diagram):
         # sizes 1, 4, 9, 14, 21, 30: symplectic steps meet equality + 2
-        records = {rec["k"]: rec for rec in check_lemma_pm(tower(intro_diagram))}
-        assert records[2]["clauses"]["convexity"]  # 9 + 1 >= 2*4 + 2
-        assert records[4]["clauses"]["convexity"]  # 21 + 9 >= 2*14 + 2
+        records = {rec.k: rec for rec in check_lemma_pm(tower(intro_diagram))}
+        assert records[2].clauses["convexity"]  # 9 + 1 >= 2*4 + 2
+        assert records[4].clauses["convexity"]  # 21 + 9 >= 2*14 + 2
 
     def test_exhaustive_small(self):
         for d in admissible(12):
-            assert all(rec["ok"] for rec in check_lemma_pm(tower(d))), d
+            assert all(rec.ok for rec in check_lemma_pm(tower(d))), d
 
 
 class TestRange:
     def test_intro_steps(self, intro_diagram):
-        records = {rec["k"]: rec for rec in check_range(tower(intro_diagram))}
-        assert records[1]["step"] == "base"
+        records = {rec.k: rec for rec in check_range(tower(intro_diagram))}
+        assert records[1].fields == {"step": "base"}
         mp_step = records[4]
-        assert mp_step["step"] == "mp_middle"
-        assert all(mp_step["checks"].values())
+        assert mp_step.fields == {"step": "mp_middle"}
+        assert all(mp_step.clauses.values())
         o_step = records[5]
-        assert o_step["step"] == "o_middle"
-        assert all(o_step["checks"].values())
-        assert all(rec["ok"] for rec in records.values())
+        assert o_step.fields == {"step": "o_middle"}
+        assert all(o_step.clauses.values())
+        assert all(rec.ok for rec in records.values())
 
     def test_exhaustive_no_min_equality(self):
         for d in admissible(12):
             for rec in check_range(tower(d)):
-                assert rec["ok"], (d, rec)
-                if "min_ne_n" in rec["checks"]:
-                    assert rec["checks"]["min_ne_n"]
+                assert rec.ok, (d, rec)
+                if "min_ne_n" in rec.clauses:
+                    assert rec.clauses["min_ne_n"]
 
 
 O, S = Kind.ORTHOGONAL, Kind.SYMPLECTIC
@@ -430,11 +430,9 @@ SILENT_CLAUSES = [
 def failures(t: Tower) -> list[tuple[str, int, str]]:
     """(check, k, clause) of every clause that fails on t, in record order."""
     out = []
-    checks = (("lemma_pm", check_lemma_pm(t), "clauses"), ("range", check_range(t), "checks"))
-    for check, records, field in checks:
+    for check, records in (("lemma_pm", check_lemma_pm(t)), ("range", check_range(t))):
         for rec in records:
-            out += [(check, rec["k"], name) for name, ok in rec[field].items() if not ok]
-            assert rec["ok"] == all(rec[field].values())
+            out += [(check, rec.k, name) for name, ok in rec.clauses.items() if not ok]
     return out
 
 
@@ -456,7 +454,12 @@ class TestSilentClauses:
         check = "lemma_pm" if where == "lemma_pm" else "range"
         assert [name for c, kk, name in failing if (c, kk) == (check, k)] == [clause]
         if check == "range":
-            assert {rec["k"]: rec["step"] for rec in check_range(t)}[k] == where
+            assert {rec.k: rec.fields["step"] for rec in check_range(t)}[k] == where
+        # the verdict: False in each record holding a failing clause, True elsewhere
+        failed = {(c, kk) for c, kk, _ in failing}
+        for c, records in (("lemma_pm", check_lemma_pm(t)), ("range", check_range(t))):
+            for rec in records:
+                assert rec.ok is ((c, rec.k) not in failed), (c, rec.k)
 
     def test_one_tower_per_silent_clause(self):
         # both base-step branches check "balanced"; each gets a tower
@@ -473,8 +476,8 @@ class TestTowerValue:
         t = tower(intro_diagram)
         assert t.d1 == 6
         assert t.groups == ("O(1,0)", "Mp(4)", "O(5,4)", "Mp(14)", "O(10,11)", "Mp(30)")
-        assert t.sig[0] == Signature(0, 0) and t.size[0] == 0
-        assert t.sig[6] == signature(intro_diagram) and t.size[6] == 30
+        assert t.sig[0] == Signature(0, 0) and sum(t.sig[0]) == 0
+        assert t.sig[6] == signature(intro_diagram) and sum(t.sig[6]) == 30
         assert t.metaplectic == (2, 4)
         assert class_u(t.steps[-1]).member
 
@@ -484,7 +487,7 @@ class TestTowerValue:
             assert t.steps[-1].shape() == d.shape()
             for k in range(1, t.d1):
                 assert delete_column_signed(t.steps[k]) == t.steps[k - 1]
-                assert t.size[k] == t.steps[k - 1].size
+                assert sum(t.sig[k]) == t.steps[k - 1].size
 
     def test_inadmissible_rejected(self):
         d = SignedDiagram(Kind.SYMPLECTIC, (SignedRow(2, P), SignedRow(2, P)))
@@ -504,19 +507,19 @@ class TestTowerValue:
 class TestNon3:
     def test_intro_step(self, intro_diagram):
         rec = check_non3(tower(intro_diagram), 4)
-        assert rec["p0q0"] == (5, 4)
-        assert rec["m1"] == 7 and rec["m2"] == 5
-        assert rec["n2"] == 13
-        assert rec["ok"]
+        assert rec.fields["p0q0"] == (5, 4)
+        assert rec.fields["m1"] == 7 and rec.fields["m2"] == 5
+        assert rec.fields["n2"] == 13
+        assert rec.ok
         # the distinguished candidate realizes the slot just below (p, q)
-        assert rec["j_star_signature"] == (10, 10)
+        assert rec.fields["j_star_signature"] == (10, 10)
 
     def test_signature_sum_identity(self, intro_diagram):
         rec = check_non3(tower(intro_diagram), 2)
-        assert rec["checks"]["signature_sum"]
-        assert rec["ok"]
+        assert rec.clauses["signature_sum"]
+        assert rec.ok
         # (p, q) = (5, 4) here, and the slot comes out as (p, q-1) exactly
-        assert rec["j_star_signature"] == (5, 3)
+        assert rec.fields["j_star_signature"] == (5, 3)
 
     def test_bad_step_rejected(self, intro_diagram):
         t = tower(intro_diagram)
@@ -529,7 +532,7 @@ class TestNon3:
         for d in admissible(12):
             t = tower(d)
             for k in t.metaplectic:
-                assert check_non3(t, k)["ok"], (d, k)
+                assert check_non3(t, k).ok, (d, k)
 
     def test_companions_match_search_to_14(self):
         # every target (r, s) with r + s <= size, most of which no sign
@@ -554,7 +557,8 @@ class TestNon3:
         count = 0
         for t in admissible_towers(20):
             for k in t.metaplectic:
-                digest.update((json.dumps(check_non3(t, k), sort_keys=True) + "\n").encode())
+                text = json.dumps(check_non3(t, k).to_json_dict(), sort_keys=True)
+                digest.update((text + "\n").encode())
                 count += 1
         assert count == 927
         assert digest.hexdigest() == (
@@ -624,8 +628,8 @@ class TestCertificate:
         def failing(t, *k):
             out = original(t, *k)
             if check == "check_non3":
-                return dict(out, ok=False) if k == (step,) else out
-            return [dict(rec, ok=False) if i == step else rec for i, rec in enumerate(out, 1)]
+                return failed_record(out) if k == (step,) else out
+            return [failed_record(rec) if i == step else rec for i, rec in enumerate(out, 1)]
 
         monkeypatch.setattr(tower_module, check, failing)
         cert = certificate(intro_diagram)

@@ -12,7 +12,17 @@ from orbitcalc.diagram_core import Kind, Partition, Sign, SignedDiagram
 from orbitcalc.infchar import BoundReport, Domino, check_bound, domino_cover
 from orbitcalc.moment_oracle import FormSpec, RationalMatrix
 from orbitcalc.orbit_induction import InducedOrbitSet, induce_real
-from orbitcalc.tower import EMPTY, MEMBER, ClassUReport, Tower, TowerCertificate, certificate, tower
+from orbitcalc.tower import (
+    EMPTY,
+    MEMBER,
+    CheckRecord,
+    ClassUReport,
+    Tower,
+    TowerCertificate,
+    certificate,
+    check_range,
+    tower,
+)
 from orbitcalc.verify import SuiteReport, run_suite
 
 P, M = Sign.PLUS, Sign.MINUS
@@ -24,6 +34,10 @@ TOWER_O1 = f"Tower(steps=({O1},), sig=(Signature(plus=0, minus=0), Signature(plu
 
 def o1():
     return SignedDiagram(Kind.ORTHOGONAL, ((1, P),))
+
+
+def base_record():
+    return check_range(tower(SignedDiagram(Kind.SYMPLECTIC, ((2, P), (2, M)))))[0]
 
 
 # (value, repr) with str equal to repr unless the class defines its own
@@ -63,6 +77,11 @@ REPRS = [
         "infchar=())",
     ),
     (
+        base_record,
+        "CheckRecord(k=1, fields={'step': 'base'}, "
+        "clauses={'balanced': True, 'size_covers': True})",
+    ),
+    (
         lambda: RationalMatrix.from_rows([[1, "1/2"], [0, -3]]),
         "RationalMatrix(rows=({0: 2, 1: 1}, {1: -6}), ncols=2, den=2)",
     ),
@@ -92,6 +111,9 @@ def test_equality_is_by_class_and_fields():
     assert BoundReport(True, False) != (True, False)
     assert Domino("open", 1) == Domino("open", 1, None, None)
     assert Tower((), ()) != InducedOrbitSet((), ())
+    clauses = {"balanced": True, "size_covers": True}
+    assert base_record() == CheckRecord(1, {"step": "base"}, clauses)
+    assert base_record() != CheckRecord(1, {"step": "base"}, dict(clauses, balanced=False))
     assert run_suite("twocom", 4) == run_suite("twocom", 4) == SuiteReport("twocom", 4, 10, [], [])
     assert run_suite("twocom", 4) != run_suite("twocom", 3)
 
@@ -103,10 +125,13 @@ def test_hash_is_the_hash_of_the_field_tuple():
     assert hash(EMPTY) == hash(((), EMPTY.sig))
     assert hash(MEMBER) == hash((True, True, False, ()))
     assert {FormSpec.symplectic(2): 1}[FormSpec(Kind.SYMPLECTIC, 2, 0)] == 1
-    # a matrix holds dicts, so only an empty one hashes, as before
+    # a matrix holds dicts, so only an empty one hashes, as before; a check
+    # record holds dicts too, and so has no hash
     assert hash(RationalMatrix.zeros(0, 3)) == hash(((), 3, 1))
     with pytest.raises(TypeError, match="unhashable type: 'dict'"):
         hash(RationalMatrix.identity(2))
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(base_record())
     rep = run_suite("bounds", 4)
     assert rep.notes and hash(rep) == hash(("bounds", 4, rep.checked, (), rep.notes))
 
@@ -125,6 +150,7 @@ def test_hash_is_the_hash_of_the_field_tuple():
         (FormSpec.symplectic(2), "p"),
         (Partition((1,)), "other"),
         (run_suite("twocom", 4), "checked"),
+        (base_record(), "clauses"),
     ],
 )
 def test_frozen(value, field):

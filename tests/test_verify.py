@@ -13,6 +13,7 @@ from orbitcalc import moment_oracle, verify
 from orbitcalc.diagram_core import Kind, Partition, SignedDiagram
 from orbitcalc.enumeration import partitions, shapes
 from orbitcalc.verify import SUITES, run_suite
+from oracles import failed_record
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -247,7 +248,7 @@ def _every_third(real, forced):
 
 
 def _failed(records):
-    return [dict(rec, ok=False) for rec in records]
+    return [failed_record(rec) for rec in records]
 
 
 def _twocom_forced(parts, n, alpha):
@@ -275,7 +276,7 @@ FORCED = {
     "conjugation": [("verify", "equivalent", lambda same, a, b: not same)],
     "non3": [
         ("verify", "check_range", lambda recs, t: _failed(recs)),
-        ("verify", "check_non3", lambda rec, t, k: dict(rec, ok=False)),
+        ("verify", "check_non3", lambda rec, t, k: failed_record(rec)),
     ],
     "appendix": [
         ("verify", "scaled_preceq", lambda ok, *args: not ok),
