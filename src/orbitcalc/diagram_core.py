@@ -44,18 +44,23 @@ _setattr = object.__setattr__  # bypasses Value.__setattr__; bound once, for spe
 
 class Value:
     """Base of the package's immutable values.  A subclass names its fields
-    in ``__slots__`` and its ``__init__`` sets them once, through ``_set``,
-    in field order (a ``_trusted`` builder sets them directly).  Equality (same class, equal fields), the hash of the field tuple, the
-    repr and the ``AttributeError`` on assignment are a frozen dataclass's."""
+    in ``__slots__`` (``_field_names`` adds them to its base's, so ``()``
+    keeps the base's) and its ``__init__`` sets them once, through ``_set``,
+    in field order (a ``_trusted`` builder sets them directly).  Equality
+    (same class, equal fields), the hash of the field tuple, the repr and
+    the ``AttributeError`` on assignment are a frozen dataclass's."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:
+        cls._field_names = getattr(cls, "_field_names", ()) + cls.__dict__.get("__slots__", ())
+
     def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self._field_names, values):
             _setattr(self, name, value)
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._field_names)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -72,7 +77,7 @@ class Value:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._field_names)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):  # copy and pickle rebuild through the constructor

@@ -16,19 +16,20 @@ algebra from comparing entries through the form J, which is a signed
 permutation.  Nothing is rounded.
 
 Jordan type comes from the flag of row spaces of the powers, each in the
-image's coordinates: rowspace X^k lies in rowspace X^(k-1), which the
-pivot columns P_(k-1) of its reduced form see injectively.  Level k reduces
-X acting on rowspace X^(k-1), written at P_(k-1); its reduced basis C_k
-times that, at the pivots of C_k, is level k+1's.  The ranks r_k reach 0
-exactly when X is nilpotent.  Signs: at a sign-carrying block size k (even
-for sp, odd for o(p, q)) B(u, v) = Omega(X^(k-1) u, v) on ker X^k is
-symmetric with ker X^(k-1), the smaller blocks and the deeper tails in its
-radical, so on the complement spanned by the kernel vectors of C_k at its
-free positions, mapped back through P_(k-1), its signature counts the +/-
-rows of length k.  As x^t J = -J x, it is (-1)^(k-1) (J^t u)^t X^(k-1) v,
-row vectors times x: the basis-free form of the generator-pairing rule
-(signature of Omega(X^(k-1) e, e) on a cyclic vector e).  In sl2 the
-raising element classifies as 2 with a plus, its negative with a minus.
+image's coordinates: rowspace X^k lies in rowspace X^(k-1), which the pivot
+columns P_(k-1) of its reduced form see injectively.  Level k reduces X
+acting on rowspace X^(k-1), written at P_(k-1); its reduced basis C_k times
+that, read at the pivots of C_k, is level k+1's.  The ranks r_k reach 0
+exactly when X is nilpotent; r_(k-1) - 2 r_k + r_(k+1) rows have length k.
+Signs: at a sign-carrying length k (even for sp, odd for o(p, q)), B(u, v) =
+Omega(X^(k-1) u, v) on ker X^k is symmetric with ker X^(k-1), the smaller
+blocks and the deeper tails in its radical, so on the complement spanned by
+the kernel vectors of C_k at its free positions, mapped back through
+P_(k-1), its signature counts the +/- rows of length k.  As x^t J = -J x, it
+is (-1)^(k-1) (J^t u)^t X^(k-1) v, row vectors times x: the basis-free form
+of the generator-pairing rule (signature of Omega(X^(k-1) e, e) on a cyclic
+vector e).  In sl2 the raising element classifies as 2 with a plus, its
+negative with a minus.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .diagram_core import (
     PLUS,
     SYMPLECTIC,
     Kind,
-    Partition,
     Sign,
     SignedDiagram,
     Value,
@@ -88,8 +88,10 @@ def _bareiss(rows: IntRows, ncols: int) -> tuple[IntRows, list[int], int]:
     prev = 1
     for c in range(ncols):
         r = len(pivots)
-        sel = next((i for i in range(r, len(m)) if c in m[i]), None)
-        if sel is None:
+        for sel in range(r, len(m)):
+            if c in m[sel]:
+                break
+        else:
             continue
         m[r], m[sel] = m[sel], m[r]
         prow = m[r]
@@ -313,19 +315,23 @@ class FormSpec(Value):
         return RationalMatrix(tuple({perm[i]: s} for i, s in enumerate(signs)), self.dim)
 
     def contains(self, x: RationalMatrix) -> bool:
-        """Membership in the Lie algebra: x^t J + J x = 0.  Its entry
-        (i, perm[l]) is signs[l] x[l][i] + signs[i] x[perm[i]][perm[l]], and
-        (l, i) -> (perm[i], perm[l]) permutes the positions, so it suffices
-        that each nonzero entry x[l][i] finds its partner."""
-        if not x.is_square or x.nrows != self.dim:
-            return False
-        perm, signs = self._signed_permutation()
-        rows = x.rows
-        for l, row in enumerate(rows):
-            for i, a in row.items():
-                if rows[perm[i]].get(perm[l]) != (-a if signs[i] == signs[l] else a):
-                    return False
-        return True
+        """Membership in the form's Lie algebra (see ``_in_algebra``)."""
+        return _in_algebra(x, *self._signed_permutation())
+
+
+def _in_algebra(x: RationalMatrix, perm: list[int], signs: list[int]) -> bool:
+    """Membership in the Lie algebra of J = (perm, signs): x^t J + J x = 0.
+    Its entry (i, perm[l]) is signs[l] x[l][i] + signs[i] x[perm[i]][perm[l]],
+    and (l, i) -> (perm[i], perm[l]) permutes the positions, so it suffices
+    that each nonzero entry x[l][i] finds its partner."""
+    if x.ncols != len(perm) or x.nrows != len(perm):
+        return False
+    rows = x.rows
+    for l, row in enumerate(rows):
+        for i, a in row.items():
+            if rows[perm[i]].get(perm[l]) != (-a if signs[i] == signs[l] else a):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +369,6 @@ def moment_m2(x: RationalMatrix, p: int, q: int) -> RationalMatrix:
 # Jordan data
 
 
-def _jordan_shape(ranks: list[int]) -> Partition:
-    """Jordan type from the strictly falling ranks of X^0, X^1, ... down to 0:
-    blocks of size >= k number rank X^(k-1) - rank X^k, so these heights are
-    the transpose of the Jordan partition."""
-    return Partition(tuple(a - b for a, b in zip(ranks, ranks[1:]))).transpose()
-
-
 def symmetric_signature(gram: list[list[Fraction]]) -> tuple[int, int]:
     """(positive, negative) inertia of a symmetric rational matrix; the
     radical contributes to neither count.
@@ -382,7 +381,7 @@ def symmetric_signature(gram: list[list[Fraction]]) -> tuple[int, int]:
     """
     den = lcm(*{x.denominator for row in gram for x in row})
     m = [[x.numerator * (den // x.denominator) for x in row] for row in gram]
-    pos = neg = 0
+    found: list[int] = []  # the sign of each pivot split off
     while m:
         n = len(m)
         i = next((i for i in range(n) if m[i][i]), None)
@@ -396,44 +395,49 @@ def symmetric_signature(gram: list[list[Fraction]]) -> tuple[int, int]:
             for r in range(n):
                 m[r][i] += m[r][j]
         p = m[i][i]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
         s = 1 if p > 0 else -1
+        found.append(s)
         rest = [r for r in range(n) if r != i]
         m = [[s * (p * m[r][c] - m[r][i] * m[i][c]) for c in rest] for r in rest]
         g = gcd(*(x for row in m for x in row))
         if g > 1:
             m = [[x // g for x in row] for row in m]
-    return pos, neg
+    return found.count(1), found.count(-1)
 
 
 def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
     """Signed orbit label of a nilpotent element of the form's Lie algebra."""
-    if not form.contains(x):
+    perm, signs = form._signed_permutation()
+    if not _in_algebra(x, perm, signs):
         raise ValueError("matrix is not in the Lie algebra of the form")
-    dim = form.dim
     # level k: C_k, its pivots and pivot value over the columns ``cols`` =
-    # P_(k-1).  Dividing out each level's content keeps the integers at the
-    # size of a reduced form; without it they grow with every earlier pivot
-    # along a long Jordan block
-    rows, cols, flag = x.rows, list(range(dim)), []
+    # P_(k-1).  Level k+1 is C_k times the rows, read at P_k and renumbered,
+    # over their gcd, without which they grow with each pivot of a long block
+    rows, cols, flag = x.rows, list(range(form.dim)), []
     while cols:
         reduced, pivots, d = _bareiss(rows, len(cols))
         if len(pivots) == len(cols):
             raise ValueError("classification requires a nilpotent matrix")
         flag.append((reduced, pivots, d, cols))
-        at = {c: i for i, c in enumerate(pivots)}  # level k+1: X on rowspace X^k, at P_k
-        rows = _product(reduced, [{at[j]: v for j, v in row.items() if j in at} for row in rows])
-        g = gcd(*chain.from_iterable(map(dict.values, rows)))
-        rows = [{j: v // g for j, v in row.items()} for row in rows] if g > 1 else rows
+        product = []
+        for row in reduced:
+            acc: dict[int, int] = {}
+            for t, v in row.items():
+                for j, w in rows[t].items():
+                    acc[j] = acc.get(j, 0) + v * w
+            product.append({i: acc[c] for i, c in enumerate(pivots) if acc.get(c)})
+        g = gcd(*chain.from_iterable(map(dict.values, product)))
+        rows = [{j: v // g for j, v in row.items()} for row in product] if g > 1 else product
         cols = [cols[c] for c in pivots]
-    shape = _jordan_shape([dim] + [len(pivots) for _, pivots, _, _ in flag])
-    perm, signs = form._signed_permutation()
+    ranks = [form.dim] + [len(pivots) for _, pivots, _, _ in flag] + [0]
 
     spec: list[tuple[int, Sign | None]] = []
-    for k, count in shape.classes():
+    for k in range(len(flag), 0, -1):
+        count = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]  # the Jordan blocks of length k
+        if count < 0:
+            raise ValueError(f"the ranks {ranks} of the powers give {count} blocks of length {k}")
+        if not count:
+            continue
         if form.kind.constrained(k):
             if count % 2 != 0:
                 raise ValueError(f"{count} rows of sign-free length {k} do not pair up")
@@ -444,7 +448,8 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
         free = sorted(set(range(len(cols))).difference(pivots))
         kernel = [{cols[j]: v for j, v in u.items()} for u in _kernel(reduced, pivots, d, free)]
         # B(u, v) = (X^(k-1) u)^t J v = (-1)^(k-1) (J^t u)^t X^(k-1) v
-        images = [{perm[i]: (-1) ** (k - 1) * signs[i] * a for i, a in u.items()} for u in kernel]
+        signed = signs if k % 2 else [-s for s in signs]
+        images = [{perm[i]: signed[i] * a for i, a in u.items()} for u in kernel]
         for _ in range(k - 1):
             images = _product(images, x.rows)
         gram = [[sum(a * v[i] for i, a in w.items() if i in v) for v in kernel] for w in images]

@@ -170,9 +170,9 @@ def theta_lift_real(d: SignedDiagram, target: Signature) -> SignedDiagram:
 
 class FailedRecord(CheckRecord):
     """A check record with its fields and clauses as computed and its
-    verdict ``ok`` forced to False (it declares no ``__slots__``, so the
-    base's field names stay its own)."""
+    verdict ``ok`` forced to False."""
 
+    __slots__ = ()
     ok = False
 
 

@@ -183,6 +183,24 @@ def test_copy_and_pickle_keep_the_value(value):
     assert pickle.loads(pickle.dumps(v)) == v
 
 
+class SlottedRecord(CheckRecord):
+    """A slotted subclass that adds no field: its fields are its base's."""
+
+    __slots__ = ()
+
+
+def test_slotted_subclass_keeps_its_base_fields():
+    rec = SlottedRecord(1, {"step": "base"}, {"balanced": True, "size_covers": True})
+    assert (rec.k, rec.fields, rec.clauses) == (1, {"step": "base"}, base_record().clauses)
+    assert not hasattr(rec, "__dict__")
+    assert rec == SlottedRecord(*base_record()._fields()) != base_record()
+    assert repr(rec) == repr(base_record()).replace("CheckRecord", "SlottedRecord")
+    assert copy.copy(rec) == rec and copy.deepcopy(rec) == rec
+    assert pickle.loads(pickle.dumps(rec)) == rec
+    with pytest.raises(AttributeError, match="cannot assign to field 'k'"):
+        rec.k = 2
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
