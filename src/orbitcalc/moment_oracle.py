@@ -10,10 +10,11 @@ of the integer rows over the product of the two denominators.  Scaling by
 den > 0 changes neither rank nor kernel, and it multiplies each Gram
 matrix of a pairing below by a positive constant, so it keeps the inertia
 too.  Rank, kernel and inverse come from Bareiss's fraction-free
-Gauss-Jordan elimination, whose every division is exact; the inertia of a
-symmetric matrix from congruence on integers; and membership in a Lie
-algebra from comparing entries through the form J, which is a signed
-permutation.  Nothing is rounded.
+Gauss-Jordan elimination, whose every division is exact, and which negates
+the pivot row at a pivot equal to minus the last, not the other rows; the
+inertia of a symmetric integer matrix (a pairing's Gram matrix as built)
+from congruence; and membership in a Lie algebra from comparing entries
+through the form J, which is a signed permutation.  Nothing is rounded.
 
 Jordan type comes from the flag of row spaces of the powers, each in the
 image's coordinates: rowspace X^k lies in rowspace X^(k-1), which the pivot
@@ -81,21 +82,27 @@ def _bareiss(rows: IntRows, ncols: int) -> tuple[IntRows, list[int], int]:
     previous pivot is exact.  A row with an entry a in the pivot column is
     rebuilt in one pass, as row[j] p / prev (never 0) off the pivot row and
     (row[j] p - a w) / prev, kept when nonzero, at each of its entries w.
-    The input rows are not modified.
+    At a pivot p = -prev the pivot row, the only one holding its input row,
+    is negated rather than every other row: that is the run on the input
+    with that row negated, so only the signs of d and of the rows change.
+    A zero input scans no column.  The input rows are not modified.
     """
     m = [row for row in rows if row]
     pivots: list[int] = []
     prev = 1
-    for c in range(ncols):
+    for c in range(ncols if m else 0):
         r = len(pivots)
         for sel in range(r, len(m)):
             if c in m[sel]:
                 break
         else:
             continue
-        m[r], m[sel] = m[sel], m[r]
-        prow = m[r]
+        prow = m[sel]
         p = prow[c]
+        if p == -prev:
+            prow = {j: -v for j, v in prow.items()}
+            p = prev
+        m[sel], m[r] = m[r], prow  # m[r] last, so that sel == r keeps prow
         for i, row in enumerate(m):
             if i == r:
                 continue
@@ -370,17 +377,19 @@ def moment_m2(x: RationalMatrix, p: int, q: int) -> RationalMatrix:
 
 
 def symmetric_signature(gram: list[list[Fraction]]) -> tuple[int, int]:
-    """(positive, negative) inertia of a symmetric rational matrix; the
-    radical contributes to neither count.
-
-    Congruence on integers: the matrix is scaled by the lcm of its
-    denominators, then a nonzero diagonal pivot p splits off as the sign of
-    p and the rest becomes |p| times its Schur complement, divided by the
-    gcd of its entries.  With a zero diagonal, e_i + e_j for an entry
-    (i, j) != 0 makes a pivot 2 (i, j).
-    """
+    """(positive, negative) inertia of a symmetric rational matrix, the
+    radical in neither: ``_inertia`` of it times the lcm of its denominators."""
     den = lcm(*{x.denominator for row in gram for x in row})
-    m = [[x.numerator * (den // x.denominator) for x in row] for row in gram]
+    return _inertia([[x.numerator * (den // x.denominator) for x in row] for row in gram])
+
+
+def _inertia(m: list[list[int]]) -> tuple[int, int]:
+    """(positive, negative) inertia of a symmetric integer matrix, by
+    congruence: a nonzero diagonal pivot p splits off as the sign of p and
+    the rest becomes |p| times its Schur complement over the gcd of its
+    entries.  With a zero diagonal, e_i + e_j for an entry (i, j) != 0 makes
+    a pivot 2 (i, j), added in place: it modifies ``m``, so
+    ``symmetric_signature`` and ``classify_signed`` each pass a fresh matrix."""
     found: list[int] = []  # the sign of each pivot split off
     while m:
         n = len(m)
@@ -443,13 +452,20 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
                 raise ValueError(f"{count} rows of sign-free length {k} do not pair up")
             spec += [(k, None)] * count
             continue
-        # the complement of ker X^(k-1) in ker X^k, back in dim coordinates
+        # the complement of ker X^(k-1) in ker X^k, back in dim coordinates,
+        # and B(u, v) = (X^(k-1) u)^t J v = (-1)^(k-1) (J^t u)^t X^(k-1) v
         reduced, pivots, d, cols = flag[k - 1]
         free = sorted(set(range(len(cols))).difference(pivots))
-        kernel = [{cols[j]: v for j, v in u.items()} for u in _kernel(reduced, pivots, d, free)]
-        # B(u, v) = (X^(k-1) u)^t J v = (-1)^(k-1) (J^t u)^t X^(k-1) v
         signed = signs if k % 2 else [-s for s in signs]
-        images = [{perm[i]: signed[i] * a for i, a in u.items()} for u in kernel]
+        kernel, images = [], []
+        for u in _kernel(reduced, pivots, d, free):
+            v, w = {}, {}
+            for j, a in u.items():
+                i = cols[j]
+                v[i] = a
+                w[perm[i]] = signed[i] * a
+            kernel.append(v)
+            images.append(w)
         for _ in range(k - 1):
             images = _product(images, x.rows)
         gram = [[sum(a * v[i] for i, a in w.items() if i in v) for v in kernel] for w in images]
@@ -458,7 +474,7 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
         # so symmetry on the complement is symmetry on all of ker X^k
         if any(gram[a][b] != gram[b][a] for a in range(len(gram)) for b in range(a)):
             raise ValueError(f"the length-{k} pairing is not symmetric")
-        np_, nm = symmetric_signature(gram)
+        np_, nm = _inertia(gram)
         if np_ + nm != count:
             raise ValueError(
                 f"inertia {np_}+{nm} of the length-{k} pairing must count its rows {count}"

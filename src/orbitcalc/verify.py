@@ -197,18 +197,17 @@ def _induce_oracle_case(s: SignedDiagram, n: int) -> tuple[str, ...]:
 
     bad = []
     induced = induce_real(s, n)
+    form, block_form = mo.FormSpec.symplectic(2 * n), mo.FormSpec.symplectic(s.size)
     for j, expected in enumerate(induced.diagrams):
         x = mo.build_witness(s, n, j)
-        got = mo.classify_signed(x, mo.FormSpec.symplectic(2 * n))
+        got = mo.classify_signed(x, form)
         if not equivalent(got, expected):
             bad.append(f"witness (S={s.rows}, n={n}, j={j}) classifies to {got.rows}")
-        neg = mo.classify_signed(-x, mo.FormSpec.symplectic(2 * n))
+        neg = mo.classify_signed(-x, form)
         if not equivalent(neg, negate(got)):
             bad.append(f"negation rule fails on (S={s.rows}, n={n}, j={j})")
         block = mo.witness_block_part(x, s.size // 2)
-        if s.rows and not equivalent(
-            mo.classify_signed(block, mo.FormSpec.symplectic(s.size)), s
-        ):
+        if s.rows and not equivalent(mo.classify_signed(block, block_form), s):
             bad.append(f"witness block part leaves the source orbit (S={s.rows}, n={n})")
     return tuple(bad)
 

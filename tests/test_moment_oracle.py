@@ -59,6 +59,15 @@ def _deep_conjugates():
         yield d, form, conjugate(random_form_preserving(form, rng), representative(d))
 
 
+def _witnesses(nmax):
+    """Every witness of the induce-oracle grid with n <= nmax."""
+    for two_m in range(0, 2 * nmax + 1, 2):
+        for s in signed_diagrams(Kind.SYMPLECTIC, size=two_m):
+            for n in range(two_m // 2 + len(s.rows), nmax + 1):
+                for j in range(len(induce_real(s, n).diagrams)):
+                    yield build_witness(s, n, j)
+
+
 class TestMatrix:
     def test_rank_and_kernel(self):
         m = RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
@@ -385,17 +394,11 @@ class TestFlagAgainstPowers:
         # the witness grid of the induce-oracle suite at bound 12: its 80
         # cases are these 78 (S, n) cells and the two sl2 anchors
         cases = 0
-        for two_m in range(0, 13, 2):
-            for s in signed_diagrams(Kind.SYMPLECTIC, size=two_m):
-                for n in range(two_m // 2, 7):
-                    if n - two_m // 2 < len(s.rows):
-                        continue
-                    form = FormSpec.symplectic(2 * n)
-                    for j in range(len(induce_real(s, n).diagrams)):
-                        x = build_witness(s, n, j)
-                        self.check(x, form)
-                        self.check(-x, form)
-                        cases += 1
+        for x in _witnesses(6):
+            form = FormSpec.symplectic(x.nrows)
+            self.check(x, form)
+            self.check(-x, form)
+            cases += 1
         assert cases == 161
 
     @pytest.mark.parametrize("seed", [1, 7, 1009])
@@ -608,7 +611,14 @@ class TestIntegerKernel:
             assert len(_gauss_jordan(kernel, m.ncols)[1]) == len(kernel)
 
     def test_bareiss_contract(self):
+        # the sparse +/-1 inputs of the oracle, where many a pivot is minus
+        # the one before it, and their negatives
+        pm1 = [representative(d) for size in range(0, 9, 2)
+               for d in signed_diagrams(Kind.SYMPLECTIC, size=size)]
+        pm1 += list(_witnesses(4))
+        assert len(pm1) == 113
         matrices = _differential_cases() + [x for _, _, x in _deep_conjugates()]
+        matrices += pm1 + [-x for x in pm1]
         for m in matrices:
             rows = copy.deepcopy(m.rows)
             reduced, pivots, d = moment_oracle._bareiss(m.rows, m.ncols)
@@ -620,6 +630,21 @@ class TestIntegerKernel:
                 assert all(row.values()), row
             assert m.rows == rows
         assert len(matrices) > 150
+
+    def test_bareiss_signed_permutations(self):
+        # every pivot is +/-1, and one equal to minus the last is negated in
+        # the pivot row, so d stays 1 and the reduced form is the identity
+        count = 0
+        for n in range(1, 6):
+            for perm in itertools.permutations(range(n)):
+                for signs in itertools.product((1, -1), repeat=n):
+                    rows = [{perm[i]: s} for i, s in enumerate(signs)]
+                    copies = [dict(row) for row in rows]
+                    reduced, pivots, d = moment_oracle._bareiss(rows, n)
+                    assert (reduced, pivots, d) == ([{i: 1} for i in range(n)], list(range(n)), 1)
+                    assert rows == copies
+                    count += 1
+        assert count == 4282
 
     def test_inverse(self):
         singular = 0
@@ -692,7 +717,10 @@ class TestIntegerKernel:
             s = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
             coeffs = _charpoly(s)  # leading coefficient first
             alternated = [c * (-1) ** k for k, c in enumerate(reversed(coeffs))]
-            assert symmetric_signature(s) == (_sign_changes(coeffs), _sign_changes(alternated))
+            expected = (_sign_changes(coeffs), _sign_changes(alternated))
+            assert symmetric_signature(s) == expected
+            den = lcm(*(x.denominator for row in s for x in row))
+            assert moment_oracle._inertia([[int(x * den) for x in row] for row in s]) == expected
 
 
 def _charpoly(a):
