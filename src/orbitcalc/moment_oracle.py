@@ -122,11 +122,12 @@ def _bareiss(rows: IntRows, ncols: int) -> tuple[IntRows, list[int], int]:
     return m[: len(pivots)], pivots, prev
 
 
-def _kernel(reduced: IntRows, pivots: list[int], d: int, free) -> list[dict[int, int]]:
-    """Null-space vectors from a ``_bareiss`` result, one per free column f
-    in ``free``: d times the reduced-echelon kernel vector of f."""
+def _kernel(reduced: IntRows, pivots: list[int], d: int, ncols: int) -> list[dict[int, int]]:
+    """Null-space vectors from a ``_bareiss`` result on ``ncols`` columns,
+    one per free (non-pivot) column f, in increasing f: d times the
+    reduced-echelon kernel vector of f."""
     basis = []
-    for f in free:
+    for f in sorted(set(range(ncols)).difference(pivots)):
         v = {f: d}
         for row, pc in zip(reduced, pivots):
             if f in row:
@@ -258,8 +259,7 @@ class RationalMatrix(Value):
         """Basis of the right null space: for each free column f, the vector
         with 1 at f that the reduced row echelon form leaves."""
         reduced, pivots, d = _bareiss(self.rows, self.ncols)
-        free = sorted(set(range(self.ncols)).difference(pivots))
-        return list(RationalMatrix(_kernel(reduced, pivots, d, free), self.ncols, d).entries)
+        return list(RationalMatrix(_kernel(reduced, pivots, d, self.ncols), self.ncols, d).entries)
 
     def inverse(self) -> "RationalMatrix":
         if not self.is_square:
@@ -455,10 +455,9 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
         # the complement of ker X^(k-1) in ker X^k, back in dim coordinates,
         # and B(u, v) = (X^(k-1) u)^t J v = (-1)^(k-1) (J^t u)^t X^(k-1) v
         reduced, pivots, d, cols = flag[k - 1]
-        free = sorted(set(range(len(cols))).difference(pivots))
         signed = signs if k % 2 else [-s for s in signs]
         kernel, images = [], []
-        for u in _kernel(reduced, pivots, d, free):
+        for u in _kernel(reduced, pivots, d, len(cols)):
             v, w = {}, {}
             for j, a in u.items():
                 i = cols[j]

@@ -352,9 +352,12 @@ class TestMalformedInput:
             (["validate"], _diagram_with_len(1.9)),
             (["validate"], _diagram_with_len(True)),
             (["validate"], {"kind": "orthogonal", "rows": 5}),
+            (["validate"], {"kind": "x", "rows": []}),
+            (["validate"], {"kind": "orthogonal", "rows": [{"len": 1}]}),
             (["oracle", "classify", "--form", "sp:2"], [1, 2]),
             (["oracle", "classify", "--form", "sp:2"], [[1.5]]),
             (["oracle", "classify", "--form", "sp:2"], [[True]]),
+            (["oracle", "classify", "--form", "o:-1,2"], [[0]]),
         ],
         ids=[
             "float-partition",
@@ -366,9 +369,12 @@ class TestMalformedInput:
             "float-len",
             "bool-len",
             "rows-not-list",
+            "unknown-kind",
+            "row-without-sign",
             "flat-matrix",
             "float-matrix-entry",
             "bool-matrix-entry",
+            "negative-form-entry",
         ],
     )
     def test_malformed_file(self, capsys, tmp_path, argv, content):

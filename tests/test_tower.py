@@ -521,6 +521,26 @@ class TestNon3:
         # (p, q) = (5, 4) here, and the slot comes out as (p, q-1) exactly
         assert rec.fields["j_star_signature"] == (5, 3)
 
+    def test_width_margin_failure_ends_the_record(self):
+        # [3-] in O(1,2) is not class U; the step-2 record of its deletion
+        # tower fails the width margin and checks nothing past it
+        d = SignedDiagram(Kind.ORTHOGONAL, (SignedRow(3, M),))
+        assert not class_u(d).member
+        steps = chain(d)[::-1]
+        t = Tower(steps, (Signature(0, 0), *(signature(step) for step in steps)))
+        assert check_non3(t, 2).to_json_dict() == {
+            "k": 2,
+            "p0q0": (0, 1),
+            "n1": 1,
+            "pq": (1, 2),
+            "m1": 1,
+            "m2": 1,
+            "n2": 1,
+            "companions": 1,
+            "checks": {"width_margin": False},
+            "ok": False,
+        }
+
     def test_bad_step_rejected(self, intro_diagram):
         t = tower(intro_diagram)
         with pytest.raises(ValueError, match="neighbors"):

@@ -136,27 +136,6 @@ def test_suites_deterministic():
     assert a.to_json_dict() == b.to_json_dict()
 
 
-def test_out_times_each_suite_by_its_fastest_pass(monkeypatch, tmp_path):
-    verify_all = _load_script("verify_all")
-    rep, times = verify_all.timed("twocom", 4, 1)
-    assert rep.passed and len(times) == 1
-    rep, times = verify_all.timed("twocom", 4, 5)
-    assert rep.passed and len(times) == 5
-    passes = []
-
-    def fixed_times(name, bound, n):
-        passes.append(n)
-        return rep, [0.3, 0.1, 0.2, 0.5, 0.4]
-
-    monkeypatch.setattr(verify_all, "timed", fixed_times)
-    monkeypatch.setattr(verify_all, "ACCEPTANCE_BOUNDS", [("twocom", 4, rep.checked)])
-    monkeypatch.setattr(sys, "argv", ["verify_all.py", "--out", str(tmp_path / "run.json")])
-    assert verify_all.main() == 0
-    suite = json.loads((tmp_path / "run.json").read_text())["suites"]["twocom"]
-    assert passes == [verify_all.TIMED_PASSES] == [5]
-    assert (suite["elapsed_s"], suite["repetitions"]) == (0.1, 5)
-
-
 def test_verify_all_fails_on_a_case_count_mismatch(monkeypatch, capsys):
     verify_all = _load_script("verify_all")
     checked = run_suite("twocom", 4).checked
@@ -168,14 +147,6 @@ def test_verify_all_fails_on_a_case_count_mismatch(monkeypatch, capsys):
     assert f"count: expected {checked + 1} cases" in capsys.readouterr().out
 
 
-def test_spread_reports_median_and_quartiles():
-    bench_compare = _load_script("bench_compare")
-    runs = [{"suites": {"s": {"elapsed_s": t}}} for t in (0.4, 0.1, 0.3, 0.2, 0.5)]
-    assert bench_compare.spread(runs) == {"s": {"median_s": 0.3, "quartiles_s": [0.15, 0.45]}}
-    one = bench_compare.spread(runs[:1])
-    assert one == {"s": {"median_s": 0.4, "quartiles_s": [0.4, 0.4]}}
-
-
 def test_startup_pools_every_command():
     bench_compare = _load_script("bench_compare")
     stats = bench_compare.startup({"a": [0.1, 0.3], "b": [0.2, 0.4, 0.5]})
@@ -184,12 +155,34 @@ def test_startup_pools_every_command():
     assert list(stats["per_command"]) == ["a", "b"]
 
 
+def test_bench_compare_runs_a_round_with_this_tree_on_both_sides(monkeypatch, tmp_path):
+    bench_compare = _load_script("bench_compare")
+    src = SCRIPTS.parent / "src"
+    monkeypatch.setattr(bench_compare, "ACCEPTANCE_BOUNDS", [("twocom", 4, None)])
+    command = {"validate-intro": bench_compare.cli_mix.COMMANDS["validate-intro"]}
+    monkeypatch.setattr(bench_compare.cli_mix, "COMMANDS", command)
+    out = tmp_path / "bench.json"
+    assert bench_compare.compare(src, "c0ffee", 1, str(out)) == 0
+    record = json.loads(out.read_text())
+    suite = record["suites"]["twocom"]
+    assert suite["reports_identical"] and record["suites_differ"] == []
+    (passes,), (ratio,) = suite["passes"], suite["ratios_base_over_change"]
+    assert passes >= 1 and suite["change_wins"] == (ratio > 1)
+    assert ratio > 0 and set(suite["ratio"]) == {"median", "quartiles"}
+    assert set(suite["base"]) == set(suite["change"]) == {"median_s", "quartiles_s"}
+    assert record["base"]["commit"] == "c0ffee"
+    lines = bench_compare.package_lines(src)
+    assert record["base"]["src_lines"] == record["change"]["src_lines"] == lines
+    assert record["cli_startup"]["outputs_differ"] == []
+
+
 def test_base_rev_is_exported_with_its_commit(monkeypatch, tmp_path):
     # --base-rev runs the src of that revision and records its commit
     bench_compare = _load_script("bench_compare")
     repo = tmp_path / "repo"
-    (repo / "src").mkdir(parents=True)
-    (repo / "src" / "m.py").write_text("base\n")
+    package = repo / "src" / "orbitcalc"
+    package.mkdir(parents=True)
+    (package / "m.py").write_text("base\n")
 
     def git(*argv):
         done = subprocess.run(
@@ -201,27 +194,23 @@ def test_base_rev_is_exported_with_its_commit(monkeypatch, tmp_path):
     git("init", "-q")
     git("add", "src")
     git("commit", "-qm", "base")
-    (repo / "src" / "m.py").write_text("change\n")
+    head = git("rev-parse", "HEAD")
+    assert bench_compare.package_commit(repo / "src") == head
+    (package / "m.py").write_text("change\n")
+    assert bench_compare.package_commit(repo / "src") == head + "+dirty"
+    assert bench_compare.package_commit(tmp_path) is None
     monkeypatch.setattr(bench_compare, "HERE", repo / "scripts")
-    ran = {}
+    ran = []
 
-    def one_run(src):
-        side = "change" if src == repo / "src" else "base"
-        ran[side] = (src / "m.py").read_text()
-        commit = "c0ffee" if side == "change" else None
-        return {"suites": {"s": {"elapsed_s": 0.1}}, "commit": commit, "src_lines": 1}
+    def compare(base_src, base_commit, rounds, out_path):
+        ran.append(((base_src / "orbitcalc" / "m.py").read_text(), base_commit, rounds))
+        return 0
 
-    monkeypatch.setattr(bench_compare, "one_run", one_run)
-    monkeypatch.setattr(bench_compare.cli_mix, "COMMANDS", {"a": ["--help"]})
-    monkeypatch.setattr(bench_compare.cli_mix, "run_subprocess", lambda argv, env: (0, "", 0.1))
-    out = tmp_path / "bench.json"
-    argv = ["bench_compare.py", "--runs", "1", "--out", str(out)]
+    monkeypatch.setattr(bench_compare, "compare", compare)
+    argv = ["bench_compare.py", "--runs", "1", "--out", str(tmp_path / "bench.json")]
     monkeypatch.setattr(sys, "argv", argv + ["--base-rev", "HEAD"])
     assert bench_compare.main() == 0
-    record = json.loads(out.read_text())
-    head = git("rev-parse", "HEAD")
-    assert (record["base"]["commit"], record["change"]["commit"]) == (head, "c0ffee")
-    assert ran == {"base": "base\n", "change": "change\n"}
+    assert ran == [("base\n", head, 1)]
     monkeypatch.setattr(sys, "argv", argv + ["--base-rev", "no-such-rev"])
     with pytest.raises(SystemExit) as exc:
         bench_compare.main()
@@ -229,11 +218,12 @@ def test_base_rev_is_exported_with_its_commit(monkeypatch, tmp_path):
 
 
 def test_package_lines_counts_every_module():
-    verify_all = _load_script("verify_all")
-    files = sorted(Path(orbitcalc.__file__).resolve().parent.glob("*.py"))
+    bench_compare = _load_script("bench_compare")
+    src = Path(orbitcalc.__file__).resolve().parents[1]
+    files = sorted((src / "orbitcalc").glob("*.py"))
     assert len(files) > 1
     want = sum(len(f.read_text().splitlines()) for f in files)
-    assert verify_all.package_lines() == want
+    assert bench_compare.package_lines(src) == want
 
 
 def _every_third(real, forced):
@@ -311,3 +301,23 @@ def test_forced_failures_report_every_counterexample_in_order(name, monkeypatch)
     text = json.dumps(rep.to_json_dict(), sort_keys=True)
     assert not rep.passed and rep.counterexamples
     assert hashlib.sha256(text.encode()).hexdigest() == FORCED_DIGESTS[name]
+
+
+def test_forced_block_part_failures_are_reported(monkeypatch):
+    # every third block part is the zero matrix of the block's size; only
+    # the block-part verdict sees it, and a zero block of the orbit [1+, 1-]
+    # or of the empty S still holds
+    def zero(block, x, m):
+        return moment_oracle.RationalMatrix.zeros(block.nrows, block.ncols)
+
+    real = moment_oracle.witness_block_part
+    monkeypatch.setattr(moment_oracle, "witness_block_part", _every_third(real, zero))
+    rep = run_suite("induce-oracle", SMALL_BOUNDS["induce-oracle"])
+    assert rep.counterexamples == tuple(
+        f"witness block part leaves the source orbit (S=({row},), n=3)"
+        for row in (
+            "SignedRow(length=2, leading=Sign('-'))",
+            "SignedRow(length=2, leading=Sign('+'))",
+            "SignedRow(length=4, leading=Sign('-'))",
+        )
+    )
