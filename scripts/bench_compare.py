@@ -19,12 +19,14 @@ then has to hit every timing of one side to move the round.
 
 Per suite the record holds the pass count of each round, each side's median
 and quartiles of the time per pass, the per-round ratios base / change with
-their median and quartiles, the rounds the change ran faster, and whether
-the two sides' reports were identical JSON in every round.  It also holds
-each side's ``src_lines``, the line count of its package, and ``commit``:
-for the base the commit exported, for the change the commit git reads next
-to the package (marked ``+dirty`` when the package differs from it, null
-outside a checkout).  The same comparison is printed as a table.
+their median and quartiles, the rounds the change ran faster, whether the
+two sides' reports were identical JSON in every round, and ``resolved``,
+whether the rounds tell the sides apart at all (see ``resolved``): only a
+resolved suite backs a claim either way.  It also holds each side's
+``src_lines``, the line count of its package, and ``commit``: for the base
+the commit exported, for the change the commit git reads next to the
+package (marked ``+dirty`` when the package differs from it, null outside a
+checkout).  The same comparison is printed as a table.
 
 Each round also times CLI start-up: every command of the ``cli-mix``
 benchmark workload (``perfbench/cli_mix.py``, imported read-only) runs as
@@ -59,12 +61,26 @@ from verify_all import ACCEPTANCE_BOUNDS  # noqa: E402  (the table alone, no pac
 SIDES = ("base", "change")
 MIN_TIMED_S = 0.01  # a suite faster than this per pass is timed over several passes
 REPEATS = 3  # timings per side per round, the sides alternating; the fastest counts
+MIN_ROUNDS = 10  # fewer rounds resolve no suite
 
 
 def summary(values: list[float], suffix: str = "_s") -> dict:
     """The median and the quartiles of ``values`` (all three equal for one)."""
     q1, med, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {f"median{suffix}": round(med, 6), f"quartiles{suffix}": [round(q1, 6), round(q3, 6)]}
+
+
+def resolved(rounds: int, wins: int, base: dict, change: dict) -> bool:
+    """Whether the rounds tell the two sides of a suite apart: at least
+    ``MIN_ROUNDS`` of them, the change faster in at least nine tenths of
+    them or in at most one tenth, and the medians further apart than the
+    base side's quartiles."""
+    q1, q3 = base["quartiles_s"]
+    return (
+        rounds >= MIN_ROUNDS
+        and (10 * wins >= 9 * rounds or 10 * wins <= rounds)
+        and abs(base["median_s"] - change["median_s"]) > q3 - q1
+    )
 
 
 def startup(times: dict[str, list[float]]) -> dict:
@@ -204,11 +220,15 @@ def compare(base_src: Path, base_commit: str, rounds: int, out_path: str) -> int
             "ratio": summary(ratios, suffix=""),
             "change_wins": sum(r > 1 for r in ratios),
         }
+        record["resolved"] = resolved(
+            rounds, record["change_wins"], record["base"], record["change"]
+        )
         med, (q1, q3) = record["ratio"].values()
         print(
             f"{name:<14} x{max(run['passes']):<3} base {record['base']['median_s'] * 1e3:8.3f} ms"
             f"  change {record['change']['median_s'] * 1e3:8.3f} ms  base/change {med:.3f}"
             f" [{q1:.3f}, {q3:.3f}]  change won {record['change_wins']}/{rounds}"
+            f"  resolved: {str(record['resolved']).lower()}"
         )
     differ = [name for name, record in suites.items() if not record["reports_identical"]]
     print(f"suite reports  outputs differ: {differ or 'none'}")

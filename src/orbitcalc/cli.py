@@ -235,14 +235,14 @@ def _parse_form(token: str) -> FormSpec:
 
     try:
         head, params = token.split(":", 1)
-        if head == "sp":
-            return FormSpec.symplectic(int(params))
-        if head == "o":
-            p, q = params.split(",")
-            return FormSpec.orthogonal(int(p), int(q))
-    except ValueError:
-        pass
-    raise CliError(f"bad form {token!r}; use sp:2n or o:p,q")
+        numbers = tuple(map(int, params.split(",")))
+        build = {("sp", 1): FormSpec.symplectic, ("o", 2): FormSpec.orthogonal}[head, len(numbers)]
+    except (ValueError, KeyError):
+        raise CliError(f"bad form {token!r}; use sp:2n or o:p,q") from None
+    try:
+        return build(*numbers)
+    except ValueError as exc:  # the token parses, but names no form
+        raise CliError(f"bad form {token!r}: {exc}") from None
 
 
 def cmd_render(args) -> int:

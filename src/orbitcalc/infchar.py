@@ -141,9 +141,6 @@ def infchar_domino(d: Partition, kind: Kind) -> HalfIntVector:
 class BoundReport(Value):
     __slots__ = ("holds_weak", "holds_strict")
 
-    def __init__(self, holds_weak: bool, holds_strict: bool) -> None:
-        self._set(holds_weak, holds_strict)
-
 
 def check_bound(d: Partition, kind: Kind) -> BoundReport:
     """Compare the sorted infinitesimal character against its rho-type bound.

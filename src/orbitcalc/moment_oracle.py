@@ -46,7 +46,6 @@ from .diagram_core import (
     ORTHOGONAL,
     PLUS,
     SYMPLECTIC,
-    Kind,
     Sign,
     SignedDiagram,
     Value,
@@ -172,7 +171,7 @@ class RationalMatrix(Value):
             if g != 1:
                 rows = tuple({j: v // g for j, v in row.items()} for row in rows)
                 den //= g
-        self._set(rows, ncols, den)
+        Value.__init__(self, rows, ncols, den)
 
     # -- construction ------------------------------------------------------
 
@@ -291,14 +290,11 @@ class FormSpec(Value):
 
     __slots__ = ("kind", "p", "q")
 
-    def __init__(self, kind: Kind, p: int, q: int = 0) -> None:
-        self._set(kind, p, q)
-
     @classmethod
     def symplectic(cls, two_n: int) -> "FormSpec":
         if two_n % 2 != 0 or two_n < 0:
             raise ValueError("symplectic dimension must be even and nonnegative")
-        return cls(SYMPLECTIC, two_n)
+        return cls(SYMPLECTIC, two_n, 0)
 
     @classmethod
     def orthogonal(cls, p: int, q: int) -> "FormSpec":

@@ -42,9 +42,6 @@ class InducedOrbitSet(Value):
 
     __slots__ = ("diagrams", "new_columns")
 
-    def __init__(self, diagrams: tuple[SignedDiagram, ...], new_columns: int) -> None:
-        self._set(diagrams, new_columns)
-
     @property
     def count(self) -> int:
         return len(self.diagrams)

@@ -52,7 +52,7 @@ from .theta_orbits import (
     inertia_fits,
     prepend_column,
 )
-from .vector_order import HalfIntVector, vector_to_json
+from .vector_order import vector_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +95,6 @@ class Tower(Value):
 
     __slots__ = ("steps", "sig")
 
-    def __init__(self, steps: tuple[SignedDiagram, ...], sig: tuple[Signature, ...]) -> None:
-        self._set(steps, sig)
-
     @property
     def d1(self) -> int:
         return len(self.steps)
@@ -119,7 +116,7 @@ class Tower(Value):
 
 
 EMPTY = Tower((), (Signature(0, 0),))  # the tower of either empty diagram
-MEMBER = ClassUReport(True, True, False)  # class_u of every diagram with a Tower
+MEMBER = ClassUReport(True, True, False, ())  # class_u of every diagram with a Tower
 
 
 class NotAdmissible(ValueError):
@@ -217,9 +214,6 @@ class CheckRecord(Value):
     Its JSON names the clauses "clauses" if it has no fields, else "checks"."""
 
     __slots__ = ("k", "fields", "clauses")
-
-    def __init__(self, k: int, fields: dict, clauses: dict[str, bool]) -> None:
-        self._set(k, fields, clauses)
 
     @property
     def ok(self) -> bool:
@@ -400,11 +394,6 @@ class TowerCertificate(Value):
     every record it holds is ``ok``."""
 
     __slots__ = ("diagram", "tower", "records", "infchar")
-
-    def __init__(
-        self, diagram: SignedDiagram, tower: Tower, records, infchar: HalfIntVector
-    ) -> None:
-        self._set(diagram, tower, records, infchar)
 
     @property
     def valid(self) -> bool:

@@ -55,7 +55,7 @@ class SuiteReport(Value):
     __slots__ = ("name", "bound", "checked", "counterexamples", "notes")
 
     def __init__(self, name: str, bound: int, checked: int, counterexamples, notes) -> None:
-        self._set(name, bound, checked, tuple(counterexamples), tuple(notes))
+        Value.__init__(self, name, bound, checked, tuple(counterexamples), tuple(notes))
 
     @property
     def passed(self) -> bool:

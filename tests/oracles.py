@@ -13,7 +13,8 @@ whole kernels of those powers, random Lie-algebra elements as dense
 products with the form matrix, and the column moves by the spec route
 (``flipped_spec`` through ``from_row_spec``) next to the class-wise one.
 Last, a check record whose verdict is forced to fail, for the tests that
-break a certificate or a suite by hand.
+break a certificate or a suite by hand, and ``all_signed``, the diagrams
+that the exhaustive tests sweep.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from orbitcalc.diagram_core import (
     validate_partition_kind,
     validate_signed,
 )
-from orbitcalc.enumeration import partitions
+from orbitcalc.enumeration import partitions, signed_diagrams
 from orbitcalc.infchar import characters_reverse, segment, segments_of_transpose
 from orbitcalc.moment_oracle import FormSpec, RationalMatrix, symmetric_signature
 from orbitcalc.theta_orbits import prepend_column
@@ -50,6 +51,14 @@ from orbitcalc.vector_order import HalfIntVector, OrderResult, bar_sort, dominan
 
 # ---------------------------------------------------------------------------
 # diagrams
+
+
+def all_signed(max_size: int):
+    """Every valid signed diagram of size at most ``max_size``: by size,
+    symplectic before orthogonal, each in enumeration order."""
+    for size in range(max_size + 1):
+        for kind in Kind:
+            yield from signed_diagrams(kind, size=size)
 
 
 def brute_count(kind: Kind, size: int, sig: Signature | None = None) -> int:

@@ -244,8 +244,15 @@ class TestOracle:
     def test_bad_form(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps([["0"]]))
-        code, _, err = run(capsys, "oracle", "classify", str(path), "--form", "huh")
+        # a token that does not parse gets the usage text, whatever its flaw
+        for token in ("huh", "o:x", "sp:2,2", "x:2"):
+            code, out, err = run(capsys, "oracle", "classify", str(path), "--form", token)
+            assert (code, out) == (2, "")
+            assert err == f"error: bad form {token!r}; use sp:2n or o:p,q\n"
+        # one that parses but names no form gets FormSpec's reason
+        code, _, err = run(capsys, "oracle", "classify", str(path), "--form", "sp:3")
         assert code == 2
+        assert err == "error: bad form 'sp:3': symplectic dimension must be even and nonnegative\n"
 
     def test_not_nilpotent(self, capsys, tmp_path):
         path = tmp_path / "m.json"
@@ -341,23 +348,55 @@ class TestMalformedInput:
     """Malformed input exits 2 with nothing on stdout; it is never coerced."""
 
     @pytest.mark.parametrize(
-        "argv, content",
+        "argv, content, reason",
         [
-            (["infchar", "--kind", "sp"], [2.7, 1]),
-            (["infchar", "--kind", "sp"], [True, True]),
-            (["infchar", "--kind", "sp"], [1]),
-            (["infchar", "--kind", "sp"], [3, 1]),
-            (["infchar", "--kind", "o"], [2]),
-            (["validate"], _diagram_with_len("2")),
-            (["validate"], _diagram_with_len(1.9)),
-            (["validate"], _diagram_with_len(True)),
-            (["validate"], {"kind": "orthogonal", "rows": 5}),
-            (["validate"], {"kind": "x", "rows": []}),
-            (["validate"], {"kind": "orthogonal", "rows": [{"len": 1}]}),
-            (["oracle", "classify", "--form", "sp:2"], [1, 2]),
-            (["oracle", "classify", "--form", "sp:2"], [[1.5]]),
-            (["oracle", "classify", "--form", "sp:2"], [[True]]),
-            (["oracle", "classify", "--form", "o:-1,2"], [[0]]),
+            (
+                ["infchar", "--kind", "sp"],
+                [2.7, 1],
+                "not a partition: row lengths must be integers: (2.7, 1)",
+            ),
+            (
+                ["infchar", "--kind", "sp"],
+                [True, True],
+                "not a partition: row lengths must be integers: (True, True)",
+            ),
+            (["infchar", "--kind", "sp"], [1], "(1) is not a symplectic shape"),
+            (["infchar", "--kind", "sp"], [3, 1], "(3,1) is not a symplectic shape"),
+            (["infchar", "--kind", "o"], [2], "(2) is not a orthogonal shape"),
+            (["validate"], _diagram_with_len("2"), "row lengths must be integers: ('2',)"),
+            (["validate"], _diagram_with_len(1.9), "row lengths must be integers: (1.9,)"),
+            (["validate"], _diagram_with_len(True), "row lengths must be integers: (True,)"),
+            (
+                ["validate"],
+                {"kind": "orthogonal", "rows": 5},
+                "diagram 'rows' must be a list",
+            ),
+            (["validate"], {"kind": "x", "rows": []}, "unknown kind 'x'"),
+            (
+                ["validate"],
+                {"kind": "orthogonal", "rows": [{"len": 1}]},
+                "row 1: needs 'len' and 'sign' fields",
+            ),
+            (
+                ["oracle", "classify", "--form", "sp:2"],
+                [1, 2],
+                "matrix JSON must be a list of rows",
+            ),
+            (
+                ["oracle", "classify", "--form", "sp:2"],
+                [[1.5]],
+                "matrix entry 1.5 is not an exact rational",
+            ),
+            (
+                ["oracle", "classify", "--form", "sp:2"],
+                [[True]],
+                "matrix entry True is not an exact rational",
+            ),
+            (
+                ["oracle", "classify", "--form", "o:-1,2"],
+                [[0]],
+                "bad form 'o:-1,2': signature entries must be nonnegative",
+            ),
         ],
         ids=[
             "float-partition",
@@ -377,13 +416,14 @@ class TestMalformedInput:
             "negative-form-entry",
         ],
     )
-    def test_malformed_file(self, capsys, tmp_path, argv, content):
+    def test_malformed_file(self, capsys, tmp_path, argv, content, reason):
+        # the reason is the one of the check that refused the input
         path = tmp_path / "input.json"
         path.write_text(json.dumps(content))
         code, out, err = run(capsys, *argv, str(path))
         assert code == 2
         assert out == ""
-        assert "error" in err
+        assert err.startswith("error: ") and err.endswith(f"{reason}\n")
 
     @pytest.mark.parametrize(
         "argv",

@@ -25,7 +25,7 @@ from orbitcalc.diagram_core import (
     validate_signed,
 )
 from orbitcalc.enumeration import partitions, signed_diagrams
-from oracles import delete_columns, dumps, loads, parse_ascii
+from oracles import all_signed, delete_columns, dumps, loads, parse_ascii
 
 M = Sign.MINUS
 P = Sign.PLUS
@@ -38,14 +38,8 @@ def two_step_deletion(d):
     return canonicalize(SignedDiagram(d.kind.opposite, rows))
 
 
-def all_diagrams(max_size):
-    for size in range(max_size + 1):
-        for kind in (Kind.SYMPLECTIC, Kind.ORTHOGONAL):
-            yield from signed_diagrams(kind, size=size)
-
-
 def diagram_strategy(max_size=8):
-    pool = list(all_diagrams(max_size))
+    pool = list(all_signed(max_size))
     return st.sampled_from(pool)
 
 
@@ -274,7 +268,7 @@ class TestDeleteColumn:
 
     def test_matches_two_step_deletion(self):
         count = 0
-        for d in all_diagrams(12):
+        for d in all_signed(12):
             assert delete_column_signed(d) == two_step_deletion(d), d
             count += 1
         assert count == 1094
@@ -399,7 +393,7 @@ class TestSerialization:
             parse_ascii("-\n-", Kind.SYMPLECTIC)
 
     def test_roundtrip_all_small(self):
-        for d in all_diagrams(8):
+        for d in all_signed(8):
             assert parse_ascii(render_ascii(d), d.kind) == d
             assert loads(dumps(d)) == d
             assert from_json_dict(to_json_dict(d)) == d

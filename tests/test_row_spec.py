@@ -28,7 +28,12 @@ from orbitcalc.diagram_core import (
 )
 from orbitcalc.enumeration import partitions, signed_diagrams
 from orbitcalc.theta_orbits import prepend_column
-from oracles import from_row_spec_reference, moved_rows_reference, prepend_column_reference
+from oracles import (
+    all_signed,
+    from_row_spec_reference,
+    moved_rows_reference,
+    prepend_column_reference,
+)
 
 
 def canonicalize_reference(d: SignedDiagram) -> SignedDiagram:
@@ -76,12 +81,6 @@ def free_classes_permuted(d: SignedDiagram, rng: random.Random) -> list[SignedDi
             reversed_rows += group[::-1]
             shuffled_rows += rng.sample(group, len(group))
     return [SignedDiagram(d.kind, tuple(rows)) for rows in (reversed_rows, shuffled_rows)]
-
-
-def all_signed(max_size: int):
-    for size in range(max_size + 1):
-        for kind in Kind:
-            yield from signed_diagrams(kind, size=size)
 
 
 class TestCanonicalForms:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from functools import reduce
 
 import pytest
 
@@ -43,7 +44,7 @@ from orbitcalc.tower import (
 )
 from orbitcalc.verify import run_suite
 from orbitcalc.vector_order import vector_to_json
-from oracles import dumps, failed_record, theta_lift_real
+from oracles import all_signed, dumps, failed_record, theta_lift_real
 
 M = Sign.MINUS
 P = Sign.PLUS
@@ -469,6 +470,70 @@ class TestSilentClauses:
             + [("mp_middle", "gap_positive"), ("mp_middle", "min_ge_n")]
             + [("o_middle", "gap"), ("o_middle", "min_ge_n")]
         )
+
+
+# (record, clause) -> (records failing the clause, records failing it
+# alone), over the deletion towers of the 2,194 nonempty valid signed
+# diagrams up to size 14; a range record is named by its ``step`` field
+CLAUSE_CENSUS = {
+    ("lemma_pm", "plus_gain"): (0, 0),
+    ("lemma_pm", "minus_gain"): (0, 0),
+    ("lemma_pm", "plus_covers"): (0, 0),
+    ("lemma_pm", "minus_covers"): (0, 0),
+    ("lemma_pm", "convexity"): (2138, 2138),
+    ("lemma_pm", "size_parity"): (1220, 1220),
+    ("base", "balanced"): (0, 0),
+    ("base", "plus_doubles"): (0, 0),
+    ("base", "minus_doubles"): (0, 0),
+    ("base", "size_margin"): (99, 99),
+    ("base", "size_covers"): (0, 0),
+    ("mp_middle", "gap"): (2039, 181),
+    ("mp_middle", "gap_positive"): (0, 0),
+    ("mp_middle", "min_ge_n"): (0, 0),
+    ("mp_middle", "min_ne_n"): (1644, 124),
+    ("mp_middle", "parity"): (1220, 500),
+    ("o_middle", "gap"): (0, 0),
+    ("o_middle", "min_ge_n"): (0, 0),
+    ("o_middle", "min_ne_n"): (1454, 1454),
+    ("non3", "width_margin"): (1387, 1387),
+    ("non3", "signature_formula"): (0, 0),
+    ("non3", "signature_sum"): (0, 0),
+    ("non3", "window"): (0, 0),
+    ("non3", "exists"): (0, 0),
+    ("non3", "unique_in_class"): (0, 0),
+    ("non3", "j_star_signature"): (0, 0),
+    ("non3", "j_star_in_image"): (0, 0),
+}
+
+
+def test_clause_census_to_14():
+    # every check on the deletion tower of every valid diagram, admissible
+    # or not: the clauses that never fail here are the silent ones, and a
+    # failing record belongs to a diagram outside class U
+    census = dict.fromkeys(CLAUSE_CENSUS, (0, 0))
+    records = {"lemma_pm": 0, "base": 0, "mp_middle": 0, "o_middle": 0, "non3": 0}
+    towers = 0
+    for d in all_signed(14):
+        if not d.rows:
+            continue
+        t = reduce(Tower.lift, chain(d)[::-1], EMPTY)
+        towers += 1
+        checked = [("lemma_pm", rec) for rec in check_lemma_pm(t)]
+        checked += [(rec.fields["step"], rec) for rec in check_range(t)]
+        checked += [("non3", check_non3(t, k)) for k in t.metaplectic]
+        member = class_u(d).member
+        for where, rec in checked:
+            records[where] += 1
+            failed = [clause for clause, holds in rec.clauses.items() if not holds]
+            assert rec.ok is (not failed) and not (failed and member), (d, where, rec)
+            for clause in rec.clauses:
+                fails, alone = census[where, clause]
+                census[where, clause] = (fails + (clause in failed), alone + (failed == [clause]))
+    assert towers == 2194
+    assert records == {
+        "lemma_pm": 7598, "base": 2068, "mp_middle": 3388, "o_middle": 2142, "non3": 3388
+    }
+    assert census == CLAUSE_CENSUS
 
 
 class TestTowerValue:

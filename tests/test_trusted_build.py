@@ -25,9 +25,9 @@ from orbitcalc.diagram_core import (
     tau,
     validate_signed,
 )
-from orbitcalc.enumeration import partitions, shapes, signed_diagrams
+from orbitcalc.enumeration import partitions, shapes
 from orbitcalc.orbit_induction import add_two_columns, induce_real, two_n_signed
-from oracles import theta_lift_real
+from oracles import all_signed, theta_lift_real
 
 SIGNED_MAX = 14
 PARTITION_MAX = 20
@@ -57,10 +57,6 @@ def free_classes_reversed(d: SignedDiagram) -> SignedDiagram:
         group = list(group)
         rows += group if d.kind.constrained(length) else group[::-1]
     return SignedDiagram(d.kind, tuple(rows))
-
-
-def all_signed(max_size: int) -> list[SignedDiagram]:
-    return [d for size in range(max_size + 1) for kind in Kind for d in signed_diagrams(kind, size=size)]
 
 
 class TestSignedBuilders:

@@ -174,6 +174,29 @@ def test_bench_compare_runs_a_round_with_this_tree_on_both_sides(monkeypatch, tm
     lines = bench_compare.package_lines(src)
     assert record["base"]["src_lines"] == record["change"]["src_lines"] == lines
     assert record["cli_startup"]["outputs_differ"] == []
+    assert suite["resolved"] is False  # one round resolves nothing
+
+
+@pytest.mark.parametrize(
+    "rounds, wins, change_median, want",
+    [
+        (10, 9, 0.25, True),
+        (10, 1, 1.75, True),
+        (10, 10, 0.25, True),
+        (20, 18, 0.25, True),
+        (9, 9, 0.25, False),  # too few rounds
+        (10, 8, 0.25, False),  # 8 of 10 is what identical code can reach
+        (10, 2, 1.75, False),
+        (20, 17, 0.25, False),
+        (10, 9, 0.75, False),  # within the base side's quartile spread
+        (10, 9, 0.5, False),  # exactly at it
+    ],
+)
+def test_bench_compare_resolves_a_suite(rounds, wins, change_median, want):
+    bench_compare = _load_script("bench_compare")
+    base = {"median_s": 1.0, "quartiles_s": [0.75, 1.25]}
+    change = {"median_s": change_median, "quartiles_s": [0.0, 2.0]}
+    assert bench_compare.resolved(rounds, wins, base, change) is want
 
 
 def test_base_rev_is_exported_with_its_commit(monkeypatch, tmp_path):
