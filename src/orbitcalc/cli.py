@@ -174,7 +174,7 @@ def cmd_infchar(args) -> int:
     d = _load(args.partition, _partition, "not a partition: ")
     kind = _kind(args.kind)
     if not dc.validate_partition_kind(d, kind):
-        raise CliError(f"{args.partition}: {d} is not a {kind.value} shape")
+        raise CliError(f"{args.partition}: {d} is not a valid {kind.value} shape")
     from .infchar import infchar_domino, infchar_segments
     from .vector_order import bar_sort, vector_to_json
 

@@ -43,12 +43,11 @@ class Value:
     """Base of the package's immutable values, frozen as dataclasses are:
     class-strict equality, the hash of the field tuple, the repr and the
     ``AttributeError`` on assignment.  A subclass names its fields once, in
-    ``__slots__`` (``()`` keeps its base's), the last ones' defaults in
-    ``_defaults``.  ``cls(*fields)`` sets them in order; a wrong count raises
-    ``TypeError``.  ``_trusted`` skips a subclass's checking ``__init__``."""
+    ``__slots__`` (``()`` keeps its base's).  ``cls(*fields)`` sets them in
+    order; a wrong count raises ``TypeError``.  ``_trusted`` skips a
+    subclass's checking ``__init__``."""
 
     __slots__ = ()
-    _defaults: tuple = ()
 
     def __init_subclass__(cls) -> None:
         cls._field_names = getattr(cls, "_field_names", ()) + cls.__dict__.get("__slots__", ())
@@ -57,7 +56,8 @@ class Value:
 
     def __init__(self, *fields) -> None:
         if len(fields) != len(self._setters):
-            fields = self._with_defaults(fields)
+            cls = type(self)
+            raise TypeError(f"{cls.__qualname__} takes {cls._field_names}, got {len(fields)}")
         for set_field, field in zip(self._setters, fields):
             set_field(self, field)
 
@@ -65,20 +65,13 @@ class Value:
     def _trusted(cls, *fields):
         """``cls(*fields)`` without the subclass's own ``__init__``."""
         if len(fields) != len(cls._setters):
-            fields = cls._with_defaults(fields)
+            raise TypeError(f"{cls.__qualname__} takes {cls._field_names}, got {len(fields)}")
         value = object.__new__(cls)
         i = 0  # the hot path; indexing costs about 150 ns less than zip (Python 3.11)
         for set_field in cls._setters:
             set_field(value, fields[i])
             i += 1
         return value
-
-    @classmethod
-    def _with_defaults(cls, fields: tuple) -> tuple:
-        missing = len(cls._field_names) - len(fields)
-        if not 0 < missing <= len(cls._defaults):
-            raise TypeError(f"{cls.__qualname__} takes {cls._field_names}, got {len(fields)}")
-        return fields + cls._defaults[-missing:]
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self._field_names)
@@ -460,7 +453,6 @@ def group_of(d: SignedDiagram) -> str:
 
 class ClassUReport(Value):
     __slots__ = ("very_even_or_odd", "interlacing_ok", "excluded_pattern", "reasons")
-    _defaults = ((),)  # reasons
 
     @property
     def member(self) -> bool:

@@ -24,13 +24,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .diagram_core import SYMPLECTIC, Kind, Partition, Value
-from .vector_order import (
-    HalfIntVector,
-    OrderResult,
-    bar_sort,
-    scaled_preceq,
-    seq_preceq,
-)
+from .vector_order import HalfIntVector, bar_sort, scaled_preceq, seq_preceq
 
 _new = tuple.__new__  # builds a Domino without the NamedTuple's Python-level __new__
 
@@ -172,12 +166,8 @@ def check_bound(d: Partition, kind: Kind) -> BoundReport:
     return BoundReport(weak, strict)
 
 
-def characters_reverse(
-    rel: OrderResult, b1: HalfIntVector, b2: HalfIntVector
-) -> bool | None:
-    """The pair test of order reversal.  Given the closure order ``rel`` of
-    d1 against d2 and their sorted characters b1 and b2: when d1 lies below
-    d2, whether b1 dominates b2; None when d1 does not lie below d2."""
-    if rel is not OrderResult.EQUAL and rel is not OrderResult.LESS_EQ:
-        return None
-    return seq_preceq(b2, b1)
+def characters_reverse(below: bool, b1: HalfIntVector, b2: HalfIntVector) -> bool | None:
+    """The pair test of order reversal.  Given whether d1 lies below d2 in
+    the closure order and their sorted characters b1 and b2: when d1 lies
+    below d2, whether b1 dominates b2; None when it does not."""
+    return seq_preceq(b2, b1) if below else None

@@ -9,38 +9,20 @@ floats and no ``Fraction`` anywhere.
 A vector ``a`` precedes ``b`` weakly (a <= b here written preceq) when every
 partial sum of ``a`` is at most the matching partial sum of ``b``; the
 strict variant (``scaled_preceq(..., strict=True)``) requires strict
-inequality at every index.  The closure
-(dominance) order on equal-size partitions compares transposes the other
-way around: d1 below d2 exactly when the transpose of d1 dominates the
-transpose of d2.
+inequality at every index.  Both sides must have one length.  The closure
+(dominance) order on equal-size partitions is a yes/no test on transposes,
+read the other way around: d1 lies below d2 exactly when the transpose of
+d1, zero-padded to the longer length, dominates the transpose of d2
+(``closure_leq``).
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Iterable, Sequence
 
 from .diagram_core import Partition
 
 HalfIntVector = tuple[int, ...]  # twice each entry
-
-
-class OrderResult(enum.Enum):
-    EQUAL = "equal"
-    LESS_EQ = "less-eq"
-    GREATER_EQ = "greater-eq"
-    INCOMPARABLE = "incomparable"
-
-
-def _pad_pair(
-    a: Sequence[int], b: Sequence[int], pad: bool
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if len(a) == len(b):
-        return tuple(a), tuple(b)
-    if not pad:
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)} (pass pad=True to zero-pad)")
-    n = max(len(a), len(b))
-    return tuple(a) + (0,) * (n - len(a)), tuple(b) + (0,) * (n - len(b))
 
 
 def scaled_preceq(
@@ -62,9 +44,9 @@ def scaled_preceq(
     return True
 
 
-def seq_preceq(a: Sequence[int], b: Sequence[int], pad: bool = False) -> bool:
+def seq_preceq(a: Sequence[int], b: Sequence[int]) -> bool:
     """Every partial sum of a is <= the matching partial sum of b."""
-    return scaled_preceq(*_pad_pair(a, b, pad), 1, 1)
+    return scaled_preceq(a, b, 1, 1)
 
 
 def bar_sort(a: Iterable[int]) -> HalfIntVector:
@@ -72,23 +54,18 @@ def bar_sort(a: Iterable[int]) -> HalfIntVector:
     return tuple(sorted(a, reverse=True))
 
 
-def closure_order(t1: Sequence[int], t2: Sequence[int]) -> OrderResult:
+def closure_leq(t1: Sequence[int], t2: Sequence[int]) -> bool:
     """Closure order of two same-size partitions given by their transposes:
-    d1 lies below d2 iff t1 dominates t2."""
-    if t1 == t2:
-        return OrderResult.EQUAL
-    if seq_preceq(t2, t1, pad=True):
-        return OrderResult.LESS_EQ
-    if seq_preceq(t1, t2, pad=True):
-        return OrderResult.GREATER_EQ
-    return OrderResult.INCOMPARABLE
+    d1 lies below d2 iff t1, zero-padded, dominates t2."""
+    n = max(len(t1), len(t2))
+    return seq_preceq(tuple(t2) + (0,) * (n - len(t2)), tuple(t1) + (0,) * (n - len(t1)))
 
 
-def dominance_leq(d1: Partition, d2: Partition) -> OrderResult:
-    """Closure order on same-size partitions via transposes."""
+def dominance_leq(d1: Partition, d2: Partition) -> bool:
+    """d1 lies (weakly) in the closure of d2: ``closure_leq`` of transposes."""
     if d1.size != d2.size:
         raise ValueError("incomparable sizes")
-    return closure_order(d1.transpose().rows, d2.transpose().rows)
+    return closure_leq(d1.transpose().rows, d2.transpose().rows)
 
 
 def vector_to_json(a: Sequence[int]) -> list[str]:

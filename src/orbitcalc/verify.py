@@ -46,7 +46,7 @@ from .tower import (
     check_non3,
     check_range,
 )
-from .vector_order import bar_sort, closure_order, scaled_preceq, vector_to_json
+from .vector_order import bar_sort, closure_leq, scaled_preceq, vector_to_json
 
 
 class SuiteReport(Value):
@@ -126,7 +126,7 @@ def suite_reversal(bound: int) -> Iterator[tuple[str, ...]]:
             for family in families:
                 for d1, t1, b1 in family:
                     for d2, t2, b2 in family:
-                        ok = characters_reverse(closure_order(t1, t2), b1, b2)
+                        ok = characters_reverse(closure_leq(t1, t2), b1, b2)
                         if ok is None:
                             continue
                         yield () if ok else (
@@ -327,8 +327,7 @@ def suite_appendix(bound: int) -> Iterator[tuple[str, ...]]:
                     )
                     heights += tuple(h for h in (m0, r) if h > 0)
                     # the staircase shape is the transpose of these heights
-                    columns = Partition(heights).rows
-                    lhs = bar_sort(segments_of_transpose(columns, SYMPLECTIC))
+                    lhs = bar_sort(segments_of_transpose(heights, SYMPLECTIC))
                     rhs = segment(SYMPLECTIC, two_n)
                     yield () if scaled_preceq(lhs, rhs, m, two_n) else (
                         f"staircase bound fails at (m={m}, j={j}, m0={m0}, r={r})",

@@ -47,7 +47,7 @@ from orbitcalc.infchar import characters_reverse, segment, segments_of_transpose
 from orbitcalc.moment_oracle import FormSpec, RationalMatrix, symmetric_signature
 from orbitcalc.theta_orbits import prepend_column
 from orbitcalc.tower import CheckRecord
-from orbitcalc.vector_order import HalfIntVector, OrderResult, bar_sort, dominance_leq
+from orbitcalc.vector_order import HalfIntVector, bar_sort, dominance_leq
 
 # ---------------------------------------------------------------------------
 # diagrams
@@ -239,11 +239,6 @@ def parse_ascii(text: str, kind: Kind) -> SignedDiagram:
 
 # ---------------------------------------------------------------------------
 # orders and characters
-
-
-def dominated(d1: Partition, d2: Partition) -> bool:
-    """d1 lies (weakly) in the closure of d2."""
-    return dominance_leq(d1, d2) in (OrderResult.EQUAL, OrderResult.LESS_EQ)
 
 
 def reversal_check(d1: Partition, d2: Partition, kind: Kind) -> bool:

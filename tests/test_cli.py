@@ -360,9 +360,9 @@ class TestMalformedInput:
                 [True, True],
                 "not a partition: row lengths must be integers: (True, True)",
             ),
-            (["infchar", "--kind", "sp"], [1], "(1) is not a symplectic shape"),
-            (["infchar", "--kind", "sp"], [3, 1], "(3,1) is not a symplectic shape"),
-            (["infchar", "--kind", "o"], [2], "(2) is not a orthogonal shape"),
+            (["infchar", "--kind", "sp"], [1], "(1) is not a valid symplectic shape"),
+            (["infchar", "--kind", "sp"], [3, 1], "(3,1) is not a valid symplectic shape"),
+            (["infchar", "--kind", "o"], [2], "(2) is not a valid orthogonal shape"),
             (["validate"], _diagram_with_len("2"), "row lengths must be integers: ('2',)"),
             (["validate"], _diagram_with_len(1.9), "row lengths must be integers: (1.9,)"),
             (["validate"], _diagram_with_len(True), "row lengths must be integers: (True,)"),

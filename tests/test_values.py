@@ -172,7 +172,7 @@ def test_certificate_is_a_value():
     cert = certificate(o1())
     assert isinstance(cert, TowerCertificate)
     assert cert == certificate(o1())
-    assert ClassUReport(True, True, False) == MEMBER
+    assert ClassUReport(True, True, False, ()) == MEMBER
 
 
 @pytest.mark.parametrize("value", [build for build, _ in REPRS])

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import orbitcalc
-from orbitcalc import moment_oracle, verify
+from orbitcalc import moment_oracle, vector_order, verify
 from orbitcalc.diagram_core import Kind, Partition, SignedDiagram
 from orbitcalc.enumeration import partitions, shapes
 from orbitcalc.verify import SUITES, run_suite
@@ -104,6 +104,23 @@ def test_reversal_families_match_transposed_shapes(monkeypatch):
     assert rep.passed and rep.checked > 0
     assert families == want
     assert sum(map(len, want.values())) == 300
+
+
+def test_reversal_compares_each_pair_once(monkeypatch):
+    # a work count, pinned exactly: one closure comparison per pair of a
+    # family, and one character comparison per pair that lies below
+    calls = 0
+    real = vector_order.scaled_preceq
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vector_order, "scaled_preceq", counted)
+    rep = run_suite("reversal", 12)
+    assert rep.passed and rep.checked == 570
+    assert calls == 1617
 
 
 def test_bounds_builds_no_signed_diagram(monkeypatch):
