@@ -482,50 +482,36 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
 # witness construction
 
 
-def _emit_chains(entries, p, q, a0: int, length: int) -> None:
-    """Dual isotropic Jordan chains of size ``length`` on coordinates
-    a0..a0+length-1: one down the positions, one down the momenta."""
-    for t in range(length - 1):
-        entries[(p(a0 + t), p(a0 + t + 1))] = 1
-        entries[(q(a0 + t + 1), q(a0 + t))] = -1
-
-
-def _emit_even_block(entries, p, q, a0: int, w: int, lead: Sign) -> None:
-    """Jordan block of size 2w on block coordinates a0..a0+w-1 whose form
-    sign equals ``lead``: chain q_1 -> -q_2 -> ... -> c p_w -> ... -> p_1,
-    the two chains of size w joined by the middle entry c."""
-    _emit_chains(entries, p, q, a0, w)
-    sign_value = 1 if lead is PLUS else -1
-    entries[(p(a0 + w - 1), q(a0 + w - 1))] = sign_value * (-1) ** (w - 1)
-
-
-def _emit_blocks(entries, d: SignedDiagram, p, q) -> list[tuple[int, int]]:
-    """Standard Jordan blocks of a valid symplectic diagram on block
-    coordinates 1..size/2: an even row of length 2w takes w coordinates, a
-    pair of equal odd rows (adjacent, by validity) takes its length.
-    Returns (first coordinate, row length) per block, top down."""
+def _emit_blocks(rows: IntRows, d: SignedDiagram, n: int, a: int) -> list[tuple[int, int]]:
+    """Write the standard Jordan blocks of a valid symplectic diagram into the
+    rows of a 2n x 2n matrix, from coordinate a on, in the coordinates of
+    ``FormSpec.symplectic(2n)``: coordinate i is position i and momentum
+    n + i.  A block on c..c+w-1 holds two dual chains, the positions
+    c+w-1 -> ... -> c and the momenta n+c -> -(n+c+1) -> ...  An even row of
+    length 2w takes w coordinates, joined by sigma (-1)^(w-1) from momentum
+    to position at c+w-1, so that its form sign is its lead sigma; a pair of
+    equal odd rows (adjacent, by validity) takes its length.  Returns (first
+    coordinate, row length) per block, top down."""
     blocks = []
-    a0 = 1
-    idx = 0
-    while idx < len(d.rows):
-        length, lead = d.rows[idx]
-        blocks.append((a0, length))
-        if length % 2 == 0:
-            _emit_even_block(entries, p, q, a0, length // 2, lead)
-            a0 += length // 2
-            idx += 1
+    spec = iter(d.rows)
+    for length, lead in spec:
+        w = length if length % 2 else length // 2
+        blocks.append((a, length))
+        for i in range(a, a + w - 1):
+            rows[i][i + 1] = 1
+            rows[n + i + 1][n + i] = -1
+        if length % 2:
+            next(spec)  # the odd row's partner
         else:
-            _emit_chains(entries, p, q, a0, length)
-            a0 += length
-            idx += 2
+            last = a + w - 1
+            rows[last][n + last] = (1 if lead is PLUS else -1) * (-1) ** (w - 1)
+        a += w
     return blocks
 
 
-def _assemble(entries: dict[tuple[int, int], int], dim: int, what: str) -> RationalMatrix:
-    """The dim x dim matrix of these nonzero entries; it must lie in sp(dim)."""
-    rows: list[dict[int, int]] = [{} for _ in range(dim)]
-    for (row, col), value in entries.items():
-        rows[row][col] = value
+def _assemble(rows: IntRows, what: str) -> RationalMatrix:
+    """The matrix of these rows; it must lie in sp(len(rows))."""
+    dim = len(rows)
     out = RationalMatrix(tuple(rows), dim)
     if not FormSpec.symplectic(dim).contains(out):
         raise ValueError(f"{what} is not in sp({dim})")
@@ -537,25 +523,21 @@ def representative(d: SignedDiagram) -> RationalMatrix:
     if d.kind is not SYMPLECTIC:
         raise ValueError("representatives are built for symplectic diagrams")
     m = d.size // 2
-    entries: dict[tuple[int, int], int] = {}
-    _emit_blocks(entries, d, lambda a: a - 1, lambda a: m + a - 1)
-    return _assemble(entries, 2 * m, "representative")
+    rows: list[dict[int, int]] = [{} for _ in range(2 * m)]
+    _emit_blocks(rows, d, m, 0)
+    return _assemble(rows, "representative")
 
 
 def build_witness(s: SignedDiagram, n: int, j: int) -> RationalMatrix:
     """Integer element of sp(2n, R) landing in the j-th induced orbit.
 
-    The symplectic space splits as V0 + V0' + R^(2m) with V0, V0' dual
-    isotropic spans of the accessory pairs (e_i, f_i), i = 1..n-m, and the
-    2m-block carrying a representative of the orbit of ``s`` assembled from
-    standard Jordan blocks.  Corrections then extend each block of ``s`` by
-    one vector on each end (f_i at the head, e_i at the tail), which flips
-    the form sign of every even block, and the leftover accessory pairs
-    become rank-one maps f_i -> +/- e_i: j minus signs, the rest plus.
-
-    Global basis convention: W_n with positions 1..n and momenta n+1..2n;
-    accessory pairs sit at indices (i, n+i) for i <= n-m and the 2m-block at
-    (n-m+a, n+n-m+a) for a = 1..m.
+    Coordinates as in ``_emit_blocks``: the first k0 = n - m are the
+    accessory pairs e_i = i, f_i = n + i (dual isotropic V0 and V0'), and
+    k0..n-1 carry ``representative(s)``, laid out by the same call shifted by
+    k0.  Corrections extend each block by one vector on each end (f_i at the
+    head, e_i at the tail; an odd pair takes two indices), which flips the
+    form sign of every even block, and the leftover accessory pairs become
+    rank-one maps f_i -> +/- e_i: j minus signs, the rest plus.
     """
     if s.kind is not SYMPLECTIC:
         raise ValueError("witnesses extend symplectic diagrams")
@@ -567,49 +549,29 @@ def build_witness(s: SignedDiagram, n: int, j: int) -> RationalMatrix:
     if not 0 <= j <= k0 - r:
         raise ValueError(f"orbit index {j} outside [0, {k0 - r}]")
 
-    entries: dict[tuple[int, int], int] = {}
-
-    def e(i: int) -> int:  # V0 accessory, 0-based global index
-        return i - 1
-
-    def f(i: int) -> int:  # V0' accessory
-        return n + i - 1
-
-    def p(a: int) -> int:  # block position coordinate
-        return k0 + a - 1
-
-    def q(a: int) -> int:  # block momentum coordinate
-        return n + k0 + a - 1
-
-    accessory = 0
-    for a0, length in _emit_blocks(entries, s, p, q):
-        if length % 2 == 0:
-            accessory += 1
-            # extensions: p_1 -> e_i at the tail, f_i -> -q_1 at the head
-            entries[(e(accessory), p(a0))] = 1
-            entries[(q(a0), f(accessory))] = -1
-        else:
-            # an odd pair uses two accessory indices
-            i1, i2 = accessory + 1, accessory + 2
-            accessory += 2
-            # chain 1: e_(i2) -> p_last -> ... -> p_1 -> e_(i1)
-            entries[(e(i1), p(a0))] = 1
-            entries[(p(a0 + length - 1), e(i2))] = 1
-            # chain 2: f_(i1) -> -q_1 -> ... -> -f_(i2)
-            entries[(q(a0), f(i1))] = -1
-            entries[(f(i2), q(a0 + length - 1))] = -1
+    rows: list[dict[int, int]] = [{} for _ in range(2 * n)]
+    i = 0  # the next accessory index
+    for c, length in _emit_blocks(rows, s, n, k0):
+        rows[i][c] = 1  # the positions end c -> e_i, the momenta start f_i -> -(n+c)
+        rows[n + c][n + i] = -1
+        if length % 2:  # an odd pair also starts e_(i+1) -> last, ends n+last -> -f_(i+1)
+            last = c + length - 1
+            rows[last][i + 1] = 1
+            rows[n + i + 1][n + last] = -1
+        i += 1 + length % 2
 
     # leftover accessory pairs: rank-one 2-chains f_i -> +/- e_i
-    for t in range(k0 - r):
-        i = r + 1 + t
-        entries[(e(i), f(i))] = -1 if t < j else 1
-    return _assemble(entries, 2 * n, "witness")
+    for i in range(r, k0):
+        rows[i][n + i] = -1 if i < r + j else 1
+    return _assemble(rows, "witness")
 
 
 def witness_block_part(x: RationalMatrix, m: int) -> RationalMatrix:
-    """Compression of a witness to its trailing 2m-block; equals the embedded
-    representative of the source orbit, which pins down membership in
-    source-orbit plus corrections."""
+    """Compression of a witness to its trailing 2m-block, coordinates
+    k0..n-1 and their momenta.  ``build_witness`` lays out the source's
+    blocks there as ``representative`` does, and every correction has an
+    accessory end, so this is the source's representative, which pins down
+    membership in source-orbit plus corrections."""
     n = x.nrows // 2
     k0 = n - m
     keep = list(range(k0, n)) + list(range(n + k0, 2 * n))

@@ -315,6 +315,12 @@ def check_non3(t: Tower, k: int) -> CheckRecord:
     the window is nonempty in range, that the moment-image hits are exactly
     its in-range part, and the per-class uniqueness.  Past the width margin
     its fields add ``j_star`` and, for a candidate j*, ``j_star_signature``.
+
+    The seven clauses past ``width_margin`` (``signature_formula``,
+    ``signature_sum``, ``window``, ``exists``, ``unique_in_class``,
+    ``j_star_signature``, ``j_star_in_image``) check ``induce_real`` and
+    ``deletion_inertia`` against the closed formulas above, not the input
+    tower, which reaches them only as (p0, q0), (p, q), m1, m2 and d0.
     """
     if not 2 <= k <= t.d1 - 1:
         raise ValueError(f"step {k} has no neighbors on both sides")

@@ -34,6 +34,7 @@ I2, I3 = RationalMatrix.identity(2), RationalMatrix.identity(3)
         (lambda: representative(O1), "representatives are built for symplectic diagrams"),
         (lambda: build_witness(SP2, 2, 0), "row count 2 exceeds new column length 1"),
         (lambda: build_witness(SP2, 3, 1), "orbit index 1 outside [0, 0]"),
+        (lambda: build_witness(O1, 1, 0), "witnesses extend symplectic diagrams"),
         (lambda: wf_theta_trivial(0, 0), "need p, q >= 0 with p + q >= 1"),
         (lambda: deletion_inertia(O1), "the pairing inertia applies to symplectic diagrams"),
     ],
@@ -47,6 +48,7 @@ I2, I3 = RationalMatrix.identity(2), RationalMatrix.identity(3)
         "representative-orthogonal",
         "witness-too-many-rows",
         "witness-orbit-index",
+        "witness-orthogonal",
         "wf-theta-trivial-empty",
         "deletion-inertia-orthogonal",
     ],

@@ -315,6 +315,15 @@ class TestEnumerate:
         )
         assert code == 0
         assert len(json.loads(out)) == 1
+        # a symplectic signature must be balanced; any other lists nothing
+        code, out, _ = run(
+            capsys, "enumerate", "--kind", "sp", "--signature", "3,1", "--json"
+        )
+        assert (code, json.loads(out)) == (0, [])
+        code, out, _ = run(
+            capsys, "enumerate", "--kind", "sp", "--signature", "3,1", "--count", "--json"
+        )
+        assert (code, json.loads(out)) == (0, {"count": 0})
 
     def test_needs_a_filter(self, capsys):
         code, _, err = run(capsys, "enumerate", "--kind", "o")

@@ -331,6 +331,18 @@ class TestWitness:
         block = witness_block_part(x, induction_source.size // 2)
         got = classify_signed(block, FormSpec.symplectic(induction_source.size))
         assert equivalent(got, induction_source)
+        # entry for entry: the witness lays out the source's blocks as its
+        # representative does, shifted past the accessory coordinates
+        cases = 0
+        for two_m in range(0, 13, 2):
+            for s in signed_diagrams(Kind.SYMPLECTIC, size=two_m):
+                m = two_m // 2
+                rep = representative(s)
+                for n in (m + len(s.rows), m + len(s.rows) + 1):
+                    for j in range(n - m - len(s.rows) + 1):
+                        assert witness_block_part(build_witness(s, n, j), m) == rep
+                        cases += 1
+        assert cases == 948
 
     def test_bad_index(self):
         empty = SignedDiagram(Kind.SYMPLECTIC, ())
@@ -417,6 +429,29 @@ class TestFlagAgainstPowers:
         # unless each level's content is divided out
         for d, form, x in _deep_conjugates():
             assert self.check(x, form) == d
+
+    def test_deep_conjugates_work(self, monkeypatch):
+        # a work pin: the Bareiss calls, their pivots and the largest bit
+        # length of an entry entering ``_bareiss`` while ``classify_signed``
+        # runs on the deep conjugates.  Dividing each level's gcd out of C_k
+        # instead of out of the next level's rows keeps every label and
+        # only lets the entries grow, to 295 bits
+        cases = list(_deep_conjugates())
+        bareiss = moment_oracle._bareiss
+        work = {"calls": 0, "pivots": 0, "bits": 0}
+
+        def counted(rows, ncols):
+            work["calls"] += 1
+            bits = [v.bit_length() for row in rows for v in row.values()]
+            work["bits"] = max([work["bits"], *bits])
+            out = bareiss(rows, ncols)
+            work["pivots"] += len(out[1])
+            return out
+
+        monkeypatch.setattr(moment_oracle, "_bareiss", counted)
+        for d, form, x in cases:
+            assert classify_signed(x, form) == d
+        assert work == {"calls": 40, "pivots": 262, "bits": 58}
 
     # nilpotent blocks of o(p, q) on coordinates with these form signs: a
     # length-3 row on (+, +, -) and on (-, -, +), a length-1 row of each
