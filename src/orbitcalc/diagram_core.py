@@ -24,7 +24,7 @@ the package builds a diagram or partition so only where its own code lays
 the rows out correctly by construction: ``from_row_spec``, the one builder
 of specs that come from elsewhere (it checks each row length and each length
 class by its counts), the column moves of ``moved_rows`` (deletion, ``tau``,
-prepending a column and the induced families), transposes and shapes.
+prepending a column and the induced families), enumeration, transposes and shapes.
 
 The package reads the members by the names ``PLUS``, ``MINUS``,
 ``SYMPLECTIC`` and ``ORTHOGONAL`` bound here, and the sign and kind algebra
@@ -235,8 +235,8 @@ class SignedDiagram(Value):
     """Signed Young diagram, valid by construction: a kind that is not a
     ``Kind``, a row that is not a (length, sign) pair, a lead that is not a
     ``Sign``, a bad shape or a violation of :func:`validate_signed` raises
-    ``ValueError``.  ``_trusted`` skips the check; only :func:`from_row_spec`
-    and the column moves built on :func:`moved_rows` use it."""
+    ``ValueError``.  ``_trusted`` skips the check; only :func:`from_row_spec`,
+    the column moves built on :func:`moved_rows` and enumeration use it."""
 
     __slots__ = ("kind", "rows")
 

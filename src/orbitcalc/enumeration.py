@@ -6,7 +6,8 @@ refill those boxes greedily with parts p - step (see :func:`_descending`).
 Diagrams come out once per equivalence class, in a fixed deterministic
 order, by choosing how many rows of each free length class lead with plus;
 the class count for a shape is the product of (multiplicity + 1) over its
-free length classes.
+free length classes.  Each class's row blocks are laid out once per shape,
+and each choice of one per class is built by ``SignedDiagram._trusted``.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ from typing import Iterator
 
 from .diagram_core import (
     MINUS,
+    ORTHOGONAL,
     PLUS,
     SYMPLECTIC,
     Kind,
     Partition,
-    Sign,
     SignedDiagram,
+    SignedRow,
     Signature,
-    from_row_spec,
     signature,
     validate_partition_kind,
 )
@@ -89,44 +90,55 @@ def shapes(kind: Kind, size: int) -> Iterator[Partition]:
             yield d
 
 
-def parity_shapes(kind: Kind, size: int) -> list[tuple[tuple[int, ...], Partition]]:
-    """(column heights, shape) for the valid shapes of the kind and size
-    whose column heights are all even or all odd, in :func:`shapes` order;
-    each shape is transposed once from its heights."""
-    found = []
+def parity_shapes(size: int) -> dict[Kind, list[tuple[tuple[int, ...], Partition]]]:
+    """(column heights, shape) for the valid shapes of the size whose column
+    heights are all even or all odd, by kind (symplectic first), each list in
+    :func:`shapes` order.  One pass serves both kinds: each shape is
+    transposed once from its heights and its classes are read once."""
+    found: dict[Kind, list[tuple[tuple[int, ...], Partition]]] = {SYMPLECTIC: [], ORTHOGONAL: []}
     for heights in parity_partitions(size):
         shape = Partition._trusted(heights).transpose()
-        if validate_partition_kind(shape, kind):
-            found.append((heights, shape))
-    found.sort(key=lambda pair: pair[1].rows, reverse=True)
+        unpaired = {length % 2 for length, mult in shape.classes() if mult % 2}
+        for kind, pairs in found.items():
+            if kind.parity not in unpaired:
+                pairs.append((heights, shape))
+    for pairs in found.values():
+        pairs.sort(key=lambda pair: pair[1].rows, reverse=True)
     return found
-
-
-def free_classes(shape: Partition, kind: Kind) -> list[tuple[int, int]]:
-    """(length, multiplicity) of the sign-free length classes."""
-    return [(length, mult) for length, mult in shape.classes() if not kind.constrained(length)]
 
 
 def class_count(shape: Partition, kind: Kind) -> int:
     """Number of equivalence classes on the shape: prod of (mult + 1)."""
     count = 1
-    for _, mult in free_classes(shape, kind):
-        count *= mult + 1
+    for length, mult in shape.classes():
+        if not kind.constrained(length):
+            count *= mult + 1
     return count
 
 
+def _class_blocks(shape: Partition, kind: Kind) -> list[tuple[tuple[SignedRow, ...], ...]]:
+    """Per length class of a valid shape, longest first, the row blocks it
+    can take: a constrained class of c rows has one, c/2 convention pairs; a
+    free class of m rows has m + 1, k plus-leading rows then m - k
+    minus-leading ones for k = 0..m."""
+    blocks = []
+    for length, mult in shape.classes():
+        if kind.constrained(length):
+            pair = tuple(SignedRow(length, lead) for lead in kind.convention)
+            blocks.append((pair * (mult >> 1),))
+        else:
+            plus, minus = SignedRow(length, PLUS), SignedRow(length, MINUS)
+            blocks.append(tuple((plus,) * k + (minus,) * (mult - k) for k in range(mult + 1)))
+    return blocks
+
+
 def diagrams_for_shape(shape: Partition, kind: Kind) -> Iterator[SignedDiagram]:
+    """The canonical diagrams on a valid shape, one per choice of a block per
+    class (:func:`_class_blocks`) in ``product`` order; else ``ValueError``."""
     if not validate_partition_kind(shape, kind):
         raise ValueError(f"{shape} is not a valid {kind.value} shape")
-    free = free_classes(shape, kind)
-    constrained: list[tuple[int, Sign | None]] = [
-        (length, None) for length in shape.rows if kind.constrained(length)
-    ]
-    for plus_counts in product(*(range(mult + 1) for _, mult in free)):
-        spec = list(constrained)
-        for (length, mult), k in zip(free, plus_counts):
-            spec += [(length, PLUS)] * k + [(length, MINUS)] * (mult - k)
-        yield from_row_spec(kind, spec)
+    for choice in product(*_class_blocks(shape, kind)):
+        yield SignedDiagram._trusted(kind, sum(choice, ()))
 
 
 def signed_diagrams(

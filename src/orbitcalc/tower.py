@@ -71,8 +71,8 @@ def admissible_shapes(max_size: int) -> Iterator[tuple[Kind, Partition]]:
     uniform.  Two or more such rows alternate by convention or can take
     mixed leads, and unequal last heights leave no tail to exclude."""
     for size in range(1, max_size + 1):
-        for kind in (SYMPLECTIC, ORTHOGONAL):
-            for heights, shape in parity_shapes(kind, size):
+        for kind, found in parity_shapes(size).items():
+            for heights, shape in found:
                 if heights[-2:] != (1, 1) and not _interlacing_failures(heights, kind):
                     yield kind, shape
 

@@ -117,10 +117,10 @@ def suite_reversal(bound: int) -> Iterator[tuple[str, ...]]:
     from their very even and very odd column heights (``parity_shapes``),
     with one sorted character per shape, shared by all its pairs."""
     for size in range(1, bound + 1):
-        for kind in (SYMPLECTIC, ORTHOGONAL):
+        for kind, found in parity_shapes(size).items():
             # (shape, column heights, sorted character), split by height parity
             families: tuple[list, list] = ([], [])
-            for heights, s in parity_shapes(kind, size):
+            for heights, s in found:
                 char = bar_sort(segments_of_transpose(heights, kind))
                 families[heights[0] % 2].append((s, heights, char))
             for family in families:

@@ -4,7 +4,8 @@ Each function is a second, plainer way to reach a result the package
 computes, a reader for what the package writes, or a writer for what it
 reads; the package itself never calls them.  A brute-force count next to
 the product formula, the class-by-class diagram builder next to the
-one-pass one, a lift by target signature next to the column-prepend
+one-pass one, the diagrams of a shape by one spec per sign choice next to
+the per-class blocks, a lift by target signature next to the column-prepend
 forest, the row-wise merge of partitions next to the two-column merge, the
 dominance order as a predicate, parsers for the ASCII picture and the
 vector strings, diagram and matrix JSON writers, Jordan types from the
@@ -118,6 +119,20 @@ def from_row_spec_reference(kind: Kind, spec) -> SignedDiagram:
                 )
             rows += [SignedRow(length, Sign.PLUS)] * plus + [SignedRow(length, Sign.MINUS)] * minus
     return SignedDiagram._trusted(kind, tuple(rows))
+
+
+def diagrams_for_shape_reference(shape: Partition, kind: Kind):
+    """``enumeration.diagrams_for_shape`` by the spec route it took before
+    its per-class blocks: one ``from_row_spec`` call per choice of plus
+    counts on the free classes, in ``product`` order, the constrained rows
+    given as None."""
+    free = [(length, m) for length, m in shape.classes() if not kind.constrained(length)]
+    constrained = [(length, None) for length in shape.rows if kind.constrained(length)]
+    for plus_counts in product(*(range(m + 1) for _, m in free)):
+        spec = list(constrained)
+        for (length, m), k in zip(free, plus_counts):
+            spec += [(length, Sign.PLUS)] * k + [(length, Sign.MINUS)] * (m - k)
+        yield from_row_spec(kind, spec)
 
 
 def flipped_spec(d: SignedDiagram, grow: int) -> list[tuple[int, Sign | None]]:

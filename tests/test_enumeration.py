@@ -1,15 +1,21 @@
+import random
+
 import pytest
 
 from orbitcalc.diagram_core import (
     Kind,
     Partition,
     Sign,
+    SignedDiagram,
     Signature,
     canonicalize,
+    from_row_spec,
     signature,
+    validate_partition_kind,
     validate_signed,
 )
 from orbitcalc.enumeration import (
+    _class_blocks,
     class_count,
     diagrams_for_shape,
     parity_partitions,
@@ -18,7 +24,7 @@ from orbitcalc.enumeration import (
     shapes,
     signed_diagrams,
 )
-from oracles import brute_count
+from oracles import brute_count, diagrams_for_shape_reference
 
 
 class TestPartitions:
@@ -90,9 +96,11 @@ class TestParityShapes:
                 columns = shape.transpose()
                 if columns.very_even or columns.very_odd:
                     want.append((columns.rows, shape))
-            assert parity_shapes(kind, n) == want, (kind, n)
-        assert parity_shapes(kind, 0) == [((), Partition(()))]
-        assert parity_shapes(kind, -3) == []
+            both = parity_shapes(n)
+            assert list(both) == [Kind.SYMPLECTIC, Kind.ORTHOGONAL], n  # one call, both kinds
+            assert both[kind] == want, (kind, n)
+        assert parity_shapes(0)[kind] == [((), Partition(()))]
+        assert parity_shapes(-3)[kind] == []
 
 
 class TestSignedEnumeration:
@@ -161,3 +169,58 @@ class TestCounts:
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError, match="valid"):
             list(diagrams_for_shape(Partition((3,)), Kind.SYMPLECTIC))
+
+
+def random_shape(rng: random.Random, kind: Kind, size: int) -> Partition:
+    """A valid shape of the size (even for symplectic), drawn part by part
+    without listing the partitions: a constrained length enters as a pair.
+    Short parts keep the multiplicities, and so the free choices, large."""
+    parts: list[int] = []
+    left = size
+    while left:
+        length = rng.randint(1, min(left, rng.choice((3, 6, 12))))
+        count = 2 if kind.constrained(length) else 1
+        if count * length <= left:
+            parts += [length] * count
+            left -= count * length
+    return Partition(tuple(sorted(parts, reverse=True)))
+
+
+class TestBlocksAgainstSpecRoute:
+    """diagrams_for_shape, which lays each class's row blocks out once per
+    shape, against the spec route of tests/oracles.py: one from_row_spec per
+    choice of plus counts."""
+
+    def test_every_shape_to_16(self):
+        for size in range(17):
+            for kind in Kind:
+                for shape in shapes(kind, size):
+                    got = list(diagrams_for_shape(shape, kind))
+                    assert got == list(diagrams_for_shape_reference(shape, kind)), (kind, shape)
+                    assert len(got) == class_count(shape, kind)
+
+    def test_seeded_large_sample(self):
+        # sizes 40..100: one random choice per class, laid out from that
+        # class's block, never listing the shape's diagrams
+        rng = random.Random(1009)
+        for _ in range(300):
+            kind = rng.choice(list(Kind))
+            size = rng.randrange(40, 101, 2 if kind is Kind.SYMPLECTIC else 1)
+            shape = random_shape(rng, kind, size)
+            assert shape.size == size and validate_partition_kind(shape, kind)
+            blocks = _class_blocks(shape, kind)
+            rows: tuple = ()
+            spec: list = []
+            for block, (length, mult) in zip(blocks, shape.classes(), strict=True):
+                if kind.constrained(length):
+                    assert len(block) == 1
+                    rows += block[0]
+                    spec += [(length, None)] * mult
+                else:
+                    assert len(block) == mult + 1
+                    k = rng.randint(0, mult)
+                    rows += block[k]
+                    spec += [(length, Sign.PLUS)] * k + [(length, Sign.MINUS)] * (mult - k)
+            rng.shuffle(spec)
+            assert rows == from_row_spec(kind, spec).rows, (kind, shape)
+            SignedDiagram(kind, rows)  # the checking constructor accepts it

@@ -258,6 +258,21 @@ class TestAdmissibleShapes:
             assert list(admissible_shapes(bound)) == want, bound
         assert len(reference) == 338
 
+    def test_transposes_each_parity_partition_once(self, monkeypatch):
+        # a work count, pinned exactly: one pass per size serves both kinds,
+        # so each of the 153 parity partitions of size 1..14 is transposed once
+        calls = 0
+        real = Partition.transpose
+
+        def counted(self):
+            nonlocal calls
+            calls += 1
+            return real(self)
+
+        monkeypatch.setattr(Partition, "transpose", counted)
+        assert len(list(admissible_shapes(14))) == 77
+        assert calls == 153
+
 
 class TestForest:
     """admissible_towers, which lifts members one column at a time, against

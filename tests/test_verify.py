@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import orbitcalc
-from orbitcalc import moment_oracle, vector_order, verify
+from orbitcalc import diagram_core, moment_oracle, vector_order, verify
 from orbitcalc.diagram_core import Kind, Partition, SignedDiagram
 from orbitcalc.enumeration import partitions, shapes
 from orbitcalc.verify import SUITES, run_suite
@@ -121,6 +121,42 @@ def test_reversal_compares_each_pair_once(monkeypatch):
     rep = run_suite("reversal", 12)
     assert rep.passed and rep.checked == 570
     assert calls == 1617
+
+
+def test_reversal_transposes_each_parity_partition_once(monkeypatch):
+    # a work count, pinned exactly: the 98 parity partitions of size 1..12,
+    # each transposed once for both kinds
+    calls = 0
+    real = Partition.transpose
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return real(self)
+
+    monkeypatch.setattr(Partition, "transpose", counted)
+    assert run_suite("reversal", 12).checked == 570
+    assert calls == 98
+
+
+def test_enumeration_checks_no_spec(monkeypatch):
+    # the enumeration lays each shape's classes out itself, so a diagram
+    # suite built on it runs the checking spec builder not once
+    calls = 0
+    real = diagram_core.from_row_spec
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orbitcalc") and getattr(module, "from_row_spec", None) is real:
+            monkeypatch.setattr(module, "from_row_spec", counted)
+    assert run_suite("reasonss", 10).passed
+    assert calls == 0
+    run_suite("induce-oracle", 2)  # the probe sees a suite that checks specs
+    assert calls
 
 
 def test_bounds_builds_no_signed_diagram(monkeypatch):
