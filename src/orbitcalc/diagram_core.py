@@ -15,16 +15,19 @@ are fixed: within each such length class the leading signs read
 -,+,-,+,... (symplectic) resp. +,-,+,-,... (orthogonal) from the highest
 row down.  Rows of the opposite parity are free, and two diagrams are
 equivalent when they differ only by reordering rows of equal length.
+``class_rows`` is the one layout of a canonical class (a free one lists
+its plus-leading rows first); ``validate_signed`` only checks the rule.
 
 Diagrams and partitions are ``Value``s.  Input is checked once, where it
 enters: ``Partition(...)`` and ``SignedDiagram(...)``, and with them
 ``from_json_dict``, check everything and raise ``ValueError`` before
 ``Value.__init__`` sets the fields.  ``Value._trusted`` sets them unchecked;
-the package builds a diagram or partition so only where its own code lays
-the rows out correctly by construction: ``from_row_spec``, the one builder
-of specs that come from elsewhere (it checks each row length and each length
-class by its counts), the column moves of ``moved_rows`` (deletion, ``tau``,
-prepending a column and the induced families), enumeration, transposes and shapes.
+the package builds a diagram so only from rows ``class_rows`` laid out:
+``from_row_spec``, the one builder of specs that come from elsewhere (it
+checks each row length and each length class by its counts), the column
+moves of ``moved_rows`` (deletion, ``tau``, prepending a column and the
+induced families), enumeration and ``two_n_signed``; a partition, for
+transposes and shapes.
 
 The package reads the members by the names ``PLUS``, ``MINUS``,
 ``SYMPLECTIC`` and ``ORTHOGONAL`` bound here, and the sign and kind algebra
@@ -235,8 +238,9 @@ class SignedDiagram(Value):
     """Signed Young diagram, valid by construction: a kind that is not a
     ``Kind``, a row that is not a (length, sign) pair, a lead that is not a
     ``Sign``, a bad shape or a violation of :func:`validate_signed` raises
-    ``ValueError``.  ``_trusted`` skips the check; only :func:`from_row_spec`,
-    the column moves built on :func:`moved_rows` and enumeration use it."""
+    ``ValueError``.  ``_trusted`` skips the check, for rows laid out by
+    :func:`class_rows` only: :func:`from_row_spec`, the column moves built
+    on :func:`moved_rows`, enumeration and ``two_n_signed`` use it."""
 
     __slots__ = ("kind", "rows")
 
@@ -333,18 +337,29 @@ def equivalent(d1: SignedDiagram, d2: SignedDiagram) -> bool:
     return d1.rows == d2.rows or canonicalize(d1).rows == canonicalize(d2).rows
 
 
+def class_rows(kind: Kind, length: int, count: int, plus: int) -> tuple[SignedRow, ...]:
+    """The canonical ``count`` rows of a length class of a ``kind`` diagram:
+    count // 2 convention pairs if the length is constrained (``plus`` is
+    ignored), else ``plus`` plus-leading rows, then minus-leading ones."""
+    if length % 2 == kind.parity:
+        first, second = kind.convention
+        return (_new(SignedRow, (length, first)), _new(SignedRow, (length, second))) * (count >> 1)
+    lead_plus, lead_minus = _new(SignedRow, (length, PLUS)), _new(SignedRow, (length, MINUS))
+    return (lead_plus,) * plus + (lead_minus,) * (count - plus)
+
+
 def from_row_spec(kind: Kind, spec: Iterable[tuple[int, Sign | None]]) -> SignedDiagram:
-    """Assemble a canonical diagram from (length, sign) pairs.  Constrained
-    rows take sign None and receive the convention pattern of their class;
-    free rows of one length list Plus-leading rows first.  The one builder
-    of specs that come from elsewhere; column moves use :func:`moved_rows`.
+    """Assemble a canonical diagram from (length, sign) pairs: constrained
+    rows take sign None, free rows a ``Sign``, and each length class is laid
+    out by :func:`class_rows`.  The one builder of specs that come from
+    elsewhere; column moves use :func:`moved_rows`.
 
     One pass groups the spec by length, checking that each is a positive
     int.  Each class is then checked by its counts (a bad one raises
     ``ValueError``): a constrained class has no explicit sign and an even
-    count, a free row has a ``Sign``.  A class is laid out from rows built
-    once for it, and those checks are all a valid diagram needs beyond that
-    layout, so the result is built through ``SignedDiagram._trusted``."""
+    count, a free row has a ``Sign``.  Those checks are all a valid diagram
+    needs beyond the layout, so the result is built through
+    ``SignedDiagram._trusted``."""
     if not isinstance(kind, Kind):
         raise ValueError(f"invalid signed diagram: kind must be a Kind, got {kind!r}")
     by_length: dict[int, list[Sign | None]] = {}
@@ -356,11 +371,11 @@ def from_row_spec(kind: Kind, spec: Iterable[tuple[int, Sign | None]]) -> Signed
             )
         by_length.setdefault(length, []).append(sign)
     parity = kind.parity
-    first, second = kind.convention
     rows: list[SignedRow] = []
     for length in sorted(by_length, reverse=True):
         signs = by_length[length]
         count = len(signs)
+        plus = signs.count(PLUS)
         if length % 2 == parity:
             if signs.count(None) != count:
                 raise ValueError(f"length-{length} rows are sign-constrained for {kind.value}")
@@ -369,17 +384,11 @@ def from_row_spec(kind: Kind, spec: Iterable[tuple[int, Sign | None]]) -> Signed
                     f"invalid signed diagram: rows of length {length} occur {count} times; "
                     f"even multiplicity required for {kind.value} diagrams"
                 )
-            rows += (_new(SignedRow, (length, first)), _new(SignedRow, (length, second))) * (
-                count // 2
+        elif plus + signs.count(MINUS) != count:
+            raise ValueError(
+                f"length-{length} rows need explicit Sign leads for {kind.value}: {signs!r}"
             )
-        else:
-            plus = signs.count(PLUS)
-            if plus + signs.count(MINUS) != count:
-                raise ValueError(
-                    f"length-{length} rows need explicit Sign leads for {kind.value}: {signs!r}"
-                )
-            rows += (_new(SignedRow, (length, PLUS)),) * plus
-            rows += (_new(SignedRow, (length, MINUS)),) * (count - plus)
+        rows += class_rows(kind, length, count, plus)
     return SignedDiagram._trusted(kind, tuple(rows))
 
 
@@ -387,11 +396,10 @@ def moved_rows(d: SignedDiagram, grow: int) -> tuple[SignedRow, ...]:
     """The canonical rows of a column move: every row of d grows by ``grow``
     boxes (rows left empty drop), in d's kind for an even ``grow``, else in
     the opposite kind.  A row keeps its boxes, so its lead flips, and it
-    stays constrained or free.  Class by class, longest first: c constrained
-    rows become c/2 convention pairs of the result kind; m free rows, k of
-    them minus-leading, become k plus-leading rows, then m - k minus-leading."""
-    parity = d.kind.parity
-    first, second = (d.kind.opposite if grow & 1 else d.kind).convention
+    stays constrained or free.  Class by class, longest first, the result
+    kind's :func:`class_rows` with the class's minus-leading rows as its
+    plus-leading ones."""
+    kind = d.kind.opposite if grow & 1 else d.kind
     rows = d.rows
     moved: list[SignedRow] = []
     start, end = 0, len(rows)
@@ -400,13 +408,8 @@ def moved_rows(d: SignedDiagram, grow: int) -> tuple[SignedRow, ...]:
         stop = start + 1
         while stop < end and rows[stop][0] == length:
             stop += 1
-        count, n = stop - start, length + grow
-        if length % 2 == parity:
-            moved += (_new(SignedRow, (n, first)), _new(SignedRow, (n, second))) * (count >> 1)
-        else:
-            minus = [lead for _, lead in rows[start:stop]].count(MINUS)
-            moved += (_new(SignedRow, (n, PLUS)),) * minus
-            moved += (_new(SignedRow, (n, MINUS)),) * (count - minus)
+        minus = rows[start:stop].count((length, MINUS))
+        moved += class_rows(kind, length + grow, stop - start, minus)
         start = stop
     return tuple(moved)
 

@@ -6,8 +6,9 @@ refill those boxes greedily with parts p - step (see :func:`_descending`).
 Diagrams come out once per equivalence class, in a fixed deterministic
 order, by choosing how many rows of each free length class lead with plus;
 the class count for a shape is the product of (multiplicity + 1) over its
-free length classes.  Each class's row blocks are laid out once per shape,
-and each choice of one per class is built by ``SignedDiagram._trusted``.
+free length classes.  Each class's row blocks are laid out once per shape
+by ``diagram_core.class_rows``, and each choice of one per class is built
+by ``SignedDiagram._trusted``.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ from itertools import product
 from typing import Iterator
 
 from .diagram_core import (
-    MINUS,
     ORTHOGONAL,
-    PLUS,
     SYMPLECTIC,
     Kind,
     Partition,
     SignedDiagram,
     SignedRow,
     Signature,
+    class_rows,
     signature,
     validate_partition_kind,
 )
@@ -118,18 +118,15 @@ def class_count(shape: Partition, kind: Kind) -> int:
 
 def _class_blocks(shape: Partition, kind: Kind) -> list[tuple[tuple[SignedRow, ...], ...]]:
     """Per length class of a valid shape, longest first, the row blocks it
-    can take: a constrained class of c rows has one, c/2 convention pairs; a
-    free class of m rows has m + 1, k plus-leading rows then m - k
-    minus-leading ones for k = 0..m."""
-    blocks = []
-    for length, mult in shape.classes():
-        if kind.constrained(length):
-            pair = tuple(SignedRow(length, lead) for lead in kind.convention)
-            blocks.append((pair * (mult >> 1),))
-        else:
-            plus, minus = SignedRow(length, PLUS), SignedRow(length, MINUS)
-            blocks.append(tuple((plus,) * k + (minus,) * (mult - k) for k in range(mult + 1)))
-    return blocks
+    can take: the :func:`class_rows` of the class with plus count 0 for a
+    constrained class, and each plus count 0..m for a free class of m rows."""
+    return [
+        tuple(
+            class_rows(kind, length, mult, k)
+            for k in ((0,) if kind.constrained(length) else range(mult + 1))
+        )
+        for length, mult in shape.classes()
+    ]
 
 
 def diagrams_for_shape(shape: Partition, kind: Kind) -> Iterator[SignedDiagram]:

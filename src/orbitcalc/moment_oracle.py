@@ -36,6 +36,7 @@ negative with a minus.
 from __future__ import annotations
 
 import random
+import re
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain
@@ -136,6 +137,11 @@ def _kernel(reduced: IntRows, pivots: list[int], d: int, ncols: int) -> list[dic
 
 
 def parse_rational(s: str) -> Fraction:
+    """An integer or a ratio of integers in ASCII digits, as "-3/4"; not the
+    decimals, exponents ("1e30000000": 10^7 digits), underscores, non-ASCII
+    digits or spaces that ``Fraction`` also reads."""
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s):
+        raise ValueError(f"bad rational {s!r}: not an integer or a ratio of integers")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:

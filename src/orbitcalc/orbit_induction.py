@@ -14,14 +14,11 @@ stay convention-bound, and the new length-2 rows split into j copies of
 from __future__ import annotations
 
 from .diagram_core import (
-    MINUS,
-    PLUS,
     SYMPLECTIC,
     Partition,
     SignedDiagram,
-    SignedRow,
     Value,
-    from_row_spec,
+    class_rows,
     moved_rows,
     tau,
 )
@@ -54,8 +51,8 @@ def induce_real(s: SignedDiagram, n: int) -> InducedOrbitSet:
     share those rows and differ only in the new length-2 class, which sorts
     last.  The grown rows are built once, as :func:`moved_rows` of s with
     ``grow`` 2, and checked once against :func:`add_two_columns`; candidate
-    j appends that class in canonical order, n - m - r - j plus-leading rows
-    before j minus-leading ones, through ``SignedDiagram._trusted``."""
+    j appends the :func:`class_rows` of that class with j minus-leading rows,
+    through ``SignedDiagram._trusted``."""
     if s.kind is not SYMPLECTIC:
         raise ValueError("real induction starts from a symplectic diagram")
     m = s.size // 2
@@ -69,9 +66,8 @@ def induce_real(s: SignedDiagram, n: int) -> InducedOrbitSet:
     expected_shape = add_two_columns(s.shape(), k)
     if tuple(length for length, _ in prefix) + (2,) * twos != expected_shape.rows:
         raise ValueError(f"induction from {s.rows} left the shape {expected_shape}")
-    plus, minus = SignedRow(2, PLUS), SignedRow(2, MINUS)
     diagrams = tuple(
-        SignedDiagram._trusted(SYMPLECTIC, prefix + (plus,) * (twos - j) + (minus,) * j)
+        SignedDiagram._trusted(SYMPLECTIC, prefix + class_rows(SYMPLECTIC, 2, twos, twos - j))
         for j in range(twos + 1)
     )
     return InducedOrbitSet(diagrams, k)
@@ -88,7 +84,7 @@ def two_n_signed(n: int, i: int) -> SignedDiagram:
     """The wave-front component [2^n]^(i): [2^n] with i rows leading +."""
     if not 0 <= i <= n:
         raise ValueError(f"index {i} outside [0, {n}]")
-    return from_row_spec(SYMPLECTIC, [(2, PLUS)] * i + [(2, MINUS)] * (n - i))
+    return SignedDiagram._trusted(SYMPLECTIC, class_rows(SYMPLECTIC, 2, n, i))
 
 
 def wf_theta_trivial(p: int, q: int) -> tuple[int, ...]:

@@ -16,9 +16,9 @@ from .diagram_core import (
     Partition,
     Sign,
     SignedDiagram,
-    SignedRow,
     Signature,
     canonicalize,
+    class_rows,
     delete_column_signed,
     from_row_spec,
     moved_rows,
@@ -27,21 +27,17 @@ from .diagram_core import (
 
 def prepend_column(d: SignedDiagram, ones: int, plus: int = 0) -> SignedDiagram:
     """The diagram of the opposite kind whose first-column deletion is d:
-    the :func:`moved_rows` of d with ``grow`` 1, then ``ones`` new 1-rows,
-    built through ``SignedDiagram._trusted``: convention pairs for a
-    symplectic result, ``plus`` leading with + and the rest with - for an
-    orthogonal one.  Explicit checks, which ``python -O`` keeps, raise
-    ``ValueError`` for an odd symplectic count or ``plus`` outside 0..ones."""
+    the :func:`moved_rows` of d with ``grow`` 1, then the :func:`class_rows`
+    of ``ones`` new 1-rows (``plus`` counts only for an orthogonal result),
+    built through ``SignedDiagram._trusted``.  Explicit checks, which
+    ``python -O`` keeps, raise ``ValueError`` for an odd symplectic count or
+    ``plus`` outside 0..ones."""
     if not 0 <= plus <= ones:
         raise ValueError(f"need 0 <= plus <= ones, got plus={plus}, ones={ones}")
     kind = d.kind.opposite
-    if kind is SYMPLECTIC:
-        if ones & 1:
-            raise ValueError(f"{ones} new 1-rows; even multiplicity required for symplectic")
-        new = tuple(SignedRow(1, lead) for lead in SYMPLECTIC.convention) * (ones >> 1)
-    else:
-        new = (SignedRow(1, PLUS),) * plus + (SignedRow(1, MINUS),) * (ones - plus)
-    return SignedDiagram._trusted(kind, moved_rows(d, 1) + new)
+    if kind is SYMPLECTIC and ones & 1:
+        raise ValueError(f"{ones} new 1-rows; even multiplicity required for symplectic")
+    return SignedDiagram._trusted(kind, moved_rows(d, 1) + class_rows(kind, 1, ones, plus))
 
 
 def deletion_inertia(d: SignedDiagram) -> Signature:

@@ -184,8 +184,9 @@ def _lift(t: Tower, d: SignedDiagram, max_size: int) -> Iterator[tuple[Tower, Si
 def _stream_key(t: Tower) -> tuple:
     """Size, symplectic before orthogonal, shape in descending lex order,
     then per free length class its plus count: plus-leading rows come first
-    in a canonical class, so comparing leads (+ above -) row by row orders
-    the counts class by class, as ``enumeration.diagrams_for_shape`` does."""
+    in a canonical class (``diagram_core.class_rows``), so comparing leads
+    (+ above -) row by row orders the counts class by class, as the
+    enumeration does."""
     d = t.steps[-1]
     return (
         sum(t.sig[-1]),

@@ -406,6 +406,14 @@ class TestMalformedInput:
                 [[0]],
                 "bad form 'o:-1,2': signature entries must be nonnegative",
             ),
+            *(
+                (
+                    ["oracle", "classify", "--form", "sp:2"],
+                    [["0", entry], ["0", "0"]],
+                    f"bad rational {entry!r}: not an integer or a ratio of integers",
+                )
+                for entry in ("1e30000000", "1.5", "1_0", "\u0661")
+            ),
         ],
         ids=[
             "float-partition",
@@ -423,6 +431,10 @@ class TestMalformedInput:
             "float-matrix-entry",
             "bool-matrix-entry",
             "negative-form-entry",
+            "exponent-entry",
+            "decimal-entry",
+            "underscore-entry",
+            "non-ascii-entry",
         ],
     )
     def test_malformed_file(self, capsys, tmp_path, argv, content, reason):

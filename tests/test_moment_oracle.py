@@ -83,11 +83,13 @@ class TestMatrix:
             RationalMatrix.from_rows([[1, 2], [2, 4]]).inverse()
 
     def test_json_entries(self):
-        m = RationalMatrix.from_json([["1/2", 3], ["-4", "0.25"]])
+        m = RationalMatrix.from_json([["1/2", 3], ["-4", "1/4"]])
         assert m.entries == ((Fraction(1, 2), 3), (-4, Fraction(1, 4)))
         for bad in ([[1.5]], [[True]], [[None]], [[[1]]]):
             with pytest.raises(ValueError, match="matrix entry"):
                 RationalMatrix.from_json(bad)
+        with pytest.raises(ValueError, match="bad rational '0.25'"):
+            RationalMatrix.from_json([["0.25"]])  # a decimal string is not a rational string
 
     def test_inexact_entries_rejected(self):
         for bad in (0.1, 2.0, True, False, None, [1], {}):

@@ -264,6 +264,28 @@ class TestMemberAttributes:
                     reads.append(f"{path.name}:{node.lineno}: {owner}.{node.attr}")
         assert reads == []
 
+    def test_rows_are_laid_out_in_diagram_core(self):
+        """No module but ``diagram_core`` reads ``.convention`` or builds a
+        row, by ``SignedRow(...)`` or ``_new(SignedRow, ...)``: every class
+        layout goes through ``class_rows``."""
+        found = []
+        for path in sorted(Path(orbitcalc.__file__).resolve().parent.glob("*.py")):
+            if path.name == "diagram_core.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr == "convention":
+                    found.append(f"{path.name}:{node.lineno}: .convention")
+                elif isinstance(node, ast.Call) and any(
+                    _names_signed_row(part) for part in (node.func, *node.args[:1])
+                ):
+                    found.append(f"{path.name}:{node.lineno}: builds a SignedRow")
+        assert found == []
+
+
+def _names_signed_row(node: ast.AST) -> bool:
+    """Is ``node`` the name ``SignedRow`` or an attribute ``x.SignedRow``?"""
+    return getattr(node, "id", getattr(node, "attr", None)) == "SignedRow"
+
 
 MEMBER_NAMES = ("PLUS", "MINUS", "SYMPLECTIC", "ORTHOGONAL")
 

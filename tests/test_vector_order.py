@@ -177,8 +177,16 @@ class TestSerialization:
         assert parse_rational("3/2") == Fraction(3, 2)
 
     def test_bad_rational(self):
-        with pytest.raises(ValueError):
-            parse_rational("x")
+        # only ASCII integers and ratios of them: an exponent must not build
+        # a huge integer, and no other spelling Fraction reads is accepted
+        for s in ("x", "1e30000000", "1.5", "1_0", "\u0661", " 3/2", "3/-2", "1/0"):
+            with pytest.raises(ValueError, match="^bad rational "):
+                parse_rational(s)
+
+    def test_signed_rationals(self):
+        assert parse_rational("-3/4") == Fraction(-3, 4)
+        assert parse_rational("+6/4") == Fraction(3, 2)
+        assert parse_rational("-0") == 0
 
     @given(vectors)
     def test_roundtrip(self, a):

@@ -9,7 +9,15 @@ from pathlib import Path
 import pytest
 
 import orbitcalc
-from orbitcalc import diagram_core, moment_oracle, vector_order, verify
+from orbitcalc import (
+    diagram_core,
+    moment_oracle,
+    orbit_induction,
+    theta_orbits,
+    tower,
+    vector_order,
+    verify,
+)
 from orbitcalc.diagram_core import Kind, Partition, SignedDiagram
 from orbitcalc.enumeration import partitions, shapes
 from orbitcalc.verify import SUITES, run_suite
@@ -139,24 +147,65 @@ def test_reversal_transposes_each_parity_partition_once(monkeypatch):
     assert calls == 98
 
 
+def count_calls(monkeypatch, *functions) -> dict[str, int]:
+    """Wrap each package function in every loaded package module that binds
+    it; the returned dict counts the calls by function name as they happen."""
+    calls = {}
+    for real in functions:
+        calls[real.__name__] = 0
+
+        def counted(*args, _real=real, **kwargs):
+            calls[_real.__name__] += 1
+            return _real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("orbitcalc") and getattr(module, real.__name__, None) is real:
+                monkeypatch.setattr(module, real.__name__, counted)
+    return calls
+
+
 def test_enumeration_checks_no_spec(monkeypatch):
     # the enumeration lays each shape's classes out itself, so a diagram
     # suite built on it runs the checking spec builder not once
-    calls = 0
-    real = diagram_core.from_row_spec
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return real(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("orbitcalc") and getattr(module, "from_row_spec", None) is real:
-            monkeypatch.setattr(module, "from_row_spec", counted)
+    calls = count_calls(monkeypatch, diagram_core.from_row_spec)
     assert run_suite("reasonss", 10).passed
-    assert calls == 0
+    assert calls == {"from_row_spec": 0}
     run_suite("induce-oracle", 2)  # the probe sees a suite that checks specs
-    assert calls
+    assert calls["from_row_spec"]
+
+
+NON3_WORK = (
+    tower.check_non3,
+    theta_orbits.inertia_companions,
+    orbit_induction.induce_real,
+    theta_orbits.deletion_inertia,
+)
+
+
+def test_non3_work_is_pinned(monkeypatch):
+    # one non3 record per metaplectic step, each with one companion search
+    # and one induction; a change in these counts is a change in the work
+    calls = count_calls(monkeypatch, *NON3_WORK)
+    assert run_suite("non3", 14).passed
+    assert calls == {
+        "check_non3": 121,
+        "inertia_companions": 121,
+        "induce_real": 121,
+        "deletion_inertia": 460,
+    }
+
+
+def test_certificate_work_is_pinned(monkeypatch):
+    mp30 = SCRIPTS.parent / "perfbench" / "cli" / "mp30.json"
+    d = diagram_core.from_json_dict(json.loads(mp30.read_text()))
+    calls = count_calls(monkeypatch, *NON3_WORK)
+    tower.certificate(d)
+    assert calls == {
+        "check_non3": 2,
+        "inertia_companions": 2,
+        "induce_real": 2,
+        "deletion_inertia": 4,
+    }
 
 
 def test_bounds_builds_no_signed_diagram(monkeypatch):
