@@ -56,12 +56,20 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from None
 
 
+def _json_int(digits: str) -> int:
+    """A JSON integer, refused past Python's digit limit without its advice."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(digits) - digits.startswith("-") > limit:
+        raise ValueError(f"an integer of more than {limit} digits")
+    return int(digits)
+
+
 def _load(path: str, build, what: str = ""):
     """``build`` applied to the JSON value in the file at ``path``.  Malformed
     input is a usage error, nesting too deep to decode or to build included."""
     text = _read(path)
     try:
-        return build(json.loads(text))
+        return build(json.loads(text, parse_int=_json_int))
     except (ValueError, RecursionError) as exc:
         raise CliError(f"{path}: {what}{exc}") from None
 

@@ -19,15 +19,10 @@ equivalent when they differ only by reordering rows of equal length.
 its plus-leading rows first); ``validate_signed`` only checks the rule.
 
 Diagrams and partitions are ``Value``s.  Input is checked once, where it
-enters: ``Partition(...)`` and ``SignedDiagram(...)``, and with them
-``from_json_dict``, check everything and raise ``ValueError`` before
-``Value.__init__`` sets the fields.  ``Value._trusted`` sets them unchecked;
-the package builds a diagram so only from rows ``class_rows`` laid out:
-``from_row_spec``, the one builder of specs that come from elsewhere (it
-checks each row length and each length class by its counts), the column
-moves of ``moved_rows`` (deletion, ``tau``, prepending a column and the
-induced families), enumeration and ``two_n_signed``; a partition, for
-transposes and shapes.
+enters: ``Partition(...)``, ``SignedDiagram(...)`` (and ``from_json_dict``)
+and ``from_row_spec`` raise ``ValueError``.  ``Value._trusted`` sets the
+fields unchecked: the package builds so each diagram it computes, from rows
+``class_rows`` laid out, and the partitions of transposes and shapes.
 
 The package reads the members by the names ``PLUS``, ``MINUS``,
 ``SYMPLECTIC`` and ``ORTHOGONAL`` bound here, and the sign and kind algebra
@@ -39,6 +34,7 @@ from __future__ import annotations
 
 import enum
 from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 
@@ -239,8 +235,7 @@ class SignedDiagram(Value):
     ``Kind``, a row that is not a (length, sign) pair, a lead that is not a
     ``Sign``, a bad shape or a violation of :func:`validate_signed` raises
     ``ValueError``.  ``_trusted`` skips the check, for rows laid out by
-    :func:`class_rows` only: :func:`from_row_spec`, the column moves built
-    on :func:`moved_rows`, enumeration and ``two_n_signed`` use it."""
+    :func:`class_rows` only."""
 
     __slots__ = ("kind", "rows")
 
@@ -300,7 +295,7 @@ def validate_signed(kind: Kind, rows: tuple[tuple[int, Sign], ...]) -> list[str]
     boxes, and the conventions pair each class of odd rows into (-, +)
     leads, which balance."""
     violations: list[str] = []
-    for length, group in groupby(rows, key=lambda row: row[0]):
+    for length, group in groupby(rows, key=itemgetter(0)):
         if not kind.constrained(length):
             continue
         leads = [lead for _, lead in group]
@@ -309,9 +304,8 @@ def validate_signed(kind: Kind, rows: tuple[tuple[int, Sign], ...]) -> list[str]
                 f"rows of length {length} occur {len(leads)} times; "
                 f"even multiplicity required for {kind.value} diagrams"
             )
-        pattern = kind.convention
         for i, got in enumerate(leads):
-            want = pattern[i % 2]
+            want = kind.convention[i % 2]
             if got is not want:
                 violations.append(
                     f"row {i + 1} of the length-{length} class leads with "
@@ -322,11 +316,13 @@ def validate_signed(kind: Kind, rows: tuple[tuple[int, Sign], ...]) -> list[str]
 
 def canonicalize(d: SignedDiagram) -> SignedDiagram:
     """Canonical representative of the equivalence class: constrained classes
-    carry the convention pattern, free classes list Plus-leading rows first."""
-    parity = d.kind.parity
-    return from_row_spec(
-        d.kind, [(length, None if length % 2 == parity else lead) for length, lead in d.rows]
-    )
+    carry the convention pattern, free classes list Plus-leading rows first
+    (:func:`class_rows` of each class's plus count)."""
+    rows: list[SignedRow] = []
+    for length, group in groupby(d.rows, key=itemgetter(0)):
+        leads = [lead for _, lead in group]
+        rows += class_rows(d.kind, length, len(leads), leads.count(PLUS))
+    return SignedDiagram._trusted(d.kind, tuple(rows))
 
 
 def equivalent(d1: SignedDiagram, d2: SignedDiagram) -> bool:
@@ -349,17 +345,12 @@ def class_rows(kind: Kind, length: int, count: int, plus: int) -> tuple[SignedRo
 
 
 def from_row_spec(kind: Kind, spec: Iterable[tuple[int, Sign | None]]) -> SignedDiagram:
-    """Assemble a canonical diagram from (length, sign) pairs: constrained
-    rows take sign None, free rows a ``Sign``, and each length class is laid
-    out by :func:`class_rows`.  The one builder of specs that come from
-    elsewhere; column moves use :func:`moved_rows`.
-
-    One pass groups the spec by length, checking that each is a positive
-    int.  Each class is then checked by its counts (a bad one raises
-    ``ValueError``): a constrained class has no explicit sign and an even
-    count, a free row has a ``Sign``.  Those checks are all a valid diagram
-    needs beyond the layout, so the result is built through
-    ``SignedDiagram._trusted``."""
+    """The canonical diagram of a spec from outside the package, checked as
+    ``SignedDiagram(...)`` checks rows: (length, sign) pairs, sign None on a
+    constrained row and a ``Sign`` on a free one.  One pass groups the spec
+    by length, each a positive int; each class is checked by its counts (no
+    explicit sign and an even count if constrained, else a ``Sign`` on every
+    row; ``ValueError`` if not) and laid out by :func:`class_rows`."""
     if not isinstance(kind, Kind):
         raise ValueError(f"invalid signed diagram: kind must be a Kind, got {kind!r}")
     by_length: dict[int, list[Sign | None]] = {}

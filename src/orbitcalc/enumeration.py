@@ -117,16 +117,15 @@ def class_count(shape: Partition, kind: Kind) -> int:
 
 
 def _class_blocks(shape: Partition, kind: Kind) -> list[tuple[tuple[SignedRow, ...], ...]]:
-    """Per length class of a valid shape, longest first, the row blocks it
-    can take: the :func:`class_rows` of the class with plus count 0 for a
-    constrained class, and each plus count 0..m for a free class of m rows."""
-    return [
-        tuple(
-            class_rows(kind, length, mult, k)
-            for k in ((0,) if kind.constrained(length) else range(mult + 1))
-        )
-        for length, mult in shape.classes()
-    ]
+    """Per length class of a valid shape, longest first, its row blocks: for
+    plus count k (0, or 0..m for a free class of m rows) the window
+    [m - k, 2m - k) of the :func:`class_rows` of 2m rows, m plus-leading."""
+    blocks = []
+    for length, mult in shape.classes():
+        rows = class_rows(kind, length, 2 * mult, mult)
+        plus_counts = (0,) if kind.constrained(length) else range(mult + 1)
+        blocks.append(tuple(rows[mult - k : 2 * mult - k] for k in plus_counts))
+    return blocks
 
 
 def diagrams_for_shape(shape: Partition, kind: Kind) -> Iterator[SignedDiagram]:

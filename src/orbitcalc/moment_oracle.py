@@ -37,20 +37,19 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
 from .diagram_core import (
-    MINUS,
     ORTHOGONAL,
     PLUS,
     SYMPLECTIC,
-    Sign,
     SignedDiagram,
     Value,
-    from_row_spec,
+    class_rows,
 )
 
 Row = tuple[Fraction, ...]
@@ -137,15 +136,22 @@ def _kernel(reduced: IntRows, pivots: list[int], d: int, ncols: int) -> list[dic
 
 
 def parse_rational(s: str) -> Fraction:
-    """An integer or a ratio of integers in ASCII digits, as "-3/4"; not the
-    decimals, exponents ("1e30000000": 10^7 digits), underscores, non-ASCII
-    digits or spaces that ``Fraction`` also reads."""
-    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s):
-        raise ValueError(f"bad rational {s!r}: not an integer or a ratio of integers")
-    try:
+    """An integer or a ratio of integers in ASCII digits, as "-3/4": not a
+    decimal, exponent ("1e30000000": 10^7 digits), underscore, non-ASCII
+    digit or space, which ``Fraction`` also reads, nor a zero denominator or
+    a part past Python's digit limit.  A long refusal shows a prefix."""
+    match = re.fullmatch(r"[+-]?([0-9]+)(?:/([0-9]+))?", s)
+    limit = sys.get_int_max_str_digits()
+    if match is None:
+        problem = "not an integer or a ratio of integers"
+    elif limit and max(map(len, filter(None, match.groups()))) > limit:
+        problem = f"more than {limit} digits"
+    elif match[2] and not int(match[2]):
+        problem = "zero denominator"
+    else:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {s!r}: {exc}") from None
+    shown = repr(s) if len(s) <= 24 else f"{s[:12]!r}... ({len(s)} characters)"
+    raise ValueError(f"bad rational {shown}: {problem}")
 
 
 def _exact(x) -> Fraction | int:
@@ -442,17 +448,17 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
         cols = [cols[c] for c in pivots]
     ranks = [form.dim] + [len(pivots) for _, pivots, _, _ in flag] + [0]
 
-    spec: list[tuple[int, Sign | None]] = []
+    kind, label_rows = form.kind, []
     for k in range(len(flag), 0, -1):
         count = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]  # the Jordan blocks of length k
         if count < 0:
             raise ValueError(f"the ranks {ranks} of the powers give {count} blocks of length {k}")
         if not count:
             continue
-        if form.kind.constrained(k):
+        if kind.constrained(k):
             if count % 2 != 0:
                 raise ValueError(f"{count} rows of sign-free length {k} do not pair up")
-            spec += [(k, None)] * count
+            label_rows += class_rows(kind, k, count, 0)
             continue
         # the complement of ker X^(k-1) in ker X^k, back in dim coordinates,
         # and B(u, v) = (X^(k-1) u)^t J v = (-1)^(k-1) (J^t u)^t X^(k-1) v
@@ -480,8 +486,8 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
             raise ValueError(
                 f"inertia {np_}+{nm} of the length-{k} pairing must count its rows {count}"
             )
-        spec += [(k, PLUS)] * np_ + [(k, MINUS)] * nm
-    return from_row_spec(form.kind, spec)
+        label_rows += class_rows(kind, k, count, np_)
+    return SignedDiagram._trusted(kind, tuple(label_rows))
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,14 @@ which of its orbits meet the image of the moment map.
 from __future__ import annotations
 
 from .diagram_core import (
-    MINUS,
     PLUS,
     SYMPLECTIC,
     Partition,
-    Sign,
     SignedDiagram,
     Signature,
     canonicalize,
     class_rows,
     delete_column_signed,
-    from_row_spec,
     moved_rows,
 )
 
@@ -82,36 +79,36 @@ def inertia_companions(shape: Partition, target: Signature) -> tuple[SignedDiagr
     positive middles the free classes must share: the count is the
     coefficient of x^need in the product of (1 + x + ... + x^m), and the
     first diagram, in the order of the plus counts class by class, gives
-    each class (longest first) the least k the later classes can make up.
+    each class (longest first) the least k the later classes can make up,
+    laid out by :func:`class_rows`.  Odd rows in odd count raise ValueError.
     """
-    spec: list[tuple[int, Sign | None]] = []
-    free: list[tuple[int, int]] = []
-    base = 0  # inertia on each side before the middles are placed
-    for length, mult in shape.classes():
-        base += (length - 1) // 2 * mult
-        if SYMPLECTIC.constrained(length):
-            spec += [(length, None)] * mult
-        else:
-            free.append((length, mult))
-    middles = sum(mult for _, mult in free)
+    classes = shape.classes()
+    free = [mult for length, mult in classes if not SYMPLECTIC.constrained(length)]
+    base = sum((length - 1) // 2 * mult for length, mult in classes)  # each side, before middles
+    middles = sum(free)
     need = target.plus - base  # middles the target puts on the positive side
     if target.minus - base != middles - need or not 0 <= need <= middles:
         return None, 0
     ways = [1]  # ways[j]: sign choices on the classes so far with j positive middles
-    for _, mult in free:
+    for mult in free:
         ways = [sum(ways[max(0, j - mult) : j + 1]) for j in range(len(ways) + mult)]
     count = ways[need]
     later = middles  # the middles of the classes not placed yet
-    for length, mult in free:
-        later -= mult
-        plus_middle = PLUS.alternation[length // 2 % 2] is PLUS
-        for k in range(mult + 1):
-            placed = k if plus_middle else mult - k
-            if 0 <= need - placed <= later:
-                break
-        need -= placed
-        spec += [(length, PLUS)] * k + [(length, MINUS)] * (mult - k)
-    return from_row_spec(SYMPLECTIC, spec), count
+    rows = []
+    for length, mult in classes:
+        k = 0
+        if not SYMPLECTIC.constrained(length):
+            later -= mult
+            plus_middle = PLUS.alternation[length // 2 % 2] is PLUS
+            for k in range(mult + 1):
+                placed = k if plus_middle else mult - k
+                if 0 <= need - placed <= later:
+                    break
+            need -= placed
+        elif mult & 1:
+            raise ValueError(f"{shape} is not a valid {SYMPLECTIC.value} shape")
+        rows += class_rows(SYMPLECTIC, length, mult, k)
+    return SignedDiagram._trusted(SYMPLECTIC, tuple(rows)), count
 
 
 def inertia_fits(inertia: Signature, p: int, q: int) -> bool:

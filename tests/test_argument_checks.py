@@ -5,7 +5,16 @@ every value's constructor and trusted builder check."""
 import pytest
 
 from orbitcalc import tower, verify  # noqa: F401  (their Value classes)
-from orbitcalc.diagram_core import MINUS, ORTHOGONAL, PLUS, SYMPLECTIC, SignedDiagram, Value
+from orbitcalc.diagram_core import (
+    MINUS,
+    ORTHOGONAL,
+    PLUS,
+    SYMPLECTIC,
+    Partition,
+    SignedDiagram,
+    Signature,
+    Value,
+)
 from orbitcalc.infchar import segment
 from orbitcalc.moment_oracle import (
     RationalMatrix,
@@ -15,7 +24,7 @@ from orbitcalc.moment_oracle import (
     representative,
 )
 from orbitcalc.orbit_induction import wf_theta_trivial
-from orbitcalc.theta_orbits import deletion_inertia
+from orbitcalc.theta_orbits import deletion_inertia, inertia_companions
 
 O1 = SignedDiagram(ORTHOGONAL, ((1, PLUS),))
 SP2 = SignedDiagram(SYMPLECTIC, ((1, MINUS), (1, PLUS)))  # m = 1, two rows
@@ -37,6 +46,10 @@ I2, I3 = RationalMatrix.identity(2), RationalMatrix.identity(3)
         (lambda: build_witness(O1, 1, 0), "witnesses extend symplectic diagrams"),
         (lambda: wf_theta_trivial(0, 0), "need p, q >= 0 with p + q >= 1"),
         (lambda: deletion_inertia(O1), "the pairing inertia applies to symplectic diagrams"),
+        (
+            lambda: inertia_companions(Partition((3, 1)), Signature(1, 1)),
+            "(3,1) is not a valid symplectic shape",
+        ),
     ],
     ids=[
         "segment-negative-length",
@@ -51,6 +64,7 @@ I2, I3 = RationalMatrix.identity(2), RationalMatrix.identity(3)
         "witness-orthogonal",
         "wf-theta-trivial-empty",
         "deletion-inertia-orthogonal",
+        "companions-odd-class",
     ],
 )
 def test_argument_check(call, message):

@@ -414,6 +414,11 @@ class TestMalformedInput:
                 )
                 for entry in ("1e30000000", "1.5", "1_0", "\u0661")
             ),
+            (
+                ["oracle", "classify", "--form", "sp:2"],
+                [["0", "1/0"], ["0", "0"]],
+                "bad rational '1/0': zero denominator",
+            ),
         ],
         ids=[
             "float-partition",
@@ -435,6 +440,7 @@ class TestMalformedInput:
             "decimal-entry",
             "underscore-entry",
             "non-ascii-entry",
+            "zero-denominator",
         ],
     )
     def test_malformed_file(self, capsys, tmp_path, argv, content, reason):
@@ -444,6 +450,44 @@ class TestMalformedInput:
         code, out, err = run(capsys, *argv, str(path))
         assert code == 2
         assert out == ""
+        assert err.startswith("error: ") and err.endswith(f"{reason}\n")
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (
+                '[["0", "%s"], ["0", "0"]]' % ("1" * 5000),
+                "bad rational '111111111111'... (5000 characters): more than 4300 digits",
+            ),
+            (
+                '[["0", "1/%s"], ["0", "0"]]' % ("0" * 5000),
+                "bad rational '1/0000000000'... (5002 characters): more than 4300 digits",
+            ),
+            (
+                '[["0", "%s"], ["0", "0"]]' % ("x" * 5000),
+                "bad rational 'xxxxxxxxxxxx'... (5000 characters): "
+                "not an integer or a ratio of integers",
+            ),
+            ("[[0, -%s], [0, 0]]" % ("1" * 5000), "an integer of more than 4300 digits"),
+        ],
+        ids=["long-entry", "long-denominator", "long-garbage-entry", "long-number"],
+    )
+    def test_huge_entry(self, capsys, tmp_path, text, reason):
+        # one short line: the entry's prefix and length, not the entry, and
+        # no advice about the interpreter's digit limit; the limit is pinned
+        # at Python's default, which PYTHONINTMAXSTRDIGITS could change
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(capsys, "oracle", "classify", "--form", "sp:2", str(path))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and len(err) < 200, err
+        assert "set_int_max_str_digits" not in err
         assert err.startswith("error: ") and err.endswith(f"{reason}\n")
 
     @pytest.mark.parametrize(

@@ -25,8 +25,11 @@ from orbitcalc.diagram_core import (
     tau,
     validate_signed,
 )
-from orbitcalc.enumeration import partitions, shapes
+from orbitcalc.enumeration import partitions, shapes, signed_diagrams
+from orbitcalc.moment_oracle import FormSpec, classify_signed, representative
 from orbitcalc.orbit_induction import add_two_columns, induce_real, two_n_signed
+from orbitcalc.theta_orbits import inertia_companions
+from orbitcalc.verify import _conjugation_pool
 from oracles import all_signed, theta_lift_real
 
 SIGNED_MAX = 14
@@ -108,6 +111,38 @@ class TestSignedBuilders:
             for i in (-1, n + 1):
                 with pytest.raises(ValueError, match="outside"):
                     two_n_signed(n, i)
+
+
+class TestComputedBuilders:
+    """classify_signed and inertia_companions lay out the classes they
+    computed and build through _trusted: every label of a representative up
+    to size 12 and of the conjugation pool, and every companion up to size
+    14."""
+
+    def test_classify_signed(self):
+        labels = []
+        for size in range(0, 13, 2):
+            for d in signed_diagrams(Kind.SYMPLECTIC, size=size):
+                label = classify_signed(representative(d), FormSpec.symplectic(size))
+                assert label == d
+                labels.append(label)
+        labels += [classify_signed(x, form) for x, form in _conjugation_pool()]
+        for label in labels:
+            assert_checked_equal(label)
+        assert {label.kind for label in labels} == set(Kind)
+
+    def test_inertia_companions(self):
+        found = 0
+        for size in range(0, 15, 2):
+            for shape in shapes(Kind.SYMPLECTIC, size):
+                for plus in range(size + 1):
+                    for minus in range(size + 1 - plus):
+                        d, count = inertia_companions(shape, Signature(plus, minus))
+                        if d is not None:
+                            assert_checked_equal(d)
+                            assert d.shape() == shape and count > 0
+                            found += 1
+        assert found == 487  # the (shape, target) pairs some diagram reaches
 
 
 class TestPartitionBuilders:

@@ -183,6 +183,11 @@ class TestSerialization:
             with pytest.raises(ValueError, match="^bad rational "):
                 parse_rational(s)
 
+    def test_zero_denominator(self):
+        for s in ("1/0", "-2/00"):
+            with pytest.raises(ValueError, match=f"^bad rational '{s}': zero denominator$"):
+                parse_rational(s)
+
     def test_signed_rationals(self):
         assert parse_rational("-3/4") == Fraction(-3, 4)
         assert parse_rational("+6/4") == Fraction(3, 2)

@@ -164,14 +164,19 @@ def count_calls(monkeypatch, *functions) -> dict[str, int]:
     return calls
 
 
-def test_enumeration_checks_no_spec(monkeypatch):
-    # the enumeration lays each shape's classes out itself, so a diagram
-    # suite built on it runs the checking spec builder not once
+MP30 = SCRIPTS.parent / "perfbench" / "cli" / "mp30.json"
+
+
+def test_package_checks_no_spec(monkeypatch):
+    # the package lays out every diagram it computes itself, class by class,
+    # so no suite and no certificate runs the checking spec builder
     calls = count_calls(monkeypatch, diagram_core.from_row_spec)
-    assert run_suite("reasonss", 10).passed
+    for name, bound in SMALL_BOUNDS.items():
+        assert run_suite(name, bound).passed, name
+    tower.certificate(diagram_core.from_json_dict(json.loads(MP30.read_text())))
     assert calls == {"from_row_spec": 0}
-    run_suite("induce-oracle", 2)  # the probe sees a suite that checks specs
-    assert calls["from_row_spec"]
+    diagram_core.from_row_spec(Kind.SYMPLECTIC, [(2, diagram_core.PLUS)])  # the probe sees a call
+    assert calls == {"from_row_spec": 1}
 
 
 NON3_WORK = (
@@ -196,8 +201,7 @@ def test_non3_work_is_pinned(monkeypatch):
 
 
 def test_certificate_work_is_pinned(monkeypatch):
-    mp30 = SCRIPTS.parent / "perfbench" / "cli" / "mp30.json"
-    d = diagram_core.from_json_dict(json.loads(mp30.read_text()))
+    d = diagram_core.from_json_dict(json.loads(MP30.read_text()))
     calls = count_calls(monkeypatch, *NON3_WORK)
     tower.certificate(d)
     assert calls == {
