@@ -40,13 +40,23 @@ def _kind(token: str) -> Kind:
         return SYMPLECTIC
     if token in ("o", "orthogonal"):
         return ORTHOGONAL
-    raise CliError(f"unknown kind {token!r}; use sp or o")
+    raise CliError(f"unknown kind {dc.brief(token, repr)}; use sp or o")
 
 
 def _nonnegative(option: str, value: int) -> int:
     if value < 0:
-        raise CliError(f"{option} must be nonnegative, got {value}")
+        raise CliError(f"{option} must be nonnegative, got {dc.brief(str(value))}")
     return value
+
+
+def _integer(text: str) -> int:
+    """An integer option, read by ``int`` as argparse reads one, which refuses
+    more digits than Python's limit; the refusal shows a long value by a
+    prefix."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {dc.brief(text, repr)}") from None
 
 
 def _read(path: str) -> str:
@@ -246,11 +256,11 @@ def _parse_form(token: str) -> FormSpec:
         numbers = tuple(map(int, params.split(",")))
         build = {("sp", 1): FormSpec.symplectic, ("o", 2): FormSpec.orthogonal}[head, len(numbers)]
     except (ValueError, KeyError):
-        raise CliError(f"bad form {token!r}; use sp:2n or o:p,q") from None
+        raise CliError(f"bad form {dc.brief(token, repr)}; use sp:2n or o:p,q") from None
     try:
         return build(*numbers)
     except ValueError as exc:  # the token parses, but names no form
-        raise CliError(f"bad form {token!r}: {exc}") from None
+        raise CliError(f"bad form {dc.brief(token, repr)}: {exc}") from None
 
 
 def cmd_render(args) -> int:
@@ -299,7 +309,7 @@ def cmd_verify(args) -> int:
     from .verify import SUITES, run_suite
 
     if args.suite not in SUITES:
-        raise CliError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
+        raise CliError(f"unknown suite {dc.brief(args.suite, repr)}; choose from {sorted(SUITES)}")
     rep = run_suite(args.suite, bound)
     status = "pass" if rep.passed else "FAIL"
     lines = [f"{rep.name} (bound {rep.bound}): {status}, {rep.checked} cases"]
@@ -357,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("induce", help="real induced orbits from a symplectic diagram")
     p.add_argument("diagram")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--tau", action="store_true", help="use the tau variant")
     add_json(p)
     p.set_defaults(func=cmd_induce)
@@ -386,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream valid diagrams")
     p.add_argument("--kind", required=True, help="sp or o")
-    p.add_argument("--size", type=int)
+    p.add_argument("--size", type=_integer)
     p.add_argument("--signature", help="p,q")
     p.add_argument("--count", action="store_true", help="print counts only")
     add_json(p)
@@ -394,13 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--max", type=int, required=True, help="size bound")
+    p.add_argument("--max", type=_integer, required=True, help="size bound")
     add_json(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("wf-ialpha", help="wave-front components of a parity class")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--alpha", type=_integer, required=True)
     add_json(p)
     p.set_defaults(func=cmd_wf_ialpha)
 

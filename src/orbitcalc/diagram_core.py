@@ -559,3 +559,11 @@ def from_json_dict(data: dict) -> SignedDiagram:
     """Parse the JSON schema; bad shapes and sign convention violations are
     rejected by the constructor rather than silently fixed."""
     return SignedDiagram(*parse_json_rows(data))
+
+
+def brief(text: str, show=str) -> str:
+    """``show(text)``, or for a text past 24 characters its first 12 shown so
+    and its length: a refused value as an error message quotes it."""
+    if len(text) <= 24:
+        return show(text)
+    return f"{show(text[:12])}... ({len(text)} characters)"

@@ -31,6 +31,19 @@ is (-1)^(k-1) (J^t u)^t X^(k-1) v, row vectors times x: the basis-free form
 of the generator-pairing rule (signature of Omega(X^(k-1) e, e) on a cyclic
 vector e).  In sl2 the raising element classifies as 2 with a plus, its
 negative with a minus.
+
+The flag stops at the first level k whose matrix M, of r = r_(k-1) rows,
+has rank r - 1 > 0 and is nilpotent: then exactly one block is longer than
+k - 1, of length L = k - 1 + r, and the ranks after r_k fall by one to 0.
+The proof of nilpotency is one cyclic row: a standard row w with
+w M^(r-1) != 0 and w M^r = 0 makes w, w M, ..., w M^(r-1) a basis that M^r
+kills.  The first row with w M^(r-1) != 0 decides, and if w M^r != 0 the
+flag goes on to its nilpotency error.  The lengths up to k - 1 are read and
+signed on the flag as above.  At a sign-carrying L, B has rank one, so the
+long block's sign is that of B(e_i, e_i) at the first standard e_i where it
+is nonzero: L - 1 products of one row with x.  So one long block costs one
+elimination and two chains of products, not an elimination at each of its
+L levels.
 """
 
 from __future__ import annotations
@@ -49,6 +62,7 @@ from .diagram_core import (
     SYMPLECTIC,
     SignedDiagram,
     Value,
+    brief,
     class_rows,
 )
 
@@ -150,8 +164,7 @@ def parse_rational(s: str) -> Fraction:
         problem = "zero denominator"
     else:
         return Fraction(s)
-    shown = repr(s) if len(s) <= 24 else f"{s[:12]!r}... ({len(s)} characters)"
-    raise ValueError(f"bad rational {shown}: {problem}")
+    raise ValueError(f"bad rational {brief(s, repr)}: {problem}")
 
 
 def _exact(x) -> Fraction | int:
@@ -422,6 +435,24 @@ def _inertia(m: list[list[int]]) -> tuple[int, int]:
     return found.count(1), found.count(-1)
 
 
+def _row_power(w: dict[int, int], m: IntRows, power: int) -> dict[int, int]:
+    """The row w times m^power, {} from the first product that vanishes."""
+    for _ in range(power):
+        if not w:
+            break
+        (w,) = _product([w], m)
+    return w
+
+
+def _nilpotent(m: IntRows) -> bool:
+    """Whether the square integer matrix m, of r >= 1 rows, is nilpotent, by
+    one chain.  The first standard row w with w m^(r-1) != 0 decides: if
+    w m^r = 0, then w, w m, ..., w m^(r-1) are a basis that m^r kills; if
+    not, m^r != 0.  With no such row, m^(r-1) = 0."""
+    last = next(filter(None, (_row_power(row, m, len(m) - 2) for row in m)), {})
+    return not _row_power(last, m, 1)
+
+
 def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
     """Signed orbit label of a nilpotent element of the form's Lie algebra."""
     perm, signs = form._signed_permutation()
@@ -429,12 +460,16 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
         raise ValueError("matrix is not in the Lie algebra of the form")
     # level k: C_k, its pivots and pivot value over the columns ``cols`` =
     # P_(k-1).  Level k+1 is C_k times the rows, read at P_k and renumbered,
-    # over their gcd, without which they grow with each pivot of a long block
+    # over their gcd, without which they grow with each pivot of a long block.
+    # A nilpotent level of rank len(cols) - 1 > 0 is one chain: it ends the
+    # flag, and the ranks after it fall by one to 0
     rows, cols, flag = x.rows, list(range(form.dim)), []
     while cols:
         reduced, pivots, d = _bareiss(rows, len(cols))
         if len(pivots) == len(cols):
             raise ValueError("classification requires a nilpotent matrix")
+        if 0 < len(pivots) == len(cols) - 1 and _nilpotent(rows):
+            break
         flag.append((reduced, pivots, d, cols))
         product = []
         for row in reduced:
@@ -446,10 +481,11 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
         g = gcd(*chain.from_iterable(map(dict.values, product)))
         rows = [{j: v // g for j, v in row.items()} for row in product] if g > 1 else product
         cols = [cols[c] for c in pivots]
-    ranks = [form.dim] + [len(pivots) for _, pivots, _, _ in flag] + [0]
+    ranks = [form.dim] + [len(pivots) for _, pivots, _, _ in flag]
+    ranks += [*reversed(range(len(cols))), 0]
 
     kind, label_rows = form.kind, []
-    for k in range(len(flag), 0, -1):
+    for k in range(len(ranks) - 2, 0, -1):
         count = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]  # the Jordan blocks of length k
         if count < 0:
             raise ValueError(f"the ranks {ranks} of the powers give {count} blocks of length {k}")
@@ -460,22 +496,33 @@ def classify_signed(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
                 raise ValueError(f"{count} rows of sign-free length {k} do not pair up")
             label_rows += class_rows(kind, k, count, 0)
             continue
-        # the complement of ker X^(k-1) in ker X^k, back in dim coordinates,
-        # and B(u, v) = (X^(k-1) u)^t J v = (-1)^(k-1) (J^t u)^t X^(k-1) v
-        reduced, pivots, d, cols = flag[k - 1]
+        # the Gram matrix of B(u, v) = (X^(k-1) u)^t J v = (-1)^(k-1) (J^t u)^t
+        # X^(k-1) v on a complement of ker X^(k-1) in ker X^k, in dim
+        # coordinates
         signed = signs if k % 2 else [-s for s in signs]
-        kernel, images = [], []
-        for u in _kernel(reduced, pivots, d, len(cols)):
-            v, w = {}, {}
-            for j, a in u.items():
-                i = cols[j]
-                v[i] = a
-                w[perm[i]] = signed[i] * a
-            kernel.append(v)
-            images.append(w)
-        for _ in range(k - 1):
-            images = _product(images, x.rows)
-        gram = [[sum(a * v[i] for i, a in w.items() if i in v) for v in kernel] for w in images]
+        if k > len(flag):
+            # past a stopped flag the complement is a line, and B has rank
+            # one, so B(e_i, e_i) != 0 exactly when B(e_i, .) != 0: the first
+            # such e_i spans the line
+            for i in range(form.dim):
+                w = _row_power({perm[i]: signed[i]}, x.rows, k - 1)
+                if w:
+                    break
+            gram = [[w.get(i, 0)]]
+        else:
+            reduced, pivots, d, cols = flag[k - 1]
+            kernel, images = [], []
+            for u in _kernel(reduced, pivots, d, len(cols)):
+                v, w = {}, {}
+                for j, a in u.items():
+                    i = cols[j]
+                    v[i] = a
+                    w[perm[i]] = signed[i] * a
+                kernel.append(v)
+                images.append(w)
+            for _ in range(k - 1):
+                images = _product(images, x.rows)
+            gram = [[sum(a * v[i] for i, a in w.items() if i in v) for v in kernel] for w in images]
         # B must come out symmetric at a sign-carrying k.  As x is in the
         # algebra, B(v, u) = +/-B(u, v), which vanishes for u in ker X^(k-1);
         # so symmetry on the complement is symmetry on all of ker X^k

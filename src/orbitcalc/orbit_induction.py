@@ -18,6 +18,7 @@ from .diagram_core import (
     Partition,
     SignedDiagram,
     Value,
+    brief,
     class_rows,
     moved_rows,
     tau,
@@ -108,7 +109,9 @@ def wf_ialpha(n: int, alpha: int) -> tuple[int, ...]:
 def wf_ialpha_parts(n: int, alpha: int) -> dict[tuple[int, int], tuple[int, ...]]:
     """Per-(p, q) components entering wf_ialpha, for coverage checks."""
     if (alpha - (n + 1)) % 2 != 0:
-        raise ValueError(f"alpha = {alpha} must have the parity of n + 1 = {n + 1}")
+        raise ValueError(
+            f"alpha = {brief(str(alpha))} must have the parity of n + 1 = {brief(str(n + 1))}"
+        )
     parts = {}
     for p in range(n + 1, -1, -1):
         q = n + 1 - p

@@ -10,7 +10,8 @@ forest, the row-wise merge of partitions next to the two-column merge, the
 dominance order as a predicate, parsers for the ASCII picture and the
 vector strings, diagram and matrix JSON writers, Jordan types from the
 ranks of explicit matrix powers, signed labels from the pairings on the
-whole kernels of those powers, random Lie-algebra elements as dense
+whole kernels of those powers, the same labels from the whole flag of row
+spaces with no early stop, random Lie-algebra elements as dense
 products with the form matrix, and the column moves by the spec route
 (``flipped_spec`` through ``from_row_spec``) next to the class-wise one.
 Last, a check record whose verdict is forced to fail, for the tests that
@@ -24,7 +25,8 @@ import json
 import random
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from math import gcd
 
 from orbitcalc.diagram_core import (
     Kind,
@@ -34,6 +36,7 @@ from orbitcalc.diagram_core import (
     SignedRow,
     Signature,
     canonicalize,
+    class_rows,
     delete_column_signed,
     equivalent,
     from_json_dict,
@@ -45,7 +48,16 @@ from orbitcalc.diagram_core import (
 )
 from orbitcalc.enumeration import partitions, signed_diagrams
 from orbitcalc.infchar import characters_reverse, segment, segments_of_transpose
-from orbitcalc.moment_oracle import FormSpec, RationalMatrix, symmetric_signature
+from orbitcalc.moment_oracle import (
+    FormSpec,
+    RationalMatrix,
+    _bareiss,
+    _in_algebra,
+    _inertia,
+    _kernel,
+    _product,
+    symmetric_signature,
+)
 from orbitcalc.theta_orbits import prepend_column
 from orbitcalc.tower import CheckRecord
 from orbitcalc.vector_order import HalfIntVector, bar_sort, dominance_leq
@@ -377,6 +389,77 @@ def classify_by_powers(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
             )
         spec += [(k, Sign.PLUS)] * np_ + [(k, Sign.MINUS)] * nm
     return from_row_spec(form.kind, spec)
+
+
+def classify_by_flag(x: RationalMatrix, form: FormSpec) -> SignedDiagram:
+    """``classify_signed`` with no early stop: the whole flag of row spaces,
+    eliminated at every level k = 1 ... L, where L is the longest block,
+    with every sign-carrying length signed by the pairing on its kernel
+    vectors.  The same labels and the same ``ValueError`` texts."""
+    perm, signs = form._signed_permutation()
+    if not _in_algebra(x, perm, signs):
+        raise ValueError("matrix is not in the Lie algebra of the form")
+    # level k: C_k, its pivots and pivot value over the columns ``cols`` =
+    # P_(k-1).  Level k+1 is C_k times the rows, read at P_k and renumbered,
+    # over their gcd, without which they grow with each pivot of a long block
+    rows, cols, flag = x.rows, list(range(form.dim)), []
+    while cols:
+        reduced, pivots, d = _bareiss(rows, len(cols))
+        if len(pivots) == len(cols):
+            raise ValueError("classification requires a nilpotent matrix")
+        flag.append((reduced, pivots, d, cols))
+        product = []
+        for row in reduced:
+            acc: dict[int, int] = {}
+            for t, v in row.items():
+                for j, w in rows[t].items():
+                    acc[j] = acc.get(j, 0) + v * w
+            product.append({i: acc[c] for i, c in enumerate(pivots) if acc.get(c)})
+        g = gcd(*chain.from_iterable(map(dict.values, product)))
+        rows = [{j: v // g for j, v in row.items()} for row in product] if g > 1 else product
+        cols = [cols[c] for c in pivots]
+    ranks = [form.dim] + [len(pivots) for _, pivots, _, _ in flag] + [0]
+
+    kind, label_rows = form.kind, []
+    for k in range(len(flag), 0, -1):
+        count = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]  # the Jordan blocks of length k
+        if count < 0:
+            raise ValueError(f"the ranks {ranks} of the powers give {count} blocks of length {k}")
+        if not count:
+            continue
+        if kind.constrained(k):
+            if count % 2 != 0:
+                raise ValueError(f"{count} rows of sign-free length {k} do not pair up")
+            label_rows += class_rows(kind, k, count, 0)
+            continue
+        # the complement of ker X^(k-1) in ker X^k, back in dim coordinates,
+        # and B(u, v) = (X^(k-1) u)^t J v = (-1)^(k-1) (J^t u)^t X^(k-1) v
+        reduced, pivots, d, cols = flag[k - 1]
+        signed = signs if k % 2 else [-s for s in signs]
+        kernel, images = [], []
+        for u in _kernel(reduced, pivots, d, len(cols)):
+            v, w = {}, {}
+            for j, a in u.items():
+                i = cols[j]
+                v[i] = a
+                w[perm[i]] = signed[i] * a
+            kernel.append(v)
+            images.append(w)
+        for _ in range(k - 1):
+            images = _product(images, x.rows)
+        gram = [[sum(a * v[i] for i, a in w.items() if i in v) for v in kernel] for w in images]
+        # B must come out symmetric at a sign-carrying k.  As x is in the
+        # algebra, B(v, u) = +/-B(u, v), which vanishes for u in ker X^(k-1);
+        # so symmetry on the complement is symmetry on all of ker X^k
+        if any(gram[a][b] != gram[b][a] for a in range(len(gram)) for b in range(a)):
+            raise ValueError(f"the length-{k} pairing is not symmetric")
+        np_, nm = _inertia(gram)
+        if np_ + nm != count:
+            raise ValueError(
+                f"inertia {np_}+{nm} of the length-{k} pairing must count its rows {count}"
+            )
+        label_rows += class_rows(kind, k, count, np_)
+    return SignedDiagram._trusted(kind, tuple(label_rows))
 
 
 def random_algebra_element(form: FormSpec, rng: random.Random, bound: int = 2) -> RationalMatrix:

@@ -491,6 +491,73 @@ class TestMalformedInput:
         assert err.startswith("error: ") and err.endswith(f"{reason}\n")
 
     @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (
+                ["verify", "--suite", "twocom", "--max", "1" * 5000],
+                "argument --max: invalid int value: '111111111111'... (5000 characters)",
+            ),
+            (
+                ["enumerate", "--kind", "sp", "--size", "x" * 5000],
+                "argument --size: invalid int value: 'xxxxxxxxxxxx'... (5000 characters)",
+            ),
+            (
+                ["induce", "--n", "-" + "1" * 5000, "source.json"],
+                "argument --n: invalid int value: '-11111111111'... (5001 characters)",
+            ),
+            (
+                ["wf-ialpha", "--n", "3", "--alpha", "1" * 5000],
+                "argument --alpha: invalid int value: '111111111111'... (5000 characters)",
+            ),
+            (
+                ["verify", "--suite", "twocom", "--max", "-" + "1" * 4000],
+                "--max must be nonnegative, got -11111111111... (4001 characters)",
+            ),
+            (
+                ["wf-ialpha", "--n", "3", "--alpha", "1" * 3000],
+                "alpha = 111111111111... (3000 characters) must have the parity of n + 1 = 4",
+            ),
+            (
+                ["verify", "--suite", "x" * 5000, "--max", "3"],
+                f"unknown suite 'xxxxxxxxxxxx'... (5000 characters); choose from {sorted(SUITES)}",
+            ),
+            (
+                ["enumerate", "--kind", "o" * 5000],
+                "unknown kind 'oooooooooooo'... (5000 characters); use sp or o",
+            ),
+            (
+                ["oracle", "classify", "--form", "sp:" + "2" * 5000, "matrix.json"],
+                "bad form 'sp:222222222'... (5003 characters); use sp:2n or o:p,q",
+            ),
+        ],
+        ids=[
+            "max", "size", "induce-n", "alpha", "negative", "parity", "suite", "kind", "form"
+        ],
+    )
+    def test_huge_option(self, capsys, monkeypatch, tmp_path, argv, reason):
+        # the command's refusal, or argparse's after its usage: one short
+        # line, which shows the value's prefix and length.  Whole, ``verify
+        # --max`` with 5,000 digits writes 5,125 bytes to stderr without it
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")
+        (tmp_path / "matrix.json").write_text('[["0", "1"], ["0", "0"]]')
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        finally:
+            sys.set_int_max_str_digits(limit)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        *usage, line = err.splitlines()
+        assert len(line.encode()) < 200 and line.endswith(reason), err
+        assert not usage or usage[0].startswith(f"usage: orbitcalc {argv[0]} ")
+        assert len(err.encode()) < (200 if argv[-2] == "--max" else 300)
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["verify", "--suite", "lemma-pm", "--max", "-3"],

@@ -51,9 +51,10 @@ P = Sign.PLUS
 
 
 def _deep_conjugates():
-    """(d, form, x): seeded conjugates of [16+], [14-] and [10+, 4-] in sp."""
+    """(d, form, x): seeded conjugates of [16+], [14-], [10+, 4-] and
+    [8+, 8-] in sp: one longest block, and two."""
     rng = random.Random(16)
-    for rows in [(16, P)], [(14, M)], [(10, P), (4, M)]:
+    for rows in [(16, P)], [(14, M)], [(10, P), (4, M)], [(8, P), (8, M)]:
         d = SignedDiagram(Kind.SYMPLECTIC, tuple(SignedRow(n, lead) for n, lead in rows))
         form = FormSpec.symplectic(d.size)
         yield d, form, conjugate(random_form_preserving(form, rng), representative(d))
@@ -426,34 +427,37 @@ class TestFlagAgainstPowers:
                 self.check(conjugate(random_form_preserving(form, rng), x), form)
 
     def test_deep_conjugates(self):
-        # long Jordan blocks, conjugated: the flag runs through 14-16 levels,
-        # each multiplying the rows of the level above, so the integers grow
-        # unless each level's content is divided out
+        # long Jordan blocks, conjugated: the flag of [8+, 8-] runs through
+        # 8 levels, each multiplying the rows of the level above, so the
+        # integers grow unless each level's content is divided out
         for d, form, x in _deep_conjugates():
             assert self.check(x, form) == d
 
     def test_deep_conjugates_work(self, monkeypatch):
-        # a work pin: the Bareiss calls, their pivots and the largest bit
-        # length of an entry entering ``_bareiss`` while ``classify_signed``
-        # runs on the deep conjugates.  Dividing each level's gcd out of C_k
-        # instead of out of the next level's rows keeps every label and
-        # only lets the entries grow, to 295 bits
+        # a work pin per deep conjugate: the Bareiss calls, their pivots and
+        # the largest bit length of an entry entering ``_bareiss`` while
+        # ``classify_signed`` runs.  One longest block ends the flag at the
+        # first level of rank one less than its rows, so [16+] and [14-]
+        # take one call and [10+, 4-] five; [8+, 8-] runs the whole flag.
+        # Dividing each level's gcd out of C_k instead of out of the next
+        # level's rows keeps every label and only lets the entries grow
         cases = list(_deep_conjugates())
         bareiss = moment_oracle._bareiss
-        work = {"calls": 0, "pivots": 0, "bits": 0}
+        work = []
 
         def counted(rows, ncols):
-            work["calls"] += 1
             bits = [v.bit_length() for row in rows for v in row.values()]
-            work["bits"] = max([work["bits"], *bits])
             out = bareiss(rows, ncols)
-            work["pivots"] += len(out[1])
+            calls, pivots, most = work[-1]
+            work[-1] = (calls + 1, pivots + len(out[1]), max([most, *bits]))
             return out
 
         monkeypatch.setattr(moment_oracle, "_bareiss", counted)
         for d, form, x in cases:
+            work.append((0, 0, 0))
             assert classify_signed(x, form) == d
-        assert work == {"calls": 40, "pivots": 262, "bits": 58}
+        # (calls, pivots, bits) for [16+], [14-], [10+, 4-] and [8+, 8-]
+        assert work == [(1, 15, 58), (1, 13, 51), (5, 41, 51), (8, 56, 52)]
 
     # nilpotent blocks of o(p, q) on coordinates with these form signs: a
     # length-3 row on (+, +, -) and on (-, -, +), a length-1 row of each
@@ -519,6 +523,67 @@ class TestFlagAgainstPowers:
                 assert got == "classification requires a nilpotent matrix"
                 stalls += x.rank() < x.nrows
         assert 0 < labels < 75 and stalls > 10
+
+
+class TestFlagStop:
+    """The flag's early stop, at the first level of rank one less than its
+    rows whose rows form one chain, against the whole flag
+    (``oracles.classify_by_flag``) and the power chain
+    (``oracles.classify_by_powers``): the same label or the same
+    ``ValueError`` text, on inputs where one longest block stops the flag
+    and on inputs where it does not."""
+
+    @staticmethod
+    def inputs():
+        """(x, form, label): the representative and one seeded Cayley
+        conjugate of every symplectic diagram up to size 12 (one conjugator
+        per size), then conjugates of [2n] and [2n-4, 4] up to sp(20), their
+        signs alternating with n."""
+        rng = random.Random(38)
+        conjugators = {}
+        for size in range(0, 21, 2):
+            g = random_form_preserving(FormSpec.symplectic(size), rng)
+            conjugators[size] = (g, g.inverse())
+        for size in range(0, 13, 2):
+            g, inverse = conjugators[size]
+            for d in signed_diagrams(Kind.SYMPLECTIC, size=size):
+                x = representative(d)
+                yield x, FormSpec.symplectic(size), d
+                yield g @ x @ inverse, FormSpec.symplectic(size), d
+        for n in range(1, 11):
+            g, inverse = conjugators[2 * n]
+            first, second = (P, M) if n % 2 else (M, P)
+            labels = [[(2 * n, first)]]
+            if n > 4:
+                labels.append([(2 * n - 4, first), (4, second)])
+            for rows in labels:
+                d = SignedDiagram(Kind.SYMPLECTIC, tuple(SignedRow(k, s) for k, s in rows))
+                yield g @ representative(d) @ inverse, FormSpec.symplectic(2 * n), d
+
+    def test_against_flag_and_powers(self):
+        # with the orthogonal sums, and two singular elements that are not
+        # nilpotent: semisimple on one coordinate pair of sp(4), or a boost
+        # of o(1, 1) in o(3, 2), next to one nilpotent block.  Their first
+        # level has rank one less than its rows, and no row spans a chain.
+        # The power chain costs about four times the flag on a dense input,
+        # so it joins on dimensions up to 8 only
+        outcome = TestFlagAgainstPowers.outcome
+        sp4 = RationalMatrix.from_rows([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0], [0, 0, 0, 0]])
+        o32 = RationalMatrix.from_rows(
+            [[0, 1, 0, 0, 0], [-1, 0, 0, -1, 0], [0, 0, 0, 0, 1], [0, -1, 0, 0, 0], [0, 0, 1, 0, 0]]
+        )
+        inputs = list(self.inputs())
+        inputs += [(x, form, None) for x, form in TestFlagAgainstPowers.orthogonal_sums()]
+        for x, form in (sp4, FormSpec.symplectic(4)), (o32, FormSpec.orthogonal(3, 2)):
+            assert x.rank() == form.dim - 1
+            inputs.append((x, form, "classification requires a nilpotent matrix"))
+        for x, form, want in inputs:
+            got = outcome(classify_signed, x, form)
+            assert want is None or got == want
+            assert outcome(oracles.classify_by_flag, x, form) == got
+            if form.dim <= 8:
+                assert outcome(classify_by_powers, x, form) == got
+        assert len(inputs) == 632 + 16 + 66 + 2
 
 
 class TestAlgebraElementBuilder:
